@@ -59,7 +59,10 @@
 #                   fewer repeats than the committed paper-mode baseline,
 #                   so the band is widened to 15% — wide enough to absorb
 #                   run-to-run drift, tight enough to catch a kernel that
-#                   actually got slower.
+#                   actually got slower. Also builds (never runs) the repo
+#                   benchmark package under benchmark/, which sits outside
+#                   the workspace, so a crate API change that breaks it
+#                   fails here rather than in the benchmark pipeline.
 set -eu
 
 PERF_MODE=""
@@ -128,6 +131,10 @@ if [ -n "$PERF_MODE" ]; then
 fi
 
 if [ "$BENCH_GATE" = 1 ]; then
+    echo "==> bench gate: the repo benchmark (benchmark/) still builds"
+    # Same target directory benchmark/run.sh uses, so neither rebuilds.
+    CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+        cargo build --release --offline --manifest-path benchmark/Cargo.toml
     echo "==> bench gate: bench_all --smoke vs committed results/BENCH.json (strict)"
     cargo run --release -q -p edgepc-bench --bin bench_all -- \
         --smoke --out target/BENCH.gate.json

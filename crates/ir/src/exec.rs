@@ -127,28 +127,25 @@ fn validate_inputs(plan: &Plan, inputs: &Inputs<'_>) {
             spec.rows,
             "ir exec: gather index count mismatch"
         );
+        let (GatherMode::SaGroup { c, .. } | GatherMode::EdgePair { c, .. }) = spec.mode;
+        assert!(c > 0, "ir exec: gather needs at least one feature channel");
+        assert_eq!(
+            g.feats.len() % c,
+            0,
+            "ir exec: gather feature matrix ragged"
+        );
         match spec.mode {
-            GatherMode::SaGroup { c, .. } => {
+            GatherMode::SaGroup { .. } => {
                 assert_eq!(
                     g.rel.len(),
                     3 * spec.rows,
                     "ir exec: gather rel count mismatch"
                 );
-                assert_eq!(
-                    g.feats.len() % c,
-                    0,
-                    "ir exec: gather feature matrix ragged"
-                );
             }
-            GatherMode::EdgePair { c, k } => {
+            GatherMode::EdgePair { k, .. } => {
                 assert!(
                     k > 0 && spec.rows % k == 0,
                     "ir exec: edge rows must tile by k"
-                );
-                assert_eq!(
-                    g.feats.len() % c,
-                    0,
-                    "ir exec: gather feature matrix ragged"
                 );
             }
         }

@@ -192,6 +192,42 @@ mod tests {
         assert_eq!(e.output(&plan), eager.output.as_slice());
     }
 
+    /// Runs a two-group SA plan (`k = 2`, so four gathered rows) over
+    /// `feats` and `idx`; the contract tests feed it malformed operands.
+    fn run_sa_plan(c: usize, feats: &[f32], idx: &[usize]) {
+        let seq = Sequential::mlp(&[c + 3, 4], 9);
+        let mut g = Graph::new("sa");
+        let gat = g.gather(idx.len(), GatherMode::SaGroup { c, k: 2 }, "sa.group");
+        let mlp = g.mlp(gat, &seq);
+        g.set_output(mlp);
+        let plan = compile(&g, &FuseConfig::default());
+        let gs = [GatherIn {
+            feats,
+            idx,
+            rel: &vec![0.0; 3 * idx.len()],
+        }];
+        Executor::new().run(
+            &plan,
+            &Inputs {
+                tensors: &[],
+                gathers: &gs,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ir exec: gather needs at least one feature channel")]
+    fn zero_channel_gather_fails_the_contract_check() {
+        run_sa_plan(0, &[], &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "SA group neighbor index out of range")]
+    fn out_of_range_gather_index_fails_the_contract_check() {
+        // Two feature rows of three channels; index 2 is one past the end.
+        run_sa_plan(3, &[0.5; 6], &[0, 1, EMPTY_SLOT, 2]);
+    }
+
     /// Concat + pool + broadcast replicate hstack / global pool / row
     /// replication, and the arena stays fixed across repeated runs.
     #[test]

@@ -114,19 +114,29 @@ impl RowSource<'_> {
         }
     }
 
+    /// Contract checks run once up front, so a malformed operand fails
+    /// with its own message instead of a slice-index panic inside a
+    /// parallel chunk.
     fn validate(&self, m: usize, kk: usize) {
         match self {
             RowSource::Dense(a) => {
                 assert_eq!(a.len(), m * kk, "dense A operand size mismatch");
             }
             RowSource::SaGroup { feats, c, idx, rel } => {
+                assert!(*c > 0, "SA group needs at least one feature channel");
                 assert_eq!(kk, c + 3, "SA group row width must be c + 3");
                 assert!(kk <= MAX_FUSED_K, "SA group row width exceeds MAX_FUSED_K");
                 assert_eq!(idx.len(), m, "SA group index count mismatch");
                 assert_eq!(rel.len(), 3 * m, "SA group rel-coord count mismatch");
                 assert_eq!(feats.len() % c, 0, "SA group feature matrix ragged");
+                let points = feats.len() / c;
+                assert!(
+                    idx.iter().all(|&j| j == EMPTY_SLOT || j < points),
+                    "SA group neighbor index out of range"
+                );
             }
             RowSource::EdgePair { feats, c, k, idx } => {
+                assert!(*c > 0, "edge pair needs at least one feature channel");
                 assert_eq!(kk, 2 * c, "edge-pair row width must be 2c");
                 assert!(kk <= MAX_FUSED_K, "edge-pair row width exceeds MAX_FUSED_K");
                 assert_eq!(idx.len(), m, "edge-pair index count mismatch");
@@ -135,6 +145,12 @@ impl RowSource<'_> {
                     "edge-pair rows must tile by k"
                 );
                 assert_eq!(feats.len() % c, 0, "edge-pair feature matrix ragged");
+                let points = feats.len() / c;
+                assert!(m / k <= points, "edge-pair center index out of range");
+                assert!(
+                    idx.iter().all(|&j| j < points),
+                    "edge-pair neighbor index out of range"
+                );
             }
         }
     }
@@ -270,41 +286,6 @@ pub(crate) fn naive_into(
     }
 }
 
-/// Abstraction over where a register tile's A rows come from, so the
-/// inner micro-kernel monomorphizes for the dense (read-in-place) and
-/// gathered (staged) cases without a per-element branch.
-trait ATile {
-    fn at(&self, ri: usize, k: usize) -> f32;
-}
-
-/// Dense A rows read in place (zero copies, identical to the original
-/// `matmul_blocked` inner loop).
-struct DenseTile<'a> {
-    a: &'a [f32],
-    kk: usize,
-    row0: usize,
-}
-
-impl ATile for DenseTile<'_> {
-    #[inline(always)]
-    fn at(&self, ri: usize, k: usize) -> f32 {
-        self.a[(self.row0 + ri) * self.kk + k]
-    }
-}
-
-/// Gathered rows staged once per register tile into a stack buffer.
-struct StagedTile<'a> {
-    buf: &'a [f32],
-    kk: usize,
-}
-
-impl ATile for StagedTile<'_> {
-    #[inline(always)]
-    fn at(&self, ri: usize, k: usize) -> f32 {
-        self.buf[ri * self.kk + k]
-    }
-}
-
 /// Cache-blocked kernel: rows are chunked `MATMUL_MC` at a time across
 /// the thread pool with fixed chunk boundaries (bit-identical recombination
 /// at any thread budget), and each chunk walks NR-wide packed B panels
@@ -334,29 +315,26 @@ pub(crate) fn blocked_into(
 
     edgepc_par::par_chunks_mut(out, MATMUL_MC * n, |ci, chunk| {
         let r0 = ci * MATMUL_MC;
-        let rows_here = chunk.len() / n;
-        let mut staged = [0.0f32; MATMUL_MR * MAX_FUSED_K];
-        let mut r = 0;
-        while r < rows_here {
-            let mr = MATMUL_MR.min(rows_here - r);
-            match src {
-                RowSource::Dense(a) => {
-                    let tile = DenseTile {
-                        a,
-                        kk,
-                        row0: r0 + r,
-                    };
-                    tile_panels(&tile, mr, kk, n, n_panels, panels, r, chunk);
-                }
-                other => {
-                    for ri in 0..mr {
-                        other.stage_row(r0 + r + ri, &mut staged[ri * kk..(ri + 1) * kk]);
-                    }
-                    let tile = StagedTile { buf: &staged, kk };
-                    tile_panels(&tile, mr, kk, n, n_panels, panels, r, chunk);
+        let tiles = chunk.chunks_mut(MATMUL_MR * n).enumerate();
+        match src {
+            RowSource::Dense(a) => {
+                for (t, out_rows) in tiles {
+                    let mr = out_rows.len() / n;
+                    let rows = tile_rows(a, r0 + t * MATMUL_MR, mr, kk);
+                    tile_panels(rows, kk, n, panels, out_rows);
                 }
             }
-            r += mr;
+            gather => {
+                // Gathered rows are staged once per register tile.
+                let mut staged = [0.0f32; MATMUL_MR * MAX_FUSED_K];
+                for (t, out_rows) in tiles {
+                    let (row0, mr) = (r0 + t * MATMUL_MR, out_rows.len() / n);
+                    for ri in 0..mr {
+                        gather.stage_row(row0 + ri, &mut staged[ri * kk..(ri + 1) * kk]);
+                    }
+                    tile_panels(tile_rows(&staged, 0, mr, kk), kk, n, panels, out_rows);
+                }
+            }
         }
         if let Some(b) = bias {
             for row in chunk.chunks_exact_mut(n) {
@@ -377,40 +355,64 @@ pub(crate) fn blocked_into(
     }
 }
 
-/// Walk every packed B panel for one MR-row register tile, accumulating
-/// k-ascending into an on-stack MR x NR accumulator and copying finished
-/// tiles into the chunk. This is the verbatim inner loop of the original
-/// `Tensor2::matmul_blocked`.
-#[allow(clippy::too_many_arguments)]
-fn tile_panels<A: ATile>(
-    tile: &A,
-    mr: usize,
+/// The A rows of one register tile: rows `row0..row0 + mr` of the
+/// `kk`-wide row-major `a`. A ragged last tile (`mr < MATMUL_MR`) repeats
+/// its last row so the micro-kernel always sees a full tile; the store
+/// in [`tile_panels`] drops the repeats.
+fn tile_rows(a: &[f32], row0: usize, mr: usize, kk: usize) -> [&[f32]; MATMUL_MR] {
+    std::array::from_fn(|ri| {
+        let row = row0 + ri.min(mr - 1);
+        &a[row * kk..(row + 1) * kk]
+    })
+}
+
+/// Walk every packed B panel for one register tile of A `rows` (each
+/// `kk` long) and copy the finished tiles into `out_rows`, the tile's
+/// `n`-wide output rows. `out_rows` may hold fewer than `MATMUL_MR` rows
+/// (ragged last tile); the surplus accumulator rows are dropped.
+fn tile_panels(
+    rows: [&[f32]; MATMUL_MR],
     kk: usize,
     n: usize,
-    n_panels: usize,
     panels: &[f32],
-    r: usize,
-    chunk: &mut [f32],
+    out_rows: &mut [f32],
 ) {
-    for p in 0..n_panels {
-        let c0 = p * MATMUL_NR;
-        let width = MATMUL_NR.min(n - c0);
-        let base = p * kk * MATMUL_NR;
-        let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
-        for k in 0..kk {
-            let b = &panels[base + k * MATMUL_NR..base + (k + 1) * MATMUL_NR];
-            for (ri, acc_row) in acc.iter_mut().take(mr).enumerate() {
-                let av = tile.at(ri, k);
-                for (x, &bv) in acc_row.iter_mut().zip(b) {
-                    *x += av * bv;
-                }
+    for (p, c0) in (0..n).step_by(MATMUL_NR).enumerate() {
+        let panel = &panels[p * kk * MATMUL_NR..(p + 1) * kk * MATMUL_NR];
+        let acc = micro_kernel(rows, panel);
+        for (out_row, acc_row) in out_rows.chunks_exact_mut(n).zip(&acc) {
+            let dst = &mut out_row[c0..];
+            match dst.first_chunk_mut::<MATMUL_NR>() {
+                Some(full) => *full = *acc_row,
+                None => dst.copy_from_slice(&acc_row[..dst.len()]),
             }
         }
-        for (ri, acc_row) in acc.iter().take(mr).enumerate() {
-            let at = (r + ri) * n + c0;
-            chunk[at..at + width].copy_from_slice(&acc_row[..width]);
+    }
+}
+
+/// The one matmul inner loop: an MR x NR tile of `rows * panel`, each
+/// element a k-ascending sum of separately rounded products (multiply,
+/// then add — never fused, never split), which is what keeps blocked,
+/// naive, fused and eager results bit-identical. Every row must be as
+/// long as the panel is deep (`panel.len() / MATMUL_NR`).
+///
+/// The shape is codegen-load-bearing: compile-time tile bounds and A
+/// rows walked in lock-step with the panel leave no bounds check in the
+/// k loop, so the accumulator stays in vector registers. Measure any
+/// edit with the `nn.*` scenarios of `bench_all`.
+#[inline(always)]
+fn micro_kernel(rows: [&[f32]; MATMUL_MR], panel: &[f32]) -> [[f32; MATMUL_NR]; MATMUL_MR] {
+    let [a0, a1, a2, a3] = rows;
+    let (panel, _) = panel.as_chunks::<MATMUL_NR>();
+    let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
+    for ((((b, &x0), &x1), &x2), &x3) in panel.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
+        for (acc_row, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+            for (o, &bv) in acc_row.iter_mut().zip(b) {
+                *o += x * bv;
+            }
         }
     }
+    acc
 }
 
 #[cfg(test)]
@@ -642,5 +644,213 @@ mod tests {
         for t in [2, 8] {
             assert_eq!(run(t), base, "thread budget {t} diverged");
         }
+    }
+
+    #[derive(Debug)]
+    enum Flavour {
+        Dense,
+        Sa,
+        Edge,
+    }
+
+    /// A-operand data owned by the tile-edge sweep and borrowed as the
+    /// [`RowSource`] of its flavour.
+    struct Operand {
+        flavour: Flavour,
+        feats: Tensor2,
+        c: usize,
+        k: usize,
+        idx: Vec<usize>,
+        rel: Vec<f32>,
+    }
+
+    impl Operand {
+        fn dense(m: usize, kk: usize, seed: u64) -> Self {
+            Operand {
+                flavour: Flavour::Dense,
+                feats: random_tensor(m, kk, seed),
+                c: kk,
+                k: 1,
+                idx: Vec::new(),
+                rel: Vec::new(),
+            }
+        }
+
+        /// `m` SA rows of width `c + 3` over `points` feature rows: every
+        /// fifth slot is `EMPTY_SLOT`, and point 0 with a zero offset is
+        /// an all-zero A row that is *not* an empty slot.
+        fn sa(m: usize, c: usize, seed: u64) -> Self {
+            let points = m / 2 + 2;
+            let mut feats = random_tensor(points, c, seed);
+            feats.row_mut(0).fill(0.0);
+            let mut idx = Vec::with_capacity(m);
+            let mut rel = Vec::with_capacity(3 * m);
+            for r in 0..m {
+                let j = (r * 7 + seed as usize) % points;
+                if r % 5 == 4 {
+                    idx.push(EMPTY_SLOT);
+                    rel.extend_from_slice(&[0.0; 3]);
+                } else if j == 0 {
+                    idx.push(0);
+                    rel.extend_from_slice(&[0.0; 3]);
+                } else {
+                    idx.push(j);
+                    rel.extend_from_slice(&[r as f32 * 0.05, j as f32 * -0.03, 0.02]);
+                }
+            }
+            Operand {
+                flavour: Flavour::Sa,
+                feats,
+                c,
+                k: 1,
+                idx,
+                rel,
+            }
+        }
+
+        /// `m` edge rows of width `2c`, `k` neighbors per center.
+        fn edge(m: usize, c: usize, seed: u64) -> Self {
+            let k = if m.is_multiple_of(3) { 3 } else { 1 };
+            let points = m / k + 3;
+            let idx = (0..m).map(|r| (r * 5 + seed as usize) % points).collect();
+            Operand {
+                flavour: Flavour::Edge,
+                feats: random_tensor(points, c, seed),
+                c,
+                k,
+                idx,
+                rel: Vec::new(),
+            }
+        }
+
+        fn source(&self) -> RowSource<'_> {
+            match self.flavour {
+                Flavour::Dense => RowSource::Dense(self.feats.as_slice()),
+                Flavour::Sa => RowSource::SaGroup {
+                    feats: self.feats.as_slice(),
+                    c: self.c,
+                    idx: &self.idx,
+                    rel: &self.rel,
+                },
+                Flavour::Edge => RowSource::EdgePair {
+                    feats: self.feats.as_slice(),
+                    c: self.c,
+                    k: self.k,
+                    idx: &self.idx,
+                },
+            }
+        }
+    }
+
+    /// Every tile edge, bypassing the work-size gate: ragged row tiles
+    /// (`m % 4`), ragged panels (`n % 8`), one/several 64-row chunks and
+    /// reduction widths around the tile sizes, for all three row sources,
+    /// bitwise against the naive loop at 1/2/8 threads.
+    #[test]
+    fn blocked_matches_naive_at_every_tile_edge() {
+        let ms: Vec<usize> = (1..=9).chain(63..=66).chain([130]).collect();
+        let ns: Vec<usize> = (1..=17).chain([33]).collect();
+        for &kk in &[1usize, 2, 7, 8, 9, 64, 259] {
+            for &m in &ms {
+                let seed = (m * 1000 + kk) as u64;
+                // SA rows need c = kk - 3 >= 1, edge rows an even width.
+                let mut operands = vec![Operand::dense(m, kk, seed)];
+                if kk > 3 {
+                    operands.push(Operand::sa(m, kk - 3, seed));
+                }
+                if kk.is_multiple_of(2) {
+                    operands.push(Operand::edge(m, kk / 2, seed));
+                }
+                for &n in &ns {
+                    let w = random_tensor(kk, n, seed ^ n as u64);
+                    let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.07 - 0.4).collect();
+                    for operand in &operands {
+                        let src = operand.source();
+                        src.validate(m, kk);
+                        for (bias, relu) in [(None, false), (Some(bias.as_slice()), true)] {
+                            let mut expect = vec![f32::NAN; m * n];
+                            naive_into(&src, m, &w, bias, relu, &mut expect);
+                            // One chunk runs inline whatever the budget.
+                            let budgets: &[usize] = if m > MATMUL_MC { &[1, 2, 8] } else { &[1] };
+                            for &threads in budgets {
+                                let mut got = vec![f32::NAN; m * n];
+                                edgepc_par::with_threads(threads, || {
+                                    blocked_into(&src, m, &w, None, bias, relu, &mut got);
+                                });
+                                let same = got
+                                    .iter()
+                                    .zip(&expect)
+                                    .all(|(g, e)| g.to_bits() == e.to_bits());
+                                assert!(
+                                    same,
+                                    "blocked != naive: {:?} m={m} k={kk} n={n} \
+                                     relu={relu} threads={threads}",
+                                    operand.flavour
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Naive and blocked share the accumulation contract, so a change
+    /// that reassociates both (a fused multiply-add, a split reduction)
+    /// would still pass every blocked-vs-naive test. This pins the bits
+    /// themselves: FNV-1a over the output of one fixed seeded product.
+    #[test]
+    fn fused_product_bits_are_pinned() {
+        let (m, kk, n) = (130, 67, 33);
+        let x = random_tensor(m, kk, 0xb175);
+        let w = random_tensor(kk, n, 0x91a7);
+        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.03 - 0.5).collect();
+        let mut out = vec![0.0f32; m * n];
+        fused_linear(
+            &RowSource::Dense(x.as_slice()),
+            m,
+            &w,
+            None,
+            Some(&bias),
+            true,
+            &mut out,
+        );
+        let hash = out
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(
+            hash, 0xec06_237e_9d81_4d5a,
+            "accumulation order or rounding changed"
+        );
+    }
+
+    fn sa_product(c: usize, feats: &[f32], idx: &[usize]) {
+        let m = idx.len();
+        let w = random_tensor(c + 3, 4, 0xc0de);
+        let rel = vec![0.0f32; 3 * m];
+        let mut out = vec![0.0f32; m * 4];
+        let src = RowSource::SaGroup {
+            feats,
+            c,
+            idx,
+            rel: &rel,
+        };
+        fused_linear(&src, m, &w, None, None, false, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "SA group needs at least one feature channel")]
+    fn zero_channel_gather_fails_the_contract_check() {
+        sa_product(0, &[], &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "SA group neighbor index out of range")]
+    fn out_of_range_gather_index_fails_the_contract_check() {
+        // Two feature rows of three channels; index 2 is one past the end.
+        sa_product(3, &[0.5; 6], &[0, 1, EMPTY_SLOT, 2]);
     }
 }

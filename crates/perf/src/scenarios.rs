@@ -1,12 +1,13 @@
 //! The canonical benchmark scenario set, at the paper's configurations.
 //!
-//! Thirteen scenarios cover the pipeline bottom-up — samplers, the radix
-//! structurization sort, searchers, and the blocked and fused matmul
-//! kernels in isolation, then full model forwards both eager and through
-//! the compiled `edgepc-ir` plans — at Table 1 scales, so the committed
-//! baseline tracks exactly the operating points the paper reports. Inputs come from the same workload datasets the figure
-//! harnesses use (W2's scannet-like 8192-point scene, W3's modelnet-like
-//! 1024-point object).
+//! Fourteen scenarios cover the pipeline bottom-up — samplers, the radix
+//! structurization sort, searchers, and the blocked, fused and
+//! gather-fused matmul kernels in isolation, then full model forwards
+//! both eager and through the compiled `edgepc-ir` plans — at Table 1
+//! scales, so the committed baseline tracks exactly the operating points
+//! the paper reports. Inputs come from the same workload datasets the
+//! figure harnesses use (W2's scannet-like 8192-point scene, W3's
+//! modelnet-like 1024-point object).
 //!
 //! Construction is lazy: datasets and models are built inside each
 //! scenario's first run (always a warmup run under
@@ -21,7 +22,7 @@ use edgepc_models::{
 };
 use edgepc_morton::{Structurized, Structurizer};
 use edgepc_neighbor::{BruteKnn, MortonWindowSearcher, NeighborSearcher};
-use edgepc_nn::{fused_linear, PackedPanels, RowSource, Tensor2};
+use edgepc_nn::{fused_linear, PackedPanels, RowSource, Tensor2, EMPTY_SLOT};
 use edgepc_sample::{FarthestPointSampler, MortonSampler, Sampler};
 use edgepc_sim::{EnergyModel, ExecMode, PowerState, StageKind, XavierModel};
 
@@ -101,7 +102,7 @@ fn fill_tensor(rows: usize, cols: usize, seed: u64) -> Tensor2 {
     )
 }
 
-/// The thirteen canonical scenarios, in pipeline order.
+/// The fourteen canonical scenarios, in pipeline order.
 pub fn paper_scenarios() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
 
@@ -253,6 +254,77 @@ pub fn paper_scenarios() -> Vec<Scenario> {
         ));
     }
 
+    // --- Gather-fused first MLP layer, the path the compiled models spend
+    // their time in: SA2's shape, 256 groups x 32 neighbors gathered from
+    // the 1024 x 64 SA1 output (`RowSource::SaGroup`, row width 64 + 3),
+    // staged tile by tile into the prepacked panels. ---
+    {
+        struct GatherState {
+            feats: Tensor2,
+            idx: Vec<usize>,
+            rel: Vec<f32>,
+            w: Tensor2,
+            packed: PackedPanels,
+            bias: Vec<f32>,
+            out: Vec<f32>,
+        }
+        const POINTS: usize = 1024;
+        const C: usize = 64;
+        const ROWS: usize = 8192;
+        const N: usize = 64;
+        let mut state: Option<GatherState> = None;
+        scenarios.push(Scenario::new(
+            format!("nn.fused_gather.sa.m{ROWS}.k{}.n{N}", C + 3),
+            ROWS,
+            move || {
+                let s = state.get_or_insert_with(|| {
+                    let w = fill_tensor(C + 3, N, 0x9a57);
+                    let packed = PackedPanels::pack(&w);
+                    GatherState {
+                        feats: fill_tensor(POINTS, C, 0xb10c),
+                        // A fixed scatter over the source points with every
+                        // 16th slot unfilled, as a short ball query leaves it.
+                        idx: (0..ROWS)
+                            .map(|r| match r % 16 {
+                                15 => EMPTY_SLOT,
+                                _ => (r * 389) % POINTS,
+                            })
+                            .collect(),
+                        rel: fill_tensor(ROWS, 3, 0x4e1).into_vec(),
+                        w,
+                        packed,
+                        bias: (0..N).map(|i| i as f32 / N as f32 - 0.5).collect(),
+                        out: vec![0.0f32; ROWS * N],
+                    }
+                });
+                fused_linear(
+                    &RowSource::SaGroup {
+                        feats: s.feats.as_slice(),
+                        c: C,
+                        idx: &s.idx,
+                        rel: &s.rel,
+                    },
+                    ROWS,
+                    &s.w,
+                    Some(&s.packed),
+                    Some(&s.bias),
+                    true,
+                    &mut s.out,
+                );
+                assert!(s.out[0].is_finite());
+                let ops = OpCounts {
+                    mac: (ROWS * (C + 3) * N) as u64,
+                    // What the fused path streams per row: one 4-byte
+                    // index and three relative coordinates.
+                    gathered_bytes: (ROWS * (4 + 12)) as u64,
+                    seq_rounds: 1,
+                    ..OpCounts::ZERO
+                };
+                (ops, priced(StageKind::FeatureCompute, ops, false))
+            },
+        ));
+    }
+
     // --- Full PointNet++ forwards (W2 shape: 8192-point ScanNet scene). ---
     for (variant, strategy) in [
         ("base", PipelineStrategy::baseline()),
@@ -366,7 +438,7 @@ mod tests {
         // Construction must be cheap (lazy bodies) and ids stable: the
         // BENCH.json comparison is keyed on them.
         let scenarios = paper_scenarios();
-        assert_eq!(scenarios.len(), 13);
+        assert_eq!(scenarios.len(), 14);
         let ids: Vec<&str> = scenarios.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(
             ids,
@@ -378,6 +450,7 @@ mod tests {
                 "search.window.w128.n8192.q2048.k32",
                 "nn.matmul.m4096.k64.n64",
                 "nn.fused_mlp.m4096.k64.n64",
+                "nn.fused_gather.sa.m8192.k67.n64",
                 "model.pointnetpp.base.n8192",
                 "model.pointnetpp.edgepc.n8192",
                 "model.compiled.pointnetpp.n8192",
