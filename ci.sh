@@ -89,6 +89,15 @@ for arg in "$@"; do
     esac
 done
 
+# smoke_artifact PACKAGE BIN OUT [ARGS...]: runs the release binary with
+# `ARGS --out OUT`, then holds OUT to its EP005 schema pin.
+smoke_artifact() {
+    pkg=$1 bin=$2 out=$3
+    shift 3
+    cargo run --release -q -p "$pkg" --bin "$bin" -- "$@" --out "$out"
+    cargo run -q -p edgepc-lint --bin lint_all -- --results "$out"
+}
+
 if [ "$RUN_LINT" = 1 ]; then
     echo "==> lint_all: workspace static analysis (EP rules, see DESIGN.md)"
     LINT_T0=$(date +%s)
@@ -144,9 +153,7 @@ fi
 
 if [ "$SERVE_SMOKE" = 1 ]; then
     echo "==> serve smoke: loadgen --smoke + EP005 schema check"
-    cargo run --release -q -p edgepc-serve --bin loadgen -- \
-        --smoke --out target/serve.json
-    cargo run -q -p edgepc-lint --bin lint_all -- --results target/serve.json
+    smoke_artifact edgepc-serve loadgen target/serve.json --smoke
 fi
 
 if [ "$OBS_SMOKE" = 1 ]; then
@@ -191,18 +198,14 @@ fi
 
 if [ "$IR_SMOKE" = 1 ]; then
     echo "==> ir smoke: compiled plans vs eager oracles + EP005 schema check"
-    cargo run --release -q -p edgepc-bench --bin ir_smoke -- \
-        --out target/ir_smoke.json
-    cargo run -q -p edgepc-lint --bin lint_all -- --results target/ir_smoke.json
+    smoke_artifact edgepc-bench ir_smoke target/ir_smoke.json
 fi
 
 if [ "$NET_SMOKE" = 1 ]; then
     echo "==> net smoke: netgen --smoke over loopback sockets + EP005 schema check"
     # Self-hosts 2 engine shards behind the router on an ephemeral port
     # and drives them over real TCP connections.
-    cargo run --release -q -p edgepc-net --bin netgen -- \
-        --smoke --out target/net.json
-    cargo run -q -p edgepc-lint --bin lint_all -- --results target/net.json
+    smoke_artifact edgepc-net netgen target/net.json --smoke
 fi
 
 echo "CI OK"

@@ -3,7 +3,8 @@
 //! Every substantial `pub fn` in the designated hot modules (the sampler,
 //! the upsampler, the window searcher, and the model stage files) must
 //! open an `edgepc_trace` span — directly (`edgepc_trace::span(…)` /
-//! `span_in(…)`) or through the models' `observe::stage(…)` bridge — or
+//! `span_in(…)`) or through the models' `observe::stage(…)` /
+//! `observe::mlp_stage(…)` bridge — or
 //! carry a `LINT.toml` waiver naming the function. An un-spanned stage
 //! silently drops out of the fig03-style latency breakdowns the paper's
 //! analysis rests on.
@@ -26,8 +27,9 @@ use crate::rules::SourceModel;
 pub const BODY_TOKEN_THRESHOLD: usize = 40;
 
 /// Call idents accepted as opening a span: the `edgepc_trace` entry points
-/// plus the models' `observe::stage` wrapper (which opens a span itself).
-const SPAN_OPENERS: &[&str] = &["span", "span_in", "stage"];
+/// plus the models' `observe::stage` / `observe::mlp_stage` wrappers
+/// (which open a span themselves).
+const SPAN_OPENERS: &[&str] = &["span", "span_in", "stage", "mlp_stage"];
 
 pub fn check(model: &SourceModel) -> Vec<Diagnostic> {
     let mut out = Vec::new();

@@ -6,29 +6,29 @@
 //! MLP -> pool, concat -> MLP, ...), compile them once with the fusing
 //! scheduler, and then execute every forward pass over a single reusable
 //! arena ([`ExecState`]). The data-dependent glue — sampling, neighbor
-//! search, interpolation planning — still runs the *same* eager code
-//! (`selection::select`, `fp::plan_interpolation`, the DGCNN searchers),
-//! so stage records and logits are bit-identical to the eager oracle at
-//! any thread budget.
+//! search, interpolation — is not replayed here: both drivers call the
+//! same functions (`selection::select`, `fp::upsample`,
+//! `dgcnn::module_graph`, `sa::clamped_k`), so stage records and logits
+//! are bit-identical to the eager oracle at any thread budget.
 //!
-//! What changes is the tensor work: `matmul + bias + ReLU` chains run as
-//! single fused passes, and the grouping gather streams rows directly
-//! into the kernel's panel staging instead of materializing the
-//! `(n*k) x (C+3)` grouped matrix — the `.group` stage records the
-//! fused gather traffic (indices + relative coordinates only), which is
-//! the measurable `gathered_bytes` drop the scheduler buys.
+//! What this file owns is the tensor work: `matmul + bias + ReLU` chains
+//! run as single fused passes, and the grouping gather streams rows
+//! directly into the kernel's panel staging instead of materializing the
+//! `(n*k) x (C+3)` grouped matrix — the `.group` stage stages only
+//! indices and relative coordinates and records the fused gather traffic,
+//! which is the measurable `gathered_bytes` drop the scheduler buys.
 
-use edgepc_geom::{required, violation, OpCounts, Point3, PointCloud};
+use edgepc_geom::{required, OpCounts, Point3, PointCloud};
 use edgepc_ir::{
-    Executor, FuseConfig, GatherIn, GatherMode, GatherSite, Graph, InTensor, Inputs, Plan,
+    Executor, FuseConfig, GatherIn, GatherMode, GatherSite, Graph, InTensor, Inputs, NodeId, Plan,
 };
-use edgepc_neighbor::{BruteKnn, MortonWindowSearcher, NeighborSearcher};
-use edgepc_nn::{Tensor2, EMPTY_SLOT};
+use edgepc_nn::{Sequential, Tensor2, EMPTY_SLOT};
 use edgepc_sim::StageKind;
 
-use crate::dgcnn::{feature_knn, DgcnnBackbone, DgcnnClassifier, DgcnnSeg};
-use crate::fp::{plan_interpolation, InterpSource};
+use crate::dgcnn::{module_graph, DgcnnBackbone, DgcnnClassifier, DgcnnSeg};
+use crate::fp::{upsample, InterpSource};
 use crate::pointnetpp::{xyz_features, PointNetPpSeg};
+use crate::sa::clamped_k;
 use crate::selection::{select, MortonContext};
 use crate::strategy::{SampleStrategy, SearchStrategy, StageRecord, UpsampleStrategy};
 
@@ -56,39 +56,107 @@ impl ExecState {
     }
 }
 
-/// One compiled SA level: the fused gather->MLP->pool plan plus the
-/// strategy snapshot needed to drive the eager selection glue.
-struct SaPlan {
+/// One lowered module — `inputs -> shared MLP [-> max pool]` compiled to
+/// a plan — plus what its `<name>.fc` stage record carries.
+struct ModulePlan {
     plan: Plan,
     name: String,
+    fc_k: usize,
+    seq_rounds: u64,
+}
+
+impl ModulePlan {
+    /// Finishes `g` by running `mlp` over node `x` (max-pooling groups of
+    /// `pool` rows when given) and compiles it.
+    fn lower(mut g: Graph, x: NodeId, mlp: &Sequential, pool: Option<usize>, name: &str) -> Self {
+        let mut out = g.mlp(x, mlp);
+        if let Some(group) = pool {
+            out = g.max_pool(out, group);
+        }
+        g.set_output(out);
+        ModulePlan {
+            plan: edgepc_ir::compile(&g, &FuseConfig::default()),
+            name: name.to_string(),
+            fc_k: g.shape(x).1,
+            seq_rounds: 2 * mlp.len() as u64,
+        }
+    }
+
+    /// Executes the plan as the `<name>.fc` stage and copies its output
+    /// out of the arena.
+    fn run(
+        &self,
+        exec: &mut Executor,
+        tensors: &[InTensor<'_>],
+        gathers: &[GatherIn<'_>],
+        records: &mut Vec<StageRecord>,
+    ) -> Tensor2 {
+        crate::observe::stage(
+            format!("{}.fc", self.name),
+            StageKind::FeatureCompute,
+            Some(self.fc_k),
+            records,
+            || {
+                exec.run(&self.plan, &Inputs { tensors, gathers });
+                let out = Tensor2::from_vec(
+                    exec.output(&self.plan).to_vec(),
+                    self.plan.out_rows(),
+                    self.plan.out_cols(),
+                );
+                let mut ops = self.plan.ops();
+                ops.seq_rounds = self.seq_rounds;
+                (out, ops)
+            },
+        )
+    }
+
+    /// Records the `<name>.group` stage around `fill`, which stages the
+    /// plan's gather indices; the gathered rows themselves stream into
+    /// the fused kernel, so the stage carries the fused traffic only.
+    fn group_stage(&self, records: &mut Vec<StageRecord>, fill: impl FnOnce()) {
+        let site = required(self.plan.gather_sites().first(), "plan has a gather");
+        crate::observe::stage(
+            format!("{}.group", self.name),
+            StageKind::Grouping,
+            None,
+            records,
+            || {
+                fill();
+                let ops = OpCounts {
+                    gathered_bytes: site.fused_bytes,
+                    seq_rounds: 1,
+                    ..OpCounts::ZERO
+                };
+                ((), ops)
+            },
+        );
+    }
+}
+
+/// A dense tensor as a plan input.
+fn dense(t: &Tensor2) -> InTensor<'_> {
+    InTensor {
+        data: t.as_slice(),
+        rows: t.rows(),
+        cols: t.cols(),
+    }
+}
+
+/// One compiled SA level: the fused gather->MLP->pool plan plus the
+/// strategy snapshot the shared selection glue needs.
+struct SaPlan {
+    module: ModulePlan,
     n_out: usize,
     /// Effective neighbor count after the deep-level clamp.
     k: usize,
-    in_channels: usize,
-    out_channels: usize,
     sample: SampleStrategy,
     search: SearchStrategy,
-    seq_rounds: u64,
-    fused_gather_bytes: u64,
 }
 
 /// One compiled FP level: concat->MLP plan plus interpolation strategy.
 struct FpPlan {
-    plan: Plan,
-    name: String,
-    n_dense: usize,
-    sparse_channels: usize,
-    skip_channels: usize,
-    out_channels: usize,
+    module: ModulePlan,
     strategy: UpsampleStrategy,
-    seq_rounds: u64,
-}
-
-/// A compiled head MLP (per-point or per-cloud).
-struct HeadPlan {
-    plan: Plan,
-    fc_k: usize,
-    seq_rounds: u64,
 }
 
 /// [`PointNetPpSeg`] lowered to `edgepc-ir` plans for a fixed input
@@ -97,9 +165,8 @@ struct HeadPlan {
 pub struct CompiledPointNetPp {
     levels: Vec<SaPlan>,
     fps: Vec<FpPlan>,
-    head: HeadPlan,
+    head: ModulePlan,
     n_input: usize,
-    depth: usize,
 }
 
 impl CompiledPointNetPp {
@@ -115,32 +182,22 @@ impl CompiledPointNetPp {
         let mut level_counts = vec![n_input];
         for sa in &model.sa {
             let n_in = *required(level_counts.last(), "level counts start non-empty");
-            // Same deep-level clamp as the eager forward.
-            let k = sa.k.min(n_in.saturating_sub(1)).max(1);
-            let c = sa.in_channels;
+            let k = clamped_k(sa.k, n_in);
             let mut g = Graph::new(format!("pointnetpp.{}", sa.name));
             let gat = g.gather(
                 sa.n_out * k,
-                GatherMode::SaGroup { c, k },
+                GatherMode::SaGroup {
+                    c: sa.in_channels,
+                    k,
+                },
                 format!("{}.group", sa.name),
             );
-            let mlp = g.mlp(gat, &sa.mlp);
-            let pooled = g.max_pool(mlp, k);
-            g.set_output(pooled);
-            let plan = edgepc_ir::compile(&g, &FuseConfig::default());
-            let fused_gather_bytes =
-                required(plan.gather_sites().first(), "SA plan has a gather").fused_bytes;
             levels.push(SaPlan {
-                plan,
-                name: sa.name.clone(),
+                module: ModulePlan::lower(g, gat, &sa.mlp, Some(k), &sa.name),
                 n_out: sa.n_out,
                 k,
-                in_channels: c,
-                out_channels: sa.out_channels,
                 sample: sa.sample_strategy,
                 search: sa.search_strategy,
-                seq_rounds: 2 * sa.mlp.len() as u64,
-                fused_gather_bytes,
             });
             level_counts.push(sa.n_out);
         }
@@ -152,37 +209,20 @@ impl CompiledPointNetPp {
             let interp = g.input(n_dense, fp.sparse_channels);
             let skip = g.input(n_dense, fp.skip_channels);
             let cat = g.concat2(interp, skip);
-            let out = g.mlp(cat, &fp.mlp);
-            g.set_output(out);
             fps.push(FpPlan {
-                plan: edgepc_ir::compile(&g, &FuseConfig::default()),
-                name: fp.name.clone(),
-                n_dense,
-                sparse_channels: fp.sparse_channels,
-                skip_channels: fp.skip_channels,
-                out_channels: fp.out_channels,
+                module: ModulePlan::lower(g, cat, &fp.mlp, None, &fp.name),
                 strategy: fp.strategy,
-                seq_rounds: 2 * fp.mlp.len() as u64,
             });
         }
 
         let carried = required(model.fp.last(), "at least one FP module").out_channels;
         let mut g = Graph::new("pointnetpp.head");
         let x = g.input(n_input, carried);
-        let out = g.mlp(x, &model.head);
-        g.set_output(out);
-        let head = HeadPlan {
-            plan: edgepc_ir::compile(&g, &FuseConfig::default()),
-            fc_k: carried,
-            seq_rounds: 2 * model.head.len() as u64,
-        };
-
         CompiledPointNetPp {
             levels,
             fps,
-            head,
+            head: ModulePlan::lower(g, x, &model.head, None, "head"),
             n_input,
-            depth: model.depth,
         }
     }
 
@@ -196,7 +236,7 @@ impl CompiledPointNetPp {
     pub fn gather_sites(&self) -> Vec<GatherSite> {
         self.levels
             .iter()
-            .flat_map(|lv| lv.plan.gather_sites().iter().cloned())
+            .flat_map(|lv| lv.module.plan.gather_sites().iter().cloned())
             .collect()
     }
 
@@ -215,12 +255,13 @@ impl CompiledPointNetPp {
         );
         let _sp = edgepc_trace::span("pointnetpp.compiled", "model");
         let ExecState { exec, idx, rel } = state;
+        let depth = self.levels.len();
         let mut records = Vec::new();
         let mut level_points: Vec<Vec<Point3>> = vec![cloud.points().to_vec()];
         let mut level_feats: Vec<Tensor2> = vec![xyz_features(cloud.points())];
-        let mut contexts: Vec<Option<MortonContext>> = Vec::with_capacity(self.depth);
+        let mut contexts: Vec<Option<MortonContext>> = Vec::with_capacity(depth);
 
-        // --- SA stack: eager select, fused gather+MLP+pool ---
+        // --- SA stack: shared select, fused gather+MLP+pool ---
         for lv in &self.levels {
             let pts: &[Point3] = required(
                 level_points.last().map(Vec::as_slice),
@@ -233,74 +274,35 @@ impl CompiledPointNetPp {
                 lv.k,
                 lv.sample,
                 lv.search,
-                &lv.name,
+                &lv.module.name,
                 &mut records,
             );
 
-            crate::observe::stage(
-                format!("{}.group", lv.name),
-                StageKind::Grouping,
-                None,
-                &mut records,
-                || {
-                    // Stage only indices + relative coordinates; the
-                    // gathered rows stream into the fused kernel.
-                    idx.clear();
-                    rel.clear();
-                    for (gi, nbrs) in selection.neighbor_indices.iter().enumerate() {
-                        let centroid = pts[selection.sample_indices[gi]];
-                        for slot in 0..lv.k {
-                            if let Some(&j) = nbrs.get(slot) {
-                                idx.push(j);
-                                let r = pts[j] - centroid;
-                                rel.extend_from_slice(&[r.x, r.y, r.z]);
-                            } else {
-                                // Short ball-query group: zero-padded row,
-                                // exactly like the eager zeroed scratch.
-                                idx.push(EMPTY_SLOT);
-                                rel.extend_from_slice(&[0.0; 3]);
-                            }
+            lv.module.group_stage(&mut records, || {
+                idx.clear();
+                rel.clear();
+                for (gi, nbrs) in selection.neighbor_indices.iter().enumerate() {
+                    let centroid = pts[selection.sample_indices[gi]];
+                    for slot in 0..lv.k {
+                        if let Some(&j) = nbrs.get(slot) {
+                            idx.push(j);
+                            let r = pts[j] - centroid;
+                            rel.extend_from_slice(&[r.x, r.y, r.z]);
+                        } else {
+                            // Short ball-query group: zero-padded row,
+                            // exactly like the eager zeroed scratch.
+                            idx.push(EMPTY_SLOT);
+                            rel.extend_from_slice(&[0.0; 3]);
                         }
                     }
-                    (
-                        (),
-                        OpCounts {
-                            gathered_bytes: lv.fused_gather_bytes,
-                            seq_rounds: 1,
-                            ..OpCounts::ZERO
-                        },
-                    )
-                },
-            );
-
-            let out = crate::observe::stage(
-                format!("{}.fc", lv.name),
-                StageKind::FeatureCompute,
-                Some(lv.in_channels + 3),
-                &mut records,
-                || {
-                    let gathers = [GatherIn {
-                        feats: feats.as_slice(),
-                        idx,
-                        rel,
-                    }];
-                    exec.run(
-                        &lv.plan,
-                        &Inputs {
-                            tensors: &[],
-                            gathers: &gathers,
-                        },
-                    );
-                    let out = Tensor2::from_vec(
-                        exec.output(&lv.plan).to_vec(),
-                        lv.n_out,
-                        lv.out_channels,
-                    );
-                    let mut ops = lv.plan.ops();
-                    ops.seq_rounds = lv.seq_rounds;
-                    (out, ops)
-                },
-            );
+                }
+            });
+            let gathers = [GatherIn {
+                feats: feats.as_slice(),
+                idx,
+                rel,
+            }];
+            let out = lv.module.run(exec, &[], &gathers, &mut records);
 
             let sampled: Vec<Point3> = selection.sample_indices.iter().map(|&i| pts[i]).collect();
             contexts.push(selection.morton_context);
@@ -308,187 +310,110 @@ impl CompiledPointNetPp {
             level_feats.push(out);
         }
 
-        // --- FP stack: eager interpolation, fused concat+MLP ---
-        let mut carried = level_feats[self.depth].clone();
+        // --- FP stack: shared interpolation, fused concat+MLP ---
+        let mut carried = level_feats[depth].clone();
         for (j, fp) in self.fps.iter().enumerate() {
-            let dense_level = self.depth - j - 1;
-            let sparse_level = self.depth - j;
-            let skip = &level_feats[dense_level];
-            let source = match (&contexts[sparse_level - 1], fp.strategy) {
-                (Some(ctx), UpsampleStrategy::Morton) => InterpSource::Morton {
-                    dense: &level_points[dense_level],
-                    context: ctx,
-                },
-                _ => InterpSource::Exact {
-                    dense: &level_points[dense_level],
-                    sparse: &level_points[sparse_level],
-                },
-            };
-            let sparse_feats = &carried;
-            let sc = fp.sparse_channels;
-            let interpolated = crate::observe::stage(
-                format!("{}.upsample", fp.name),
-                StageKind::Sample,
-                None,
-                &mut records,
-                || {
-                    let plan = plan_interpolation(fp.strategy, source);
-                    let mut up_ops = plan.ops;
-                    up_ops.gathered_bytes += (plan.len() * 3 * sc * 4) as u64;
-                    let mut interpolated = Tensor2::zeros(plan.len(), sc);
-                    for (r, (srcs, w)) in plan.indices.iter().zip(&plan.weights).enumerate() {
-                        let row = interpolated.row_mut(r);
-                        for (&s, &wv) in srcs.iter().zip(w) {
-                            for (o, &f) in row.iter_mut().zip(sparse_feats.row(s)) {
-                                *o += wv * f;
-                            }
-                        }
-                    }
-                    (interpolated, up_ops)
-                },
+            let dense_level = depth - j - 1;
+            let source = InterpSource::choose(
+                fp.strategy,
+                contexts[dense_level].as_ref(),
+                &level_points[dense_level],
+                &level_points[dense_level + 1],
             );
-
-            carried = crate::observe::stage(
-                format!("{}.fc", fp.name),
-                StageKind::FeatureCompute,
-                Some(fp.sparse_channels + fp.skip_channels),
-                &mut records,
-                || {
-                    let xs = [
-                        InTensor {
-                            data: interpolated.as_slice(),
-                            rows: fp.n_dense,
-                            cols: fp.sparse_channels,
-                        },
-                        InTensor {
-                            data: skip.as_slice(),
-                            rows: fp.n_dense,
-                            cols: fp.skip_channels,
-                        },
-                    ];
-                    exec.run(
-                        &fp.plan,
-                        &Inputs {
-                            tensors: &xs,
-                            gathers: &[],
-                        },
-                    );
-                    let out = Tensor2::from_vec(
-                        exec.output(&fp.plan).to_vec(),
-                        fp.n_dense,
-                        fp.out_channels,
-                    );
-                    let mut ops = fp.plan.ops();
-                    ops.seq_rounds = fp.seq_rounds;
-                    (out, ops)
-                },
-            );
+            let (_, interpolated) =
+                upsample(&fp.module.name, fp.strategy, source, &carried, &mut records);
+            let xs = [dense(&interpolated), dense(&level_feats[dense_level])];
+            carried = fp.module.run(exec, &xs, &[], &mut records);
         }
 
         // --- Per-point head ---
-        let logits = crate::observe::stage(
-            "head.fc".to_string(),
-            StageKind::FeatureCompute,
-            Some(self.head.fc_k),
-            &mut records,
-            || {
-                let xs = [InTensor {
-                    data: carried.as_slice(),
-                    rows: self.n_input,
-                    cols: self.head.fc_k,
-                }];
-                exec.run(
-                    &self.head.plan,
-                    &Inputs {
-                        tensors: &xs,
-                        gathers: &[],
-                    },
-                );
-                let logits = Tensor2::from_vec(
-                    exec.output(&self.head.plan).to_vec(),
-                    self.head.plan.out_rows(),
-                    self.head.plan.out_cols(),
-                );
-                let mut ops = self.head.plan.ops();
-                ops.seq_rounds = self.head.seq_rounds;
-                (logits, ops)
-            },
-        );
+        let logits = self.head.run(exec, &[dense(&carried)], &[], &mut records);
         (logits, records)
     }
 }
 
 /// One compiled EdgeConv module.
 struct EcPlan {
-    plan: Plan,
-    name: String,
-    in_channels: usize,
-    out_channels: usize,
+    module: ModulePlan,
     search: SearchStrategy,
-    seq_rounds: u64,
-    fused_gather_bytes: u64,
 }
 
 /// [`DgcnnClassifier`] / [`DgcnnSeg`] lowered to `edgepc-ir` plans for a
 /// fixed point count.
 pub struct CompiledDgcnn {
     modules: Vec<EcPlan>,
-    head: HeadPlan,
+    head: ModulePlan,
     span_label: &'static str,
     n_points: usize,
     k: usize,
-    head_rows: usize,
-    num_classes: usize,
 }
 
 impl CompiledDgcnn {
     /// Lowers a classifier for clouds of exactly `n_points` points.
     pub fn classifier(model: &DgcnnClassifier, n_points: usize) -> Self {
-        let modules = compile_backbone(&model.backbone, n_points);
-        let local: usize = modules.iter().map(|m| m.out_channels).sum();
-        let mut g = Graph::new("dgcnn_cls.head");
-        let cat = concat_module_outputs(&mut g, &modules, n_points);
-        let pooled = g.max_pool(cat, n_points);
-        let out = g.mlp(pooled, &model.head);
-        g.set_output(out);
-        CompiledDgcnn {
-            modules,
-            head: HeadPlan {
-                plan: edgepc_ir::compile(&g, &FuseConfig::default()),
-                fc_k: local,
-                seq_rounds: 2 * model.head.len() as u64,
-            },
-            span_label: "dgcnn_cls.compiled",
-            n_points,
-            k: model.backbone.k,
-            head_rows: 1,
-            num_classes: model.num_classes(),
-        }
+        Self::lower(&model.backbone, &model.head, n_points, false)
     }
 
     /// Lowers a segmenter for clouds of exactly `n_points` points.
     pub fn segmenter(model: &DgcnnSeg, n_points: usize) -> Self {
-        let modules = compile_backbone(&model.backbone, n_points);
-        let local: usize = modules.iter().map(|m| m.out_channels).sum();
-        let mut g = Graph::new("dgcnn_seg.head");
-        let cat = concat_module_outputs(&mut g, &modules, n_points);
+        Self::lower(&model.backbone, &model.head, n_points, true)
+    }
+
+    /// Lowers the EdgeConv modules (one fused gather->MLP->pool plan
+    /// each) and the head: module outputs left-folded with `concat2`
+    /// (mirroring the eager `hstack` chain) and max-pooled over the
+    /// cloud; a per-point head additionally sees the pooled feature
+    /// broadcast next to each point's own.
+    fn lower(
+        backbone: &DgcnnBackbone,
+        head: &Sequential,
+        n_points: usize,
+        per_point: bool,
+    ) -> Self {
+        let mut modules = Vec::with_capacity(backbone.modules.len());
+        for (i, m) in backbone.modules.iter().enumerate() {
+            let mut g = Graph::new(format!("dgcnn.{}", m.name));
+            let gat = g.gather(
+                n_points * m.k,
+                GatherMode::EdgePair {
+                    c: m.in_channels,
+                    k: m.k,
+                },
+                format!("{}.group", m.name),
+            );
+            modules.push(EcPlan {
+                module: ModulePlan::lower(g, gat, &m.mlp, Some(m.k), &m.name),
+                search: backbone.strategy.search_at(i),
+            });
+        }
+
+        let (graph_label, span_label) = if per_point {
+            ("dgcnn_seg.head", "dgcnn_seg.compiled")
+        } else {
+            ("dgcnn_cls.head", "dgcnn_cls.compiled")
+        };
+        let mut g = Graph::new(graph_label);
+        let outputs: Vec<NodeId> = modules
+            .iter()
+            .map(|m| g.input(n_points, m.module.plan.out_cols()))
+            .collect();
+        let mut cat = *required(outputs.first(), "at least one EdgeConv module");
+        for &node in &outputs[1..] {
+            cat = g.concat2(cat, node);
+        }
         let pooled = g.max_pool(cat, n_points);
-        let broadcast = g.broadcast(pooled, n_points);
-        let head_in = g.concat2(cat, broadcast);
-        let out = g.mlp(head_in, &model.head);
-        g.set_output(out);
+        let head_in = if per_point {
+            let broadcast = g.broadcast(pooled, n_points);
+            g.concat2(cat, broadcast)
+        } else {
+            pooled
+        };
         CompiledDgcnn {
             modules,
-            head: HeadPlan {
-                plan: edgepc_ir::compile(&g, &FuseConfig::default()),
-                fc_k: 2 * local,
-                seq_rounds: 2 * model.head.len() as u64,
-            },
-            span_label: "dgcnn_seg.compiled",
+            head: ModulePlan::lower(g, head_in, head, None, "head"),
+            span_label,
             n_points,
-            k: model.backbone.k,
-            head_rows: n_points,
-            num_classes: model.num_classes(),
+            k: backbone.k,
         }
     }
 
@@ -499,14 +424,14 @@ impl CompiledDgcnn {
 
     /// Number of output classes.
     pub fn num_classes(&self) -> usize {
-        self.num_classes
+        self.head.plan.out_cols()
     }
 
     /// All gather sites across the compiled plans.
     pub fn gather_sites(&self) -> Vec<GatherSite> {
         self.modules
             .iter()
-            .flat_map(|m| m.plan.gather_sites().iter().cloned())
+            .flat_map(|m| m.module.plan.gather_sites().iter().cloned())
             .collect()
     }
 
@@ -525,116 +450,35 @@ impl CompiledDgcnn {
         let _sp = edgepc_trace::span(self.span_label, "model");
         let ExecState { exec, idx, .. } = state;
         let mut records = Vec::new();
-        let n = self.n_points;
         let k = self.k;
-        let all: Vec<usize> = (0..n).collect();
         let mut feats = xyz_features(cloud.points());
         let mut outputs: Vec<Tensor2> = Vec::with_capacity(self.modules.len());
         let mut prev_neighbors: Option<Vec<Vec<usize>>> = None;
 
-        for (i, m) in self.modules.iter().enumerate() {
-            // Graph construction: the same searcher stages as the eager
-            // backbone, record for record.
-            let neighbors = match m.search {
-                SearchStrategy::Knn => crate::observe::stage(
-                    format!("{}.search(knn)", m.name),
-                    StageKind::NeighborSearch,
-                    None,
-                    &mut records,
-                    || {
-                        let r = BruteKnn::new().search(cloud, &all, k);
-                        (r.neighbors, r.ops)
-                    },
-                ),
-                SearchStrategy::MortonWindow { window } => {
-                    assert_eq!(i, 0, "Morton window only applies to the xyz module");
-                    crate::observe::stage(
-                        format!("{}.search(window)", m.name),
-                        StageKind::NeighborSearch,
-                        None,
-                        &mut records,
-                        || {
-                            let r = MortonWindowSearcher::new(window, 10).search(cloud, &all, k);
-                            (r.neighbors, r.ops)
-                        },
-                    )
-                }
-                SearchStrategy::FeatureKnn => crate::observe::stage(
-                    format!("{}.search(feat-knn)", m.name),
-                    StageKind::NeighborSearch,
-                    None,
-                    &mut records,
-                    || feature_knn(&feats, k),
-                ),
-                SearchStrategy::Reuse => crate::observe::stage(
-                    format!("{}.search(reuse)", m.name),
-                    StageKind::NeighborSearch,
-                    None,
-                    &mut records,
-                    || {
-                        let nbrs = required(
-                            prev_neighbors.clone(),
-                            "Reuse requires a previous module's graph",
-                        );
-                        let ops = OpCounts {
-                            gathered_bytes: (n * k * 4) as u64,
-                            seq_rounds: 1,
-                            ..OpCounts::ZERO
-                        };
-                        (nbrs, ops)
-                    },
-                ),
-                SearchStrategy::BallQuery { .. } => {
-                    violation("DGCNN uses k-NN graphs, not ball query")
-                }
-            };
-
-            crate::observe::stage(
-                format!("{}.group", m.name),
-                StageKind::Grouping,
-                None,
+        for m in &self.modules {
+            let neighbors = module_graph(
+                m.search,
+                &m.module.name,
+                cloud,
+                &feats,
+                prev_neighbors.as_ref(),
+                k,
                 &mut records,
-                || {
-                    idx.clear();
-                    for (pi, nbrs) in neighbors.iter().enumerate() {
-                        assert_eq!(nbrs.len(), k, "point {pi} has wrong neighbor count");
-                        idx.extend_from_slice(nbrs);
-                    }
-                    (
-                        (),
-                        OpCounts {
-                            gathered_bytes: m.fused_gather_bytes,
-                            seq_rounds: 1,
-                            ..OpCounts::ZERO
-                        },
-                    )
-                },
             );
 
-            let out = crate::observe::stage(
-                format!("{}.fc", m.name),
-                StageKind::FeatureCompute,
-                Some(2 * m.in_channels),
-                &mut records,
-                || {
-                    let gathers = [GatherIn {
-                        feats: feats.as_slice(),
-                        idx,
-                        rel: &[],
-                    }];
-                    exec.run(
-                        &m.plan,
-                        &Inputs {
-                            tensors: &[],
-                            gathers: &gathers,
-                        },
-                    );
-                    let out = Tensor2::from_vec(exec.output(&m.plan).to_vec(), n, m.out_channels);
-                    let mut ops = m.plan.ops();
-                    ops.seq_rounds = m.seq_rounds;
-                    (out, ops)
-                },
-            );
+            m.module.group_stage(&mut records, || {
+                idx.clear();
+                for (pi, nbrs) in neighbors.iter().enumerate() {
+                    assert_eq!(nbrs.len(), k, "point {pi} has wrong neighbor count");
+                    idx.extend_from_slice(nbrs);
+                }
+            });
+            let gathers = [GatherIn {
+                feats: feats.as_slice(),
+                idx,
+                rel: &[],
+            }];
+            let out = m.module.run(exec, &[], &gathers, &mut records);
 
             prev_neighbors = Some(neighbors);
             feats = out.clone();
@@ -642,84 +486,10 @@ impl CompiledDgcnn {
         }
 
         // --- Head: concat (+ pool/broadcast) + MLP in one plan ---
-        let logits = crate::observe::stage(
-            "head.fc".to_string(),
-            StageKind::FeatureCompute,
-            Some(self.head.fc_k),
-            &mut records,
-            || {
-                let xs: Vec<InTensor<'_>> = outputs
-                    .iter()
-                    .map(|t| InTensor {
-                        data: t.as_slice(),
-                        rows: n,
-                        cols: t.cols(),
-                    })
-                    .collect();
-                exec.run(
-                    &self.head.plan,
-                    &Inputs {
-                        tensors: &xs,
-                        gathers: &[],
-                    },
-                );
-                let logits = Tensor2::from_vec(
-                    exec.output(&self.head.plan).to_vec(),
-                    self.head_rows,
-                    self.num_classes,
-                );
-                let mut ops = self.head.plan.ops();
-                ops.seq_rounds = self.head.seq_rounds;
-                (logits, ops)
-            },
-        );
+        let xs: Vec<InTensor<'_>> = outputs.iter().map(dense).collect();
+        let logits = self.head.run(exec, &xs, &[], &mut records);
         (logits, records)
     }
-}
-
-/// Compiles each EdgeConv module into a fused gather->MLP->pool plan.
-fn compile_backbone(backbone: &DgcnnBackbone, n_points: usize) -> Vec<EcPlan> {
-    let mut modules = Vec::with_capacity(backbone.modules.len());
-    for (i, m) in backbone.modules.iter().enumerate() {
-        let c = m.in_channels;
-        let mut g = Graph::new(format!("dgcnn.{}", m.name));
-        let gat = g.gather(
-            n_points * m.k,
-            GatherMode::EdgePair { c, k: m.k },
-            format!("{}.group", m.name),
-        );
-        let mlp = g.mlp(gat, &m.mlp);
-        let pooled = g.max_pool(mlp, m.k);
-        g.set_output(pooled);
-        let plan = edgepc_ir::compile(&g, &FuseConfig::default());
-        let fused_gather_bytes =
-            required(plan.gather_sites().first(), "EdgeConv plan has a gather").fused_bytes;
-        modules.push(EcPlan {
-            plan,
-            name: m.name.clone(),
-            in_channels: c,
-            out_channels: m.out_channels,
-            search: backbone.strategy.search_at(i),
-            seq_rounds: 2 * m.mlp.len() as u64,
-            fused_gather_bytes,
-        });
-    }
-    modules
-}
-
-/// Declares one graph input per module output and left-folds them with
-/// `concat2`, mirroring the eager `hstack` chain.
-fn concat_module_outputs(g: &mut Graph, modules: &[EcPlan], n_points: usize) -> edgepc_ir::NodeId {
-    let mut nodes = Vec::with_capacity(modules.len());
-    for m in modules {
-        nodes.push(g.input(n_points, m.out_channels));
-    }
-    let mut iter = nodes.into_iter();
-    let mut cat = required(iter.next(), "at least one EdgeConv module");
-    for node in iter {
-        cat = g.concat2(cat, node);
-    }
-    cat
 }
 
 #[cfg(test)]
@@ -739,65 +509,79 @@ mod tests {
             .collect()
     }
 
+    /// The compiled ≡ eager contract: bit-identical logits and the same
+    /// stage-record stream — names, kinds, `fc_k` and op counts — except
+    /// the fused grouping traffic, which must shrink.
+    fn assert_matches_eager(
+        what: &str,
+        (fast, records): (Tensor2, Vec<StageRecord>),
+        (eager, eager_records): (Tensor2, Vec<StageRecord>),
+    ) {
+        assert_eq!(
+            fast.as_slice(),
+            eager.as_slice(),
+            "{what}: logits must be bit-identical"
+        );
+        assert_eq!(records.len(), eager_records.len(), "{what}");
+        for (a, b) in records.iter().zip(&eager_records) {
+            assert_eq!(a.name, b.name, "{what}");
+            assert_eq!(a.kind, b.kind, "{what}: {}", a.name);
+            assert_eq!(a.fc_k, b.fc_k, "{what}: {}", a.name);
+            if a.name.ends_with(".group") {
+                assert!(
+                    a.ops.gathered_bytes < b.ops.gathered_bytes,
+                    "{what}: {}: fused {} !< eager {}",
+                    a.name,
+                    a.ops.gathered_bytes,
+                    b.ops.gathered_bytes
+                );
+            } else {
+                assert_eq!(a.ops, b.ops, "{what}: {}", a.name);
+            }
+        }
+    }
+
     #[test]
     fn compiled_pointnetpp_matches_eager_bitwise() {
         let cloud = scattered_cloud(256, 1);
+        let mut state = ExecState::new();
         for strategy in [
             PipelineStrategy::baseline(),
             PipelineStrategy::edgepc_pointnetpp(2, 16),
         ] {
             let mut model = PointNetPpSeg::new(&PointNetPpConfig::tiny(4, strategy), 4);
             let compiled = CompiledPointNetPp::compile(&model, 256);
-            let (eager, eager_records) = model.forward(&cloud);
-            let mut state = ExecState::new();
-            let (fast, records) = compiled.run(&cloud, &mut state);
-            assert_eq!(
-                fast.as_slice(),
-                eager.as_slice(),
-                "logits must be bit-identical"
+            assert_matches_eager(
+                "pointnetpp",
+                compiled.run(&cloud, &mut state),
+                model.forward(&cloud),
             );
-            assert_eq!(records.len(), eager_records.len());
-            // Same stage names/kinds; identical ops except the fused
-            // grouping traffic, which must shrink.
-            for (a, b) in records.iter().zip(&eager_records) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(a.kind, b.kind);
-                assert_eq!(a.fc_k, b.fc_k);
-                if a.name.ends_with(".group") {
-                    assert!(
-                        a.ops.gathered_bytes < b.ops.gathered_bytes,
-                        "{}: fused {} !< eager {}",
-                        a.name,
-                        a.ops.gathered_bytes,
-                        b.ops.gathered_bytes
-                    );
-                } else {
-                    assert_eq!(a.ops, b.ops, "{}", a.name);
-                }
-            }
         }
     }
 
     #[test]
     fn compiled_dgcnn_cls_and_seg_match_eager_bitwise() {
         let cloud = scattered_cloud(128, 2);
+        let mut state = ExecState::new();
         for strategy in [
             PipelineStrategy::baseline_dgcnn(3),
             PipelineStrategy::edgepc_dgcnn(3, 32),
         ] {
             let mut cls = DgcnnClassifier::new(&DgcnnConfig::tiny(strategy.clone()), 5);
             let compiled = CompiledDgcnn::classifier(&cls, 128);
-            let (eager, eager_records) = cls.forward(&cloud);
-            let mut state = ExecState::new();
-            let (fast, records) = compiled.run(&cloud, &mut state);
-            assert_eq!(fast.as_slice(), eager.as_slice(), "cls logits bitwise");
-            assert_eq!(records.len(), eager_records.len());
+            assert_matches_eager(
+                "dgcnn_cls",
+                compiled.run(&cloud, &mut state),
+                cls.forward(&cloud),
+            );
 
             let mut seg = DgcnnSeg::new(&DgcnnConfig::tiny(strategy), 4);
             let compiled = CompiledDgcnn::segmenter(&seg, 128);
-            let (eager, _) = seg.forward(&cloud);
-            let (fast, _) = compiled.run(&cloud, &mut state);
-            assert_eq!(fast.as_slice(), eager.as_slice(), "seg logits bitwise");
+            assert_matches_eager(
+                "dgcnn_seg",
+                compiled.run(&cloud, &mut state),
+                seg.forward(&cloud),
+            );
         }
     }
 

@@ -81,30 +81,14 @@ impl EdgeConv {
     }
 
     /// Forward pass given precomputed neighbor lists (one per point, `k`
-    /// entries each).
+    /// entries each). The `(n*k) x 2C` edge matrix borrows its allocation
+    /// from `scratch` (handed out zero-filled) and returns it after the
+    /// shared MLP.
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
     pub fn forward(
-        &mut self,
-        feats: &Tensor2,
-        neighbors: &[Vec<usize>],
-        records: &mut Vec<StageRecord>,
-    ) -> Tensor2 {
-        let mut scratch = Scratch::new();
-        self.forward_scratch(feats, neighbors, records, &mut scratch)
-    }
-
-    /// [`EdgeConv::forward`] with a caller-owned [`Scratch`] pool: the
-    /// `(n*k) x 2C` edge matrix borrows its allocation from the pool and
-    /// returns it after the shared MLP. Numerically identical to `forward`
-    /// (scratch buffers are handed out zero-filled).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`EdgeConv::forward`].
-    pub fn forward_scratch(
         &mut self,
         feats: &Tensor2,
         neighbors: &[Vec<usize>],
@@ -157,19 +141,7 @@ impl EdgeConv {
             },
         );
 
-        let mlp = &mut self.mlp;
-        let transformed = crate::observe::stage(
-            format!("{}.fc", self.name),
-            StageKind::FeatureCompute,
-            Some(2 * c),
-            records,
-            || {
-                let mut fc_ops = OpCounts::ZERO;
-                let t = mlp.forward(&edges, &mut fc_ops);
-                fc_ops.seq_rounds = 2 * mlp.len() as u64;
-                (t, fc_ops)
-            },
-        );
+        let transformed = crate::observe::mlp_stage(&self.name, &mut self.mlp, &edges, records);
         scratch.give(edges.into_vec());
 
         let pool = max_pool_groups(&transformed, self.k);
@@ -281,71 +253,21 @@ impl DgcnnBackbone {
         records: &mut Vec<StageRecord>,
         scratch: &mut Scratch,
     ) -> Vec<Tensor2> {
-        let n = cloud.len();
         let mut feats = crate::pointnetpp::xyz_features(cloud.points());
-        let all: Vec<usize> = (0..n).collect();
         let mut outputs = Vec::with_capacity(self.modules.len());
         let mut prev_neighbors: Option<Vec<Vec<usize>>> = None;
 
         for (i, module) in self.modules.iter_mut().enumerate() {
-            let strategy = self.strategy.search_at(i);
-            let k = self.k;
-            let neighbors = match strategy {
-                SearchStrategy::Knn => crate::observe::stage(
-                    format!("ec{}.search(knn)", i + 1),
-                    StageKind::NeighborSearch,
-                    None,
-                    records,
-                    || {
-                        let r = BruteKnn::new().search(cloud, &all, k);
-                        (r.neighbors, r.ops)
-                    },
-                ),
-                SearchStrategy::MortonWindow { window } => {
-                    assert_eq!(i, 0, "Morton window only applies to the xyz module");
-                    crate::observe::stage(
-                        format!("ec{}.search(window)", i + 1),
-                        StageKind::NeighborSearch,
-                        None,
-                        records,
-                        || {
-                            let r = MortonWindowSearcher::new(window, 10).search(cloud, &all, k);
-                            (r.neighbors, r.ops)
-                        },
-                    )
-                }
-                SearchStrategy::FeatureKnn => crate::observe::stage(
-                    format!("ec{}.search(feat-knn)", i + 1),
-                    StageKind::NeighborSearch,
-                    None,
-                    records,
-                    || feature_knn(&feats, k),
-                ),
-                SearchStrategy::Reuse => crate::observe::stage(
-                    format!("ec{}.search(reuse)", i + 1),
-                    StageKind::NeighborSearch,
-                    None,
-                    records,
-                    || {
-                        let nbrs = required(
-                            prev_neighbors.clone(),
-                            "Reuse requires a previous module's graph",
-                        );
-                        // Reuse costs only the cached read of the index array
-                        // (the paper's ~160 KB per batch, Sec. 5.2.3).
-                        let ops = OpCounts {
-                            gathered_bytes: (n * k * 4) as u64,
-                            seq_rounds: 1,
-                            ..OpCounts::ZERO
-                        };
-                        (nbrs, ops)
-                    },
-                ),
-                SearchStrategy::BallQuery { .. } => {
-                    violation("DGCNN uses k-NN graphs, not ball query")
-                }
-            };
-            let out = module.forward_scratch(&feats, &neighbors, records, scratch);
+            let neighbors = module_graph(
+                self.strategy.search_at(i),
+                &module.name,
+                cloud,
+                &feats,
+                prev_neighbors.as_ref(),
+                self.k,
+                records,
+            );
+            let out = module.forward(&feats, &neighbors, records, scratch);
             prev_neighbors = Some(neighbors);
             feats = out.clone();
             outputs.push(out);
@@ -382,6 +304,60 @@ impl DgcnnBackbone {
 
     fn out_channels(&self) -> usize {
         self.modules.iter().map(|m| m.out_channels()).sum()
+    }
+}
+
+/// Builds one EdgeConv module's k-NN graph inside its
+/// `<name>.search(..)` stage — the single home of DGCNN's per-module
+/// dispatch (Sec. 5.2.3), called by both forward paths: exact or
+/// Morton-window search on coordinates for the xyz module, exact
+/// feature-space k-NN or the previous module's graph `prev` after it.
+pub(crate) fn module_graph(
+    search: SearchStrategy,
+    name: &str,
+    cloud: &PointCloud,
+    feats: &Tensor2,
+    prev: Option<&Vec<Vec<usize>>>,
+    k: usize,
+    records: &mut Vec<StageRecord>,
+) -> Vec<Vec<usize>> {
+    let n = cloud.len();
+    let on_xyz = |searcher: &dyn NeighborSearcher| {
+        let all: Vec<usize> = (0..n).collect();
+        let r = searcher.search(cloud, &all, k);
+        (r.neighbors, r.ops)
+    };
+    let mut search_stage = |label: &str, f: &dyn Fn() -> (Vec<Vec<usize>>, OpCounts)| {
+        crate::observe::stage(
+            format!("{name}.search({label})"),
+            StageKind::NeighborSearch,
+            None,
+            records,
+            f,
+        )
+    };
+    match search {
+        SearchStrategy::Knn => search_stage("knn", &|| on_xyz(&BruteKnn::new())),
+        SearchStrategy::MortonWindow { window } => {
+            assert!(
+                prev.is_none(),
+                "Morton window only applies to the xyz module"
+            );
+            search_stage("window", &|| on_xyz(&MortonWindowSearcher::new(window, 10)))
+        }
+        SearchStrategy::FeatureKnn => search_stage("feat-knn", &|| feature_knn(feats, k)),
+        SearchStrategy::Reuse => search_stage("reuse", &|| {
+            let nbrs = required(prev, "Reuse requires a previous module's graph").clone();
+            // Reuse costs only the cached read of the index array
+            // (the paper's ~160 KB per batch, Sec. 5.2.3).
+            let ops = OpCounts {
+                gathered_bytes: (n * k * 4) as u64,
+                seq_rounds: 1,
+                ..OpCounts::ZERO
+            };
+            (nbrs, ops)
+        }),
+        SearchStrategy::BallQuery { .. } => violation("DGCNN uses k-NN graphs, not ball query"),
     }
 }
 
@@ -482,41 +458,18 @@ impl DgcnnClassifier {
 
     /// Forward: returns `1 x num_classes` logits plus stage records.
     pub fn forward(&mut self, cloud: &PointCloud) -> (Tensor2, Vec<StageRecord>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.forward_with(cloud, &mut scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`DgcnnClassifier::forward`] with a caller-owned [`Scratch`] pool
-    /// (serving workers share one pool across their model replicas).
-    pub fn forward_with(
-        &mut self,
-        cloud: &PointCloud,
-        scratch: &mut Scratch,
-    ) -> (Tensor2, Vec<StageRecord>) {
         let _forward_span = edgepc_trace::span("dgcnn_cls.forward", "model");
         let mut records = Vec::new();
-        let outputs = self.backbone.forward(cloud, &mut records, scratch);
+        let outputs = self
+            .backbone
+            .forward(cloud, &mut records, &mut self.scratch);
         let module_cols: Vec<usize> = outputs.iter().map(|t| t.cols()).collect();
         let mut stacked = outputs[0].clone();
         for t in &outputs[1..] {
             stacked = stacked.hstack(t);
         }
         let pool = global_max_pool(&stacked);
-        let head = &mut self.head;
-        let logits = crate::observe::stage(
-            "head.fc".to_string(),
-            StageKind::FeatureCompute,
-            Some(stacked.cols()),
-            &mut records,
-            || {
-                let mut head_ops = OpCounts::ZERO;
-                let logits = head.forward(&pool.output, &mut head_ops);
-                head_ops.seq_rounds = 2 * head.len() as u64;
-                (logits, head_ops)
-            },
-        );
+        let logits = crate::observe::mlp_stage("head", &mut self.head, &pool.output, &mut records);
         self.cache = Some(ClsCache { pool, module_cols });
         (logits, records)
     }
@@ -627,22 +580,11 @@ impl DgcnnSeg {
 
     /// Forward: returns `N x num_classes` logits plus stage records.
     pub fn forward(&mut self, cloud: &PointCloud) -> (Tensor2, Vec<StageRecord>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.forward_with(cloud, &mut scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`DgcnnSeg::forward`] with a caller-owned [`Scratch`] pool
-    /// (serving workers share one pool across their model replicas).
-    pub fn forward_with(
-        &mut self,
-        cloud: &PointCloud,
-        scratch: &mut Scratch,
-    ) -> (Tensor2, Vec<StageRecord>) {
         let _forward_span = edgepc_trace::span("dgcnn_seg.forward", "model");
         let mut records = Vec::new();
-        let outputs = self.backbone.forward(cloud, &mut records, scratch);
+        let outputs = self
+            .backbone
+            .forward(cloud, &mut records, &mut self.scratch);
         let module_cols: Vec<usize> = outputs.iter().map(|t| t.cols()).collect();
         let mut stacked = outputs[0].clone();
         for t in &outputs[1..] {
@@ -656,19 +598,7 @@ impl DgcnnSeg {
             broadcast.row_mut(r).copy_from_slice(pool.output.row(0));
         }
         let head_in = stacked.hstack(&broadcast);
-        let head = &mut self.head;
-        let logits = crate::observe::stage(
-            "head.fc".to_string(),
-            StageKind::FeatureCompute,
-            Some(head_in.cols()),
-            &mut records,
-            || {
-                let mut head_ops = OpCounts::ZERO;
-                let logits = head.forward(&head_in, &mut head_ops);
-                head_ops.seq_rounds = 2 * head.len() as u64;
-                (logits, head_ops)
-            },
-        );
+        let logits = crate::observe::mlp_stage("head", &mut self.head, &head_in, &mut records);
         self.cache = Some(SegCache {
             pool,
             module_cols,
@@ -893,7 +823,7 @@ mod tests {
             .collect();
         let mut ec = EdgeConv::new("ec", k, 2, &[4], 5);
         let mut records = Vec::new();
-        let out = ec.forward(&feats, &neighbors, &mut records);
+        let out = ec.forward(&feats, &neighbors, &mut records, &mut Scratch::new());
         let dy = Tensor2::from_vec(
             (0..out.rows() * out.cols())
                 .map(|i| ((i % 5) as f32) - 2.0)
@@ -906,7 +836,7 @@ mod tests {
 
         let objective = |ec: &mut EdgeConv, f: &Tensor2| -> f32 {
             let mut r = Vec::new();
-            let y = ec.forward(f, &neighbors, &mut r);
+            let y = ec.forward(f, &neighbors, &mut r, &mut Scratch::new());
             y.as_slice()
                 .iter()
                 .zip(dy.as_slice())

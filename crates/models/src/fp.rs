@@ -6,7 +6,7 @@
 //! window), concatenate with the dense level's skip features, and run a
 //! shared MLP.
 
-use edgepc_geom::{required, OpCounts, Point3};
+use edgepc_geom::{required, Point3};
 use edgepc_nn::{Layer, Sequential, Tensor2};
 use edgepc_sample::{InterpPlan, MortonInterpolator, ThreeNnInterpolator};
 use edgepc_sim::StageKind;
@@ -32,6 +32,23 @@ pub enum InterpSource<'a> {
         /// (positions ascending, plus the permutations).
         context: &'a MortonContext,
     },
+}
+
+impl<'a> InterpSource<'a> {
+    /// The source an FP module interpolates from: the paired SA module's
+    /// Morton context when one exists and the strategy can exploit it,
+    /// the exact dense/sparse coordinate pair otherwise.
+    pub(crate) fn choose(
+        strategy: UpsampleStrategy,
+        context: Option<&'a MortonContext>,
+        dense: &'a [Point3],
+        sparse: &'a [Point3],
+    ) -> Self {
+        match (context, strategy) {
+            (Some(context), UpsampleStrategy::Morton) => InterpSource::Morton { dense, context },
+            _ => InterpSource::Exact { dense, sparse },
+        }
+    }
 }
 
 /// One FeaturePropagation module with trainable shared MLP.
@@ -129,46 +146,10 @@ impl FeaturePropagation {
         assert_eq!(sparse_feats.cols(), self.sparse_channels, "sparse width");
         assert_eq!(skip_feats.cols(), self.skip_channels, "skip width");
 
-        let strategy = self.strategy;
-        let sparse_channels = self.sparse_channels;
-        let (plan, interpolated) = crate::observe::stage(
-            format!("{}.upsample", self.name),
-            StageKind::Sample,
-            None,
-            records,
-            || {
-                let plan = plan_interpolation(strategy, source);
-                let mut up_ops = plan.ops;
-                up_ops.gathered_bytes += (plan.len() * 3 * sparse_channels * 4) as u64;
-
-                // Apply the plan on Tensor2 features.
-                let mut interpolated = Tensor2::zeros(plan.len(), sparse_channels);
-                for (j, (idx, w)) in plan.indices.iter().zip(&plan.weights).enumerate() {
-                    let row = interpolated.row_mut(j);
-                    for (&s, &wv) in idx.iter().zip(w) {
-                        for (o, &f) in row.iter_mut().zip(sparse_feats.row(s)) {
-                            *o += wv * f;
-                        }
-                    }
-                }
-                ((plan, interpolated), up_ops)
-            },
-        );
-
+        let (plan, interpolated) =
+            upsample(&self.name, self.strategy, source, sparse_feats, records);
         let stacked = interpolated.hstack(skip_feats);
-        let mlp = &mut self.mlp;
-        let out = crate::observe::stage(
-            format!("{}.fc", self.name),
-            StageKind::FeatureCompute,
-            Some(self.sparse_channels + self.skip_channels),
-            records,
-            || {
-                let mut fc_ops = OpCounts::ZERO;
-                let out = mlp.forward(&stacked, &mut fc_ops);
-                fc_ops.seq_rounds = 2 * mlp.len() as u64;
-                (out, fc_ops)
-            },
-        );
+        let out = crate::observe::mlp_stage(&self.name, &mut self.mlp, &stacked, records);
 
         self.cache = Some(FpCache {
             plan,
@@ -178,12 +159,44 @@ impl FeaturePropagation {
     }
 }
 
-/// Builds the interpolation plan for the given strategy/source pair (the
-/// body of [`FeaturePropagation::forward`]'s upsample stage).
-pub(crate) fn plan_interpolation(
+/// The `<name>.upsample` stage both forward paths run: plans the
+/// interpolation and blends `sparse_feats` onto the dense points. Returns
+/// the plan (cached by the eager module for backward) and the
+/// interpolated `N_dense x C_sparse` features.
+pub(crate) fn upsample(
+    name: &str,
     strategy: UpsampleStrategy,
     source: InterpSource<'_>,
-) -> InterpPlan {
+    sparse_feats: &Tensor2,
+    records: &mut Vec<StageRecord>,
+) -> (InterpPlan, Tensor2) {
+    let sparse_channels = sparse_feats.cols();
+    crate::observe::stage(
+        format!("{name}.upsample"),
+        StageKind::Sample,
+        None,
+        records,
+        || {
+            let plan = plan_interpolation(strategy, source);
+            let mut up_ops = plan.ops;
+            up_ops.gathered_bytes += (plan.len() * 3 * sparse_channels * 4) as u64;
+
+            let mut interpolated = Tensor2::zeros(plan.len(), sparse_channels);
+            for (j, (idx, w)) in plan.indices.iter().zip(&plan.weights).enumerate() {
+                let row = interpolated.row_mut(j);
+                for (&s, &wv) in idx.iter().zip(w) {
+                    for (o, &f) in row.iter_mut().zip(sparse_feats.row(s)) {
+                        *o += wv * f;
+                    }
+                }
+            }
+            ((plan, interpolated), up_ops)
+        },
+    )
+}
+
+/// Builds the interpolation plan for the given strategy/source pair.
+fn plan_interpolation(strategy: UpsampleStrategy, source: InterpSource<'_>) -> InterpPlan {
     match (strategy, source) {
         (UpsampleStrategy::Morton, InterpSource::Morton { dense, context }) => {
             // Interpolate in sorted space, then re-index the plan to

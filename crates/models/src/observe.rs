@@ -7,6 +7,7 @@
 //! modeled device time/energy next to the measured wall clock.
 
 use edgepc_geom::OpCounts;
+use edgepc_nn::{Layer, Sequential, Tensor2};
 use edgepc_sim::{EnergyModel, ExecMode, PowerState, StageKind, XavierModel};
 use edgepc_trace::span;
 
@@ -55,6 +56,29 @@ pub(crate) fn stage<T>(
     drop(sp);
     records.push(rec);
     value
+}
+
+/// Runs the eager `mlp` over `x` as the feature-compute stage
+/// `<name>.fc`: inner dimension `x.cols()`, two sequential rounds
+/// (matmul, activation) per layer.
+pub(crate) fn mlp_stage(
+    name: &str,
+    mlp: &mut Sequential,
+    x: &Tensor2,
+    records: &mut Vec<StageRecord>,
+) -> Tensor2 {
+    stage(
+        format!("{name}.fc"),
+        StageKind::FeatureCompute,
+        Some(x.cols()),
+        records,
+        || {
+            let mut ops = OpCounts::ZERO;
+            let out = mlp.forward(x, &mut ops);
+            ops.seq_rounds = 2 * mlp.len() as u64;
+            (out, ops)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 
 use edgepc_geom::{required, Point3, PointCloud};
 use edgepc_nn::{Layer, Sequential, Tensor2};
-use edgepc_sim::StageKind;
 
 use crate::fp::{FeaturePropagation, InterpSource};
 use crate::sa::SetAbstraction;
@@ -215,24 +214,6 @@ impl PointNetPpSeg {
     ///
     /// Panics if the cloud is smaller than the first level's sample count.
     pub fn forward(&mut self, cloud: &PointCloud) -> (Tensor2, Vec<StageRecord>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.forward_with(cloud, &mut scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`PointNetPpSeg::forward`] with a caller-owned [`Scratch`] pool, so
-    /// serving workers (and tight bench loops) reuse grouping allocations
-    /// across requests. Numerically identical to `forward`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`PointNetPpSeg::forward`].
-    pub fn forward_with(
-        &mut self,
-        cloud: &PointCloud,
-        scratch: &mut Scratch,
-    ) -> (Tensor2, Vec<StageRecord>) {
         let _forward_span = edgepc_trace::span("pointnetpp.forward", "model");
         let mut records = Vec::new();
         let mut level_points: Vec<Vec<Point3>> = vec![cloud.points().to_vec()];
@@ -241,14 +222,14 @@ impl PointNetPpSeg {
 
         // --- SA stack ---
         for sa in self.sa.iter_mut() {
-            let (pts, feats, selection) = sa.forward_scratch(
+            let (pts, feats, selection) = sa.forward(
                 required(
                     level_points.last().map(Vec::as_slice),
                     "levels start non-empty",
                 ),
                 required(level_feats.last(), "levels start non-empty"),
                 &mut records,
-                scratch,
+                &mut self.scratch,
             );
             contexts.push(selection.morton_context);
             level_points.push(pts);
@@ -259,35 +240,17 @@ impl PointNetPpSeg {
         let mut carried = level_feats[self.depth].clone();
         for (j, fp) in self.fp.iter_mut().enumerate() {
             let dense_level = self.depth - j - 1;
-            let sparse_level = self.depth - j;
-            let skip = &level_feats[dense_level];
-            let source = match (&contexts[sparse_level - 1], fp.strategy()) {
-                (Some(ctx), crate::strategy::UpsampleStrategy::Morton) => InterpSource::Morton {
-                    dense: &level_points[dense_level],
-                    context: ctx,
-                },
-                _ => InterpSource::Exact {
-                    dense: &level_points[dense_level],
-                    sparse: &level_points[sparse_level],
-                },
-            };
-            carried = fp.forward(source, &carried, skip, &mut records);
+            let source = InterpSource::choose(
+                fp.strategy,
+                contexts[dense_level].as_ref(),
+                &level_points[dense_level],
+                &level_points[dense_level + 1],
+            );
+            carried = fp.forward(source, &carried, &level_feats[dense_level], &mut records);
         }
 
         // --- Per-point head ---
-        let head = &mut self.head;
-        let logits = crate::observe::stage(
-            "head.fc".to_string(),
-            StageKind::FeatureCompute,
-            Some(carried.cols()),
-            &mut records,
-            || {
-                let mut head_ops = OpCounts::ZERO;
-                let logits = head.forward(&carried, &mut head_ops);
-                head_ops.seq_rounds = 2 * head.len() as u64;
-                (logits, head_ops)
-            },
-        );
+        let logits = crate::observe::mlp_stage("head", &mut self.head, &carried, &mut records);
 
         self.cache = Some(ForwardCache {
             level_points,

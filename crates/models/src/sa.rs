@@ -31,6 +31,8 @@ struct SaCache {
     selection: Selection,
     pool: PooledGroups,
     in_rows: usize,
+    /// The neighbor count the forward actually grouped with.
+    k: usize,
 }
 
 impl std::fmt::Debug for SetAbstraction {
@@ -108,7 +110,9 @@ impl SetAbstraction {
     /// `points` are the module's input coordinates and `feats` the matching
     /// `N x C` features. Returns the sampled coordinates, their features
     /// (`n_out x C'`), and the selection (for downstream FP reuse). Stage
-    /// work is appended to `records`.
+    /// work is appended to `records`. The `(n*k) x (C+3)` grouped matrix
+    /// borrows its allocation from `scratch` (handed out zero-filled) and
+    /// returns it after the shared MLP.
     ///
     /// # Panics
     ///
@@ -119,37 +123,12 @@ impl SetAbstraction {
         points: &[Point3],
         feats: &Tensor2,
         records: &mut Vec<StageRecord>,
-    ) -> (Vec<Point3>, Tensor2, Selection) {
-        let mut scratch = Scratch::new();
-        self.forward_scratch(points, feats, records, &mut scratch)
-    }
-
-    /// [`SetAbstraction::forward`] with a caller-owned [`Scratch`] pool: the
-    /// `(n*k) x (C+3)` grouped matrix borrows its allocation from the pool
-    /// and returns it after the shared MLP, so repeated forwards (serving
-    /// workers, bench loops) stop paying one large allocation per stage.
-    ///
-    /// Numerically identical to `forward` — scratch buffers are handed out
-    /// zero-filled.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`SetAbstraction::forward`].
-    pub fn forward_scratch(
-        &mut self,
-        points: &[Point3],
-        feats: &Tensor2,
-        records: &mut Vec<StageRecord>,
         scratch: &mut Scratch,
     ) -> (Vec<Point3>, Tensor2, Selection) {
         assert_eq!(feats.rows(), points.len(), "one feature row per point");
         assert_eq!(feats.cols(), self.in_channels, "unexpected input width");
 
-        // Deep levels can have fewer points than the configured k; clamp
-        // like the reference implementations do.
-        let k = self.k.min(points.len().saturating_sub(1)).max(1);
-        self.k = k;
-
+        let k = clamped_k(self.k, points.len());
         let selection = select(
             points,
             self.n_out,
@@ -206,22 +185,10 @@ impl SetAbstraction {
         );
 
         // --- Shared MLP + max pool ---
-        let mlp = &mut self.mlp;
-        let transformed = crate::observe::stage(
-            format!("{}.fc", self.name),
-            StageKind::FeatureCompute,
-            Some(c + 3),
-            records,
-            || {
-                let mut fc_ops = OpCounts::ZERO;
-                let t = mlp.forward(&grouped, &mut fc_ops);
-                fc_ops.seq_rounds = 2 * mlp.len() as u64;
-                (t, fc_ops)
-            },
-        );
+        let transformed = crate::observe::mlp_stage(&self.name, &mut self.mlp, &grouped, records);
         scratch.give(grouped.into_vec());
 
-        let pool = max_pool_groups(&transformed, self.k);
+        let pool = max_pool_groups(&transformed, k);
         let out = pool.output.clone();
         let sampled_points: Vec<Point3> = selection
             .sample_indices
@@ -233,6 +200,7 @@ impl SetAbstraction {
             selection: selection.clone(),
             pool,
             in_rows: points.len(),
+            k,
         });
         (sampled_points, out, selection)
     }
@@ -253,7 +221,7 @@ impl SetAbstraction {
         let mut d_feats = Tensor2::zeros(cache.in_rows, c);
         for (gi, nbrs) in cache.selection.neighbor_indices.iter().enumerate() {
             for (slot, &j) in nbrs.iter().enumerate() {
-                let g = d_grouped.row(gi * self.k + slot);
+                let g = d_grouped.row(gi * cache.k + slot);
                 for (col, &gv) in g[..c].iter().enumerate() {
                     d_feats.set(j, col, d_feats.get(j, col) + gv);
                 }
@@ -261,6 +229,13 @@ impl SetAbstraction {
         }
         d_feats
     }
+}
+
+/// The neighbor count an SA level really groups with: deep levels can
+/// have fewer input points than the configured `k`, so clamp like the
+/// reference implementations do.
+pub(crate) fn clamped_k(k: usize, n_in: usize) -> usize {
+    k.min(n_in.saturating_sub(1)).max(1)
 }
 
 #[cfg(test)]
@@ -309,7 +284,7 @@ mod tests {
             SearchStrategy::BallQuery { radius2: 0.2 },
         ));
         let mut records = Vec::new();
-        let (sampled, out, sel) = m.forward(&pts, &feats, &mut records);
+        let (sampled, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
         assert_eq!(sampled.len(), 16);
         assert_eq!((out.rows(), out.cols()), (16, 8));
         assert_eq!(sel.sample_indices.len(), 16);
@@ -333,9 +308,51 @@ mod tests {
             SearchStrategy::MortonWindow { window: 16 },
         ));
         let mut records = Vec::new();
-        let (_, out, sel) = m.forward(&pts, &feats, &mut records);
+        let (_, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
         assert_eq!((out.rows(), out.cols()), (16, 8));
         assert!(sel.morton_context.is_some());
+    }
+
+    #[test]
+    fn deep_level_clamp_does_not_outlive_the_forward() {
+        // k = 16 over 12 points clamps to 11 for that forward only: a
+        // later, larger cloud must group with the configured 16 again.
+        let build = || {
+            SetAbstraction::new(
+                "sa",
+                4,
+                16,
+                3,
+                &[8],
+                SampleStrategy::Fps,
+                SearchStrategy::Knn,
+                7,
+            )
+        };
+        let (small, large) = (scattered(12), scattered(64));
+        let mut reused = build();
+        let mut records = Vec::new();
+        let (_, _, sel) = reused.forward(
+            &small,
+            &xyz_feats(&small),
+            &mut records,
+            &mut Scratch::new(),
+        );
+        assert_eq!(sel.neighbor_indices[0].len(), 11);
+        assert_eq!(reused.k(), 16);
+        let (_, after_small, _) = reused.forward(
+            &large,
+            &xyz_feats(&large),
+            &mut records,
+            &mut Scratch::new(),
+        );
+        let (_, fresh, _) = build().forward(
+            &large,
+            &xyz_feats(&large),
+            &mut records,
+            &mut Scratch::new(),
+        );
+        assert_eq!(after_small.as_slice(), fresh.as_slice());
     }
 
     #[test]
@@ -344,7 +361,7 @@ mod tests {
         let feats = xyz_feats(&pts);
         let mut m = module((SampleStrategy::Fps, SearchStrategy::Knn));
         let mut records = Vec::new();
-        let (_, out, _) = m.forward(&pts, &feats, &mut records);
+        let (_, out, _) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
         let d = m.backward(&Tensor2::from_vec(
             vec![1.0; out.rows() * out.cols()],
             out.rows(),
@@ -370,7 +387,7 @@ mod tests {
             1,
         );
         let mut records = Vec::new();
-        let (_, out, sel) = m.forward(&pts, &feats, &mut records);
+        let (_, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
         let d = m.backward(&Tensor2::from_vec(
             vec![1.0; out.rows() * out.cols()],
             out.rows(),
@@ -406,7 +423,7 @@ mod tests {
             3,
         );
         let mut records = Vec::new();
-        let (_, out, sel) = m.forward(&pts, &feats, &mut records);
+        let (_, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
         let dy = Tensor2::from_vec(
             (0..out.rows() * out.cols())
                 .map(|i| ((i % 5) as f32) - 2.0)

@@ -1,7 +1,8 @@
 //! Lock ranks for the network tier.
 //!
-//! Mirrors the `[lock]` ranking in `LINT.toml` (EP006 cross-checks the
-//! two). The net locks rank **below** every serve/trace lock: a
+//! Mirrors the `[lock]` ranking in `LINT.toml`; the lint crate's
+//! `lockrank_constants_mirror_the_lint_toml_ranking` test holds the two
+//! together. The net locks rank **below** every serve/trace lock: a
 //! connection thread may hold nothing while it calls into a shard
 //! (submit/settle release all net locks first by construction), but
 //! ranking them first makes even an accidental overlap ascend.

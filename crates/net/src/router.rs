@@ -216,12 +216,6 @@ impl Router {
         self.specs.len()
     }
 
-    /// The point floor of model `model`, if it exists — the front end
-    /// rejects thinner requests before they can reach a worker.
-    pub fn min_points(&self, model: usize) -> Option<usize> {
-        self.specs.get(model).map(ModelSpec::min_points)
-    }
-
     /// Direct access to shard `i`'s engine (tests, chaos drivers).
     pub fn shard_engine(&self, i: usize) -> Option<&Engine> {
         self.shards.get(i)
@@ -342,6 +336,11 @@ impl Router {
                         ticket,
                         submitted,
                     });
+                }
+                // The request itself is at fault and every shard holds
+                // the same specs: no failover.
+                Err(err @ (ServeError::TooFewPoints { .. } | ServeError::UnknownModel { .. })) => {
+                    return Err(err)
                 }
                 Err(err) => {
                     if matches!(err, ServeError::ShuttingDown) {

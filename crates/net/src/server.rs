@@ -402,29 +402,11 @@ fn route_request(router: &Router, req: RequestFrame) -> Pending {
         deadline_us,
         points,
     } = req;
-    let model = model as usize;
-    let Some(min_points) = router.min_points(model) else {
-        return Pending::Ready(encode_err(&ErrFrame {
-            seq,
-            trace_id: 0,
-            code: ErrCode::UnknownModel,
-            a: model as u64,
-            b: router.models() as u64,
-        }));
-    };
-    if points.len() < min_points {
-        // Checked here because a worker replica treats the floor as a
-        // caller contract; the network is not a trusted caller.
-        return Pending::Ready(encode_err(&ErrFrame {
-            seq,
-            trace_id: 0,
-            code: ErrCode::TooFewPoints,
-            a: points.len() as u64,
-            b: min_points as u64,
-        }));
-    }
     let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-    match router.submit(model, tenant, PointCloud::from_points(points), deadline) {
+    // Unknown models and clouds under the model's point floor come back
+    // from the shard's own admission check as typed errors.
+    let cloud = PointCloud::from_points(points);
+    match router.submit(model as usize, tenant, cloud, deadline) {
         Ok(ticket) => Pending::Routed { seq, ticket },
         Err(err) => Pending::Ready(encode_err(&serve_err_frame(seq, 0, &err))),
     }
@@ -442,6 +424,9 @@ fn serve_err_frame(seq: u64, trace_id: u64, err: &ServeError) -> ErrFrame {
         ServeError::ShuttingDown => (ErrCode::ShuttingDown, 0, 0),
         ServeError::UnknownModel { index, models } => {
             (ErrCode::UnknownModel, *index as u64, *models as u64)
+        }
+        ServeError::TooFewPoints { points, min } => {
+            (ErrCode::TooFewPoints, *points as u64, *min as u64)
         }
         ServeError::WorkerLost => (ErrCode::Internal, 0, 0),
     };

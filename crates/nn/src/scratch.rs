@@ -15,9 +15,9 @@
 //! `Tensor2::zeros(..)` — reuse can never change numerics, which the
 //! serving runtime's multi-worker determinism guarantee relies on.
 //!
-//! The pool is deliberately not thread-safe: each worker owns one
-//! `Scratch` (or each model owns one, for the single-threaded harnesses)
-//! and passes it down through `forward_with`.
+//! The pool is deliberately not thread-safe: each model owns one
+//! `Scratch` and lends it to its modules' `forward`, so a serving
+//! worker's replicas never share a pool across threads.
 
 /// A small pool of reusable `f32` buffers.
 #[derive(Debug, Default)]
@@ -25,9 +25,11 @@ pub struct Scratch {
     free: Vec<Vec<f32>>,
 }
 
-/// Buffers retained per pool. Two covers the deepest simultaneous need
-/// (one grouped matrix in flight per stage, stages run sequentially);
-/// anything beyond that is allocator churn we do not want to cache.
+/// Buffers retained per pool. Every current user has one buffer in
+/// flight at a time (a forward's grouped matrix — stages run
+/// sequentially — or the kernel's B-pack buffer), so four is headroom,
+/// not a need; anything beyond it is allocator churn we do not want to
+/// cache.
 const MAX_POOLED: usize = 4;
 
 impl Scratch {

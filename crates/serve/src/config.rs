@@ -56,7 +56,7 @@ impl Default for FlightConfig {
 pub struct EngineConfig {
     /// Worker threads. Each worker builds its own replica of every
     /// configured model (replicas are deterministic, so worker count never
-    /// changes outputs) plus one scratch-buffer pool.
+    /// changes outputs; each owns its grouping-buffer pool).
     pub workers: usize,
     /// Bound of the submission queue. A submit that would exceed it is
     /// rejected with [`ServeError::QueueFull`](crate::ServeError::QueueFull)

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!            submit()            take_batch()
-//!   callers ---------> [queue] <-------------- worker 0 (replicas + scratch)
-//!     |  shed (full)      |                     worker 1 (replicas + scratch)
+//!   callers ---------> [queue] <-------------- worker 0 (replicas + arena)
+//!     |  shed (full)      |                     worker 1 (replicas + arena)
 //!     +<------------------+  expired -> cancel  ...
 //! ```
 //!
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use edgepc_geom::guard::ranked_with;
 use edgepc_geom::required;
-use edgepc_models::{ExecState, Scratch};
+use edgepc_models::ExecState;
 use edgepc_trace::{next_trace_id, span_in, with_registry, with_trace, Registry};
 
 use crate::config::EngineConfig;
@@ -135,7 +135,8 @@ impl Engine {
 
     /// Submits a request. Returns a [`Ticket`] if admitted; rejects with
     /// [`ServeError::QueueFull`] (shedding — the caller is never blocked),
-    /// [`ServeError::ShuttingDown`], or [`ServeError::UnknownModel`].
+    /// [`ServeError::ShuttingDown`], [`ServeError::UnknownModel`], or
+    /// [`ServeError::TooFewPoints`].
     ///
     /// The ticket's id doubles as the request's **trace id**: every span
     /// and telemetry event the request produces — enqueue, batch, exec,
@@ -144,11 +145,17 @@ impl Engine {
     /// dump.
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         let mut span = span_in(self.registry.clone(), "serve.enqueue", "serve");
-        if request.model >= self.specs.len() {
+        let Some(spec) = self.specs.get(request.model) else {
             return Err(ServeError::UnknownModel {
                 index: request.model,
                 models: self.specs.len(),
             });
+        };
+        // The forward (and plan compilation) asserts the floor; a worker
+        // that trips it dies, so thin clouds stop here.
+        let (points, min) = (request.cloud.len(), spec.min_points());
+        if points < min {
+            return Err(ServeError::TooFewPoints { points, min });
         }
         let id = next_trace_id();
         span.set_trace(id);
@@ -265,7 +272,6 @@ fn worker_body(
     plans: &PlanCache,
 ) {
     let mut replicas: Vec<ServeModel> = specs.iter().map(ServeModel::build).collect();
-    let mut scratch = Scratch::new();
     // Per-worker executor arena for the compiled plans; grows to its
     // steady-state capacity on the first compiled batch and never after.
     let mut exec_state = ExecState::new();
@@ -289,7 +295,6 @@ fn worker_body(
                     run_batch(
                         worker,
                         &mut replicas,
-                        &mut scratch,
                         &mut exec_state,
                         plans,
                         registry,
@@ -327,7 +332,6 @@ fn cancel_expired(
 fn run_batch(
     worker: usize,
     replicas: &mut [ServeModel],
-    scratch: &mut Scratch,
     exec_state: &mut ExecState,
     plans: &PlanCache,
     registry: &Registry,
@@ -375,7 +379,7 @@ fn run_batch(
             let _exec = edgepc_trace::span("serve.exec", "serve");
             match compiled.as_deref() {
                 Some(plan) => plan.infer(&req.cloud, exec_state),
-                None => replica.infer(&req.cloud, scratch),
+                None => replica.infer(&req.cloud),
             }
         });
         let total_us = req.enqueued.elapsed().as_micros() as u64;

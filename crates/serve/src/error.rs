@@ -39,6 +39,15 @@ pub enum ServeError {
         /// How many models the engine holds.
         models: usize,
     },
+    /// The request's cloud is smaller than the model's point floor
+    /// ([`ModelSpec::min_points`](crate::ModelSpec::min_points)); it was
+    /// never enqueued.
+    TooFewPoints {
+        /// Points the request carried.
+        points: usize,
+        /// The model's floor.
+        min: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -60,6 +69,12 @@ impl fmt::Display for ServeError {
             ServeError::WorkerLost => write!(f, "worker exited without responding"),
             ServeError::UnknownModel { index, models } => {
                 write!(f, "unknown model index {index} (engine holds {models})")
+            }
+            ServeError::TooFewPoints { points, min } => {
+                write!(
+                    f,
+                    "cloud has {points} points; the model needs at least {min}"
+                )
             }
         }
     }

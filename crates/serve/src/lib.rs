@@ -13,7 +13,7 @@
 //! * **Dynamic batching** — workers group same-model requests up to
 //!   `max_batch`, waiting at most `batch_linger` for stragglers.
 //! * **Worker pool** — plain `std::thread` workers, each with its own
-//!   deterministic model replica and scratch pool, so the hot path takes
+//!   deterministic model replicas and executor arena, so the hot path takes
 //!   no locks beyond the queue and outputs do not depend on worker count.
 //! * **Observability** — every stage publishes spans and `serve.*`
 //!   metrics into `edgepc-trace` (see [`metrics`]).

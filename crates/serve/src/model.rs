@@ -10,7 +10,6 @@
 use edgepc_geom::PointCloud;
 use edgepc_models::{
     DgcnnClassifier, DgcnnConfig, DgcnnSeg, PipelineStrategy, PointNetPpConfig, PointNetPpSeg,
-    Scratch,
 };
 use edgepc_nn::Tensor2;
 
@@ -60,7 +59,8 @@ impl ModelSpec {
         }
     }
 
-    /// Smallest cloud this model accepts (the forward pass asserts it).
+    /// Smallest cloud this model accepts (the forward pass asserts it;
+    /// [`Engine::submit`](crate::Engine::submit) rejects thinner requests).
     pub fn min_points(&self) -> usize {
         match self {
             ModelSpec::PointNetPpTiny { .. } => 64,
@@ -108,19 +108,20 @@ impl ServeModel {
         }
     }
 
-    /// Runs one forward pass with the worker's scratch pool. Stage spans
-    /// (structurize, sample, neighbor, fc) are published to the thread's
-    /// current trace registry by the models themselves.
+    /// Runs one eager forward pass (the replica owns its grouping-buffer
+    /// pool). Stage spans (structurize, sample, neighbor, fc) are
+    /// published to the thread's current trace registry by the models
+    /// themselves.
     ///
     /// # Panics
     ///
     /// Panics if the cloud is smaller than the spec's
     /// [`min_points`](ModelSpec::min_points).
-    pub fn infer(&mut self, cloud: &PointCloud, scratch: &mut Scratch) -> Tensor2 {
+    pub fn infer(&mut self, cloud: &PointCloud) -> Tensor2 {
         match self {
-            ServeModel::PointNetPp(m) => m.forward_with(cloud, scratch).0,
-            ServeModel::DgcnnCls(m) => m.forward_with(cloud, scratch).0,
-            ServeModel::DgcnnSeg(m) => m.forward_with(cloud, scratch).0,
+            ServeModel::PointNetPp(m) => m.forward(cloud).0,
+            ServeModel::DgcnnCls(m) => m.forward(cloud).0,
+            ServeModel::DgcnnSeg(m) => m.forward(cloud).0,
         }
     }
 }
@@ -134,10 +135,8 @@ mod tests {
     fn replicas_are_deterministic() {
         let spec = ModelSpec::pointnetpp_tiny(4);
         let cloud = bunny_with_points(256, 11);
-        let mut scratch_a = Scratch::new();
-        let mut scratch_b = Scratch::new();
-        let a = ServeModel::build(&spec).infer(&cloud, &mut scratch_a);
-        let b = ServeModel::build(&spec).infer(&cloud, &mut scratch_b);
+        let a = ServeModel::build(&spec).infer(&cloud);
+        let b = ServeModel::build(&spec).infer(&cloud);
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
@@ -145,8 +144,7 @@ mod tests {
     fn dgcnn_replica_classifies() {
         let spec = ModelSpec::dgcnn_cls_tiny(5);
         let cloud = bunny_with_points(64, 3);
-        let mut scratch = Scratch::new();
-        let logits = ServeModel::build(&spec).infer(&cloud, &mut scratch);
+        let logits = ServeModel::build(&spec).infer(&cloud);
         assert_eq!((logits.rows(), logits.cols()), (1, 5));
     }
 

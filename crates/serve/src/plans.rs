@@ -137,7 +137,6 @@ mod tests {
     use super::*;
     use crate::model::ModelSpec;
     use edgepc_data::bunny_with_points;
-    use edgepc_models::Scratch;
 
     #[test]
     fn cache_shares_one_plan_per_key() {
@@ -176,8 +175,7 @@ mod tests {
             };
             let mut state = ExecState::new();
             let compiled = plan.infer(&cloud, &mut state);
-            let mut scratch = Scratch::new();
-            let eager = replica.infer(&cloud, &mut scratch);
+            let eager = replica.infer(&cloud);
             assert_eq!(compiled.as_slice(), eager.as_slice());
         }
     }

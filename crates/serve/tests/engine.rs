@@ -48,6 +48,22 @@ fn unknown_model_is_rejected_before_queueing() {
 }
 
 #[test]
+fn too_small_cloud_is_rejected_and_the_worker_survives() {
+    let engine = Engine::new(EngineConfig::new(1), vec![ModelSpec::pointnetpp_tiny(4)]);
+    let thin: edgepc_geom::PointCloud = (0..8)
+        .map(|i| edgepc_geom::Point3::new(i as f32, 0.0, 0.0))
+        .collect();
+    let err = engine.submit(Request::new(0, thin)).err();
+    assert_eq!(err, Some(ServeError::TooFewPoints { points: 8, min: 64 }));
+    assert_eq!(engine.queue_depth(), 0);
+    // The single worker never saw the thin cloud, so it still serves.
+    let ticket = engine.submit(Request::new(0, cloud(0))).expect("admitted");
+    let out = ticket.wait().expect("valid request completes");
+    assert_eq!((out.logits.rows(), out.logits.cols()), (128, 4));
+    engine.shutdown();
+}
+
+#[test]
 fn deadline_expired_while_queued_is_cancelled_not_executed() {
     let registry = Arc::new(Registry::new());
     with_registry(registry.clone(), || {
