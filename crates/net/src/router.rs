@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use edgepc_geom::guard::ranked_with;
 use edgepc_geom::PointCloud;
 use edgepc_serve::{Engine, EngineConfig, InferenceOutput, ModelSpec, Request, ServeError, Ticket};
-use edgepc_trace::{span_in, Registry};
+use edgepc_trace::{next_trace_id, span_in, Registry};
 
 use crate::lockrank;
 use crate::metrics;
@@ -310,7 +310,29 @@ impl Router {
         cloud: PointCloud,
         deadline: Option<Duration>,
     ) -> Result<RouterTicket, ServeError> {
-        let _span = span_in(self.registry.clone(), "net.route", "net");
+        let mut span = span_in(self.registry.clone(), "net.route", "net");
+        let routed = self.route(model, tenant, cloud, deadline);
+        match &routed {
+            Ok(rt) => span.set_trace(rt.trace_id()),
+            Err(_) => {
+                // Every shard closed the trace of its own refusal; this
+                // span belongs to none of them, so it gets one of its own
+                // that is already closed: counted, not stored.
+                let refused = next_trace_id();
+                span.set_trace(refused);
+                self.registry.finish_trace(refused, false);
+            }
+        }
+        routed
+    }
+
+    fn route(
+        &self,
+        model: usize,
+        tenant: u64,
+        cloud: PointCloud,
+        deadline: Option<Duration>,
+    ) -> Result<RouterTicket, ServeError> {
         self.registry.incr(metrics::REQUESTS, 1);
         let plan = self.plan(model, tenant);
         if plan.is_empty() {
@@ -570,10 +592,12 @@ mod tests {
                 })
                 .collect();
             let router = Router::new(cfgs, specs(), RoutePolicy::LeastLoaded, None);
+            let held = registry.span_count();
             let err = router
                 .submit(0, 0, bunny_with_points(64, 4), None)
                 .expect_err("shed");
             assert!(matches!(err, ServeError::QueueFull { .. }));
+            assert_eq!(registry.span_count(), held, "a refusal stores no span");
             assert_eq!(registry.counter(crate::metrics::SHED), 1);
             assert_eq!(registry.counter(crate::metrics::FAILOVERS), 1);
             router.shutdown();

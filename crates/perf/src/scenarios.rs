@@ -7,12 +7,16 @@
 //! scales, so the committed baseline tracks exactly the operating points
 //! the paper reports. Inputs come from the same workload datasets the
 //! figure harnesses use (W2's scannet-like 8192-point scene, W3's
-//! modelnet-like 1024-point object).
+//! modelnet-like 1024-point object). A fifteenth scenario prices the
+//! observer: what one served request costs the span registry while
+//! other traces are live.
 //!
 //! Construction is lazy: datasets and models are built inside each
 //! scenario's first run (always a warmup run under
 //! [`RunnerConfig`](crate::RunnerConfig) defaults, so setup never lands
 //! in a timed sample), which keeps building the scenario *list* free.
+
+use std::sync::Arc;
 
 use edgepc::Workload;
 use edgepc_geom::{OpCounts, PointCloud};
@@ -25,6 +29,7 @@ use edgepc_neighbor::{BruteKnn, MortonWindowSearcher, NeighborSearcher};
 use edgepc_nn::{fused_linear, PackedPanels, RowSource, Tensor2, EMPTY_SLOT};
 use edgepc_sample::{FarthestPointSampler, MortonSampler, Sampler};
 use edgepc_sim::{EnergyModel, ExecMode, PowerState, StageKind, XavierModel};
+use edgepc_trace::{next_trace_id, span_in, with_trace, Registry};
 
 use crate::runner::{ModeledCost, Scenario};
 
@@ -102,7 +107,26 @@ fn fill_tensor(rows: usize, cols: usize, seed: u64) -> Tensor2 {
     )
 }
 
-/// The fourteen canonical scenarios, in pipeline order.
+/// Spans a served `pointnetpp_tiny` request records (enqueue, exec and
+/// the model's stages).
+const REQUEST_SPANS: usize = 24;
+/// Spans of other live traces the registry holds while
+/// `trace.finish_trace` runs. The row must not depend on this number.
+const PRELOAD_SPANS: usize = 50_000;
+/// Requests per timed run of `trace.finish_trace`: its milliseconds per
+/// run read as microseconds per request.
+const REQUESTS_PER_RUN: usize = 1_000;
+
+/// Records one request's worth of spans under `trace_id`.
+fn record_request(reg: &Arc<Registry>, trace_id: u64) {
+    with_trace(trace_id, || {
+        for _ in 0..REQUEST_SPANS {
+            drop(span_in(reg.clone(), "stage", "bench"));
+        }
+    });
+}
+
+/// The fifteen canonical scenarios, in pipeline order.
 pub fn paper_scenarios() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
 
@@ -426,6 +450,27 @@ pub fn paper_scenarios() -> Vec<Scenario> {
         ));
     }
 
+    // --- The observer (ROADMAP item 1): record a request's spans and
+    // finish its trace as dropped, beside many other live traces. ---
+    {
+        let mut reg: Option<Arc<Registry>> = None;
+        scenarios.push(Scenario::new("trace.finish_trace", 0, move || {
+            let reg = reg.get_or_insert_with(|| {
+                let reg = Arc::new(Registry::new());
+                for _ in 0..PRELOAD_SPANS.div_ceil(REQUEST_SPANS) {
+                    record_request(&reg, next_trace_id());
+                }
+                reg
+            });
+            for _ in 0..REQUESTS_PER_RUN {
+                let id = next_trace_id();
+                record_request(reg, id);
+                reg.finish_trace(id, false);
+            }
+            (OpCounts::ZERO, None)
+        }));
+    }
+
     scenarios
 }
 
@@ -438,7 +483,7 @@ mod tests {
         // Construction must be cheap (lazy bodies) and ids stable: the
         // BENCH.json comparison is keyed on them.
         let scenarios = paper_scenarios();
-        assert_eq!(scenarios.len(), 14);
+        assert_eq!(scenarios.len(), 15);
         let ids: Vec<&str> = scenarios.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(
             ids,
@@ -457,10 +502,12 @@ mod tests {
                 "model.dgcnn.base.n1024",
                 "model.dgcnn.edgepc.n1024",
                 "model.compiled.dgcnn.n1024",
+                "trace.finish_trace",
             ]
         );
+        // The registry scenario has no cloud.
         for s in &scenarios {
-            assert!(s.points == 8192 || s.points == 4096 || s.points == 1024);
+            assert!([8192, 4096, 1024, 0].contains(&s.points));
         }
     }
 }

@@ -145,6 +145,18 @@ impl Engine {
     /// dump.
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
         let mut span = span_in(self.registry.clone(), "serve.enqueue", "serve");
+        let id = next_trace_id();
+        span.set_trace(id);
+        let admitted = self.admit(id, request);
+        if admitted.is_err() {
+            // No worker will ever see this request, so its trace is
+            // closed here; the flight ring keeps its shed event.
+            self.registry.finish_trace(id, false);
+        }
+        admitted
+    }
+
+    fn admit(&self, id: u64, request: Request) -> Result<Ticket, ServeError> {
         let Some(spec) = self.specs.get(request.model) else {
             return Err(ServeError::UnknownModel {
                 index: request.model,
@@ -157,8 +169,6 @@ impl Engine {
         if points < min {
             return Err(ServeError::TooFewPoints { points, min });
         }
-        let id = next_trace_id();
-        span.set_trace(id);
         let deadline_us = request.deadline.map(|d| d.as_micros() as u64).unwrap_or(0);
         let (tx, rx) = mpsc::channel();
         let queued = QueuedRequest {
@@ -323,6 +333,7 @@ fn cancel_expired(
         waited.as_micros() as u64,
         deadline.as_micros() as u64,
     );
+    registry.finish_trace(req.id, false);
     let _ = req
         .tx
         .send(Err(ServeError::DeadlineExpired { waited, deadline }));
@@ -340,7 +351,10 @@ fn run_batch(
     batch: Vec<QueuedRequest>,
 ) {
     let batch_size = batch.len();
-    let _span = edgepc_trace::span("serve.batch", "serve");
+    // The batch's span rides with its first request's trace; the other
+    // members have their `BatchFormed` flight events.
+    let mut span = edgepc_trace::span("serve.batch", "serve");
+    span.set_trace(batch.first().map_or(0, |req| req.id));
     registry.observe_us(metrics::BATCH_SIZE, batch_size as u64);
     registry.add_gauge(metrics::IN_FLIGHT, batch_size as f64);
     for req in batch {
@@ -362,6 +376,7 @@ fn run_batch(
             // submit() validates indices; stay total regardless.
             registry.add_gauge(metrics::IN_FLIGHT, -1.0);
             outstanding.fetch_sub(1, Ordering::Relaxed);
+            registry.finish_trace(req.id, false);
             let _ = req.tx.send(Err(ServeError::UnknownModel {
                 index: req.model,
                 models: replicas.len(),
@@ -389,9 +404,8 @@ fn run_batch(
         outstanding.fetch_sub(1, Ordering::Relaxed);
         // Tail sampling: fast requests give up their span trees; the
         // aggregate metrics they already fed are unaffected.
-        if !plane.note_done(req.id, total_us, batch_size as u64) {
-            registry.discard_trace(req.id);
-        }
+        let keep = plane.note_done(req.id, total_us, batch_size as u64);
+        registry.finish_trace(req.id, keep);
         let _ = req.tx.send(Ok(InferenceOutput {
             request_id: req.id,
             logits,

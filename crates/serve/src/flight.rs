@@ -14,7 +14,8 @@
 //!
 //! The plane also hosts the tail sampler: a P² streaming estimate of the
 //! configured latency quantile decides, at completion time, whether a
-//! request's full span tree is retained in the registry or discarded.
+//! request's full span tree is kept in the registry or dropped
+//! (`Registry::finish_trace`).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError, Weak};
@@ -184,19 +185,16 @@ impl TelemetryPlane {
     /// trace id it implicates, as a schema-pinned `flightrec.json`
     /// document.
     pub(crate) fn render(&self, reason: &str) -> String {
-        let events = self.recorder.snapshot();
-        let traces: std::collections::HashSet<u64> = events
+        let mut traces: Vec<u64> = self
+            .recorder
+            .snapshot()
             .iter()
             .map(|e| e.trace_id)
             .filter(|&t| t != 0)
             .collect();
-        let mut spans: Vec<_> = self
-            .registry
-            .spans()
-            .into_iter()
-            .filter(|s| traces.contains(&s.trace_id))
-            .collect();
-        spans.sort_by_key(|s| (s.trace_id, s.start_us));
+        traces.sort_unstable();
+        traces.dedup();
+        let spans = self.registry.spans_for_traces(&traces);
         flightrec_json(reason, self.now_us(), &self.recorder, &spans)
     }
 

@@ -178,3 +178,106 @@ fn metrics_account_for_every_submission() {
     let latency = registry.histogram(metrics::LATENCY_US).expect("latency");
     assert_eq!(latency.count(), 5);
 }
+
+#[test]
+fn refused_submits_leave_no_span_behind() {
+    let registry = Arc::new(Registry::new());
+    with_registry(registry.clone(), || {
+        let mut cfg = EngineConfig::new(1);
+        cfg.queue_capacity = 0;
+        let engine = Engine::new(cfg, vec![ModelSpec::pointnetpp_tiny(4)]);
+        let before = registry.span_count();
+        let cloud = cloud(0);
+        for _ in 0..1_000 {
+            let err = engine.submit(Request::new(0, cloud.clone())).err();
+            assert_eq!(err, Some(ServeError::QueueFull { capacity: 0 }));
+        }
+        assert_eq!(registry.span_count(), before);
+        assert_eq!(registry.counter(metrics::SHED), 1_000);
+        engine.shutdown();
+    });
+}
+
+/// Waits until every batch the worker started has closed its span, so a
+/// span count read afterwards has no span still on its way in.
+fn quiesce(registry: &Registry) {
+    let count = |name: &str| registry.histogram(name).map_or(0, |h| h.count());
+    while count("serve.batch") != count(metrics::BATCH_SIZE) {
+        std::thread::yield_now();
+    }
+}
+
+/// Span memory under a soak: what the registry holds is the kept traces,
+/// not a residue of every request served.
+#[test]
+fn soak_span_memory_follows_kept_traces_only() {
+    const REQUESTS: usize = 6_000;
+    const WINDOW: usize = 8;
+    let registry = Arc::new(Registry::new());
+    with_registry(registry.clone(), || {
+        let engine = Engine::new(EngineConfig::new(1), vec![ModelSpec::pointnetpp_tiny(4)]);
+        let baseline = registry.span_count();
+        let clouds: Vec<_> = (0..4).map(cloud).collect();
+        let mut in_flight = std::collections::VecDeque::new();
+        let mut warm_ids = Vec::new();
+        let mut at_2000 = None;
+        for i in 0..REQUESTS {
+            let mut request = Request::new(0, clouds[i % clouds.len()].clone());
+            if i % 50 == 49 {
+                // Already late on arrival: culled, never executed.
+                request = request.with_deadline(Duration::ZERO);
+            }
+            let ticket = engine.submit(request).expect("window is under capacity");
+            if i < 16 {
+                warm_ids.push(ticket.id());
+            }
+            in_flight.push_back(ticket);
+            let drain_to = if i + 1 == 2_000 { 0 } else { WINDOW - 1 };
+            while in_flight.len() > drain_to {
+                let _ = in_flight.pop_front().map(|t| t.wait());
+            }
+            if i + 1 == 2_000 {
+                quiesce(&registry);
+                at_2000 = Some((
+                    registry.span_count(),
+                    registry.counter(metrics::TAIL_RETAINED),
+                ));
+            }
+        }
+        for ticket in in_flight {
+            let _ = ticket.wait();
+        }
+        engine.shutdown();
+
+        // Warm-up requests are all kept: the longest of their timelines
+        // is what one kept request holds.
+        let per_request = warm_ids
+            .iter()
+            .map(|&id| registry.spans_for_trace(id).len())
+            .max()
+            .unwrap_or(0);
+        assert!(per_request >= 3, "enqueue, exec and model stages");
+        let (held_2000, kept_2000) = at_2000.expect("checkpoint reached");
+        let (held, kept) = (
+            registry.span_count(),
+            registry.counter(metrics::TAIL_RETAINED),
+        );
+        // One more untraced span since the baseline: serve.shutdown.
+        assert!(
+            held <= baseline + 1 + per_request * kept as usize,
+            "{held} spans held for {kept} kept traces of {per_request}"
+        );
+        assert!(
+            held - held_2000 <= 1 + per_request * (kept - kept_2000) as usize,
+            "{held_2000} -> {held} spans while {kept_2000} -> {kept} traces were kept"
+        );
+        assert!((kept as usize) < REQUESTS / 4, "the sampler thins");
+    });
+    let counter = |name: &str| registry.counter(name);
+    assert_eq!(counter(metrics::SUBMITTED), REQUESTS as u64);
+    assert_eq!(counter(metrics::EXPIRED), REQUESTS as u64 / 50);
+    assert_eq!(
+        counter(metrics::SUBMITTED),
+        counter(metrics::COMPLETED) + counter(metrics::SHED) + counter(metrics::EXPIRED)
+    );
+}

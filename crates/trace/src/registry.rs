@@ -5,6 +5,13 @@
 //! tests and harnesses that need isolated capture (several run in
 //! parallel under `cargo test`) install their own with [`with_local`],
 //! which shadows the global one on the current thread only.
+//!
+//! Spans are stored in two places. A span with trace id 0 goes to one
+//! completion-ordered vector. A span with a nonzero trace id goes to
+//! that trace's own entry, so recording it, reading the trace back and
+//! [`finish_trace`](Registry::finish_trace) touch that trace's spans
+//! and nothing else: what a request costs the registry does not depend
+//! on how many other requests it has seen.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,9 +30,37 @@ pub struct Registry {
     inner: Mutex<Inner>,
 }
 
+/// Trace ids [`Registry::finish_trace`] remembers as dropped, so that a
+/// span closing after its trace was dropped (`net.settle` always, the
+/// submit-side spans when the worker wins the race) is not stored as a
+/// new trace nobody would ever finish. It has to outlast the traces
+/// dropped between one trace's drop and its last span closing. That
+/// span, `net.settle`, waits only for the earlier responses of its own
+/// connection, so these are the requests other connections complete
+/// during one such wait: tens at the default queue and pipeline depths.
+/// A span later than that is stored, one orphan span per such trace.
+const DROPPED_SLOTS: usize = 8192;
+
+/// Emptied per-trace buffers kept for reuse; a burst of more live traces
+/// than this allocates, and frees again when it finishes.
+const FREE_TRACE_BUFFERS: usize = 256;
+
 #[derive(Default)]
 struct Inner {
-    spans: Vec<SpanData>,
+    /// Spans with trace id 0, in completion order.
+    untraced: Vec<SpanData>,
+    /// Spans with a nonzero trace id, by trace, each in completion
+    /// order: the live traces and the ones finished as kept.
+    traces: HashMap<u64, Vec<SpanData>>,
+    /// Number of spans in `traces`.
+    traced: usize,
+    /// Emptied buffers of dropped traces, handed to the next new trace.
+    free: Vec<Vec<SpanData>>,
+    /// Direct-mapped record of recently dropped ids (slot `id %
+    /// DROPPED_SLOTS`; 0 = empty, which no trace id is). Ids come from
+    /// one counter, so it holds the last `DROPPED_SLOTS` of them. Empty
+    /// until the first drop: a registry that only captures pays nothing.
+    dropped: Vec<u64>,
     counters: HashMap<String, u64>,
     gauges: HashMap<String, f64>,
     histograms: HashMap<String, Histogram>,
@@ -49,6 +84,10 @@ fn slot<'m, V>(map: &'m mut HashMap<String, V>, key: &str, init: impl FnOnce() -
         Some(v) => v,
         None => edgepc_geom::violation("registry slot vanished between insert and lookup"),
     }
+}
+
+fn dropped_slot(trace_id: u64) -> usize {
+    (trace_id % DROPPED_SLOTS as u64) as usize
 }
 
 impl Registry {
@@ -89,7 +128,52 @@ impl Registry {
         inner.key_buf.push_str(&span.kind);
         *slot(&mut inner.counters, &inner.key_buf, || 0) += 1;
         slot(&mut inner.histograms, &span.name, Histogram::default).observe(span.dur_us);
-        inner.spans.push(span);
+        if span.trace_id == 0 {
+            inner.untraced.push(span);
+            return;
+        }
+        if let Some(held) = inner.traces.get_mut(&span.trace_id) {
+            held.push(span);
+        } else if inner.dropped.get(dropped_slot(span.trace_id)) == Some(&span.trace_id) {
+            // Late: its trace was already dropped. The counter and the
+            // histogram above have it; the span itself is not kept.
+            return;
+        } else {
+            let mut held = inner.free.pop().unwrap_or_default();
+            let trace_id = span.trace_id;
+            held.push(span);
+            inner.traces.insert(trace_id, held);
+        }
+        inner.traced += 1;
+    }
+
+    /// Closes a trace once its request is resolved. With `keep` its spans
+    /// stay where [`spans_for_trace`](Self::spans_for_trace) finds them,
+    /// joined by any span of the trace that closes later. Otherwise they
+    /// are dropped, and so is every later span of the trace (it still
+    /// feeds its counter and histogram). The serving runtime calls this
+    /// with the tail sampler's verdict, and with `false` for a request it
+    /// refused or culled, so the spans held are those of requests in
+    /// flight plus those of kept traces. Touches this trace's spans only.
+    /// `trace_id` 0 is a no-op (unattributed spans are never sampled
+    /// away).
+    pub fn finish_trace(&self, trace_id: u64, keep: bool) {
+        if keep || trace_id == 0 {
+            return;
+        }
+        let mut inner = self.lock();
+        if inner.dropped.is_empty() {
+            inner.dropped.resize(DROPPED_SLOTS, 0);
+        }
+        inner.dropped[dropped_slot(trace_id)] = trace_id;
+        let Some(mut held) = inner.traces.remove(&trace_id) else {
+            return;
+        };
+        inner.traced -= held.len();
+        held.clear();
+        if inner.free.len() < FREE_TRACE_BUFFERS {
+            inner.free.push(held);
+        }
     }
 
     /// Increments the named monotonic counter.
@@ -171,51 +255,64 @@ impl Registry {
         names
     }
 
-    /// Copies out all recorded spans (in completion order).
+    /// Copies out all held spans: the unattributed ones in completion
+    /// order, then each held trace's (by ascending trace id, each in
+    /// completion order).
     pub fn spans(&self) -> Vec<SpanData> {
-        self.lock().spans.clone()
+        let inner = self.lock();
+        let mut spans = inner.untraced.clone();
+        // Map order is not repeatable; trace id order is.
+        let mut traces: Vec<_> = inner.traces.iter().collect();
+        traces.sort_unstable_by_key(|(id, _)| **id);
+        for (_, held) in traces {
+            spans.extend_from_slice(held);
+        }
+        spans
     }
 
     /// Copies out the spans recorded with the given trace id, ordered by
     /// start time — a single request's segment timeline as reconstructed
     /// from a mixed multi-request capture.
     pub fn spans_for_trace(&self, trace_id: u64) -> Vec<SpanData> {
-        let mut spans: Vec<SpanData> = self
-            .lock()
-            .spans
-            .iter()
-            .filter(|s| s.trace_id == trace_id)
-            .cloned()
-            .collect();
-        spans.sort_by_key(|s| s.start_us);
+        self.spans_for_traces(&[trace_id])
+    }
+
+    /// [`spans_for_trace`](Self::spans_for_trace) for several traces
+    /// under one lock acquisition: the traces in the order given, each
+    /// ordered by start time. Clones those traces' spans and no others.
+    pub fn spans_for_traces(&self, trace_ids: &[u64]) -> Vec<SpanData> {
+        let inner = self.lock();
+        let mut spans = Vec::new();
+        for id in trace_ids {
+            let held = match id {
+                0 => Some(&inner.untraced),
+                _ => inner.traces.get(id),
+            };
+            let from = spans.len();
+            spans.extend_from_slice(held.map_or(&[], Vec::as_slice));
+            spans[from..].sort_by_key(|s| s.start_us);
+        }
         spans
     }
 
-    /// Removes every span recorded with the given nonzero trace id,
-    /// returning how many were dropped. The serving runtime's tail
-    /// sampler calls this for requests judged too fast to keep, so
-    /// steady-state span memory is bounded by the tail rate — the
-    /// aggregate counters and histograms the spans already fed are
-    /// untouched. `trace_id` 0 is a no-op (unattributed spans are never
-    /// sampled away).
-    pub fn discard_trace(&self, trace_id: u64) -> usize {
-        if trace_id == 0 {
-            return 0;
-        }
-        let mut inner = self.lock();
-        let before = inner.spans.len();
-        inner.spans.retain(|s| s.trace_id != trace_id);
-        before - inner.spans.len()
-    }
-
-    /// Removes and returns all recorded spans.
+    /// Removes and returns all held spans, in the order of
+    /// [`spans`](Self::spans).
     pub fn drain_spans(&self) -> Vec<SpanData> {
-        std::mem::take(&mut self.lock().spans)
+        let mut inner = self.lock();
+        let mut spans = std::mem::take(&mut inner.untraced);
+        let mut traces: Vec<_> = inner.traces.drain().collect();
+        traces.sort_unstable_by_key(|(id, _)| *id);
+        for (_, held) in traces {
+            spans.extend(held);
+        }
+        inner.traced = 0;
+        spans
     }
 
     /// Number of spans currently held.
     pub fn span_count(&self) -> usize {
-        self.lock().spans.len()
+        let inner = self.lock();
+        inner.untraced.len() + inner.traced
     }
 }
 
@@ -352,6 +449,55 @@ mod tests {
         assert_eq!(reg.counter("span.sample"), 1);
         assert!(reg.histogram("sa1.sample").is_some());
         assert_eq!(reg.span_count(), 1);
+    }
+
+    fn traced(reg: &Arc<Registry>, name: &str, trace_id: u64) {
+        crate::with_trace(trace_id, || drop(span_in(reg.clone(), name, "test")));
+    }
+
+    #[test]
+    fn a_dropped_trace_takes_its_late_spans_with_it() {
+        let reg = Arc::new(Registry::new());
+        traced(&reg, "other", 8);
+        traced(&reg, "exec", 7);
+        traced(&reg, "exec", 7);
+        traced(&reg, "untraced", 0);
+        reg.finish_trace(7, false);
+        assert_eq!(reg.span_count(), 2, "trace 8 and the untraced span stay");
+        // A span of trace 7 that closes now is counted but not stored,
+        // so no entry is left behind for a trace nobody will finish.
+        traced(&reg, "settle", 7);
+        assert_eq!(reg.span_count(), 2);
+        assert!(reg.spans_for_trace(7).is_empty());
+        assert_eq!(reg.counter("span.test"), 5);
+        assert_eq!(reg.histogram("settle").map(|h| h.count()), Some(1));
+        // Dropping a trace that holds nothing still marks it dropped.
+        reg.finish_trace(9, false);
+        traced(&reg, "enqueue", 9);
+        assert_eq!(reg.span_count(), 2);
+        reg.finish_trace(0, false);
+        assert_eq!(reg.span_count(), 2, "unattributed spans are never dropped");
+    }
+
+    #[test]
+    fn a_kept_trace_collects_its_late_spans_in_start_order() {
+        let reg = Arc::new(Registry::new());
+        let settle = crate::with_trace(5, || span_in(reg.clone(), "settle", "test"));
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        traced(&reg, "exec", 5);
+        traced(&reg, "exec", 6);
+        reg.finish_trace(5, true);
+        drop(settle);
+        let names =
+            |spans: Vec<SpanData>| -> Vec<String> { spans.into_iter().map(|s| s.name).collect() };
+        assert_eq!(names(reg.spans_for_trace(5)), ["settle", "exec"]);
+        assert_eq!(names(reg.spans_for_traces(&[6, 5, 4])).len(), 3);
+        // Whole-registry reads: unattributed first, then trace by trace.
+        traced(&reg, "untraced", 0);
+        let all = ["untraced", "exec", "settle", "exec"];
+        assert_eq!(names(reg.spans()), all);
+        assert_eq!(names(reg.drain_spans()), all);
+        assert_eq!(reg.span_count(), 0);
     }
 
     #[test]

@@ -162,28 +162,53 @@ fn pipelined_requests_all_resolve_in_order() {
     router.shutdown();
 }
 
-/// The trace id in an `Ok` frame is real: the server-side registry holds
-/// a `net.settle` span for exactly that id, so a flight-recorder
-/// timeline can be joined to the wire response.
+/// The trace id in an `Ok` frame is real: while the tail sampler warms
+/// up every request is kept, and the server-side registry holds its
+/// whole timeline under exactly that id, front end included, so a
+/// flight-recorder timeline can be joined to the wire response. Past the
+/// warm-up a request is either kept whole or leaves nothing behind.
 #[test]
 fn response_trace_ids_connect_to_server_spans() {
     let registry = Arc::new(Registry::new());
     let (server, router) =
         edgepc_trace::with_registry(Arc::clone(&registry), || start_server(2, 1));
     let mut conn = connect(&server);
-    let responses = drive(&mut conn, &request_set());
-    for (seq, frame) in responses {
+    let stages = ["net.route", "serve.enqueue", "serve.exec", "net.settle"];
+    let timeline = |frame: Frame| {
         let Frame::Ok(ok) = frame else {
-            panic!("request {seq} failed: not ok");
+            panic!("request failed: {frame:?}");
         };
         assert_ne!(ok.trace_id, 0, "server assigns a real trace id");
         let spans = registry.spans_for_trace(ok.trace_id);
-        assert!(
-            spans.iter().any(|s| s.name == "net.settle"),
-            "request {seq}: trace {} has no net.settle span",
-            ok.trace_id
-        );
+        assert!(spans.windows(2).all(|w| w[0].start_us <= w[1].start_us));
+        let found: Vec<_> = stages
+            .iter()
+            .filter_map(|&name| spans.iter().find(|s| s.name == name).cloned())
+            .collect();
+        (ok.trace_id, spans.len(), found)
+    };
+    for (seq, frame) in drive(&mut conn, &request_set()) {
+        let (trace, _, found) = timeline(frame);
+        let [route, enqueue, exec, settle] = &found[..] else {
+            panic!("request {seq}: trace {trace} lacks one of {stages:?}");
+        };
+        assert!(route.start_us <= enqueue.start_us && enqueue.start_us <= exec.start_us);
+        assert!(route.start_us <= settle.start_us);
+        assert!(exec.start_us + exec.dur_us <= settle.start_us + settle.dur_us);
     }
+    // Well past `tail_warmup` completions on each shard.
+    let mut sampled_out = 0;
+    for _ in 0..20 {
+        for (seq, frame) in drive(&mut conn, &request_set()) {
+            let (trace, held, found) = timeline(frame);
+            if held == 0 {
+                sampled_out += 1;
+            } else {
+                assert_eq!(found.len(), stages.len(), "request {seq}: trace {trace}");
+            }
+        }
+    }
+    assert!(sampled_out > 0, "fast requests give up their spans");
     drop(conn);
     server.stop();
     router.shutdown();
