@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! loadgen [--requests N] [--workers W] [--capacity C] [--batch B]
-//!         [--linger-us U] [--rate RPS] [--pattern uniform|poisson|burst]
-//!         [--seed S] [--deadline-ms D|none] [--points P]
+//!         [--rate RPS] [--pattern uniform|poisson|burst] [--seed S]
+//!         [--deadline-ms D|none] [--points P]
 //!         [--smoke] [--out PATH]
 //!         [--telemetry ADDR] [--telemetry-addr-file PATH]
 //!         [--hold-ms N] [--flightrec PATH]
@@ -67,9 +67,6 @@ fn run(args: &[String]) -> Result<String, String> {
             "--workers" => engine_cfg.workers = parse_value(arg, it.next())?,
             "--capacity" => engine_cfg.queue_capacity = parse_value(arg, it.next())?,
             "--batch" => engine_cfg.max_batch = parse_value(arg, it.next())?,
-            "--linger-us" => {
-                engine_cfg.batch_linger = Duration::from_micros(parse_value(arg, it.next())?);
-            }
             "--rate" => load_cfg.rate_rps = parse_value(arg, it.next())?,
             "--pattern" => {
                 let name: String = parse_value(arg, it.next())?;

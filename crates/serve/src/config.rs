@@ -63,11 +63,9 @@ pub struct EngineConfig {
     /// — the engine sheds load rather than blocking callers. Capacity 0
     /// rejects everything (useful as a drain valve and in tests).
     pub queue_capacity: usize,
-    /// Largest batch a worker forms from same-model queued requests.
+    /// Largest batch a worker forms from the same-model requests already
+    /// queued when it pops; it never waits for more to arrive.
     pub max_batch: usize,
-    /// How long a worker holding a non-full batch waits for more
-    /// compatible requests before running what it has.
-    pub batch_linger: Duration,
     /// Intra-batch parallelism: the `edgepc_par` worker budget each serve
     /// worker scopes around its forwards (`0` keeps the ambient
     /// resolution — `EDGEPC_THREADS`, then detected parallelism). The
@@ -94,14 +92,13 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A config with `workers` threads and serving-oriented defaults:
-    /// queue bound 64, batches up to 4, 2 ms linger, ambient intra-batch
+    /// queue bound 64, batches up to 4, ambient intra-batch
     /// parallelism.
     pub fn new(workers: usize) -> Self {
         EngineConfig {
             workers,
             queue_capacity: 64,
             max_batch: 4,
-            batch_linger: Duration::from_millis(2),
             intra_threads: 0,
             exec_delay: Duration::ZERO,
             plan_cache: 8,
@@ -125,6 +122,5 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.workers, 2);
         assert!(c.queue_capacity >= c.max_batch);
-        assert!(c.batch_linger < Duration::from_millis(50));
     }
 }

@@ -286,7 +286,7 @@ fn worker_body(
     // steady-state capacity on the first compiled batch and never after.
     let mut exec_state = ExecState::new();
     loop {
-        match queue.take_batch(cfg.max_batch, cfg.batch_linger) {
+        match queue.take_batch(cfg.max_batch) {
             Pop::Shutdown => break,
             Pop::Work { batch, expired } => {
                 let removed = (batch.len() + expired.len()) as f64;
@@ -364,7 +364,7 @@ fn run_batch(
             req.enqueued.elapsed().as_micros() as u64,
         );
         // Deadlines are re-checked at execution time: a request can expire
-        // during batch linger or behind an earlier request in this batch.
+        // behind an earlier request in this batch.
         if req.is_expired(Instant::now()) {
             registry.add_gauge(metrics::IN_FLIGHT, -1.0);
             cancel_expired(registry, plane, outstanding, req);

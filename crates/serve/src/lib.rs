@@ -8,10 +8,13 @@
 //!   [`Engine::submit`] rejects with [`ServeError::QueueFull`] instead of
 //!   blocking the caller (load shedding).
 //! * **Deadlines** — each request may carry one; requests that expire
-//!   while queued (or during batch linger) are cancelled with
-//!   [`ServeError::DeadlineExpired`] rather than executed uselessly.
-//! * **Dynamic batching** — workers group same-model requests up to
-//!   `max_batch`, waiting at most `batch_linger` for stragglers.
+//!   while queued (or behind an earlier member of their batch) are
+//!   cancelled with [`ServeError::DeadlineExpired`] rather than executed
+//!   uselessly.
+//! * **Backlog batching** — a worker that pops a request takes the
+//!   same-model requests already queued behind it, up to `max_batch`,
+//!   and runs them one after another. It never waits for stragglers: an
+//!   idle engine answers in execution time, and batches grow with load.
 //! * **Worker pool** — plain `std::thread` workers, each with its own
 //!   deterministic model replicas and executor arena, so the hot path takes
 //!   no locks beyond the queue and outputs do not depend on worker count.

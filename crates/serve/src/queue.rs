@@ -2,15 +2,18 @@
 //!
 //! Admission control happens at the push side: a full queue rejects
 //! immediately (shedding), it never blocks the caller. The pop side is
-//! where batches form — a worker takes an anchor request, gathers
-//! same-model requests up to the batch bound, and lingers briefly for
-//! more before running what it has. Deadline-expired requests are culled
-//! during formation and handed back so the worker can cancel them.
+//! where batches form, and it is work-conserving: a worker blocks only
+//! while the queue is empty. Once it holds an anchor request it takes the
+//! same-model requests already queued, up to the batch bound, and runs —
+//! it never waits for one that has not arrived. A batch is therefore the
+//! backlog that built up while the worker was busy: size 1 on an idle
+//! engine, larger under load. Deadline-expired requests are culled during
+//! formation and handed back so the worker can cancel them.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use edgepc_geom::guard::{rank_scope, ranked_with, Ranked};
 
@@ -127,17 +130,18 @@ impl SubmitQueue {
         self.available.notify_all();
     }
 
-    /// Blocks until work (or shutdown) is available, then forms a batch:
-    /// the oldest live request anchors it, same-model requests join up to
-    /// `max_batch`, and the worker lingers up to `linger` for stragglers.
-    /// During shutdown the queue drains without lingering.
-    pub fn take_batch(&self, max_batch: usize, linger: Duration) -> Pop {
+    /// Blocks while the queue is empty (and not shut down), then forms a
+    /// batch from what is queued at that moment, under one lock hold: the
+    /// oldest live request anchors it and the same-model requests behind
+    /// it join, oldest first, up to `max_batch`. Never waits for a
+    /// request that has not arrived.
+    pub fn take_batch(&self, max_batch: usize) -> Pop {
         let mut expired = Vec::new();
-        // The condvar waits below consume and re-issue the bare guard, so
+        // The condvar wait below consumes and re-issues the bare guard, so
         // the rank is scoped to the whole formation instead of riding in a
-        // `Ranked` wrapper. Holding it across a wait is sound: this thread
-        // is blocked while the mutex is released, so it cannot acquire
-        // anything else in between.
+        // `Ranked` wrapper. Holding it across the wait is sound: this
+        // thread is blocked while the mutex is released, so it cannot
+        // acquire anything else in between.
         let _rank = rank_scope(lockrank::QUEUE, "serve.queue");
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -160,9 +164,7 @@ impl SubmitQueue {
                 .unwrap_or_else(PoisonError::into_inner);
         }
 
-        let anchor = inner.items.pop_front();
-        self.sync_depth(&inner);
-        let Some(anchor) = anchor else {
+        let Some(anchor) = inner.items.pop_front() else {
             // Shut down and drained.
             return if expired.is_empty() {
                 Pop::Shutdown
@@ -173,27 +175,11 @@ impl SubmitQueue {
                 }
             };
         };
-
         let model = anchor.model;
         let mut batch = vec![anchor];
-        let linger_until = Instant::now() + linger;
-        loop {
-            let room = max_batch.saturating_sub(batch.len());
-            batch.extend(gather_compatible(&mut inner.items, model, room));
-            self.sync_depth(&inner);
-            if batch.len() >= max_batch || inner.shutdown {
-                break;
-            }
-            let now = Instant::now();
-            if now >= linger_until {
-                break;
-            }
-            let (guard, _timed_out) = match self.available.wait_timeout(inner, linger_until - now) {
-                Ok(v) => v,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            inner = guard;
-        }
+        let room = max_batch.saturating_sub(1);
+        batch.extend(gather_compatible(&mut inner.items, model, room));
+        self.sync_depth(&inner);
         drop(inner);
         Pop::Work { batch, expired }
     }
@@ -203,6 +189,7 @@ impl SubmitQueue {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     use edgepc_geom::PointCloud;
 
@@ -237,6 +224,17 @@ mod tests {
         assert_eq!(q.depth(), 0);
     }
 
+    /// Ids of the batch and of the culled requests a pop returned.
+    fn work_ids(pop: Pop) -> (Vec<u64>, Vec<u64>) {
+        match pop {
+            Pop::Work { batch, expired } => (
+                batch.iter().map(|r| r.id).collect(),
+                expired.iter().map(|r| r.id).collect(),
+            ),
+            Pop::Shutdown => panic!("expected work"),
+        }
+    }
+
     #[test]
     fn take_batch_groups_same_model_and_culls_expired() {
         let q = SubmitQueue::new(8);
@@ -244,30 +242,33 @@ mod tests {
         q.push(req(1, 1, Some(Duration::ZERO))).unwrap();
         q.push(req(2, 2, None)).unwrap();
         q.push(req(3, 1, None)).unwrap();
-        match q.take_batch(4, Duration::ZERO) {
-            Pop::Work { batch, expired } => {
-                let batch_ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-                let expired_ids: Vec<u64> = expired.iter().map(|r| r.id).collect();
-                assert_eq!(batch_ids, vec![0, 3]);
-                assert_eq!(expired_ids, vec![1]);
-            }
-            Pop::Shutdown => panic!("expected work"),
-        }
+        assert_eq!(work_ids(q.take_batch(4)), (vec![0, 3], vec![1]));
         // The other-model request is still queued.
         assert_eq!(q.depth(), 1);
     }
 
     #[test]
-    fn take_batch_respects_max_batch() {
+    fn batches_are_the_backlog_in_fifo_order_up_to_max_batch() {
         let q = SubmitQueue::new(8);
-        for i in 0..5 {
-            q.push(req(i, 0, None)).unwrap();
+        // Six requests of model 0 with two of model 1 interleaved.
+        for (id, model) in [0, 0, 1, 0, 0, 0, 1, 0].into_iter().enumerate() {
+            q.push(req(id as u64, model, None)).unwrap();
         }
-        match q.take_batch(2, Duration::ZERO) {
-            Pop::Work { batch, .. } => assert_eq!(batch.len(), 2),
-            Pop::Shutdown => panic!("expected work"),
-        }
-        assert_eq!(q.depth(), 3);
+        assert_eq!(work_ids(q.take_batch(4)).0, [0, 1, 3, 4]);
+        assert_eq!(q.depth(), 4);
+        // The oldest request left anchors the next batch, whatever its model.
+        assert_eq!(work_ids(q.take_batch(4)).0, [2, 6]);
+        assert_eq!(work_ids(q.take_batch(4)).0, [5, 7]);
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn a_lone_request_runs_without_waiting_for_company() {
+        // Nothing else will ever be pushed: a batcher that waited for a
+        // straggler would wait here for as long as it was willing to.
+        let q = SubmitQueue::new(8);
+        q.push(req(0, 0, None)).unwrap();
+        assert_eq!(work_ids(q.take_batch(4)).0, [0]);
     }
 
     #[test]
@@ -275,32 +276,7 @@ mod tests {
         let q = SubmitQueue::new(8);
         q.push(req(0, 0, None)).unwrap();
         q.begin_shutdown();
-        match q.take_batch(4, Duration::from_millis(50)) {
-            Pop::Work { batch, .. } => assert_eq!(batch.len(), 1),
-            Pop::Shutdown => panic!("should drain first"),
-        }
-        assert!(matches!(
-            q.take_batch(4, Duration::from_millis(50)),
-            Pop::Shutdown
-        ));
-    }
-
-    #[test]
-    fn linger_waits_for_stragglers() {
-        let q = std::sync::Arc::new(SubmitQueue::new(8));
-        q.push(req(0, 0, None)).unwrap();
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            q2.push(req(1, 0, None)).unwrap();
-        });
-        match q.take_batch(4, Duration::from_millis(250)) {
-            Pop::Work { batch, .. } => {
-                // The straggler submitted mid-linger joins the batch.
-                assert_eq!(batch.len(), 2);
-            }
-            Pop::Shutdown => panic!("expected work"),
-        }
-        t.join().unwrap();
+        assert_eq!(work_ids(q.take_batch(4)).0, [0]);
+        assert!(matches!(q.take_batch(4), Pop::Shutdown));
     }
 }

@@ -6,8 +6,7 @@
 //! {
 //!   "schema": "edgepc-serve",
 //!   "schema_version": 1,
-//!   "engine": {"workers": W, "queue_capacity": C, "max_batch": B,
-//!              "linger_us": L},
+//!   "engine": {"workers": W, "queue_capacity": C, "max_batch": B},
 //!   "load": {"requests": N, "rate_rps": R, "pattern": "burst",
 //!            "seed": S, "points": P, "deadline_ms": D | null},
 //!   "outcome": {"submitted": n, "completed": n, "shed": n,
@@ -28,7 +27,8 @@
 //! under version 1: `deadline_misses` counts requests that expired in
 //! queue *plus* completions that beat the engine but not their deadline,
 //! and `attainment` is `completed_in_deadline / (submitted + shed)` —
-//! shed load counts against the SLO.
+//! shed load counts against the SLO. `engine.linger_us` left version 1
+//! with the batch linger it described; nothing read it.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -69,7 +69,7 @@ pub fn serve_json(engine: &EngineConfig, load: &LoadgenConfig, out: &LoadgenOutc
         "{{\n\
          \"schema\":\"{SCHEMA_NAME}\",\n\
          \"schema_version\":{SCHEMA_VERSION},\n\
-         \"engine\":{{\"workers\":{},\"queue_capacity\":{},\"max_batch\":{},\"linger_us\":{}}},\n\
+         \"engine\":{{\"workers\":{},\"queue_capacity\":{},\"max_batch\":{}}},\n\
          \"load\":{{\"requests\":{},\"rate_rps\":{},\"pattern\":\"{}\",\"seed\":{},\"points\":{},\"deadline_ms\":{}}},\n\
          \"outcome\":{{\"submitted\":{},\"completed\":{},\"shed\":{},\"expired\":{},\"lost\":{}}},\n\
          \"slo\":{{\"completed_in_deadline\":{},\"deadline_misses\":{},\"shed\":{},\"attainment\":{}}},\n\
@@ -82,7 +82,6 @@ pub fn serve_json(engine: &EngineConfig, load: &LoadgenConfig, out: &LoadgenOutc
         engine.workers,
         engine.queue_capacity,
         engine.max_batch,
-        engine.batch_linger.as_micros(),
         load.requests,
         fmt_f64(load.rate_rps),
         load.pattern.name(),
@@ -160,6 +159,8 @@ mod tests {
         let latency = v.get("latency_ms").expect("latency block");
         assert_eq!(latency.get("p50").and_then(|x| x.as_f64()), Some(5.5));
         assert_eq!(latency.get("p99").and_then(|x| x.as_f64()), Some(9.0));
+        let engine = v.get("engine").expect("engine block");
+        assert_eq!(engine.get("max_batch").and_then(|x| x.as_f64()), Some(4.0));
         let out = v.get("outcome").expect("outcome block");
         assert_eq!(out.get("shed").and_then(|x| x.as_f64()), Some(1.0));
         let slo = v.get("slo").expect("slo block");

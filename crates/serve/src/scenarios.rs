@@ -9,8 +9,6 @@
 //! startup is not what we are measuring) and times a fixed burst of
 //! submissions through to the last resolved ticket.
 
-use std::time::Duration;
-
 use edgepc_data::bunny_with_points;
 use edgepc_geom::{OpCounts, PointCloud};
 use edgepc_perf::Scenario;
@@ -45,10 +43,10 @@ fn drive(engine: &Engine, clouds: &[PointCloud]) {
 
 /// The two serving benchmark scenarios:
 ///
-/// * `serve.closed.w2.b1.n256` — closed-loop per-request floor: batch size
-///   1, no linger; measures the runtime's fixed overhead per inference.
-/// * `serve.open.w2.b4.n256` — batched: eight requests submitted at once,
-///   batches of up to 4 with a short linger; measures batching's win.
+/// * `serve.closed.w2.b1.n256` — per-request floor: four requests, batch
+///   size 1; measures the runtime's fixed overhead per inference.
+/// * `serve.open.w2.b4.n256` — backlog batching: eight requests submitted
+///   at once, which two workers pop as batches of up to 4.
 pub fn serve_scenarios() -> Vec<Scenario> {
     let mut closed: Option<(Engine, Vec<PointCloud>)> = None;
     let mut open: Option<(Engine, Vec<PointCloud>)> = None;
@@ -57,7 +55,6 @@ pub fn serve_scenarios() -> Vec<Scenario> {
             let (engine, clouds) = closed.get_or_insert_with(|| {
                 let mut cfg = EngineConfig::new(2);
                 cfg.max_batch = 1;
-                cfg.batch_linger = Duration::ZERO;
                 let engine = Engine::new(cfg, vec![ModelSpec::pointnetpp_tiny(4)]);
                 (engine, clouds(4, 0x5c10))
             });
@@ -68,7 +65,6 @@ pub fn serve_scenarios() -> Vec<Scenario> {
             let (engine, clouds) = open.get_or_insert_with(|| {
                 let mut cfg = EngineConfig::new(2);
                 cfg.max_batch = 4;
-                cfg.batch_linger = Duration::from_micros(500);
                 let engine = Engine::new(cfg, vec![ModelSpec::pointnetpp_tiny(4)]);
                 (engine, clouds(8, 0x0be7))
             });

@@ -14,9 +14,10 @@ fn cloud(seed: u64) -> edgepc_geom::PointCloud {
 
 fn slow_config(workers: usize) -> EngineConfig {
     let mut cfg = EngineConfig::new(workers);
-    // A long linger keeps the worker parked in take_batch after the first
-    // pop, which lets tests control what is still queued.
-    cfg.batch_linger = Duration::from_millis(100);
+    // The worker pops its first batch and stalls before running it, so
+    // everything submitted in the meantime is still queued when it
+    // returns: tests control what the next pop finds.
+    cfg.exec_delay = Duration::from_millis(100);
     cfg
 }
 
@@ -137,9 +138,8 @@ fn full_queue_sheds_instead_of_blocking() {
 
 #[test]
 fn batcher_groups_requests_when_workers_are_saturated() {
-    let mut cfg = EngineConfig::new(1);
+    let mut cfg = slow_config(1);
     cfg.max_batch = 4;
-    cfg.batch_linger = Duration::from_millis(50);
     let engine = Engine::new(cfg, vec![ModelSpec::pointnetpp_tiny(4)]);
     let tickets: Vec<_> = (0..8)
         .map(|i| engine.submit(Request::new(0, cloud(i))).expect("admitted"))
@@ -151,9 +151,23 @@ fn batcher_groups_requests_when_workers_are_saturated() {
     let max_batch = outputs.iter().map(|o| o.batch_size).max().unwrap_or(0);
     assert!(
         max_batch > 1,
-        "8 rapid submits against 1 lingering worker must form a batch"
+        "8 rapid submits against 1 stalled worker must form a batch"
     );
     assert!(max_batch <= 4, "batches never exceed max_batch");
+    engine.shutdown();
+}
+
+#[test]
+fn an_idle_engine_never_batches() {
+    let mut cfg = EngineConfig::new(1);
+    cfg.max_batch = 4;
+    let engine = Engine::new(cfg, vec![ModelSpec::pointnetpp_tiny(4)]);
+    // Submit-then-wait leaves nothing queued behind any anchor, and the
+    // worker does not wait for the next request to show up.
+    for i in 0..20 {
+        let ticket = engine.submit(Request::new(0, cloud(i))).expect("admitted");
+        assert_eq!(ticket.wait().expect("completed").batch_size, 1);
+    }
     engine.shutdown();
 }
 
@@ -207,20 +221,30 @@ fn quiesce(registry: &Registry) {
     }
 }
 
-/// Span memory under a soak: what the registry holds is the kept traces,
-/// not a residue of every request served.
+/// Span memory under a soak: what the registry holds is the newest kept
+/// traces up to its cap, not a residue of every request served nor every
+/// trace ever kept.
 #[test]
 fn soak_span_memory_follows_kept_traces_only() {
     const REQUESTS: usize = 6_000;
     const WINDOW: usize = 8;
+    const CAP: usize = Registry::KEPT_TRACES;
+    // Drained and quiesced after this many requests: while the first
+    // traces kept are all still held, and long after the kept FIFO filled.
+    const WARM: usize = 64;
+    const FULL: usize = 4_000;
     let registry = Arc::new(Registry::new());
     with_registry(registry.clone(), || {
-        let engine = Engine::new(EngineConfig::new(1), vec![ModelSpec::pointnetpp_tiny(4)]);
+        let mut cfg = EngineConfig::new(1);
+        // Twice the cap is kept before the sampler thins at all.
+        cfg.flight.tail_warmup = 2 * CAP as u64;
+        let engine = Engine::new(cfg, vec![ModelSpec::pointnetpp_tiny(4)]);
         let baseline = registry.span_count();
         let clouds: Vec<_> = (0..4).map(cloud).collect();
         let mut in_flight = std::collections::VecDeque::new();
         let mut warm_ids = Vec::new();
-        let mut at_2000 = None;
+        let mut per_request = 0;
+        let mut at_full = None;
         for i in 0..REQUESTS {
             let mut request = Request::new(0, clouds[i % clouds.len()].clone());
             if i % 50 == 49 {
@@ -232,13 +256,23 @@ fn soak_span_memory_follows_kept_traces_only() {
                 warm_ids.push(ticket.id());
             }
             in_flight.push_back(ticket);
-            let drain_to = if i + 1 == 2_000 { 0 } else { WINDOW - 1 };
+            let checkpoint = i + 1 == WARM || i + 1 == FULL;
+            let drain_to = if checkpoint { 0 } else { WINDOW - 1 };
             while in_flight.len() > drain_to {
                 let _ = in_flight.pop_front().map(|t| t.wait());
             }
-            if i + 1 == 2_000 {
+            if i + 1 == WARM {
                 quiesce(&registry);
-                at_2000 = Some((
+                // The longest of the first timelines is what one kept
+                // request holds.
+                per_request = warm_ids
+                    .iter()
+                    .map(|&id| registry.spans_for_trace(id).len())
+                    .max()
+                    .unwrap_or(0);
+            } else if i + 1 == FULL {
+                quiesce(&registry);
+                at_full = Some((
                     registry.span_count(),
                     registry.counter(metrics::TAIL_RETAINED),
                 ));
@@ -249,27 +283,29 @@ fn soak_span_memory_follows_kept_traces_only() {
         }
         engine.shutdown();
 
-        // Warm-up requests are all kept: the longest of their timelines
-        // is what one kept request holds.
-        let per_request = warm_ids
-            .iter()
-            .map(|&id| registry.spans_for_trace(id).len())
-            .max()
-            .unwrap_or(0);
         assert!(per_request >= 3, "enqueue, exec and model stages");
-        let (held_2000, kept_2000) = at_2000.expect("checkpoint reached");
+        let (held_full, kept_full) = at_full.expect("checkpoint reached");
         let (held, kept) = (
             registry.span_count(),
             registry.counter(metrics::TAIL_RETAINED),
         );
-        // One more untraced span since the baseline: serve.shutdown.
         assert!(
-            held <= baseline + 1 + per_request * kept as usize,
-            "{held} spans held for {kept} kept traces of {per_request}"
+            kept_full as usize > CAP,
+            "the kept FIFO filled before {FULL}"
         );
+        // Nothing is in flight at either reading, so what is held is the
+        // kept FIFO. One more untraced span by the end: serve.shutdown.
         assert!(
-            held - held_2000 <= 1 + per_request * (kept - kept_2000) as usize,
-            "{held_2000} -> {held} spans while {kept_2000} -> {kept} traces were kept"
+            held_full <= baseline + per_request * CAP && held <= baseline + 1 + per_request * CAP,
+            "{held_full}, then {held} spans held for {CAP} kept traces of {per_request}"
+        );
+        // A kept trace holds one span fewer when it did not anchor its
+        // batch, so two readings of a full FIFO can differ by CAP; a
+        // store that grew with every trace kept would differ by
+        // per_request for each of them.
+        assert!(
+            held <= held_full + 1 + CAP,
+            "{held_full} -> {held} spans from {FULL} to {REQUESTS} requests"
         );
         assert!((kept as usize) < REQUESTS / 4, "the sampler thins");
     });

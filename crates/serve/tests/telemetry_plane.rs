@@ -44,7 +44,7 @@ fn deadline_miss_storm_dumps_full_timelines() {
     let (doomed_ids, busy_ids) = with_registry(registry.clone(), || {
         let mut cfg = EngineConfig::new(1);
         cfg.max_batch = 4;
-        cfg.batch_linger = Duration::from_millis(20);
+        cfg.exec_delay = Duration::from_millis(20);
         cfg.flight.dump_path = Some(dump_path.clone());
         cfg.flight.miss_burst = 8;
         cfg.flight.window = Duration::from_secs(30);

@@ -11,10 +11,12 @@
 //! that trace's own entry, so recording it, reading the trace back and
 //! [`finish_trace`](Registry::finish_trace) touch that trace's spans
 //! and nothing else: what a request costs the registry does not depend
-//! on how many other requests it has seen.
+//! on how many other requests it has seen. The traces held are the live
+//! ones plus the last [`Registry::KEPT_TRACES`] finished as kept, so
+//! span memory does not depend on how long the process has served.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -52,6 +54,9 @@ struct Inner {
     /// Spans with a nonzero trace id, by trace, each in completion
     /// order: the live traces and the ones finished as kept.
     traces: HashMap<u64, Vec<SpanData>>,
+    /// Ids of the traces finished as kept, oldest first; never more than
+    /// [`Registry::KEPT_TRACES`].
+    kept: VecDeque<u64>,
     /// Number of spans in `traces`.
     traced: usize,
     /// Emptied buffers of dropped traces, handed to the next new trace.
@@ -90,7 +95,34 @@ fn dropped_slot(trace_id: u64) -> usize {
     (trace_id % DROPPED_SLOTS as u64) as usize
 }
 
+impl Inner {
+    /// Drops a trace: its spans go, its buffer returns to the free list,
+    /// and its id is remembered so that its late spans are not stored.
+    fn drop_trace(&mut self, trace_id: u64) {
+        if self.dropped.is_empty() {
+            self.dropped.resize(DROPPED_SLOTS, 0);
+        }
+        self.dropped[dropped_slot(trace_id)] = trace_id;
+        let Some(mut held) = self.traces.remove(&trace_id) else {
+            return;
+        };
+        self.traced -= held.len();
+        held.clear();
+        if self.free.len() < FREE_TRACE_BUFFERS {
+            self.free.push(held);
+        }
+    }
+}
+
 impl Registry {
+    /// Finished-as-kept traces held at once: keeping one more drops the
+    /// oldest. What they are kept for — a flight-recorder dump, an
+    /// exemplar lookup — concerns recent requests only: an engine's flight
+    /// ring of 8192 events covers about two thousand requests, of which
+    /// the tail sampler keeps about one in a hundred, after keeping all
+    /// of its first 64.
+    pub const KEPT_TRACES: usize = 128;
+
     /// Creates an empty registry; its epoch (span timestamp zero) is now.
     pub fn new() -> Self {
         Registry {
@@ -149,30 +181,30 @@ impl Registry {
 
     /// Closes a trace once its request is resolved. With `keep` its spans
     /// stay where [`spans_for_trace`](Self::spans_for_trace) finds them,
-    /// joined by any span of the trace that closes later. Otherwise they
-    /// are dropped, and so is every later span of the trace (it still
+    /// joined by any span of the trace that closes later, until
+    /// [`KEPT_TRACES`](Self::KEPT_TRACES) newer traces have been kept;
+    /// then it is dropped. Without `keep` it is dropped now. A dropped
+    /// trace loses its spans and every later span of it (which still
     /// feeds its counter and histogram). The serving runtime calls this
     /// with the tail sampler's verdict, and with `false` for a request it
     /// refused or culled, so the spans held are those of requests in
-    /// flight plus those of kept traces. Touches this trace's spans only.
-    /// `trace_id` 0 is a no-op (unattributed spans are never sampled
-    /// away).
+    /// flight plus those of the newest kept traces. Touches the spans of
+    /// this trace and, at most, of the one it evicts. `trace_id` 0 is a
+    /// no-op (unattributed spans are never sampled away).
     pub fn finish_trace(&self, trace_id: u64, keep: bool) {
-        if keep || trace_id == 0 {
+        if trace_id == 0 {
             return;
         }
         let mut inner = self.lock();
-        if inner.dropped.is_empty() {
-            inner.dropped.resize(DROPPED_SLOTS, 0);
-        }
-        inner.dropped[dropped_slot(trace_id)] = trace_id;
-        let Some(mut held) = inner.traces.remove(&trace_id) else {
+        if !keep {
+            inner.drop_trace(trace_id);
             return;
-        };
-        inner.traced -= held.len();
-        held.clear();
-        if inner.free.len() < FREE_TRACE_BUFFERS {
-            inner.free.push(held);
+        }
+        inner.kept.push_back(trace_id);
+        if inner.kept.len() > Self::KEPT_TRACES {
+            if let Some(oldest) = inner.kept.pop_front() {
+                inner.drop_trace(oldest);
+            }
         }
     }
 
@@ -301,6 +333,7 @@ impl Registry {
         let mut inner = self.lock();
         let mut spans = std::mem::take(&mut inner.untraced);
         let mut traces: Vec<_> = inner.traces.drain().collect();
+        inner.kept.clear();
         traces.sort_unstable_by_key(|(id, _)| *id);
         for (_, held) in traces {
             spans.extend(held);
@@ -498,6 +531,38 @@ mod tests {
         assert_eq!(names(reg.spans()), all);
         assert_eq!(names(reg.drain_spans()), all);
         assert_eq!(reg.span_count(), 0);
+    }
+
+    #[test]
+    fn keeping_one_trace_too_many_evicts_the_oldest_kept() {
+        let reg = Arc::new(Registry::new());
+        let cap = Registry::KEPT_TRACES as u64;
+        // Trace 1 stays live throughout; 2..=cap+1 fill the kept FIFO.
+        traced(&reg, "live", 1);
+        for id in 2..=cap + 1 {
+            traced(&reg, "exec", id);
+            traced(&reg, "exec", id);
+            reg.finish_trace(id, true);
+        }
+        assert_eq!(reg.span_count(), 1 + 2 * cap as usize);
+        // Each further keep costs the oldest kept trace, in keep order.
+        for (new, evicted) in [(cap + 2, 2), (cap + 3, 3)] {
+            traced(&reg, "exec", new);
+            reg.finish_trace(new, true);
+            assert!(reg.spans_for_trace(evicted).is_empty());
+            assert_eq!(reg.spans_for_trace(evicted + 1).len(), 2);
+            assert_eq!(reg.spans_for_trace(new).len(), 1);
+        }
+        assert_eq!(reg.span_count(), 1 + 2 * (cap as usize - 2) + 2);
+        // An evicted trace is a dropped one: its late span is counted, not
+        // stored. The live trace was never a candidate.
+        traced(&reg, "settle", 2);
+        assert!(reg.spans_for_trace(2).is_empty());
+        assert_eq!(reg.histogram("settle").map(|h| h.count()), Some(1));
+        assert_eq!(reg.spans_for_trace(1).len(), 1);
+        // A kept trace still collects its own late spans.
+        traced(&reg, "settle", cap + 3);
+        assert_eq!(reg.spans_for_trace(cap + 3).len(), 2);
     }
 
     #[test]

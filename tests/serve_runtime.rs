@@ -15,7 +15,9 @@ use edgepc_serve::{
 fn run_with(workers: usize, intra_threads: usize) -> Vec<Vec<f32>> {
     let mut cfg = EngineConfig::new(workers);
     cfg.max_batch = 3;
-    cfg.batch_linger = Duration::from_millis(2);
+    // Stall each pop so the later submits queue up behind it and the
+    // runs compared really do differ in how requests were batched.
+    cfg.exec_delay = Duration::from_millis(2);
     cfg.intra_threads = intra_threads;
     let engine = Engine::new(
         cfg,
