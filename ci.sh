@@ -4,19 +4,23 @@
 #   2. formatting          cargo fmt --check
 #   3. lints               cargo clippy -D warnings (all targets)
 #   4. tier-1              release build + test suite
+#   5. workspace tests     cargo test --workspace
+#   6. the exact record    bench_all re-records results/BENCH.json into
+#                          target/ and diffs it against the committed
+#                          file. Every column (op counts, modeled Xavier
+#                          ms/mJ, audited quality) is deterministic, so
+#                          any difference fails: re-record with bench_all
+#                          and commit the new rows with the change that
+#                          moved them. Wall time is not gated here — the
+#                          repo benchmark (benchmark/, BENCHMARK.json)
+#                          owns it.
+#   7. benchmark build     builds (never runs) the repo benchmark package
+#                          under benchmark/, which sits outside the
+#                          workspace, so a crate API change that breaks
+#                          it fails here rather than in the benchmark.
 #
 # --no-lint skips step 1 (useful mid-refactor; the full gate still runs
 # it, and crates/lint/tests/self_check.rs re-asserts it under cargo test).
-#
-# Optional performance smoke (see EXPERIMENTS.md, "Benchmarking &
-# regression policy"):
-#   --perf-smoke    after the gates above, run the statistical benchmark
-#                   runner in its fast configuration and diff the fresh
-#                   recording against the committed results/BENCH.json
-#                   baseline. Warn-only: shared-runner noise makes hard
-#                   wall-time gates unreliable in CI.
-#   --perf-strict   same, but regressions beyond the noise band fail the
-#                   script (exit 1). Use locally on a quiet machine.
 #
 # Optional serving smoke:
 #   --serve-smoke   after the gates above, drive a short bursty load
@@ -48,42 +52,22 @@
 #                   bit-identical; then EP005 schema-check the generated
 #                   ir_smoke.json. This is the cheap end-to-end proof that
 #                   fusion + arena scheduling changed nothing numerically.
-#
-# Benchmark regression gate:
-#   --bench-gate    run bench_all in CI smoke mode (reduced repeats) and
-#                   bench_compare the fresh recording against the
-#                   committed results/BENCH.json, failing on any
-#                   regression beyond the noise gate. Unlike --perf-smoke
-#                   this is strict by design: it is the check that keeps
-#                   the edgepc-par kernel rewrites honest. Smoke mode has
-#                   fewer repeats than the committed paper-mode baseline,
-#                   so the band is widened to 15% — wide enough to absorb
-#                   run-to-run drift, tight enough to catch a kernel that
-#                   actually got slower. Also builds (never runs) the repo
-#                   benchmark package under benchmark/, which sits outside
-#                   the workspace, so a crate API change that breaks it
-#                   fails here rather than in the benchmark pipeline.
 set -eu
 
-PERF_MODE=""
 SERVE_SMOKE=0
 OBS_SMOKE=0
 NET_SMOKE=0
 IR_SMOKE=0
-BENCH_GATE=0
 RUN_LINT=1
 for arg in "$@"; do
     case "$arg" in
-        --perf-smoke)  PERF_MODE="warn" ;;
-        --perf-strict) PERF_MODE="strict" ;;
         --serve-smoke) SERVE_SMOKE=1 ;;
         --obs-smoke)   OBS_SMOKE=1 ;;
         --net-smoke)   NET_SMOKE=1 ;;
         --ir-smoke)    IR_SMOKE=1 ;;
-        --bench-gate)  BENCH_GATE=1 ;;
         --no-lint)     RUN_LINT=0 ;;
         *)
-            echo "usage: ci.sh [--no-lint] [--perf-smoke | --perf-strict] [--serve-smoke] [--obs-smoke] [--net-smoke] [--ir-smoke] [--bench-gate]" >&2
+            echo "usage: ci.sh [--no-lint] [--serve-smoke] [--obs-smoke] [--net-smoke] [--ir-smoke]" >&2
             exit 2
             ;;
     esac
@@ -126,30 +110,14 @@ cargo test -q
 echo "==> workspace tests: cargo test --workspace -q"
 cargo test --workspace -q
 
-if [ -n "$PERF_MODE" ]; then
-    echo "==> perf smoke: bench_all --smoke vs committed results/BENCH.json"
-    cargo run --release -q -p edgepc-bench --bin bench_all -- \
-        --smoke --out target/BENCH.smoke.json
-    if [ "$PERF_MODE" = "warn" ]; then
-        cargo run --release -q -p edgepc-bench --bin bench_compare -- \
-            results/BENCH.json target/BENCH.smoke.json --warn-only
-    else
-        cargo run --release -q -p edgepc-bench --bin bench_compare -- \
-            results/BENCH.json target/BENCH.smoke.json
-    fi
-fi
+echo "==> exact record: bench_all vs committed results/BENCH.json"
+cargo run --release -q -p edgepc-bench --bin bench_all -- --out target/BENCH.json
+diff results/BENCH.json target/BENCH.json
 
-if [ "$BENCH_GATE" = 1 ]; then
-    echo "==> bench gate: the repo benchmark (benchmark/) still builds"
-    # Same target directory benchmark/run.sh uses, so neither rebuilds.
-    CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
-        cargo build --release --offline --manifest-path benchmark/Cargo.toml
-    echo "==> bench gate: bench_all --smoke vs committed results/BENCH.json (strict)"
-    cargo run --release -q -p edgepc-bench --bin bench_all -- \
-        --smoke --out target/BENCH.gate.json
-    cargo run --release -q -p edgepc-bench --bin bench_compare -- \
-        results/BENCH.json target/BENCH.gate.json --threshold-pct 15
-fi
+echo "==> benchmark build: the repo benchmark (benchmark/) still builds"
+# Same target directory benchmark/run.sh uses, so neither rebuilds.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 if [ "$SERVE_SMOKE" = 1 ]; then
     echo "==> serve smoke: loadgen --smoke + EP005 schema check"

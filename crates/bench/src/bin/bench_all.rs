@@ -1,22 +1,19 @@
-//! Records the canonical performance baseline: runs every scenario of
-//! `edgepc-perf` with warmup + repeated timing, online quality auditing
-//! enabled, and writes `results/BENCH.json`.
+//! Records the deterministic benchmark record: runs every scenario of
+//! `edgepc-perf` once, with online quality auditing enabled, and writes
+//! `results/BENCH.json` (op counts, modeled Xavier cost, quality — no
+//! wall time).
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p edgepc-bench --bin bench_all [-- --smoke] [-- --out PATH]
+//! cargo run --release -p edgepc-bench --bin bench_all [-- --out PATH]
 //! ```
 //!
-//! `--smoke` switches to the fast CI configuration (1 warmup, 3 repeats);
-//! the default is the baseline-recording configuration (2 warmups, 7
-//! repeats). `--out PATH` writes the document somewhere other than
-//! `results/BENCH.json` — used by `ci.sh --perf-smoke` to compare a fresh
-//! run against the committed baseline without overwriting it.
-//!
-//! Compare two recordings with the `bench_compare` binary; the schema and
-//! the regression rule are documented in EXPERIMENTS.md ("Benchmarking &
-//! regression policy").
+//! `--out PATH` writes the document somewhere other than
+//! `results/BENCH.json`. `ci.sh` records into `target/` that way and
+//! `diff`s the result against the committed file: any difference — at
+//! any `EDGEPC_THREADS` — is a change in the work the pipeline does. The
+//! schema is documented in EXPERIMENTS.md ("The deterministic record").
 
 // CLI harness: progress and error reporting goes to stderr by design.
 #![allow(clippy::print_stderr)]
@@ -25,17 +22,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use edgepc_bench::report;
-use edgepc_perf::{
-    bench_json, enable_default_auditing, paper_scenarios, run_scenario, RunnerConfig,
-};
+use edgepc_perf::{bench_json, enable_default_auditing, paper_scenarios, run_scenario};
 
 fn main() -> ExitCode {
-    let mut cfg = RunnerConfig::paper_default();
     let mut out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => cfg = RunnerConfig::smoke(),
             "--out" => match args.next() {
                 Some(p) => out = Some(PathBuf::from(p)),
                 None => {
@@ -45,52 +38,31 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_all [--smoke] [--out PATH]");
+                eprintln!("usage: bench_all [--out PATH]");
                 return ExitCode::FAILURE;
             }
         }
     }
 
-    println!(
-        "edgepc benchmark observatory: {} warmup + {} timed runs per scenario",
-        cfg.warmup, cfg.repeats
-    );
     enable_default_auditing();
-
-    // Kernel + pipeline scenarios from edgepc-perf, then the serving and
-    // network scenarios (they live in edgepc-serve / edgepc-net because
-    // they need the engine and the front end respectively).
-    let mut scenarios = paper_scenarios();
-    scenarios.extend(edgepc_serve::serve_scenarios());
-    scenarios.extend(edgepc_net::net_scenarios());
-
     let mut results = Vec::new();
-    for mut scenario in scenarios {
-        let r = run_scenario(&cfg, &mut scenario);
+    for scenario in paper_scenarios() {
+        let r = run_scenario(scenario);
         println!(
-            "{:<40} median {:>9.3} ms  mad {:>7.3} ms  min {:>9.3} ms  noise {:>5.1}%{}",
+            "{:<36} dist3 {:>9}  mac {:>11}  modeled {:>8.4} ms{}",
             r.id,
-            r.stats.median_ms,
-            r.stats.mad_ms,
-            r.stats.min_ms,
-            100.0 * r.stats.relative_noise(),
-            if r.quality.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    "  [{}]",
-                    r.quality
-                        .iter()
-                        .map(|(k, v)| format!("{}={v:.4}", k.trim_start_matches("audit.")))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            }
+            r.ops.dist3,
+            r.ops.mac,
+            r.modeled_ms.unwrap_or(0.0),
+            r.quality
+                .iter()
+                .map(|(k, v)| format!("  {}={v:.4}", k.trim_start_matches("audit.")))
+                .collect::<String>()
         );
         results.push(r);
     }
 
-    let doc = bench_json(&cfg, &results);
+    let doc = bench_json(&results);
     let (dir, name) = match &out {
         Some(path) => {
             let dir = path

@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use edgepc_trace::json::escape;
+
 /// How bad a diagnostic is. Every shipped rule currently reports
 /// [`Severity::Error`]; `Warning` exists so future advisory rules don't
 /// need a model change.
@@ -89,30 +91,7 @@ impl Diagnostic {
 }
 
 fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&escape_json(value));
-    out.push(',');
-}
-
-/// Escapes `s` as a JSON string literal, quotes included.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    out.push_str(&format!("\"{key}\":\"{}\",", escape(value)));
 }
 
 impl fmt::Display for Diagnostic {
@@ -162,10 +141,5 @@ mod tests {
         assert!(json.contains("\"rule\":\"EP001\""));
         assert!(json.contains("\"line\":3"));
         assert!(json.contains("\"item\":\"unwrap\""));
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_newlines() {
-        assert_eq!(escape_json("a\"b\nc"), "\"a\\\"b\\nc\"");
     }
 }

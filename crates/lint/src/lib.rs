@@ -1,6 +1,6 @@
 //! # edgepc-lint
 //!
-//! A dependency-free (std-only, no `syn`) static-analysis engine for the
+//! A std-only (no `syn`, no registry crates) static-analysis engine for the
 //! EdgePC workspace. It enforces the invariants the instrumented hot path
 //! and the benchmark observatory rely on:
 //!
@@ -33,7 +33,6 @@
 
 pub mod config;
 pub mod diag;
-pub mod json_lite;
 pub mod lexer;
 pub mod rules;
 pub mod syntax;
@@ -483,4 +482,37 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edgepc_trace::json::{parse, Value};
+
+    #[test]
+    fn lint_json_is_ascii_and_round_trips_hostile_messages() {
+        // A control character, a BMP non-ASCII scalar and an astral one.
+        let message = "bell\u{7} then π then \u{1F600}".to_string();
+        let report = LintReport {
+            violations: vec![Diagnostic::new(
+                "EP001",
+                "crates/x/src/lib.rs",
+                1,
+                1,
+                message.clone(),
+            )],
+            waived: 0,
+            files_scanned: 1,
+            timings_us: Vec::new(),
+        };
+        let doc = report.to_json();
+        assert!(doc.is_ascii(), "lint.json left non-ASCII: {doc}");
+        let v = parse(&doc).unwrap();
+        let violations = v.get("violations").and_then(Value::as_arr).unwrap();
+        assert_eq!(
+            violations[0].get("message").and_then(Value::as_str),
+            Some(message.as_str())
+        );
+        assert_eq!(v.get("clean"), Some(&Value::Bool(false)));
+    }
 }

@@ -1,21 +1,22 @@
 //! **EP005 — results-schema hygiene.**
 //!
-//! Committed `results/*.json` artifacts are inputs to the benchmark
-//! comparator and the paper-figure tooling; a file that no longer parses,
-//! or a pinned artifact whose schema drifted without a version bump,
-//! poisons every downstream comparison. This rule re-parses each
-//! committed artifact with the std-only JSON parser and pins the
-//! well-known artifacts to their declared schemas (see
-//! [`PINNED_SCHEMAS`]): `BENCH.json` from `edgepc-perf`, `serve.json`
-//! from `edgepc-serve`, and `flightrec.json` from the flight recorder in
-//! `edgepc-trace`.
+//! Committed `results/*.json` artifacts are inputs to the exact
+//! `BENCH.json` gate and the paper-figure tooling; a file that no longer
+//! parses, or a pinned artifact whose schema drifted without a version
+//! bump, poisons every downstream comparison. This rule re-parses each
+//! committed artifact with the workspace's one JSON parser
+//! (`edgepc_trace::json`) and pins the well-known artifacts to their
+//! declared schemas (see [`PINNED_SCHEMAS`]): `BENCH.json` from
+//! `edgepc-perf`, `serve.json` from `edgepc-serve`, and `flightrec.json`
+//! from the flight recorder in `edgepc-trace`.
+
+use edgepc_trace::json::{self, Value};
 
 use crate::diag::Diagnostic;
-use crate::json_lite::{self, JsonValue};
 
 /// BENCH.json schema versions this linter understands. Bump alongside
 /// `edgepc-perf`'s emitter when the schema changes shape.
-pub const KNOWN_BENCH_VERSIONS: &[i64] = &[1];
+pub const KNOWN_BENCH_VERSIONS: &[i64] = &[2];
 
 /// serve.json schema versions this linter understands. Bump alongside
 /// `edgepc-serve`'s emitter when the schema changes shape.
@@ -58,7 +59,7 @@ pub const PINNED_SCHEMAS: &[(&str, &str, &[i64])] = &[
 /// basename, so a freshly generated `target/serve.json` is held to the
 /// same schema as the committed `results/serve.json`.
 pub fn check_results_file(rel: &str, src: &str) -> Vec<Diagnostic> {
-    let doc = match json_lite::parse(src) {
+    let doc = match json::parse(src) {
         Ok(d) => d,
         Err(e) => {
             return vec![Diagnostic::new(
@@ -81,7 +82,7 @@ pub fn check_results_file(rel: &str, src: &str) -> Vec<Diagnostic> {
     };
 
     let mut out = Vec::new();
-    match doc.get("schema").and_then(JsonValue::as_str) {
+    match doc.get("schema").and_then(Value::as_str) {
         Some(found) if found == schema => {}
         Some(other) => out.push(Diagnostic::new(
             "EP005",
@@ -100,7 +101,7 @@ pub fn check_results_file(rel: &str, src: &str) -> Vec<Diagnostic> {
     }
     let version = doc
         .get("schema_version")
-        .and_then(JsonValue::as_f64)
+        .and_then(Value::as_f64)
         .and_then(|v| {
             let iv = v as i64;
             // Versions are small integers; reject fractional values.
@@ -139,7 +140,7 @@ mod tests {
 
     #[test]
     fn valid_bench_and_plain_results_pass() {
-        let bench = r#"{"schema":"edgepc-bench","schema_version":1,"scenarios":[]}"#;
+        let bench = r#"{"schema":"edgepc-bench","schema_version":2,"scenarios":[]}"#;
         assert_eq!(check_results_file("results/BENCH.json", bench), Vec::new());
         assert_eq!(
             check_results_file("results/fig03.json", r#"{"anything": [1, 2]}"#),
@@ -156,7 +157,7 @@ mod tests {
 
     #[test]
     fn bench_schema_drift_flagged() {
-        let wrong_schema = r#"{"schema":"other","schema_version":1}"#;
+        let wrong_schema = r#"{"schema":"other","schema_version":2}"#;
         let wrong_version = r#"{"schema":"edgepc-bench","schema_version":99}"#;
         let missing = r#"{"scenarios":[]}"#;
         assert_eq!(

@@ -11,6 +11,8 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use edgepc_trace::json::Value;
+
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -162,11 +164,11 @@ fn lint_all_binary_fails_on_violating_fixture() {
         assert!(stdout.contains(rule), "stdout missing {rule}:\n{stdout}");
     }
     // The machine-readable report parses and agrees it is not clean.
-    let doc = edgepc_lint::json_lite::parse(&std::fs::read_to_string(&json).expect("lint.json"))
+    let doc = edgepc_trace::json::parse(&std::fs::read_to_string(&json).expect("lint.json"))
         .expect("valid report json");
     assert_eq!(
-        doc.get("clean").and_then(|v| v.as_bool()),
-        Some(false),
+        doc.get("clean"),
+        Some(&Value::Bool(false)),
         "report must say clean=false"
     );
 }
@@ -221,7 +223,7 @@ fn emitted_lint_json_passes_the_ep005_schema_pin() {
         String::from_utf8_lossy(&out.stdout)
     );
     // The timing breakdown rides along under the same schema version.
-    let doc = edgepc_lint::json_lite::parse(&std::fs::read_to_string(&json).expect("lint.json"))
+    let doc = edgepc_trace::json::parse(&std::fs::read_to_string(&json).expect("lint.json"))
         .expect("valid report json");
     assert!(doc.get("timings_us").is_some(), "report missing timings_us");
 }
@@ -236,7 +238,7 @@ fn lint_all_binary_passes_on_clean_fixture() {
         "clean fixture must exit 0; stdout:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
-    let doc = edgepc_lint::json_lite::parse(&std::fs::read_to_string(&json).expect("lint.json"))
+    let doc = edgepc_trace::json::parse(&std::fs::read_to_string(&json).expect("lint.json"))
         .expect("valid report json");
-    assert_eq!(doc.get("clean").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(doc.get("clean"), Some(&Value::Bool(true)));
 }

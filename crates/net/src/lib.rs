@@ -18,7 +18,7 @@
 //!   reading rather than buffering unboundedly.
 //! * [`netgen`] — the multi-connection open-loop client driver behind
 //!   `results/net.json` (see [`report`] for the schema) and the CI net
-//!   smoke; [`scenarios`] contributes the `net.*` rows to `bench_all`.
+//!   smoke.
 //!
 //! Determinism survives the wire: every shard runs identical
 //! deterministic replicas and f32 payloads round-trip bit-exactly, so the
@@ -35,7 +35,6 @@ pub mod netgen;
 pub mod proto;
 pub mod report;
 pub mod router;
-pub mod scenarios;
 pub mod server;
 
 pub(crate) mod lockrank;
@@ -45,5 +44,4 @@ pub use netgen::{run_against, run_row, run_sweep, NetReport, NetRow, NetgenConfi
 pub use proto::{ErrCode, Frame, RequestFrame, WireError};
 pub use report::net_json;
 pub use router::{HedgeConfig, RoutePolicy, RoutedOutput, Router};
-pub use scenarios::net_scenarios;
 pub use server::{NetConfig, NetServer};

@@ -32,7 +32,7 @@
 //! (additive evolution); removing or renaming fields bumps
 //! `schema_version`.
 
-use edgepc_perf::Stats;
+use edgepc_perf::quantiles_json;
 use edgepc_trace::json::fmt_f64;
 
 use crate::netgen::{NetReport, NetRow};
@@ -41,21 +41,6 @@ use crate::netgen::{NetReport, NetRow};
 pub const SCHEMA_NAME: &str = "edgepc-net";
 /// The current `schema_version`.
 pub const SCHEMA_VERSION: u32 = 1;
-
-fn quantiles_json(stats: &Option<Stats>) -> String {
-    match stats {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-            fmt_f64(s.median_ms),
-            fmt_f64(s.p95_ms),
-            fmt_f64(s.p99_ms),
-            fmt_f64(s.mean_ms),
-            fmt_f64(s.min_ms),
-            fmt_f64(s.max_ms),
-        ),
-    }
-}
 
 fn opt_ms(d: Option<std::time::Duration>) -> String {
     d.map(|d| fmt_f64(d.as_secs_f64() * 1000.0))

@@ -1,300 +1,78 @@
-//! The canonical `BENCH.json` document: versioned emitter, parser, and
-//! the noise-aware regression comparator behind `bench_compare`.
+//! The canonical `BENCH.json` document: an exact, deterministic record.
 //!
-//! # Schema (version 1)
+//! # Schema (version 2)
 //!
 //! ```json
 //! {
 //!   "schema": "edgepc-bench",
-//!   "schema_version": 1,
-//!   "config": {"warmup": 2, "repeats": 7},
+//!   "schema_version": 2,
 //!   "scenarios": [
 //!     {
 //!       "id": "search.window.w128.n8192.q2048.k32",
 //!       "points": 8192,
-//!       "stats_ms": {"median": M, "mad": D, "mean": A,
-//!                    "min": L, "max": H, "p95": P, "p99": Q, "runs": 7},
 //!       "ops": { ... OpCounts ... },
 //!       "modeled_ms": null | N,
 //!       "modeled_mj": null | N,
-//!       "quality": {"audit.search.recall_at_k": 0.94, ...}
+//!       "quality": {"audit.search.recall_at_k": 0.67, ...}
 //!     }
 //!   ]
 //! }
 //! ```
 //!
-//! # Regression rule
-//!
-//! A scenario regresses when its median slows by more than the larger of
-//! a relative threshold and a multiple of the measured noise:
-//!
-//! ```text
-//! new.median − old.median > max(rel_threshold × old.median,
-//!                               mad_factor × max(old.mad, new.mad))
-//! ```
-//!
-//! The MAD term keeps noisy scenarios from crying wolf; the relative
-//! term keeps near-zero-MAD scenarios from flagging microsecond jitter.
-//! Improvements are reported symmetrically but never fail the gate.
+//! Every value is a function of the code and the seeded inputs alone —
+//! no wall time — so a fresh recording is byte-identical to the committed
+//! one at any thread count, and `ci.sh` gates it with `diff`. One
+//! scenario per line, so the diff names the scenario that moved.
 
-use std::collections::BTreeMap;
+use edgepc_trace::json::{escape, fmt_f64};
 
-use edgepc_trace::json::{escape, fmt_f64, parse, Value};
-
-use crate::runner::{RunnerConfig, ScenarioResult};
+use crate::runner::ScenarioResult;
 
 /// The `schema` field every BENCH.json document carries.
 pub const SCHEMA_NAME: &str = "edgepc-bench";
-/// The schema version this code emits and accepts.
-pub const SCHEMA_VERSION: u64 = 1;
+/// The schema version this code emits.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Renders scenario results as a BENCH.json document (schema above).
-pub fn bench_json(cfg: &RunnerConfig, results: &[ScenarioResult]) -> String {
-    let mut out = format!(
-        "{{\"schema\":\"{SCHEMA_NAME}\",\"schema_version\":{SCHEMA_VERSION},\
-         \"config\":{{\"warmup\":{},\"repeats\":{}}},\"scenarios\":[",
-        cfg.warmup, cfg.repeats
-    );
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let s = &r.stats;
-        out.push_str(&format!(
-            "\n {{\"id\":\"{}\",\"points\":{},\
-             \"stats_ms\":{{\"median\":{},\"mad\":{},\"mean\":{},\"min\":{},\
-             \"max\":{},\"p95\":{},\"p99\":{},\"runs\":{}}},\
-             \"ops\":{},\"modeled_ms\":{},\"modeled_mj\":{},\"quality\":{{",
-            escape(&r.id),
-            r.points,
-            fmt_f64(s.median_ms),
-            fmt_f64(s.mad_ms),
-            fmt_f64(s.mean_ms),
-            fmt_f64(s.min_ms),
-            fmt_f64(s.max_ms),
-            fmt_f64(s.p95_ms),
-            fmt_f64(s.p99_ms),
-            s.n,
-            r.ops.to_json(),
-            r.modeled_ms.map(fmt_f64).unwrap_or_else(|| "null".into()),
-            r.modeled_mj.map(fmt_f64).unwrap_or_else(|| "null".into()),
-        ));
-        for (j, (name, value)) in r.quality.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", escape(name), fmt_f64(*value)));
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// The timing summary `bench_compare` needs from one recorded scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecordedScenario {
-    /// Median wall time, milliseconds.
-    pub median_ms: f64,
-    /// Median absolute deviation, milliseconds.
-    pub mad_ms: f64,
-}
-
-/// Parses a BENCH.json document into `id -> timing summary`, validating
-/// the schema header.
-pub fn parse_bench(doc: &str) -> Result<BTreeMap<String, RecordedScenario>, String> {
-    let v = parse(doc)?;
-    match v.get("schema").and_then(Value::as_str) {
-        Some(SCHEMA_NAME) => {}
-        other => return Err(format!("not a {SCHEMA_NAME} document (schema = {other:?})")),
-    }
-    match v.get("schema_version").and_then(Value::as_f64) {
-        Some(ver) if ver == SCHEMA_VERSION as f64 => {}
-        other => return Err(format!("unsupported schema_version {other:?}")),
-    }
-    let scenarios = v
-        .get("scenarios")
-        .and_then(Value::as_arr)
-        .ok_or("missing scenarios array")?;
-    let mut out = BTreeMap::new();
-    for s in scenarios {
-        let id = s
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or("scenario without id")?;
-        let stats = s.get("stats_ms").ok_or("scenario without stats_ms")?;
-        let median_ms = stats
-            .get("median")
-            .and_then(Value::as_f64)
-            .ok_or("stats_ms without median")?;
-        let mad_ms = stats
-            .get("mad")
-            .and_then(Value::as_f64)
-            .ok_or("stats_ms without mad")?;
-        out.insert(id.to_string(), RecordedScenario { median_ms, mad_ms });
-    }
-    Ok(out)
-}
-
-/// Thresholds of the regression rule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompareConfig {
-    /// Relative median-shift floor (0.05 = 5 %).
-    pub rel_threshold: f64,
-    /// Noise-band width in MADs.
-    pub mad_factor: f64,
-}
-
-impl Default for CompareConfig {
-    fn default() -> Self {
-        CompareConfig {
-            rel_threshold: 0.05,
-            mad_factor: 3.0,
-        }
-    }
-}
-
-/// Outcome of comparing one scenario across two BENCH.json documents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Slowed beyond the noise band — fails the gate.
-    Regression,
-    /// Sped up beyond the noise band.
-    Improvement,
-    /// Within the noise band.
-    Unchanged,
-    /// Present only in the new document.
-    Added,
-    /// Present only in the old document.
-    Missing,
-}
-
-impl std::fmt::Display for Verdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Verdict::Regression => "REGRESSION",
-            Verdict::Improvement => "improvement",
-            Verdict::Unchanged => "unchanged",
-            Verdict::Added => "added",
-            Verdict::Missing => "MISSING",
-        })
-    }
-}
-
-/// One scenario's comparison row.
-#[derive(Debug, Clone)]
-pub struct ScenarioDiff {
-    /// Scenario id.
-    pub id: String,
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Old median (ms), when present.
-    pub old_median_ms: Option<f64>,
-    /// New median (ms), when present.
-    pub new_median_ms: Option<f64>,
-    /// The allowed shift (ms) the verdict was judged against, when both
-    /// sides were present.
-    pub allowed_ms: Option<f64>,
-}
-
-impl ScenarioDiff {
-    /// Relative median change (`new/old − 1`), when both sides exist and
-    /// the old median is nonzero.
-    pub fn rel_change(&self) -> Option<f64> {
-        match (self.old_median_ms, self.new_median_ms) {
-            (Some(o), Some(n)) if o > 0.0 => Some(n / o - 1.0),
-            _ => None,
-        }
-    }
-}
-
-/// A full comparison: one [`ScenarioDiff`] per scenario id in either
-/// document, id-sorted.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// Per-scenario rows.
-    pub diffs: Vec<ScenarioDiff>,
-}
-
-impl Comparison {
-    /// Number of scenarios that regressed.
-    pub fn regressions(&self) -> usize {
-        self.diffs
-            .iter()
-            .filter(|d| d.verdict == Verdict::Regression)
-            .count()
-    }
-}
-
-/// Compares two parsed baselines under the given thresholds.
-pub fn compare_recorded(
-    old: &BTreeMap<String, RecordedScenario>,
-    new: &BTreeMap<String, RecordedScenario>,
-    cfg: &CompareConfig,
-) -> Comparison {
-    let mut ids: Vec<&String> = old.keys().chain(new.keys()).collect();
-    ids.sort();
-    ids.dedup();
-    let diffs = ids
-        .into_iter()
-        .map(|id| match (old.get(id), new.get(id)) {
-            (Some(o), Some(n)) => {
-                let allowed =
-                    (cfg.rel_threshold * o.median_ms).max(cfg.mad_factor * o.mad_ms.max(n.mad_ms));
-                let delta = n.median_ms - o.median_ms;
-                let verdict = if delta > allowed {
-                    Verdict::Regression
-                } else if -delta > allowed {
-                    Verdict::Improvement
-                } else {
-                    Verdict::Unchanged
-                };
-                ScenarioDiff {
-                    id: id.clone(),
-                    verdict,
-                    old_median_ms: Some(o.median_ms),
-                    new_median_ms: Some(n.median_ms),
-                    allowed_ms: Some(allowed),
-                }
-            }
-            (None, Some(n)) => ScenarioDiff {
-                id: id.clone(),
-                verdict: Verdict::Added,
-                old_median_ms: None,
-                new_median_ms: Some(n.median_ms),
-                allowed_ms: None,
-            },
-            (Some(o), None) => ScenarioDiff {
-                id: id.clone(),
-                verdict: Verdict::Missing,
-                old_median_ms: Some(o.median_ms),
-                new_median_ms: None,
-                allowed_ms: None,
-            },
-            (None, None) => unreachable!("id came from one of the maps"),
+pub fn bench_json(results: &[ScenarioResult]) -> String {
+    let rows: Vec<String> = results
+        .iter()
+        .map(|r| {
+            let quality: Vec<String> = r
+                .quality
+                .iter()
+                .map(|(name, value)| format!("\"{}\":{}", escape(name), fmt_f64(*value)))
+                .collect();
+            let opt = |v: Option<f64>| v.map(fmt_f64).unwrap_or_else(|| "null".into());
+            format!(
+                " {{\"id\":\"{}\",\"points\":{},\"ops\":{},\"modeled_ms\":{},\
+                 \"modeled_mj\":{},\"quality\":{{{}}}}}",
+                escape(&r.id),
+                r.points,
+                r.ops.to_json(),
+                opt(r.modeled_ms),
+                opt(r.modeled_mj),
+                quality.join(","),
+            )
         })
         .collect();
-    Comparison { diffs }
-}
-
-/// Parses and compares two BENCH.json documents.
-pub fn compare_bench_docs(old: &str, new: &str, cfg: &CompareConfig) -> Result<Comparison, String> {
-    let old = parse_bench(old).map_err(|e| format!("old document: {e}"))?;
-    let new = parse_bench(new).map_err(|e| format!("new document: {e}"))?;
-    Ok(compare_recorded(&old, &new, cfg))
+    format!(
+        "{{\"schema\":\"{SCHEMA_NAME}\",\"schema_version\":{SCHEMA_VERSION},\"scenarios\":[\n{}\n]}}\n",
+        rows.join(",\n")
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::Stats;
     use edgepc_geom::OpCounts;
+    use edgepc_trace::json::{parse, Value};
 
-    fn result(id: &str, samples: &[f64]) -> ScenarioResult {
-        ScenarioResult {
+    #[test]
+    fn emitted_document_parses_one_row_per_line() {
+        let result = |id: &str| ScenarioResult {
             id: id.to_string(),
             points: 8192,
-            stats: Stats::from_samples_ms(samples),
             ops: OpCounts {
                 dist3: 123,
                 ..OpCounts::ZERO
@@ -302,17 +80,14 @@ mod tests {
             modeled_ms: Some(4.5),
             modeled_mj: None,
             quality: vec![("audit.search.recall_at_k".to_string(), 0.9375)],
-        }
-    }
-
-    #[test]
-    fn emitted_document_parses_and_round_trips() {
-        let cfg = RunnerConfig::paper_default();
-        let doc = bench_json(&cfg, &[result("a.scenario", &[1.0, 1.1, 0.9])]);
+        };
+        let doc = bench_json(&[result("a.scenario"), result("b.scenario")]);
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("schema").unwrap().as_str(), Some(SCHEMA_NAME));
-        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(1.0));
-        let s = &v.get("scenarios").unwrap().as_arr().unwrap()[0];
+        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(2.0));
+        let rows = v.get("scenarios").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        let s = &rows[0];
         assert_eq!(s.get("points").unwrap().as_f64(), Some(8192.0));
         assert_eq!(
             s.get("ops").unwrap().get("dist3").unwrap().as_f64(),
@@ -328,115 +103,9 @@ mod tests {
                 .as_f64(),
             Some(0.9375)
         );
-
-        let recorded = parse_bench(&doc).unwrap();
-        assert_eq!(recorded["a.scenario"].median_ms, 1.0);
-    }
-
-    #[test]
-    fn self_comparison_reports_zero_regressions() {
-        let doc = bench_json(
-            &RunnerConfig::smoke(),
-            &[result("a", &[1.0, 1.2]), result("b", &[5.0])],
-        );
-        let cmp = compare_bench_docs(&doc, &doc, &CompareConfig::default()).unwrap();
-        assert_eq!(cmp.regressions(), 0);
-        assert!(cmp.diffs.iter().all(|d| d.verdict == Verdict::Unchanged));
-    }
-
-    #[test]
-    fn slowdown_beyond_band_regresses_but_noise_does_not() {
-        let old = BTreeMap::from([(
-            "s".to_string(),
-            RecordedScenario {
-                median_ms: 100.0,
-                mad_ms: 2.0,
-            },
-        )]);
-        let cfg = CompareConfig::default(); // max(5ms, 6ms) = 6ms band
-        let within = BTreeMap::from([(
-            "s".to_string(),
-            RecordedScenario {
-                median_ms: 105.0,
-                mad_ms: 2.0,
-            },
-        )]);
-        assert_eq!(
-            compare_recorded(&old, &within, &cfg).diffs[0].verdict,
-            Verdict::Unchanged
-        );
-        let beyond = BTreeMap::from([(
-            "s".to_string(),
-            RecordedScenario {
-                median_ms: 107.0,
-                mad_ms: 2.0,
-            },
-        )]);
-        assert_eq!(
-            compare_recorded(&old, &beyond, &cfg).diffs[0].verdict,
-            Verdict::Regression
-        );
-        let faster = BTreeMap::from([(
-            "s".to_string(),
-            RecordedScenario {
-                median_ms: 90.0,
-                mad_ms: 2.0,
-            },
-        )]);
-        let d = &compare_recorded(&old, &faster, &cfg).diffs[0];
-        assert_eq!(d.verdict, Verdict::Improvement);
-        assert!((d.rel_change().unwrap() + 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn noisy_scenarios_get_wider_bands() {
-        // MAD 10ms -> band 30ms: a 20% slowdown on a 100ms median passes.
-        let old = BTreeMap::from([(
-            "s".to_string(),
-            RecordedScenario {
-                median_ms: 100.0,
-                mad_ms: 10.0,
-            },
-        )]);
-        let new = BTreeMap::from([(
-            "s".to_string(),
-            RecordedScenario {
-                median_ms: 120.0,
-                mad_ms: 10.0,
-            },
-        )]);
-        assert_eq!(
-            compare_recorded(&old, &new, &CompareConfig::default()).diffs[0].verdict,
-            Verdict::Unchanged
-        );
-    }
-
-    #[test]
-    fn added_and_missing_scenarios_are_flagged_not_failed() {
-        let old = BTreeMap::from([(
-            "gone".to_string(),
-            RecordedScenario {
-                median_ms: 1.0,
-                mad_ms: 0.0,
-            },
-        )]);
-        let new = BTreeMap::from([(
-            "fresh".to_string(),
-            RecordedScenario {
-                median_ms: 1.0,
-                mad_ms: 0.0,
-            },
-        )]);
-        let cmp = compare_recorded(&old, &new, &CompareConfig::default());
-        assert_eq!(cmp.regressions(), 0);
-        let verdicts: Vec<Verdict> = cmp.diffs.iter().map(|d| d.verdict).collect();
-        assert_eq!(verdicts, vec![Verdict::Added, Verdict::Missing]);
-    }
-
-    #[test]
-    fn rejects_foreign_documents() {
-        assert!(parse_bench("{\"name\":\"fig03\"}").is_err());
-        assert!(parse_bench("{\"schema\":\"edgepc-bench\",\"schema_version\":99}").is_err());
-        assert!(parse_bench("not json").is_err());
+        // A diff of two recordings names the scenario on every changed line.
+        let lines: Vec<&str> = doc.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[1].contains("\"a.scenario\"") && lines[2].contains("\"b.scenario\""));
     }
 }

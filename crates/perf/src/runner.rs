@@ -1,40 +1,9 @@
-//! The statistical scenario runner: warmed-up, repeated, trace-registered.
+//! The scenario runner: one run, under a registry of its own.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use edgepc_geom::OpCounts;
 use edgepc_trace::{with_registry, Registry};
-
-use crate::stats::Stats;
-
-/// How many times to run each scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunnerConfig {
-    /// Untimed runs before measurement (cache/allocator/branch warmup).
-    pub warmup: usize,
-    /// Timed runs summarized into [`Stats`]. Must be at least 1.
-    pub repeats: usize,
-}
-
-impl RunnerConfig {
-    /// The baseline-recording configuration: enough repeats for a
-    /// meaningful MAD.
-    pub fn paper_default() -> Self {
-        RunnerConfig {
-            warmup: 2,
-            repeats: 7,
-        }
-    }
-
-    /// The CI smoke configuration: fast, still statistically summarized.
-    pub fn smoke() -> Self {
-        RunnerConfig {
-            warmup: 1,
-            repeats: 3,
-        }
-    }
-}
 
 /// Modeled Xavier cost of one run, as reported by the scenario itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +14,8 @@ pub struct ModeledCost {
     pub mj: f64,
 }
 
-/// One benchmark scenario: an id, its input scale, and a repeatable body.
+/// One benchmark scenario: an id, its input scale, and a body that
+/// builds its inputs and runs once.
 ///
 /// The body returns the run's [`OpCounts`] and (when the scenario prices
 /// itself on the device model) the modeled Xavier cost — explicitly, so
@@ -53,12 +23,12 @@ pub struct ModeledCost {
 /// scenario versus to auditing or setup.
 pub struct Scenario {
     /// Stable identifier, e.g. `"search.window.w128.n8192.q2048.k32"`.
-    /// BENCH.json comparison is keyed on this string.
+    /// A BENCH.json row is keyed on this string.
     pub id: String,
     /// Input point count (the paper's `N`).
     pub points: usize,
-    /// The benchmark body, run `warmup + repeats` times.
-    pub run: Box<dyn FnMut() -> (OpCounts, Option<ModeledCost>)>,
+    /// The benchmark body.
+    pub run: Box<dyn FnOnce() -> (OpCounts, Option<ModeledCost>)>,
 }
 
 impl Scenario {
@@ -66,7 +36,7 @@ impl Scenario {
     pub fn new(
         id: impl Into<String>,
         points: usize,
-        run: impl FnMut() -> (OpCounts, Option<ModeledCost>) + 'static,
+        run: impl FnOnce() -> (OpCounts, Option<ModeledCost>) + 'static,
     ) -> Self {
         Scenario {
             id: id.into(),
@@ -76,70 +46,39 @@ impl Scenario {
     }
 }
 
-/// A scenario's measured outcome: timing statistics plus the work, cost,
-/// and approximation-quality readings of the run.
+/// A scenario's deterministic outcome: the work, cost, and
+/// approximation-quality readings of its run.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Scenario id (copied from [`Scenario::id`]).
     pub id: String,
     /// Input point count.
     pub points: usize,
-    /// Wall-time summary over the timed repeats.
-    pub stats: Stats,
-    /// Op counts of the last timed run (identical across runs for every
-    /// deterministic scenario in this repo).
+    /// Op counts of the run.
     pub ops: OpCounts,
     /// Modeled Xavier time (ms), if the scenario priced itself.
     pub modeled_ms: Option<f64>,
     /// Modeled Xavier energy (mJ), if the scenario priced itself.
     pub modeled_mj: Option<f64>,
-    /// Quality-auditor gauges (`audit.*`) accumulated across the timed
-    /// repeats, name-sorted — e.g. recall@k for a window-search scenario.
+    /// Quality-auditor gauges (`audit.*`) the run published, name-sorted —
+    /// e.g. recall@k for a window-search scenario.
     pub quality: Vec<(String, f64)>,
 }
 
-/// Runs one scenario: `warmup` discarded runs, then `repeats` timed runs
-/// under a dedicated trace registry whose `audit.*` gauges become the
-/// result's quality readings.
-///
-/// # Panics
-///
-/// Panics if `cfg.repeats == 0`.
-pub fn run_scenario(cfg: &RunnerConfig, scenario: &mut Scenario) -> ScenarioResult {
-    assert!(cfg.repeats >= 1, "need at least one timed repeat");
-
-    // Warmup under a throwaway registry: its spans and audit readings
-    // must not leak into the measured result.
-    let warm = Arc::new(Registry::new());
-    with_registry(warm, || {
-        for _ in 0..cfg.warmup {
-            let _ = (scenario.run)();
-        }
-    });
-
+/// Runs one scenario once under a dedicated trace registry whose
+/// `audit.*` gauges become the result's quality readings.
+pub fn run_scenario(scenario: Scenario) -> ScenarioResult {
     let reg = Arc::new(Registry::new());
-    let mut samples = Vec::with_capacity(cfg.repeats);
-    let mut last = (OpCounts::ZERO, None);
-    with_registry(reg.clone(), || {
-        for _ in 0..cfg.repeats {
-            let t = Instant::now();
-            last = (scenario.run)();
-            samples.push(t.elapsed().as_secs_f64() * 1e3);
-        }
-    });
-
-    let quality: Vec<(String, f64)> = reg
+    let (ops, modeled) = with_registry(reg.clone(), scenario.run);
+    let quality = reg
         .gauge_names()
         .iter()
         .filter(|n| n.starts_with("audit."))
         .filter_map(|n| reg.gauge(n).map(|v| (n.clone(), v)))
         .collect();
-
-    let (ops, modeled) = last;
     ScenarioResult {
-        id: scenario.id.clone(),
+        id: scenario.id,
         points: scenario.points,
-        stats: Stats::from_samples_ms(&samples),
         ops,
         modeled_ms: modeled.map(|m| m.ms),
         modeled_mj: modeled.map(|m| m.mj),
@@ -152,12 +91,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn runner_times_and_collects_quality() {
-        let mut calls = 0usize;
-        let mut scenario = Scenario::new("unit.counted", 64, move || {
-            calls += 1;
+    fn runner_collects_ops_cost_and_quality() {
+        let scenario = Scenario::new("unit.counted", 64, || {
             // Publish a fake audit gauge like the real auditors do.
-            edgepc_trace::current_registry().set_gauge("audit.unit.value", calls as f64);
+            edgepc_trace::current_registry().set_gauge("audit.unit.value", 5.0);
+            edgepc_trace::current_registry().set_gauge("other.gauge", 1.0);
             (
                 OpCounts {
                     dist3: 5,
@@ -166,32 +104,12 @@ mod tests {
                 Some(ModeledCost { ms: 1.5, mj: 30.0 }),
             )
         });
-        let cfg = RunnerConfig {
-            warmup: 2,
-            repeats: 3,
-        };
-        let r = run_scenario(&cfg, &mut scenario);
+        let r = run_scenario(scenario);
         assert_eq!(r.id, "unit.counted");
-        assert_eq!(r.stats.n, 3);
-        assert!(r.stats.min_ms >= 0.0 && r.stats.median_ms >= r.stats.min_ms);
+        assert_eq!(r.points, 64);
         assert_eq!(r.ops.dist3, 5);
         assert_eq!(r.modeled_ms, Some(1.5));
         assert_eq!(r.modeled_mj, Some(30.0));
-        // Warmup gauges were discarded: the surviving reading is from the
-        // last timed run (call #5 = 2 warmup + 3 timed).
         assert_eq!(r.quality, vec![("audit.unit.value".to_string(), 5.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one timed repeat")]
-    fn zero_repeats_panics() {
-        let mut s = Scenario::new("unit.empty", 0, || (OpCounts::ZERO, None));
-        let _ = run_scenario(
-            &RunnerConfig {
-                warmup: 0,
-                repeats: 0,
-            },
-            &mut s,
-        );
     }
 }

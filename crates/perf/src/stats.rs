@@ -1,12 +1,13 @@
-//! Robust summary statistics for repeated timing samples.
+//! Summary statistics for latency samples, and the JSON block the
+//! serving and network reports render them as.
 //!
-//! Wall-clock benchmarks on a shared machine are contaminated by
-//! scheduler noise, frequency scaling, and page-cache state. The summary
-//! here is therefore built around the median and the MAD (median absolute
-//! deviation) — both ignore a minority of arbitrarily bad outliers —
-//! rather than mean/stddev, which a single preempted run can wreck.
+//! Quantiles are nearest-rank over the full sorted sample set, so every
+//! reported p95/p99 is an observed sample; the median is the one value
+//! that may interpolate.
 
-/// Summary of one scenario's repeated wall-time samples, in milliseconds.
+use edgepc_trace::json::fmt_f64;
+
+/// Summary of a set of latency samples, in milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Number of samples summarized.
@@ -15,10 +16,7 @@ pub struct Stats {
     pub mean_ms: f64,
     /// Median (the headline number).
     pub median_ms: f64,
-    /// Median absolute deviation from the median — the robust noise
-    /// estimate the regression gate's band is built from.
-    pub mad_ms: f64,
-    /// Fastest sample (the least-noise-contaminated observation).
+    /// Fastest sample.
     pub min_ms: f64,
     /// Slowest sample.
     pub max_ms: f64,
@@ -39,7 +37,7 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
 }
 
 impl Stats {
-    /// Summarizes a set of wall-time samples (milliseconds).
+    /// Summarizes a set of latency samples (milliseconds).
     ///
     /// # Panics
     ///
@@ -53,31 +51,34 @@ impl Stats {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
-        let median = median_of_sorted(&sorted);
-        let mut dev: Vec<f64> = sorted.iter().map(|x| (x - median).abs()).collect();
-        dev.sort_by(f64::total_cmp);
         let rank95 = ((0.95 * n as f64).ceil() as usize).clamp(1, n);
         let rank99 = ((0.99 * n as f64).ceil() as usize).clamp(1, n);
         Stats {
             n,
             mean_ms: sorted.iter().sum::<f64>() / n as f64,
-            median_ms: median,
-            mad_ms: median_of_sorted(&dev),
+            median_ms: median_of_sorted(&sorted),
             min_ms: sorted[0],
             max_ms: sorted[n - 1],
             p95_ms: sorted[rank95 - 1],
             p99_ms: sorted[rank99 - 1],
         }
     }
+}
 
-    /// MAD relative to the median — a unitless noise figure (0 = perfectly
-    /// repeatable). Returns 0 for a zero median.
-    pub fn relative_noise(&self) -> f64 {
-        if self.median_ms > 0.0 {
-            self.mad_ms / self.median_ms
-        } else {
-            0.0
-        }
+/// The `{"p50", "p95", "p99", "mean", "min", "max"}` block of
+/// `serve.json` and `net.json`, or `null` when nothing was sampled.
+pub fn quantiles_json(stats: &Option<Stats>) -> String {
+    match stats {
+        None => "null".to_string(),
+        Some(s) => format!(
+            "{{\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
+            fmt_f64(s.median_ms),
+            fmt_f64(s.p95_ms),
+            fmt_f64(s.p99_ms),
+            fmt_f64(s.mean_ms),
+            fmt_f64(s.min_ms),
+            fmt_f64(s.max_ms),
+        ),
     }
 }
 
@@ -93,7 +94,6 @@ mod tests {
         assert_eq!(s.min_ms, 1.0);
         assert_eq!(s.max_ms, 3.0);
         assert_eq!(s.mean_ms, 2.0);
-        assert_eq!(s.mad_ms, 1.0);
         assert_eq!(s.p95_ms, 3.0);
         assert_eq!(s.p99_ms, 3.0);
     }
@@ -105,25 +105,11 @@ mod tests {
     }
 
     #[test]
-    fn mad_is_robust_to_one_outlier() {
-        // One preempted run (100x slower) barely moves median or MAD.
-        let clean = Stats::from_samples_ms(&[10.0, 10.1, 9.9, 10.05, 9.95]);
-        let noisy = Stats::from_samples_ms(&[10.0, 10.1, 9.9, 10.05, 1000.0]);
-        assert!((noisy.median_ms - clean.median_ms).abs() < 0.2);
-        assert!(noisy.mad_ms < 0.2);
-        // The mean, by contrast, is destroyed — which is why the gate
-        // does not use it.
-        assert!(noisy.mean_ms > 100.0);
-    }
-
-    #[test]
     fn single_sample_degenerates_cleanly() {
         let s = Stats::from_samples_ms(&[7.5]);
         assert_eq!(s.median_ms, 7.5);
-        assert_eq!(s.mad_ms, 0.0);
         assert_eq!(s.p95_ms, 7.5);
         assert_eq!(s.p99_ms, 7.5);
-        assert_eq!(s.relative_noise(), 0.0);
     }
 
     #[test]
@@ -156,10 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn relative_noise_scales_with_spread() {
-        let tight = Stats::from_samples_ms(&[10.0, 10.0, 10.1]);
-        let loose = Stats::from_samples_ms(&[10.0, 12.0, 8.0]);
-        assert!(tight.relative_noise() < loose.relative_noise());
+    fn quantiles_json_renders_the_report_block() {
+        let s = Some(Stats::from_samples_ms(&[4.0, 5.0, 6.0, 9.0]));
+        assert_eq!(
+            quantiles_json(&s),
+            "{\"p50\":5.5,\"p95\":9,\"p99\":9,\"mean\":6,\"min\":4,\"max\":9}"
+        );
+        assert_eq!(quantiles_json(&None), "null");
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod metrics;
 pub mod model;
 pub mod report;
 pub mod request;
-pub mod scenarios;
 pub mod telemetry;
 
 pub use config::{EngineConfig, FlightConfig};
@@ -58,5 +57,4 @@ pub use error::ServeError;
 pub use loadgen::{arrival_offsets, run_loadgen, ArrivalPattern, LoadgenConfig, LoadgenOutcome};
 pub use model::{ModelSpec, ServeModel};
 pub use request::{InferenceOutput, Request, Ticket};
-pub use scenarios::serve_scenarios;
 pub use telemetry::TelemetryServer;

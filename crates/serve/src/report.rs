@@ -33,7 +33,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use edgepc_perf::Stats;
+use edgepc_perf::quantiles_json;
 use edgepc_trace::json::fmt_f64;
 
 use crate::config::EngineConfig;
@@ -43,21 +43,6 @@ use crate::loadgen::{LoadgenConfig, LoadgenOutcome};
 pub const SCHEMA_NAME: &str = "edgepc-serve";
 /// The current `schema_version`.
 pub const SCHEMA_VERSION: u32 = 1;
-
-fn quantiles_json(stats: &Option<Stats>) -> String {
-    match stats {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":{},\"min\":{},\"max\":{}}}",
-            fmt_f64(s.median_ms),
-            fmt_f64(s.p95_ms),
-            fmt_f64(s.p99_ms),
-            fmt_f64(s.mean_ms),
-            fmt_f64(s.min_ms),
-            fmt_f64(s.max_ms),
-        ),
-    }
-}
 
 /// Renders one load-generation run as the versioned serve.json document.
 pub fn serve_json(engine: &EngineConfig, load: &LoadgenConfig, out: &LoadgenOutcome) -> String {
@@ -124,6 +109,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    use edgepc_perf::Stats;
     use edgepc_trace::json::parse;
 
     fn outcome() -> LoadgenOutcome {

@@ -1,10 +1,14 @@
 //! Hand-rolled JSON: a tiny writer and a minimal recursive-descent
-//! parser. No serde — the build must work offline with std only.
+//! parser — the workspace's only ones. No serde — the build must work
+//! offline with std only.
 //!
 //! The writer side is just [`escape`] and [`fmt_f64`]; exporters build
 //! their documents with `format!` (the shapes are small and fixed). The
-//! parser exists so tests can check that exported documents are valid
-//! JSON and contain what they claim, without an external crate.
+//! parser reads documents back: tests checking exported documents,
+//! `obsctl` checking live snapshots off a socket, and `edgepc-lint`'s
+//! EP005 checking committed artifacts. It is linear in the input, caps
+//! nesting at 128 levels, and reports failures with their line
+//! ([`ParseError`]).
 
 use std::collections::BTreeMap;
 
@@ -105,17 +109,45 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The committed
+/// artifacts nest at most a handful of levels; the cap exists so hostile
+/// input (a socket peer sending a million `[`) gets an error instead of
+/// overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Why a document failed to parse, and on which 1-based line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based line of the offending byte.
+    pub line: usize,
+    /// What went wrong, with the byte offset.
+    pub message: String,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl From<ParseError> for String {
+    fn from(e: ParseError) -> String {
+        e.to_string()
+    }
+}
+
 /// Parses a complete JSON document (trailing garbage is an error).
-pub fn parse(s: &str) -> Result<Value, String> {
+pub fn parse(s: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         b: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.i != p.b.len() {
-        return Err(format!("trailing input at byte {}", p.i));
+        return Err(p.err("trailing input"));
     }
     Ok(v)
 }
@@ -123,16 +155,22 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// An error at the current byte.
+    fn err(&self, what: &str) -> ParseError {
+        let at = self.i.min(self.b.len());
+        ParseError {
+            line: 1 + self.b[..at].iter().filter(|&&c| c == b'\n').count(),
+            message: format!("{what} at byte {at}"),
+        }
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&c) = self.b.get(self.i) {
-            if c == b' ' || c == b'\t' || c == b'\n' || c == b'\r' {
-                self.i += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.i += 1;
         }
     }
 
@@ -140,38 +178,53 @@ impl Parser<'_> {
         self.b.get(self.i).copied()
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
         if self.peek() == Some(c) {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
+            Err(self.err(&format!("expected '{}'", c as char)))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.i)),
+            _ => Err(self.err("unexpected input")),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
+    /// Runs one container parser one level deeper, refusing to go past
+    /// `MAX_DEPTH`.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
-            Err(format!("bad literal at byte {}", self.i))
+            Err(self.err("bad literal"))
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -183,28 +236,33 @@ impl Parser<'_> {
                 break;
             }
         }
-        std::str::from_utf8(&self.b[start..self.i])
+        match std::str::from_utf8(&self.b[start..self.i])
             .ok()
             .and_then(|t| t.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        {
+            Some(n) => Ok(Value::Num(n)),
+            None => {
+                self.i = start;
+                Err(self.err("bad number"))
+            }
+        }
     }
 
     /// Reads the four hex digits of a `\u` escape starting at byte `at`.
-    fn hex4(&self, at: usize) -> Result<u32, String> {
+    fn hex4(&self, at: usize) -> Result<u32, ParseError> {
         self.b
             .get(at..at + 4)
             .and_then(|hex| std::str::from_utf8(hex).ok())
             .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+            .ok_or_else(|| self.err("bad \\u escape"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.i += 1;
                     return Ok(out);
@@ -242,25 +300,28 @@ impl Parser<'_> {
                                 out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             }
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
+                        _ => return Err(self.err("bad escape")),
                     }
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (possibly multi-byte).
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("unterminated string".to_string());
-                    };
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // in one step. Both are ASCII, so the run ends on a
+                    // scalar boundary of the (already valid) input.
+                    let start = self.i;
+                    while self.peek().is_some_and(|c| c != b'"' && c != b'\\') {
+                        self.i += 1;
+                    }
+                    match std::str::from_utf8(&self.b[start..self.i]) {
+                        Ok(run) => out.push_str(run),
+                        Err(_) => return Err(self.err("invalid utf-8")),
+                    }
                 }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut out = Vec::new();
         self.skip_ws();
@@ -278,12 +339,12 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Value::Arr(out));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
+                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut out = BTreeMap::new();
         self.skip_ws();
@@ -306,7 +367,7 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Value::Obj(out));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
+                _ => return Err(self.err("expected ',' or '}'")),
             }
         }
     }
@@ -390,6 +451,51 @@ mod tests {
         assert!(parse(&fmt_f64(f64::INFINITY)).is_ok());
         assert_eq!(fmt_f64(1.5), "1.5");
         assert!(parse(&fmt_f64(0.1 + 0.2)).is_ok());
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes_round_trip() {
+        // Multi-byte scalars directly against quotes, backslashes, `\n`
+        // and astral surrogate pairs: the run copier must cut exactly at
+        // each escape and resume on the following scalar.
+        for s in [
+            "é\"ü",
+            "\\π\\",
+            "ß\nж\tλ",
+            "\u{1F600}\u{1F600}",
+            "中\u{1F600}文\u{10FFFF}",
+            "\u{7f}é\u{1}",
+        ] {
+            let raw = format!("[\"{}\"]", s.replace('\\', "\\\\").replace('"', "\\\""));
+            let raw = raw.replace('\n', "\\n").replace('\t', "\\t");
+            for doc in [raw, format!("[\"{}\"]", escape(s))] {
+                let v = parse(&doc).unwrap();
+                assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(s), "{doc:?}");
+            }
+        }
+        // Escaped surrogate pair sandwiched between raw multi-byte text.
+        let v = parse("\"é\\ud83d\\ude00ü\"").unwrap();
+        assert_eq!(v.as_str(), Some("é\u{1F600}ü"));
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_an_error_not_a_crash() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).unwrap_err().message.contains("nesting"));
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn errors_carry_the_one_based_line() {
+        let e = parse("{\n  \"a\": 1,\n  oops\n}").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert_eq!(parse("[1,").unwrap_err().line, 1);
+        let s: String = e.clone().into();
+        assert!(s.starts_with("line 3: "), "{s}");
+        assert_eq!(s, e.to_string());
     }
 
     #[test]
