@@ -2,7 +2,10 @@
 # CI gate for the EdgePC workspace. Runs entirely offline:
 #   1. static analysis     cargo run -p edgepc-lint --bin lint_all
 #   2. formatting          cargo fmt --check
-#   3. lints               cargo clippy -D warnings (all targets)
+#   3. lints               cargo clippy -D warnings (all targets). This
+#                          step carries panic-freedom: the workspace lints
+#                          deny unwrap/expect/todo!, and the hot crates'
+#                          roots add panic!/unreachable!.
 #   4. tier-1              release build + test suite
 #   5. workspace tests     cargo test --workspace
 #   6. the exact record    bench_all re-records results/BENCH.json into

@@ -37,6 +37,8 @@
 //! assert!(t_mc < t_fps);
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod analysis;
 pub mod workloads;
 

@@ -1,16 +1,22 @@
-//! The workspace's single sanctioned panic site (lint rule EP001).
+//! The workspace's single sanctioned panic site and its one lock order.
 //!
-//! Hot-path crates must not call `unwrap`/`expect`/`panic!` directly:
-//! an inference call that dies mid-pipeline on an edge device has no
-//! supervisor to catch it, so every diverging path must be a *documented
-//! API-misuse guard*, auditable in one place. Precondition checks keep
-//! using `assert!` (the `# Panics` contract); internal invariants that
-//! genuinely cannot propagate route through [`violation`] or
-//! [`required`], whose one `panic!` is waived exactly once in the root
-//! `LINT.toml`.
+//! Hot-path crates must not call `unwrap`/`expect`/`panic!` directly
+//! (clippy's `unwrap_used`, `expect_used`, `panic`, `todo` and
+//! `unreachable` deny them under `-D warnings`): an inference call that
+//! dies mid-pipeline on an edge device has no supervisor to catch it, so
+//! every diverging path must be a *documented API-misuse guard*,
+//! auditable in one place. Precondition checks keep using `assert!` (the
+//! `# Panics` contract); internal invariants that genuinely cannot
+//! propagate route through [`violation`] or [`required`], whose one
+//! `panic!` carries the hot crates' only `#[allow(clippy::panic)]`.
 //!
 //! Messages passed here surface verbatim, so `#[should_panic(expected)]`
 //! tests keep working across the migration from `.expect(…)`.
+//!
+//! [`Lock`] is the workspace lock order. Every mutex acquisition names
+//! its variant through [`rank_scope`] or [`ranked_with`]; debug builds
+//! check the order at runtime, and lint rule EP006 parses the enum from
+//! this file to check it statically.
 
 use std::sync::OnceLock;
 
@@ -18,14 +24,62 @@ type ViolationHook = Box<dyn Fn(&str) + Send + Sync>;
 
 static HOOK: OnceLock<ViolationHook> = OnceLock::new();
 
+/// Every ranked mutex in the workspace. **Declaration order is the
+/// rank**: a thread holding a lock may only acquire locks declared
+/// *after* it. Keep the variants fieldless and without explicit
+/// discriminants, so the derived `Ord` and EP006's reading of this
+/// declaration agree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Lock {
+    /// `net` server connection-handle table. Connection threads hold no
+    /// net lock while calling into a shard; ranking the net locks first
+    /// makes even an accidental overlap ascend.
+    NetConns,
+    /// `net` router shard-health state: read per route, written on a
+    /// `ShuttingDown` refusal, released before `Engine::submit`.
+    NetRouter,
+    /// A `net` connection's response pipeline, the backpressure point;
+    /// reader and writer threads take nothing else under it.
+    NetPipe,
+    /// `serve` telemetry-plane list (`flight::PLANES`), the violation
+    /// hook's entry point: the hook walks it before touching any
+    /// per-plane state, so everything else may be taken under it.
+    ServePlanes,
+    /// `serve` engine worker-handle list, joined at shutdown while
+    /// planes may be notified.
+    ServeWorkers,
+    /// `serve` admission queue. `push_with` runs its admission callback
+    /// under it, and that callback records into the trigger, sampler and
+    /// trace locks declared after it.
+    ServeQueue,
+    /// `serve` flight-dump trigger burst counters, set under queue and
+    /// plane activity.
+    ServeTrigger,
+    /// `serve` tail sampler, updated from `note_done` under trigger
+    /// checks.
+    ServeSampler,
+    /// `serve` telemetry endpoint's quit flag (condvar-coupled); the
+    /// leaf among the serve control locks.
+    ServeTelemetry,
+    /// `serve` compiled-plan cache. Workers consult it with nothing held
+    /// (compilation runs outside it); it is declared before the trace
+    /// locks so a recorded hit still ascends.
+    ServePlanCache,
+    /// `trace` registry maps. Every crate records into it while holding
+    /// its own locks, so it ranks last but one.
+    TraceRegistry,
+    /// `trace` flight-recorder ring shards: the innermost sink, which
+    /// takes nothing while held.
+    TraceFlight,
+}
+
 #[cfg(debug_assertions)]
 mod rank {
     use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// `(rank, name)` of every ranked lock this thread currently holds.
-        pub(super) static HELD: RefCell<Vec<(u16, &'static str)>> =
-            const { RefCell::new(Vec::new()) };
+        /// Every ranked lock this thread currently holds.
+        pub(super) static HELD: RefCell<Vec<super::Lock>> = const { RefCell::new(Vec::new()) };
         /// Sticky per-thread kill switch: set before a rank violation
         /// diverges (and before the violation hook runs), because the
         /// unwind path is allowed to take locks in any order for last-gasp
@@ -41,40 +95,40 @@ mod rank {
 /// zero-sized no-op.
 pub struct RankToken {
     #[cfg(debug_assertions)]
-    rank: u16,
+    lock: Lock,
     #[cfg(debug_assertions)]
     pushed: bool,
 }
 
-/// Declares that the current thread is about to acquire the lock with the
-/// given `rank` (see the `[lock]` ranking in `LINT.toml`; higher ranks
-/// must be acquired while holding only lower ones). In debug builds this
-/// checks the thread's held-lock stack and diverges through [`violation`]
-/// on a same-or-lower-rank acquisition; in release builds it is free.
+/// Declares that the current thread is about to acquire `lock` (locks
+/// declared later in [`Lock`] must be acquired while holding only
+/// earlier ones). In debug builds this checks the thread's held-lock
+/// stack and diverges through [`violation`] on a same-or-earlier
+/// acquisition; in release builds it is free.
 ///
 /// Call it *before* blocking on the mutex so an ordering bug is reported
 /// even when it would have deadlocked. The token must outlive the guard
 /// it ranks; it may be dropped in any order relative to other tokens.
 #[must_use = "the rank token must be held as long as the lock guard it ranks"]
 #[cfg(debug_assertions)]
-pub fn rank_scope(rank: u16, name: &'static str) -> RankToken {
+pub fn rank_scope(lock: Lock) -> RankToken {
     enum Outcome {
         Pushed,
         Skipped,
-        Conflict(u16, &'static str),
+        Conflict(Lock),
     }
     if rank::OFF.with(std::cell::Cell::get) {
         return RankToken {
-            rank,
+            lock,
             pushed: false,
         };
     }
     let outcome = rank::HELD.with(|held| match held.try_borrow_mut() {
         Ok(mut held) => {
-            if let Some(&(held_rank, held_name)) = held.iter().find(|&&(r, _)| r >= rank) {
-                Outcome::Conflict(held_rank, held_name)
+            if let Some(&held_lock) = held.iter().find(|&&h| h >= lock) {
+                Outcome::Conflict(held_lock)
             } else {
-                held.push((rank, name));
+                held.push(lock);
                 Outcome::Pushed
             }
         }
@@ -84,24 +138,21 @@ pub fn rank_scope(rank: u16, name: &'static str) -> RankToken {
         Err(_) => Outcome::Skipped,
     });
     match outcome {
-        Outcome::Pushed => RankToken { rank, pushed: true },
+        Outcome::Pushed => RankToken { lock, pushed: true },
         Outcome::Skipped => RankToken {
-            rank,
+            lock,
             pushed: false,
         },
-        Outcome::Conflict(held_rank, held_name) => {
+        Outcome::Conflict(held_lock) => {
             // Stop checking on this thread before diverging: the violation
             // hook's last-gasp telemetry takes its own locks.
             rank::OFF.with(|off| off.set(true));
-            let msg = if held_rank == rank {
-                format!(
-                    "lock-rank violation: re-entrant acquisition of {name:?} (rank {rank}) \
-                     while already holding {held_name:?} at the same rank"
-                )
+            let msg = if held_lock == lock {
+                format!("lock-rank violation: re-entrant acquisition of {lock:?} while already holding it")
             } else {
                 format!(
-                    "lock-rank violation: acquiring {name:?} (rank {rank}) while holding \
-                     {held_name:?} (rank {held_rank}); locks must be taken in ascending rank"
+                    "lock-rank violation: acquiring {lock:?} while holding {held_lock:?}; \
+                     locks must be taken in `guard::Lock` declaration order"
                 )
             };
             violation(&msg)
@@ -112,7 +163,7 @@ pub fn rank_scope(rank: u16, name: &'static str) -> RankToken {
 /// Release-build [`rank_scope`]: a zero-cost no-op.
 #[must_use = "the rank token must be held as long as the lock guard it ranks"]
 #[cfg(not(debug_assertions))]
-pub fn rank_scope(_rank: u16, _name: &'static str) -> RankToken {
+pub fn rank_scope(_lock: Lock) -> RankToken {
     RankToken {}
 }
 
@@ -122,7 +173,7 @@ impl Drop for RankToken {
         if self.pushed {
             rank::HELD.with(|held| {
                 if let Ok(mut held) = held.try_borrow_mut() {
-                    if let Some(i) = held.iter().rposition(|&(r, _)| r == self.rank) {
+                    if let Some(i) = held.iter().rposition(|&h| h == self.lock) {
                         held.remove(i);
                     }
                 }
@@ -159,13 +210,13 @@ impl<G> std::ops::DerefMut for Ranked<G> {
 ///
 /// ```ignore
 /// fn lock(&self) -> Ranked<MutexGuard<'_, Inner>> {
-///     ranked_with(rank::INNER, "crate.inner", || {
+///     ranked_with(Lock::TraceRegistry, || {
 ///         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
 ///     })
 /// }
 /// ```
-pub fn ranked_with<G>(rank: u16, name: &'static str, acquire: impl FnOnce() -> G) -> Ranked<G> {
-    let token = rank_scope(rank, name);
+pub fn ranked_with<G>(lock: Lock, acquire: impl FnOnce() -> G) -> Ranked<G> {
+    let token = rank_scope(lock);
     Ranked {
         guard: acquire(),
         _token: token,
@@ -187,9 +238,13 @@ pub fn set_violation_hook(hook: impl Fn(&str) + Send + Sync + 'static) -> bool {
 ///
 /// # Panics
 ///
-/// Always — that is its job. This is the one waived EP001 site.
+/// Always — that is its job. This is the single sanctioned panic site:
+/// every hot-path invariant failure routes here so the workspace's
+/// diverging surface stays auditable in one place, which is why it
+/// carries the hot crates' one `#[allow(clippy::panic)]`.
 #[cold]
 #[inline(never)]
+#[allow(clippy::panic)]
 pub fn violation(msg: &str) -> ! {
     if let Some(hook) = HOOK.get() {
         // The hook's last-gasp telemetry (flight-recorder dumps) takes
@@ -231,17 +286,17 @@ mod tests {
     #[test]
     fn ascending_ranks_pass_and_release_frees_the_rank() {
         std::thread::spawn(|| {
-            let a = rank_scope(10, "a");
+            let a = rank_scope(Lock::ServeWorkers);
             {
-                let b = rank_scope(20, "b");
+                let b = rank_scope(Lock::ServeTrigger);
                 drop(b);
             }
-            // Rank 20 was released, so it is acquirable again.
-            let c = rank_scope(20, "c");
+            // ServeTrigger was released, so it is acquirable again.
+            let c = rank_scope(Lock::ServeTrigger);
             drop(c);
             drop(a);
-            // Stack is empty again: a low rank passes.
-            let d = rank_scope(5, "d");
+            // Stack is empty again: an early lock passes.
+            let d = rank_scope(Lock::NetConns);
             drop(d);
         })
         .join()
@@ -251,14 +306,14 @@ mod tests {
     #[test]
     fn out_of_order_release_pops_the_matching_entry() {
         std::thread::spawn(|| {
-            let a = rank_scope(10, "a");
-            let b = rank_scope(20, "b");
-            drop(a); // release the LOW rank first
-            let c = rank_scope(30, "c");
+            let a = rank_scope(Lock::ServeWorkers);
+            let b = rank_scope(Lock::ServeTrigger);
+            drop(a); // release the EARLIER lock first
+            let c = rank_scope(Lock::ServeTelemetry);
             drop(b);
             drop(c);
-            // Both mid ranks are free again.
-            let d = rank_scope(20, "d");
+            // Both middle locks are free again.
+            let d = rank_scope(Lock::ServeTrigger);
             drop(d);
         })
         .join()
@@ -271,16 +326,16 @@ mod tests {
         // its thread for good, which must not leak into other tests.
         let (descending, reentrant) = std::thread::spawn(|| {
             let descending = {
-                let _hi = rank_scope(50, "hi");
+                let _late = rank_scope(Lock::TraceRegistry);
                 std::panic::catch_unwind(|| {
-                    let _lo = rank_scope(10, "lo");
+                    let _early = rank_scope(Lock::ServeQueue);
                 })
                 .is_err()
             };
             let reentrant = std::thread::spawn(|| {
-                let _a = rank_scope(40, "a");
+                let _a = rank_scope(Lock::ServeSampler);
                 std::panic::catch_unwind(|| {
-                    let _b = rank_scope(40, "b");
+                    let _b = rank_scope(Lock::ServeSampler);
                 })
                 .is_err()
             })
@@ -299,14 +354,14 @@ mod tests {
         use std::sync::Mutex;
         std::thread::spawn(|| {
             let m = Mutex::new(vec![1, 2]);
-            let mut g = ranked_with(10, "m", || {
+            let mut g = ranked_with(Lock::ServeQueue, || {
                 m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
             });
             g.push(3);
             assert_eq!(g.len(), 3);
             drop(g);
             // The guard (and its rank) were released.
-            let g2 = ranked_with(10, "m", || {
+            let g2 = ranked_with(Lock::ServeQueue, || {
                 m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
             });
             assert_eq!(**g2, vec![1, 2, 3]);

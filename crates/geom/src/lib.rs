@@ -25,6 +25,8 @@
 //! assert!(cloud.bounding_box().contains(Point3::new(0.5, 0.0, 0.0)));
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod aabb;
 pub mod cloud;
 pub mod counters;

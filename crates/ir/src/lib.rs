@@ -50,6 +50,8 @@
 //! assert_eq!(exec.output(&plan), &eager[..]);
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod exec;
 pub mod graph;
 pub mod schedule;

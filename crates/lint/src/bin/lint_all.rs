@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Prints human-readable diagnostics, writes the machine-readable report
-//! (default `target/lint.json`, schema `edgepc-lint` v1 — itself pinned
+//! (default `target/lint.json`, schema `edgepc-lint` v2 — itself pinned
 //! under EP005), and exits non-zero on any violation. The summary line
 //! carries per-rule wall time. `ci.sh` runs this before clippy;
 //! `--no-lint` there skips it.

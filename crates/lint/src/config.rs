@@ -1,19 +1,7 @@
-//! `LINT.toml` configuration beyond waivers: the declared lock ranking
-//! for EP006 and the designated steady-state allocation scopes for EP008.
+//! `LINT.toml` configuration beyond waivers: the designated
+//! steady-state allocation scopes for EP008.
 //!
 //! ```toml
-//! [lock]
-//! # Ascending acquisition order: a thread holding a lock may only take
-//! # locks that appear LATER in this list.
-//! ranking = ["serve.planes", "serve.queue", "trace.registry"]
-//! # Crates whose sources participate in the interprocedural analysis.
-//! crates = ["serve", "trace", "par"]
-//!
-//! [[lock.site]]
-//! lock = "serve.queue"                 # name from `ranking`
-//! path = "crates/serve/src/queue.rs"   # file the acquisition lives in
-//! recv = "self.inner"                  # receiver chain of the `.lock()`
-//!
 //! [[alloc.scope]]
 //! path = "crates/trace/src/registry.rs"
 //! items = ["record", "incr"]           # fns that must not allocate
@@ -21,34 +9,6 @@
 
 use crate::toml_lite::{self, TomlValue};
 use crate::waiver::{self, Waiver};
-
-/// One declared acquisition site: `recv.lock()` in `path` acquires `lock`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// A name from [`LockConfig::ranking`].
-    pub lock: String,
-    /// Repo-relative file the acquisition appears in.
-    pub path: String,
-    /// Normalized receiver chain, e.g. `self.inner` or `self.shard()`.
-    pub recv: String,
-}
-
-/// The `[lock]` table: the workspace's declared lock ranking.
-#[derive(Debug, Clone, Default)]
-pub struct LockConfig {
-    /// Lock names in ascending acquisition order.
-    pub ranking: Vec<String>,
-    /// Crate names (directory names under `crates/`) in scope for EP006.
-    pub crates: Vec<String>,
-    pub sites: Vec<LockSite>,
-}
-
-impl LockConfig {
-    /// The rank of `lock` (its position in the declared ordering).
-    pub fn rank(&self, lock: &str) -> Option<usize> {
-        self.ranking.iter().position(|l| l == lock)
-    }
-}
 
 /// One `[[alloc.scope]]` entry: fns in `path` that EP008 holds to the
 /// steady-state allocation-freedom contract.
@@ -62,7 +22,6 @@ pub struct AllocScope {
 #[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     pub waivers: Vec<Waiver>,
-    pub lock: Option<LockConfig>,
     pub alloc: Vec<AllocScope>,
 }
 
@@ -71,72 +30,6 @@ pub struct LintConfig {
 pub fn parse_config(src: &str) -> Result<LintConfig, String> {
     let waivers = waiver::parse_waivers(src)?;
     let doc = toml_lite::parse(src).map_err(|e| format!("LINT.toml: {e}"))?;
-
-    let lock = match doc.get("lock") {
-        None => None,
-        Some(table) => {
-            let string_list = |key: &str| -> Result<Vec<String>, String> {
-                match table.get(key) {
-                    None => Ok(Vec::new()),
-                    Some(v) => v
-                        .as_array()
-                        .ok_or_else(|| format!("LINT.toml: `lock.{key}` must be an array"))?
-                        .iter()
-                        .map(|e| {
-                            e.as_str().map(str::to_string).ok_or_else(|| {
-                                format!("LINT.toml: `lock.{key}` entries must be strings")
-                            })
-                        })
-                        .collect(),
-                }
-            };
-            let ranking = string_list("ranking")?;
-            if ranking.is_empty() {
-                return Err("LINT.toml: `[lock]` needs a non-empty `ranking`".into());
-            }
-            for (i, name) in ranking.iter().enumerate() {
-                if ranking[..i].contains(name) {
-                    return Err(format!("LINT.toml: duplicate lock `{name}` in ranking"));
-                }
-            }
-            let crates = string_list("crates")?;
-            let mut sites = Vec::new();
-            if let Some(entries) = table.get("site") {
-                let entries = entries.as_array().ok_or_else(|| {
-                    "LINT.toml: `lock.site` must be an array of tables".to_string()
-                })?;
-                for (i, entry) in entries.iter().enumerate() {
-                    let field = |key: &str| -> Result<String, String> {
-                        entry
-                            .get(key)
-                            .and_then(TomlValue::as_str)
-                            .map(str::to_string)
-                            .ok_or_else(|| {
-                                format!("LINT.toml: lock site #{} is missing `{key}`", i + 1)
-                            })
-                    };
-                    let site = LockSite {
-                        lock: field("lock")?,
-                        path: field("path")?,
-                        recv: field("recv")?,
-                    };
-                    if !ranking.contains(&site.lock) {
-                        return Err(format!(
-                            "LINT.toml: lock site #{} names `{}`, which is not in `lock.ranking`",
-                            i + 1,
-                            site.lock
-                        ));
-                    }
-                    sites.push(site);
-                }
-            }
-            Some(LockConfig {
-                ranking,
-                crates,
-                sites,
-            })
-        }
-    };
 
     let mut alloc = Vec::new();
     if let Some(table) = doc.get("alloc") {
@@ -172,11 +65,7 @@ pub fn parse_config(src: &str) -> Result<LintConfig, String> {
         }
     }
 
-    Ok(LintConfig {
-        waivers,
-        lock,
-        alloc,
-    })
+    Ok(LintConfig { waivers, alloc })
 }
 
 #[cfg(test)]
@@ -184,15 +73,6 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
-[lock]
-ranking = ["a.one", "a.two"]
-crates = ["serve"]
-
-[[lock.site]]
-lock = "a.one"
-path = "crates/serve/src/x.rs"
-recv = "self.inner"
-
 [[alloc.scope]]
 path = "crates/serve/src/x.rs"
 items = ["hot", "hotter"]
@@ -205,32 +85,16 @@ reason = "handoff vectors are the API"
 "#;
 
     #[test]
-    fn parses_lock_and_alloc_sections() {
+    fn parses_alloc_sections_and_waivers() {
         let cfg = parse_config(SAMPLE).expect("valid config");
-        let lock = cfg.lock.expect("lock section");
-        assert_eq!(lock.ranking, vec!["a.one", "a.two"]);
-        assert_eq!(lock.rank("a.two"), Some(1));
-        assert_eq!(lock.crates, vec!["serve"]);
-        assert_eq!(lock.sites.len(), 1);
-        assert_eq!(lock.sites[0].recv, "self.inner");
         assert_eq!(cfg.alloc.len(), 1);
         assert_eq!(cfg.alloc[0].items, vec!["hot", "hotter"]);
         assert_eq!(cfg.waivers.len(), 1);
     }
 
     #[test]
-    fn rejects_undeclared_site_lock_and_empty_ranking() {
-        let bad_site = "[lock]\nranking = [\"a\"]\n[[lock.site]]\nlock = \"ghost\"\npath = \"p\"\nrecv = \"r\"\n";
-        assert!(parse_config(bad_site).is_err());
-        assert!(parse_config("[lock]\ncrates = [\"serve\"]\n").is_err());
-        let dup = "[lock]\nranking = [\"a\", \"a\"]\n";
-        assert!(parse_config(dup).is_err());
-    }
-
-    #[test]
     fn empty_config_is_fine() {
         let cfg = parse_config("").expect("empty ok");
-        assert!(cfg.lock.is_none());
         assert!(cfg.alloc.is_empty());
         assert!(cfg.waivers.is_empty());
     }

@@ -28,7 +28,7 @@ impl Severity {
 /// One rule violation at one site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `EP001`.
+    /// Rule id, e.g. `EP002`.
     pub rule: &'static str,
     pub severity: Severity,
     /// Repo-relative path with `/` separators.
@@ -42,7 +42,7 @@ pub struct Diagnostic {
     /// A mechanical fix, when one exists.
     pub suggestion: Option<String>,
     /// The named item the diagnostic is about (function name for EP003,
-    /// banned identifier for EP001); waivers may scope to it.
+    /// lock variant for EP006); waivers may scope to it.
     pub item: Option<String>,
 }
 
@@ -130,15 +130,15 @@ mod tests {
 
     #[test]
     fn display_and_json_round_out() {
-        let d = Diagnostic::new("EP001", "crates/x/src/lib.rs", 3, 7, "no `unwrap`".into())
+        let d = Diagnostic::new("EP002", "crates/x/src/lib.rs", 3, 7, "no `unwrap`".into())
             .with_suggestion("propagate the Option")
             .with_item("unwrap");
         let text = d.to_string();
         assert!(text.contains("crates/x/src/lib.rs:3:7"));
-        assert!(text.contains("[EP001]"));
+        assert!(text.contains("[EP002]"));
         assert!(text.contains("suggestion: propagate"));
         let json = d.to_json();
-        assert!(json.contains("\"rule\":\"EP001\""));
+        assert!(json.contains("\"rule\":\"EP002\""));
         assert!(json.contains("\"line\":3"));
         assert!(json.contains("\"item\":\"unwrap\""));
     }

@@ -6,24 +6,28 @@
 //!
 //! | rule | invariant |
 //! |---|---|
-//! | EP001 | no `unwrap`/`expect`/`panic!`/`todo!`/`unreachable!` in non-test hot-path code |
 //! | EP002 | no float `==`/`!=` against literals outside tests |
-//! | EP003 | every substantial `pub fn` in designated hot modules opens a span |
+//! | EP003 | every substantial `pub fn` in [`SPAN_COVERED_FILES`] opens a span |
 //! | EP004 | all manifests depend only on workspace/path crates (std-only) |
 //! | EP005 | committed `results/*.json` parse; pinned artifacts keep known schemas |
-//! | EP006 | every mutex acquisition is declared and nesting ascends the `LINT.toml` lock ranking |
-//! | EP007 | deterministic crates leak no hash order, wall clock, or scheduling into results |
+//! | EP006 | every `.lock()` is ranked by a `guard::Lock` claim and nesting follows `enum Lock`'s order |
+//! | EP007 | [`rules::ep007::DETERMINISTIC_CRATES`] leak no hash order, wall clock, or scheduling into results |
 //! | EP008 | designated hot fns allocate nothing in steady state (Scratch pool excepted) |
 //!
-//! EP001–EP005 are token-level. EP006–EP008 run on the **syntactic
+//! Panic-freedom is clippy's job: the workspace lints deny `unwrap_used`,
+//! `expect_used` and `todo`, and the hot crates' roots add `panic` and
+//! `unreachable`.
+//!
+//! EP002–EP005 are token-level. EP006–EP008 run on the **syntactic
 //! tier** ([`syntax::FileSyntax`]): a std-only item/impl/fn/closure
 //! recovery over the same lexer — same hand-rolled philosophy, no `syn`.
 //!
 //! Violations can be waived in the root `LINT.toml` (rule + path +
 //! optional item + mandatory reason); a waiver that matches nothing is
 //! itself a violation (`EP000`), so the waiver file cannot rot. The same
-//! file declares the EP006 lock ranking (`[lock]`) and the EP008
-//! allocation scopes (`[[alloc.scope]]`).
+//! file declares the EP008 allocation scopes (`[[alloc.scope]]`); EP006
+//! reads its lock order from the code (`enum Lock` in
+//! [`rules::ep006::LOCK_ENUM_FILE`]).
 //!
 //! The `lint_all` binary runs the whole engine (`--rules EP006,EP008`
 //! filters), prints human-readable diagnostics with per-rule wall time,
@@ -49,13 +53,7 @@ use syntax::FileSyntax;
 /// Every rule id the engine knows, in order. `--rules` filters against
 /// this list.
 pub const ALL_RULES: &[&str] = &[
-    "EP000", "EP001", "EP002", "EP003", "EP004", "EP005", "EP006", "EP007", "EP008",
-];
-
-/// Crates whose non-test code must be panic-free (EP001): everything on
-/// the inference hot path.
-pub const HOT_CRATES: &[&str] = &[
-    "geom", "morton", "par", "sample", "neighbor", "ir", "models", "core", "serve", "net",
+    "EP000", "EP002", "EP003", "EP004", "EP005", "EP006", "EP007", "EP008",
 ];
 
 /// Files whose public functions must open spans (EP003): the stage entry
@@ -150,7 +148,7 @@ impl LintReport {
 
     /// The machine-readable report (`target/lint.json`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"edgepc-lint\",\"schema_version\":1,");
+        let mut s = String::from("{\"schema\":\"edgepc-lint\",\"schema_version\":2,");
         s.push_str(&format!(
             "\"files_scanned\":{},\"waivers_used\":{},\"clean\":{},",
             self.files_scanned,
@@ -164,7 +162,6 @@ impl LintReport {
             .map(|(r, n)| format!("\"{r}\":{n}"))
             .collect();
         s.push_str(&counts.join(","));
-        // Additive under schema v1: readers that predate timings ignore it.
         s.push_str("},\"timings_us\":{");
         let timings: Vec<String> = self
             .timings_us
@@ -225,16 +222,15 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
     let mut files_scanned = 0usize;
     let mut timings = Timings::default();
 
-    // --- Configuration (waivers + lock ranking + alloc scopes) ------------
+    // --- Configuration (waivers + alloc scopes) ----------------------------
     let cfg = match fs::read_to_string(root.join("LINT.toml")) {
         Ok(src) => config::parse_config(&src)?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => config::LintConfig::default(),
         Err(e) => return Err(format!("read LINT.toml: {e}")),
     };
 
-    // --- Rust sources: EP001/EP002/EP003 (token tier) + EP007/EP008 and
-    // --- the EP006 model collection (syntactic tier) -----------------------
-    let run_ep006 = enabled("EP006") && cfg.lock.is_some();
+    // --- Rust sources: EP002/EP003 (token tier) + EP007/EP008 and the
+    // --- EP006 model collection (syntactic tier) ---------------------------
     let mut lock_files: Vec<(String, rules::SourceModel, FileSyntax)> = Vec::new();
     for source in collect_rust_sources(root)? {
         let rel = source.rel.clone();
@@ -249,11 +245,6 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
         let syntax = FileSyntax::parse(&model);
         timings.add("parse", t0);
 
-        if enabled("EP001") && HOT_CRATES.contains(&crate_name) {
-            let t = Instant::now();
-            diagnostics.extend(rules::ep001::check(&model));
-            timings.add("EP001", t);
-        }
         if enabled("EP002") {
             let t = Instant::now();
             diagnostics.extend(rules::ep002::check(&model, &syntax));
@@ -282,27 +273,21 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
                 timings.add("EP008", t);
             }
         }
-        let in_lock_scope = cfg
-            .lock
-            .as_ref()
-            .is_some_and(|lc| lc.crates.iter().any(|c| c == crate_name));
-        if run_ep006 && in_lock_scope {
+        if enabled("EP006") {
             lock_files.push((rel, model, syntax));
         }
         files_scanned += 1;
     }
 
     // --- EP006: workspace-level lock-discipline pass -----------------------
-    if run_ep006 {
-        if let Some(lock_cfg) = &cfg.lock {
-            let t = Instant::now();
-            let files: Vec<rules::ep006::LockFile<'_>> = lock_files
-                .iter()
-                .map(|(rel, model, syntax)| rules::ep006::LockFile { rel, model, syntax })
-                .collect();
-            diagnostics.extend(rules::ep006::check_workspace(&files, lock_cfg));
-            timings.add("EP006", t);
-        }
+    if enabled("EP006") {
+        let t = Instant::now();
+        let files: Vec<rules::ep006::LockFile<'_>> = lock_files
+            .iter()
+            .map(|(rel, model, syntax)| rules::ep006::LockFile { rel, model, syntax })
+            .collect();
+        diagnostics.extend(rules::ep006::check_workspace(&files));
+        timings.add("EP006", t);
     }
 
     // --- Manifests: EP004 -------------------------------------------------
@@ -495,7 +480,7 @@ mod tests {
         let message = "bell\u{7} then π then \u{1F600}".to_string();
         let report = LintReport {
             violations: vec![Diagnostic::new(
-                "EP001",
+                "EP002",
                 "crates/x/src/lib.rs",
                 1,
                 1,

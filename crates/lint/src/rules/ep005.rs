@@ -33,7 +33,7 @@ pub const KNOWN_NET_VERSIONS: &[i64] = &[1];
 /// lint.json schema versions this linter understands. Bump alongside
 /// `LintReport::to_json` when the report changes shape — the linter's own
 /// output is a schema-checked artifact like any other.
-pub const KNOWN_LINT_VERSIONS: &[i64] = &[1];
+pub const KNOWN_LINT_VERSIONS: &[i64] = &[2];
 
 /// ir_smoke.json schema versions this linter understands. Bump alongside
 /// the `ir_smoke` harness in `edgepc-bench` when the compiled-vs-eager

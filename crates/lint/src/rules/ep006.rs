@@ -1,38 +1,44 @@
 //! EP006 — lock discipline.
 //!
-//! The serving plane takes multiple locks per request; a single inverted
-//! pair anywhere in `serve`/`trace` is a latent deadlock that runtime
-//! tests only catch if they hit the bad interleaving. This rule checks
-//! the ordering *statically*:
+//! The serving plane takes several locks per request; a single inverted
+//! pair is a latent deadlock that runtime tests only catch if they hit
+//! the bad interleaving. This rule checks the order *statically*, from
+//! the same table the debug-build validator in `edgepc_geom::guard`
+//! checks at runtime:
 //!
-//! 1. Every mutex acquisition site is declared in `LINT.toml`
-//!    (`[[lock.site]]`: file + receiver chain + lock name), and every
-//!    lock has a rank — its position in `lock.ranking`.
-//! 2. The analysis extracts per-function acquisition sites (including
-//!    the poison-tolerant wrapper idiom `fn lock(&self) ->
-//!    MutexGuard<…>`), estimates each guard's held region (chained
-//!    temporary → to end of statement; `let`-bound → to `drop(guard)` or
-//!    the end of the enclosing block), and propagates acquisition sets
-//!    over the call graph — including closures passed to functions that
-//!    invoke a callback parameter while holding a lock (the
-//!    `push_with(req, |depth| …)` shape).
-//! 3. Every held-while-acquiring edge `L → M` must ascend the declared
-//!    ranking. Descending or reentrant edges, undeclared `.lock()`
-//!    calls in scoped crates, and stale declarations (a site or ranking
-//!    entry matching nothing) are diagnostics.
+//! 1. The ranking is `enum Lock` in the linted tree's [`LOCK_ENUM_FILE`]:
+//!    declaration order is the rank. A tree without it has an empty
+//!    ranking.
+//! 2. A *claim* is a `ranked_with(Lock::X, …)` call or a
+//!    `rank_scope(Lock::X)` token: the runtime validator's own check
+//!    points. A claim holds its lock over an estimated region (chained
+//!    temporary → to end of statement; `let`-bound → to `drop(binding)`
+//!    or the end of the enclosing block). A call to a poison-tolerant
+//!    wrapper (`fn lock(&self) -> Ranked<…>`) claims the wrapper's locks
+//!    in the caller.
+//! 3. Every `.lock()` in production code must sit inside the arguments
+//!    of a `ranked_with` claim or inside the region of a `rank_scope`
+//!    claim; any other `.lock()` is an *unranked acquisition*. A variant
+//!    that no `.lock()` is attributed to is a *ghost*.
+//! 4. Claims propagate over the call graph — including closures passed
+//!    to functions that invoke a callback parameter while holding a lock
+//!    (the `push_with(req, |depth| …)` shape) — and every
+//!    held-while-acquiring edge `L → M` must have `L` declared before
+//!    `M`. Descending and re-entrant edges are diagnostics.
 //!
 //! The analysis is a sound-enough approximation, not an alias analysis:
-//! receiver chains are matched textually per file, callees are resolved
-//! same-file-first then by name across the scoped crates, and `Condvar::
-//! wait` is understood to *release* its guard (blocking with a rank
-//! token held is safe — the lock itself is free).
+//! callees are resolved by name (same impl first, then same file, then
+//! workspace-wide), and a token held across a `Condvar::wait` is fine —
+//! the thread is blocked, not acquiring.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::config::LockConfig;
 use crate::diag::Diagnostic;
 use crate::rules::SourceModel;
-use crate::syntax::{self, FileSyntax};
+use crate::syntax::{self, CallSite, FileSyntax};
+
+/// The file whose `enum Lock` declares the lock order.
+pub const LOCK_ENUM_FILE: &str = "crates/geom/src/guard.rs";
 
 /// Adapter methods that are part of an acquisition expression, not a use
 /// of the guard: `lock().unwrap_or_else(PoisonError::into_inner)` etc.
@@ -45,14 +51,15 @@ pub struct LockFile<'a> {
     pub syntax: &'a FileSyntax,
 }
 
-/// One mutex acquisition inside a function body.
+/// One rank claim inside a function body.
 #[derive(Debug, Clone)]
 struct Acq {
-    /// Index into `LockConfig::ranking`.
+    /// Rank: index into the declared ranking.
     lock: usize,
-    /// Code index of the acquiring token (`lock` ident or wrapper callee).
+    /// Code index of the claiming token (`ranked_with`, `rank_scope`, or
+    /// a wrapper callee).
     ci: usize,
-    /// Code-index extent over which the guard is considered held.
+    /// Code-index extent over which the lock is considered held.
     region: (usize, usize),
 }
 
@@ -72,12 +79,16 @@ struct FnNode {
     /// `Some(type)` when the fn sits in an `impl` block.
     impl_of: Option<String>,
     body: Option<(usize, usize)>,
+    /// Bodies of fns nested inside this one, skipped when scanning it.
+    children: Vec<(usize, usize)>,
     /// Callback-typed parameter names (`impl FnOnce(…)` etc.).
     callback_params: Vec<String>,
-    /// Returns a guard (`-> MutexGuard<…>`): calls to it acquire its
+    /// Returns a ranked guard (`-> Ranked<…>`): calls to it claim its
     /// direct locks in the *caller*.
     is_wrapper: bool,
     acqs: Vec<Acq>,
+    /// Calls left for pass 2 to classify (neither claims nor `.lock()`s).
+    pending: Vec<CallSite>,
     calls: Vec<Call>,
     /// Locks this fn may acquire, transitively.
     acquires: BTreeSet<usize>,
@@ -86,14 +97,71 @@ struct FnNode {
     callbacks_under: BTreeSet<usize>,
 }
 
-/// Runs the workspace-level lock-discipline analysis over the files of
-/// the crates named in `cfg.crates`.
-pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnostic> {
+/// The variants of `enum Lock` in declaration order, each with its
+/// line and column. Empty when the file declares no such enum.
+fn parse_ranking(model: &SourceModel) -> Vec<(String, usize, usize)> {
+    let code = model.code_indices();
+    let text = |j: usize| model.token(code[j]).text.as_str();
+    let Some(open) = (0..code.len().saturating_sub(2))
+        .find(|&j| text(j) == "enum" && text(j + 1) == "Lock" && text(j + 2) == "{")
+        .map(|j| j + 2)
+    else {
+        return Vec::new();
+    };
+    let close = super::match_braces(&model.tokens, code, open).unwrap_or(code.len() - 1);
+    let mut variants = Vec::new();
+    let mut bracket = 0i32;
+    for (j, &ti) in code.iter().enumerate().take(close).skip(open + 1) {
+        let tok = model.token(ti);
+        match tok.text.as_str() {
+            "[" => bracket += 1,
+            "]" => bracket -= 1,
+            _ if bracket == 0
+                && tok.kind == crate::lexer::TokenKind::Ident
+                && matches!(text(j + 1), "," | "}") =>
+            {
+                variants.push((tok.text.clone(), tok.line, tok.col));
+            }
+            _ => {}
+        }
+    }
+    variants
+}
+
+/// The rank a `ranked_with(Lock::X, …)` / `rank_scope(Lock::X)` call
+/// claims: its first argument must end in `Lock::X` with `X` declared.
+fn claimed_rank(
+    model: &SourceModel,
+    call: &CallSite,
+    ranking: &[(String, usize, usize)],
+) -> Option<usize> {
+    let code = model.code_indices();
+    let text = |j: usize| model.token(code[j]).text.as_str();
+    let (open, close) = call.args;
+    let mut end = open + 1;
+    while end < close && text(end) != "," {
+        end += 1;
+    }
+    if end < open + 4 || text(end - 3) != "Lock" || text(end - 2) != "::" {
+        return None;
+    }
+    ranking.iter().position(|(name, ..)| name == text(end - 1))
+}
+
+/// Runs the workspace-level lock-discipline analysis over every
+/// production source.
+pub fn check_workspace(files: &[LockFile<'_>]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    let ranking = files
+        .iter()
+        .find(|f| f.rel == LOCK_ENUM_FILE)
+        .map(|f| parse_ranking(f.model))
+        .unwrap_or_default();
 
     // ---- fn table ---------------------------------------------------------
     let mut fns: Vec<FnNode> = Vec::new();
     for (fi, file) in files.iter().enumerate() {
+        let first = fns.len();
         for info in &file.syntax.fns {
             if info.is_test {
                 continue;
@@ -103,83 +171,97 @@ pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnost
                 name: info.name.clone(),
                 impl_of: info.impl_of.clone(),
                 body: info.body,
+                children: Vec::new(),
                 callback_params: info
                     .params
                     .iter()
                     .filter(|p| p.is_callback())
                     .map(|p| p.name.clone())
                     .collect(),
-                is_wrapper: info.ret.contains("MutexGuard") || info.ret.contains("Ranked"),
+                is_wrapper: info.ret.contains("Ranked"),
                 acqs: Vec::new(),
+                pending: Vec::new(),
                 calls: Vec::new(),
                 acquires: BTreeSet::new(),
                 callbacks_under: BTreeSet::new(),
             });
         }
+        // Nested fns: when scanning a body, skip sub-ranges owned by others.
+        for i in first..fns.len() {
+            let Some((open, close)) = fns[i].body else {
+                continue;
+            };
+            fns[i].children = fns[first..]
+                .iter()
+                .filter_map(|f| f.body)
+                .filter(|&(o, c)| open < o && c < close)
+                .collect();
+        }
+    }
+    let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for (i, f) in fns.iter().enumerate() {
+        by_name.entry(f.name.clone()).or_default().push(i);
     }
 
-    // Nested fns: when scanning a body, skip sub-ranges owned by other fns.
-    let child_ranges = |fidx: usize, fns: &[FnNode]| -> Vec<(usize, usize)> {
-        let Some((open, close)) = fns[fidx].body else {
-            return Vec::new();
-        };
-        fns.iter()
-            .enumerate()
-            .filter(|&(j, f)| {
-                j != fidx
-                    && f.file == fns[fidx].file
-                    && f.body.is_some_and(|(o, c)| open < o && c < close)
-            })
-            .filter_map(|(_, f)| f.body)
-            .collect()
-    };
-
-    // ---- pass 1: direct acquisitions + undeclared-lock diagnostics --------
-    let mut site_used = vec![false; cfg.sites.len()];
+    // ---- pass 1: claims, and every `.lock()` attributed or flagged --------
+    // A claim precedes every `.lock()` it ranks, and calls come in token
+    // order, so each `.lock()` is judged against the claims seen so far.
+    let mut named = vec![false; ranking.len()];
     for fidx in 0..fns.len() {
         let Some((open, close)) = fns[fidx].body else {
             continue;
         };
         let file = &files[fns[fidx].file];
-        let skip = child_ranges(fidx, &fns);
-        let code = file.model.code_indices();
-        let mut acqs = Vec::new();
+        // (first, last, rank): the extent whose `.lock()`s a claim ranks —
+        // `ranked_with`'s argument list, or a `rank_scope` token's region.
+        let mut covers: Vec<(usize, usize, usize)> = Vec::new();
+        let mut pending = Vec::new();
         for call in syntax::calls_in(file.model, open + 1, close.saturating_sub(1)) {
-            if call.name != "lock" || !call.is_method {
+            if in_ranges(call.ci, &fns[fidx].children) {
                 continue;
             }
-            if in_ranges(call.ci, &skip) {
-                continue;
-            }
-            let recv = call.recv_path();
-            let matched = cfg
-                .sites
-                .iter()
-                .enumerate()
-                .find(|(_, s)| s.path == file.rel && s.recv == recv);
-            if let Some((si, site)) = matched {
-                site_used[si] = true;
-                // rank() is total here: parse_config rejects sites whose
-                // lock is absent from the ranking.
-                if let Some(lock) = cfg.rank(&site.lock) {
-                    let region = guard_region(file.model, call.ci, close);
-                    acqs.push(Acq {
-                        lock,
-                        ci: call.ci,
-                        region,
-                    });
+            let claimed = match call.name.as_str() {
+                "rank_scope" | "ranked_with" if !call.is_method => {
+                    claimed_rank(file.model, &call, &ranking)
                 }
+                _ => None,
+            };
+            if let Some(lock) = claimed {
+                let region = guard_region(file.model, call.ci, close);
+                let (first, last) = if call.name == "rank_scope" {
+                    region
+                } else {
+                    call.args
+                };
+                covers.push((first, last, lock));
+                fns[fidx].acqs.push(Acq {
+                    lock,
+                    ci: call.ci,
+                    region,
+                });
                 continue;
             }
-            // `self.lock()` (and friends): a wrapper call, classified in
-            // pass 2. Anything else is an undeclared acquisition.
-            if resolve_callees(&fns, fidx, &call.name, &call.recv, call.is_method)
+            // `self.lock()` on a wrapper is a claim, built in pass 2.
+            let is_mutex_lock = call.name == "lock"
+                && call.is_method
+                && !(call.recv == ["self"]
+                    && resolve_callees(&fns, &by_name, fidx, "lock", &call.recv, true)
+                        .iter()
+                        .any(|&c| fns[c].is_wrapper));
+            if !is_mutex_lock {
+                pending.push(call);
+                continue;
+            }
+            // The innermost claim covering this `.lock()` ranks it.
+            if let Some(&(_, _, lock)) = covers
                 .iter()
-                .any(|&c| fns[c].is_wrapper)
+                .rev()
+                .find(|&&(first, last, _)| first < call.ci && call.ci <= last)
             {
+                named[lock] = true;
                 continue;
             }
-            let tok = file.model.token(code[call.ci]);
+            let tok = file.model.token(file.model.code_indices()[call.ci]);
             out.push(
                 Diagnostic::new(
                     "EP006",
@@ -187,38 +269,34 @@ pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnost
                     tok.line,
                     tok.col,
                     format!(
-                        "undeclared mutex acquisition `{recv}.lock()` in `{}`: every lock in a \
-                         ranked crate needs a `[[lock.site]]` entry in LINT.toml",
+                        "unranked mutex acquisition `{}.lock()` in `{}`: no \
+                         `ranked_with(Lock::…)` around it and no live `rank_scope(Lock::…)` token",
+                        call.recv_path(),
                         fns[fidx].name
                     ),
                 )
                 .with_item(fns[fidx].name.clone())
-                .with_suggestion(
-                    "declare the site (lock name, path, recv) and place the lock in `lock.ranking`",
-                ),
+                .with_suggestion(format!(
+                    "acquire it through `ranked_with(Lock::X, || …)` (or hold a \
+                     `rank_scope(Lock::X)` token across a condvar loop), with X declared \
+                     in `enum Lock` in {LOCK_ENUM_FILE}"
+                )),
             );
         }
-        fns[fidx].acqs = acqs;
+        fns[fidx].pending = pending;
     }
 
-    // ---- pass 2: wrapper calls become acquisitions; remaining calls -------
+    // ---- pass 2: wrapper calls become claims; remaining calls -------------
     for fidx in 0..fns.len() {
-        let Some((open, close)) = fns[fidx].body else {
+        let Some((_, close)) = fns[fidx].body else {
             continue;
         };
         let file = &files[fns[fidx].file];
-        let skip = child_ranges(fidx, &fns);
         let mut calls = Vec::new();
         let mut wrapper_acqs = Vec::new();
-        for call in syntax::calls_in(file.model, open + 1, close.saturating_sub(1)) {
-            if in_ranges(call.ci, &skip) {
-                continue;
-            }
-            // Already classified as a direct acquisition in pass 1.
-            if fns[fidx].acqs.iter().any(|a| a.ci == call.ci) {
-                continue;
-            }
-            let callees = resolve_callees(&fns, fidx, &call.name, &call.recv, call.is_method);
+        for call in std::mem::take(&mut fns[fidx].pending) {
+            let callees =
+                resolve_callees(&fns, &by_name, fidx, &call.name, &call.recv, call.is_method);
             if callees.is_empty() {
                 continue;
             }
@@ -275,23 +353,13 @@ pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnost
         if fns[fidx].callback_params.is_empty() {
             continue;
         }
+        let file = &files[fns[fidx].file];
         let mut under = BTreeSet::new();
         for acq in &fns[fidx].acqs {
-            let invoked = fns[fidx].calls.iter().any(|c| {
-                acq.region.0 <= c.ci && c.ci <= acq.region.1 && {
-                    let file = &files[fns[fidx].file];
-                    let code = file.model.code_indices();
-                    let name = &file.model.token(code[c.ci]).text;
-                    fns[fidx].callback_params.contains(name)
-                }
-            });
-            // Call extraction drops calls it can't resolve to a workspace
-            // fn, so re-scan the region for `param(` directly.
-            let file = &files[fns[fidx].file];
-            let direct = syntax::calls_in(file.model, acq.region.0, acq.region.1)
+            let invoked = syntax::calls_in(file.model, acq.region.0, acq.region.1)
                 .iter()
                 .any(|c| fns[fidx].callback_params.contains(&c.name) && c.recv.is_empty());
-            if invoked || direct {
+            if invoked {
                 under.insert(acq.lock);
             }
         }
@@ -299,46 +367,44 @@ pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnost
     }
 
     // ---- pass 5: edges ----------------------------------------------------
-    // (from, to, file, line, col, via) — BTreeMap dedupes repeat sites.
+    // (from, to) -> (file, line, col, via) — BTreeMap dedupes repeat sites.
     let mut edges: BTreeMap<(usize, usize), (usize, usize, usize, String)> = BTreeMap::new();
-    for fidx in 0..fns.len() {
-        let file = &files[fns[fidx].file];
+    for f in &fns {
+        let file = &files[f.file];
         let code = file.model.code_indices();
-        let skip = child_ranges(fidx, &fns);
-        for acq in &fns[fidx].acqs {
-            // Inner acquisitions while this guard is held.
-            for inner in &fns[fidx].acqs {
-                if inner.ci > acq.ci && inner.ci <= acq.region.1 && !in_ranges(inner.ci, &skip) {
-                    let tok = file.model.token(code[inner.ci]);
-                    edges.entry((acq.lock, inner.lock)).or_insert((
-                        fns[fidx].file,
-                        tok.line,
-                        tok.col,
-                        fns[fidx].name.clone(),
-                    ));
+        let mut edge = |from: usize, to: usize, ci: usize, via: String| {
+            let tok = file.model.token(code[ci]);
+            edges
+                .entry((from, to))
+                .or_insert((f.file, tok.line, tok.col, via));
+        };
+        for acq in &f.acqs {
+            // Inner claims while this lock is held.
+            for inner in &f.acqs {
+                if inner.ci > acq.ci && inner.ci <= acq.region.1 {
+                    edge(acq.lock, inner.lock, inner.ci, f.name.clone());
                 }
             }
-            // Calls into lock-acquiring fns while this guard is held.
-            for call in &fns[fidx].calls {
-                if call.ci <= acq.ci || call.ci > acq.region.1 || in_ranges(call.ci, &skip) {
+            // Calls into lock-acquiring fns while this lock is held.
+            for call in &f.calls {
+                if call.ci <= acq.ci || call.ci > acq.region.1 {
                     continue;
                 }
-                let tok = file.model.token(code[call.ci]);
                 for &callee in &call.callees {
                     for &lock in &fns[callee].acquires {
-                        edges.entry((acq.lock, lock)).or_insert((
-                            fns[fidx].file,
-                            tok.line,
-                            tok.col,
-                            format!("{} -> {}", fns[fidx].name, fns[callee].name),
-                        ));
+                        edge(
+                            acq.lock,
+                            lock,
+                            call.ci,
+                            format!("{} -> {}", f.name, fns[callee].name),
+                        );
                     }
                 }
             }
         }
         // Closure arguments passed to fns that run their callback under a
         // lock: the closure body executes with those locks held.
-        for call in &fns[fidx].calls {
+        for call in &f.calls {
             let held: BTreeSet<usize> = call
                 .callees
                 .iter()
@@ -349,38 +415,28 @@ pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnost
             }
             for closure in syntax::closures_in(file.model, call.args.0 + 1, call.args.1) {
                 let (b0, b1) = closure.body;
-                // Acquisitions inside the closure body.
-                for inner in &fns[fidx].acqs {
+                // Claims inside the closure body.
+                for inner in &f.acqs {
                     if b0 <= inner.ci && inner.ci <= b1 {
-                        let tok = file.model.token(code[inner.ci]);
                         for &h in &held {
-                            edges.entry((h, inner.lock)).or_insert((
-                                fns[fidx].file,
-                                tok.line,
-                                tok.col,
-                                format!("closure in {}", fns[fidx].name),
-                            ));
+                            edge(h, inner.lock, inner.ci, format!("closure in {}", f.name));
                         }
                     }
                 }
                 // Calls inside the closure body into acquiring fns.
-                for inner_call in &fns[fidx].calls {
+                for inner_call in &f.calls {
                     if !(b0 <= inner_call.ci && inner_call.ci <= b1) {
                         continue;
                     }
-                    let tok = file.model.token(code[inner_call.ci]);
                     for &callee in &inner_call.callees {
                         for &lock in &fns[callee].acquires {
                             for &h in &held {
-                                edges.entry((h, lock)).or_insert((
-                                    fns[fidx].file,
-                                    tok.line,
-                                    tok.col,
-                                    format!(
-                                        "closure in {} -> {}",
-                                        fns[fidx].name, fns[callee].name
-                                    ),
-                                ));
+                                edge(
+                                    h,
+                                    lock,
+                                    inner_call.ci,
+                                    format!("closure in {} -> {}", f.name, fns[callee].name),
+                                );
                             }
                         }
                     }
@@ -392,59 +448,39 @@ pub fn check_workspace(files: &[LockFile<'_>], cfg: &LockConfig) -> Vec<Diagnost
     // ---- pass 6: judge edges against the ranking --------------------------
     for ((from, to), (fi, line, col, via)) in &edges {
         if from < to {
-            continue; // ascends the declared ranking
+            continue; // ascends the declared order
         }
-        let rel = files[*fi].rel;
-        let (from_name, to_name) = (&cfg.ranking[*from], &cfg.ranking[*to]);
+        let (from_name, to_name) = (&ranking[*from].0, &ranking[*to].0);
         let msg = if from == to {
-            format!("reentrant acquisition: `{to_name}` taken while already held (via {via})")
+            format!("reentrant acquisition: `Lock::{to_name}` taken while already held (via {via})")
         } else {
             format!(
-                "lock order violation: `{to_name}` (rank {to}) acquired while holding \
-                 `{from_name}` (rank {from}) — the declared ranking requires the reverse (via {via})"
+                "lock order violation: `Lock::{to_name}` acquired while holding \
+                 `Lock::{from_name}`, which `enum Lock` declares after it (via {via})"
             )
         };
         out.push(
-            Diagnostic::new("EP006", rel, *line, *col, msg)
+            Diagnostic::new("EP006", files[*fi].rel, *line, *col, msg)
                 .with_item(to_name.clone())
                 .with_suggestion(
-                    "release the outer guard first, or adjust `lock.ranking` if the design order changed",
+                    "release the outer guard first, or reorder `enum Lock` if the design order changed",
                 ),
         );
     }
 
-    // ---- pass 7: stale declarations ---------------------------------------
-    for (si, used) in site_used.iter().enumerate() {
+    // ---- pass 7: ghosts ---------------------------------------------------
+    for ((name, line, col), used) in ranking.iter().zip(named) {
         if !used {
-            let site = &cfg.sites[si];
             out.push(
                 Diagnostic::new(
                     "EP006",
-                    "LINT.toml",
-                    0,
-                    0,
-                    format!(
-                        "stale lock site: `{}` at `{}` (recv `{}`) matches no acquisition",
-                        site.lock, site.path, site.recv
-                    ),
+                    LOCK_ENUM_FILE,
+                    *line,
+                    *col,
+                    format!("ghost lock `Lock::{name}`: no `.lock()` is ranked by it"),
                 )
-                .with_item(site.lock.clone())
-                .with_suggestion("delete the entry or fix its path/recv"),
-            );
-        }
-    }
-    for (li, lock) in cfg.ranking.iter().enumerate() {
-        if !cfg.sites.iter().any(|s| cfg.rank(&s.lock) == Some(li)) {
-            out.push(
-                Diagnostic::new(
-                    "EP006",
-                    "LINT.toml",
-                    0,
-                    0,
-                    format!("ranked lock `{lock}` has no `[[lock.site]]` declaration"),
-                )
-                .with_item(lock.clone())
-                .with_suggestion("declare its acquisition site or drop it from `lock.ranking`"),
+                .with_item(name.clone())
+                .with_suggestion("delete the variant, or acquire its mutex through it"),
             );
         }
     }
@@ -470,6 +506,7 @@ fn in_ranges(ci: usize, ranges: &[(usize, usize)]) -> bool {
 /// * bare calls (`helper(…)`) bind to free fns named `helper`.
 fn resolve_callees(
     fns: &[FnNode],
+    by_name: &BTreeMap<String, Vec<usize>>,
     caller: usize,
     name: &str,
     recv: &[String],
@@ -478,13 +515,12 @@ fn resolve_callees(
     if name == "drop" {
         return Vec::new();
     }
+    let Some(named) = by_name.get(name) else {
+        return Vec::new();
+    };
     let caller_file = fns[caller].file;
     let by = |pred: &dyn Fn(&FnNode) -> bool| -> Vec<usize> {
-        fns.iter()
-            .enumerate()
-            .filter(|(_, f)| f.name == name && pred(f))
-            .map(|(i, _)| i)
-            .collect()
+        named.iter().copied().filter(|&i| pred(&fns[i])).collect()
     };
     if is_method {
         if recv.len() == 1 && recv[0] == "self" {
@@ -520,8 +556,8 @@ fn resolve_callees(
     }
 }
 
-/// Estimates the code-index extent over which the guard produced at
-/// `acq_ci` is held. `body_close` bounds the scan.
+/// Estimates the code-index extent over which the guard (or rank token)
+/// produced at `acq_ci` is held. `body_close` bounds the scan.
 fn guard_region(model: &SourceModel, acq_ci: usize, body_close: usize) -> (usize, usize) {
     let code = model.code_indices();
     let text = |j: usize| model.token(code[j]).text.as_str();
@@ -572,7 +608,6 @@ fn guard_region(model: &SourceModel, acq_ci: usize, body_close: usize) -> (usize
             _ => {}
         }
     }
-
     if is_let {
         // Held to `drop(binding)` or to the end of the enclosing block.
         let block_end = enclosing_block_end(model, acq_ci, body_close);
@@ -634,14 +669,14 @@ fn enclosing_block_end(model: &SourceModel, ci: usize, body_close: usize) -> usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::parse_config;
 
-    fn run(sources: &[(&str, &str)], cfg_src: &str) -> Vec<Diagnostic> {
-        let cfg = parse_config(cfg_src).expect("config");
-        let lock = cfg.lock.expect("lock section");
-        let models: Vec<(String, SourceModel)> = sources
-            .iter()
-            .map(|(rel, src)| ((*rel).to_string(), SourceModel::new(rel, src)))
+    /// Runs the analysis over `sources` plus a [`LOCK_ENUM_FILE`]
+    /// declaring `enum Lock { <order> }`.
+    fn run(order: &str, sources: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let guard = format!("pub enum Lock {{ {order} }}");
+        let models: Vec<(String, SourceModel)> = std::iter::once((LOCK_ENUM_FILE, guard.as_str()))
+            .chain(sources.iter().copied())
+            .map(|(rel, src)| (rel.to_string(), SourceModel::new(rel, src)))
             .collect();
         let syntaxes: Vec<FileSyntax> = models.iter().map(|(_, m)| FileSyntax::parse(m)).collect();
         let files: Vec<LockFile<'_>> = models
@@ -649,64 +684,41 @@ mod tests {
             .zip(&syntaxes)
             .map(|((rel, model), syntax)| LockFile { rel, model, syntax })
             .collect();
-        check_workspace(&files, &lock)
+        check_workspace(&files)
     }
 
-    const CFG: &str = r#"
-[lock]
-ranking = ["t.low", "t.high"]
-crates = ["serve"]
-
-[[lock.site]]
-lock = "t.low"
-path = "crates/serve/src/a.rs"
-recv = "self.low"
-
-[[lock.site]]
-lock = "t.high"
-path = "crates/serve/src/a.rs"
-recv = "self.high"
-"#;
-
-    #[test]
-    fn ascending_nesting_is_clean() {
-        let src = r#"
-use std::sync::{Mutex, MutexGuard, PoisonError};
-pub struct S { low: Mutex<u64>, high: Mutex<u64> }
-impl S {
-    pub fn ok(&self) {
-        let mut a = self.low.lock().unwrap_or_else(PoisonError::into_inner);
-        *a += 1;
-        let b = self.high.lock().unwrap_or_else(PoisonError::into_inner);
-        drop(b);
-    }
-}
-"#;
-        let diags = run(&[("crates/serve/src/a.rs", src)], CFG);
-        assert!(diags.is_empty(), "unexpected: {diags:?}");
+    fn has(diags: &[Diagnostic], needle: &str) -> bool {
+        diags.iter().any(|d| d.message.contains(needle))
     }
 
-    #[test]
-    fn descending_nesting_is_flagged() {
-        let src = r#"
+    /// Takes `low` and then, still holding it, `high`.
+    const LOW_THEN_HIGH: &str = r#"
 use std::sync::{Mutex, PoisonError};
+use edgepc_geom::guard::{ranked_with, Lock};
 pub struct S { low: Mutex<u64>, high: Mutex<u64> }
 impl S {
-    pub fn bad(&self) {
-        let mut b = self.high.lock().unwrap_or_else(PoisonError::into_inner);
-        *b += 1;
-        let a = self.low.lock().unwrap_or_else(PoisonError::into_inner);
-        drop(a);
+    pub fn nest(&self) {
+        let a = ranked_with(Lock::Low, || self.low.lock().unwrap_or_else(PoisonError::into_inner));
+        let b = ranked_with(Lock::High, || self.high.lock().unwrap_or_else(PoisonError::into_inner));
         drop(b);
+        drop(a);
     }
 }
 "#;
-        let diags = run(&[("crates/serve/src/a.rs", src)], CFG);
+
+    #[test]
+    fn the_order_comes_from_enum_lock() {
+        let src = [("crates/serve/src/a.rs", LOW_THEN_HIGH)];
+        let ascending = run("Low, High", &src);
+        assert!(ascending.is_empty(), "unexpected: {ascending:?}");
+        // The same source, with only the declaration order swapped.
+        let descending = run("High, Low", &src);
         assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("lock order violation")),
-            "expected order violation: {diags:?}"
+            has(
+                &descending,
+                "`Lock::High` acquired while holding `Lock::Low`"
+            ),
+            "expected a descending edge: {descending:?}"
         );
     }
 
@@ -714,29 +726,62 @@ impl S {
     fn early_drop_releases_the_guard() {
         let src = r#"
 use std::sync::{Mutex, PoisonError};
+use edgepc_geom::guard::{ranked_with, Lock};
 pub struct S { low: Mutex<u64>, high: Mutex<u64> }
 impl S {
     pub fn fine(&self) {
-        let mut b = self.high.lock().unwrap_or_else(PoisonError::into_inner);
-        *b += 1;
+        let mut b = ranked_with(Lock::High, || self.high.lock().unwrap_or_else(PoisonError::into_inner));
+        **b += 1;
         drop(b);
-        let a = self.low.lock().unwrap_or_else(PoisonError::into_inner);
+        let a = ranked_with(Lock::Low, || self.low.lock().unwrap_or_else(PoisonError::into_inner));
         drop(a);
     }
 }
 "#;
-        let diags = run(&[("crates/serve/src/a.rs", src)], CFG);
+        let diags = run("Low, High", &[("crates/serve/src/a.rs", src)]);
         assert!(diags.is_empty(), "unexpected: {diags:?}");
+    }
+
+    #[test]
+    fn rank_scope_token_ranks_the_locks_in_its_block() {
+        let src = r#"
+use std::sync::{Mutex, PoisonError};
+use edgepc_geom::guard::{rank_scope, Lock};
+pub struct S { low: Mutex<u64> }
+impl S {
+    pub fn scoped(&self) -> u64 {
+        let total = {
+            let _rank = rank_scope(Lock::Low);
+            let g = self.low.lock().unwrap_or_else(PoisonError::into_inner);
+            *g
+        };
+        let stray = self.low.lock().unwrap_or_else(PoisonError::into_inner);
+        total + *stray
+    }
+}
+"#;
+        let diags = run("Low", &[("crates/serve/src/a.rs", src)]);
+        let unranked: Vec<_> = diags
+            .iter()
+            .filter(|d| {
+                d.message
+                    .contains("unranked mutex acquisition `self.low.lock()`")
+            })
+            .collect();
+        // The token's block ends before `stray`: only that one is unranked.
+        assert_eq!(unranked.len(), 1, "{diags:?}");
+        assert_eq!(unranked[0].line, 12);
     }
 
     #[test]
     fn interprocedural_edge_through_wrapper_and_call() {
         let a = r#"
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use edgepc_geom::guard::{ranked_with, Lock, Ranked};
 pub struct S { low: Mutex<u64>, high: Mutex<u64> }
 impl S {
-    fn lock(&self) -> MutexGuard<'_, u64> {
-        self.high.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> Ranked<MutexGuard<'_, u64>> {
+        ranked_with(Lock::High, || self.high.lock().unwrap_or_else(PoisonError::into_inner))
     }
     pub fn outer(&self) {
         let g = self.lock();
@@ -744,12 +789,12 @@ impl S {
         drop(g);
     }
     pub fn touch_low(&self) {
-        let a = self.low.lock().unwrap_or_else(PoisonError::into_inner);
+        let a = ranked_with(Lock::Low, || self.low.lock().unwrap_or_else(PoisonError::into_inner));
         drop(a);
     }
 }
 "#;
-        let diags = run(&[("crates/serve/src/a.rs", a)], CFG);
+        let diags = run("Low, High", &[("crates/serve/src/a.rs", a)]);
         assert!(
             diags
                 .iter()
@@ -761,48 +806,38 @@ impl S {
 
     #[test]
     fn callback_under_lock_propagates_to_closure_argument() {
-        let cfg = r#"
-[lock]
-ranking = ["t.inner", "t.q"]
-crates = ["serve"]
-
-[[lock.site]]
-lock = "t.q"
-path = "crates/serve/src/q.rs"
-recv = "self.inner"
-
-[[lock.site]]
-lock = "t.inner"
-path = "crates/serve/src/e.rs"
-recv = "self.state"
-"#;
         let q = r#"
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use edgepc_geom::guard::{ranked_with, Lock, Ranked};
 pub struct Q { inner: Mutex<u64> }
 impl Q {
+    fn lock(&self) -> Ranked<MutexGuard<'_, u64>> {
+        ranked_with(Lock::Queue, || self.inner.lock().unwrap_or_else(PoisonError::into_inner))
+    }
     pub fn push_with(&self, on_admit: impl FnOnce(u64)) {
-        let mut g = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        *g += 1;
-        on_admit(*g);
+        let mut g = self.lock();
+        **g += 1;
+        on_admit(**g);
         drop(g);
     }
 }
 "#;
         let e = r#"
 use std::sync::{Mutex, PoisonError};
+use edgepc_geom::guard::{ranked_with, Lock};
 pub struct E { state: Mutex<u64> }
 impl E {
     pub fn submit(&self, q: &super::q::Q) {
         q.push_with(|depth| {
-            let s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = depth + *s;
+            let s = ranked_with(Lock::State, || self.state.lock().unwrap_or_else(PoisonError::into_inner));
+            let _ = depth + **s;
         });
     }
 }
 "#;
         let diags = run(
+            "State, Queue",
             &[("crates/serve/src/q.rs", q), ("crates/serve/src/e.rs", e)],
-            cfg,
         );
         assert!(
             diags
@@ -814,28 +849,33 @@ impl E {
     }
 
     #[test]
-    fn undeclared_and_stale_sites_are_flagged() {
+    fn unranked_acquisitions_and_ghost_variants_are_flagged() {
         let src = r#"
 use std::sync::{Mutex, PoisonError};
-pub struct S { mystery: Mutex<u64> }
+use edgepc_geom::guard::{ranked_with, Lock};
+pub struct S { mystery: Mutex<u64>, typo: Mutex<u64> }
 impl S {
     pub fn poke(&self) {
         let g = self.mystery.lock().unwrap_or_else(PoisonError::into_inner);
         drop(g);
+        let t = ranked_with(Lock::Undeclared, || self.typo.lock().unwrap_or_else(PoisonError::into_inner));
+        drop(t);
     }
 }
 "#;
-        let diags = run(&[("crates/serve/src/a.rs", src)], CFG);
-        assert!(diags
-            .iter()
-            .any(|d| d.message.contains("undeclared mutex acquisition")));
-        // Both declared sites match nothing in this source.
-        assert_eq!(
-            diags
-                .iter()
-                .filter(|d| d.message.contains("stale lock site"))
-                .count(),
-            2
-        );
+        let diags = run("Low, High", &[("crates/serve/src/a.rs", src)]);
+        assert!(has(
+            &diags,
+            "unranked mutex acquisition `self.mystery.lock()`"
+        ));
+        // A claim naming a variant `enum Lock` lacks ranks nothing.
+        assert!(has(&diags, "unranked mutex acquisition `self.typo.lock()`"));
+        for ghost in ["Low", "High"] {
+            assert!(
+                diags.iter().any(|d| d.file == LOCK_ENUM_FILE
+                    && d.message.contains(&format!("ghost lock `Lock::{ghost}`"))),
+                "expected ghost {ghost}: {diags:?}"
+            );
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! The rule engine: a shared token-level source model plus one module per
-//! rule. Rules run over [`SourceModel`] (per-file rules EP001–EP003) or
-//! raw document text (workspace rules EP004–EP005); all return
-//! [`Diagnostic`]s and never panic on malformed input.
+//! rule. Rules run over [`SourceModel`] (per-file rules EP002, EP003,
+//! EP007, EP008; the workspace-wide EP006) or raw document text (EP004,
+//! EP005); all return [`Diagnostic`](crate::diag::Diagnostic)s and never
+//! panic on malformed input.
 //!
 //! Adding a rule: create `rules/epNNN.rs` with a
 //! `check(&SourceModel) -> Vec<Diagnostic>` (or document-level) function,
-//! add it to the dispatch in [`lint_rust_source`] or the engine in
-//! `lib.rs`, and give it a fixture pair under `tests/fixtures/`.
+//! add it to the engine in `lib.rs`, and give it a fixture pair under
+//! `tests/fixtures/`.
 
-pub mod ep001;
 pub mod ep002;
 pub mod ep003;
 pub mod ep004;
@@ -18,21 +18,6 @@ pub mod ep007;
 pub mod ep008;
 
 use crate::lexer::{self, Token, TokenKind};
-
-/// Which per-file rules apply to a source file. The engine derives this
-/// from the file's path (hot crate? designated EP003 module?); fixture
-/// tests set the flags directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleSet {
-    /// EP001 panic-freedom (hot-path crates only).
-    pub panic_freedom: bool,
-    /// EP002 float equality (all production code).
-    pub float_eq: bool,
-    /// EP003 span coverage (designated hot modules only).
-    pub span_coverage: bool,
-    /// EP007 determinism hygiene (deterministic crates only).
-    pub determinism: bool,
-}
 
 /// A tokenized source file with test regions resolved.
 pub struct SourceModel {
@@ -213,29 +198,6 @@ pub fn match_braces(tokens: &[Token], code: &[usize], ci: usize) -> Option<usize
         }
     }
     None
-}
-
-/// Runs the enabled per-file rules over one Rust source text. The engine
-/// in `lib.rs` dispatches rules individually (sharing one parsed
-/// [`SourceModel`] + syntax tree and timing each rule); this is the
-/// single-file convenience entry point.
-pub fn lint_rust_source(rel: &str, src: &str, rules: RuleSet) -> Vec<crate::diag::Diagnostic> {
-    let model = SourceModel::new(rel, src);
-    let syntax = crate::syntax::FileSyntax::parse(&model);
-    let mut out = Vec::new();
-    if rules.panic_freedom {
-        out.extend(ep001::check(&model));
-    }
-    if rules.float_eq {
-        out.extend(ep002::check(&model, &syntax));
-    }
-    if rules.span_coverage {
-        out.extend(ep003::check(&model));
-    }
-    if rules.determinism {
-        out.extend(ep007::check(&model, &syntax));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //!
 //! ```toml
 //! [[waiver]]
-//! rule = "EP001"                      # which rule to silence
-//! path = "crates/geom/src/guard.rs"   # repo-relative file (or dir/ prefix)
-//! item = "violation"                  # optional: scope to one fn/ident
-//! reason = "the one sanctioned diverging site"
+//! rule = "EP002"                      # which rule to silence
+//! path = "crates/nn/src/kernel.rs"    # repo-relative file (or dir/ prefix)
+//! item = "naive_into"                 # optional: scope to one fn/ident
+//! reason = "the exact +/-0.0 sparsity skip is deliberate"
 //! ```
 
 use crate::diag::Diagnostic;
@@ -168,7 +168,7 @@ mod tests {
             Some("forward")
         )));
         assert!(!w.matches(&diag(
-            "EP001",
+            "EP002",
             "crates/models/src/dgcnn.rs",
             Some("feature_knn")
         )));
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn unused_waivers_become_violations() {
         let waivers = vec![Waiver {
-            rule: "EP001".into(),
+            rule: "EP002".into(),
             path: "crates/x/src/lib.rs".into(),
             item: None,
             reason: "a perfectly fine reason".into(),
@@ -199,13 +199,13 @@ mod tests {
 
     #[test]
     fn reason_is_mandatory_and_substantial() {
-        assert!(parse_waivers("[[waiver]]\nrule = \"EP001\"\npath = \"x\"\n").is_err());
+        assert!(parse_waivers("[[waiver]]\nrule = \"EP002\"\npath = \"x\"\n").is_err());
         assert!(parse_waivers(
-            "[[waiver]]\nrule = \"EP001\"\npath = \"x\"\nreason = \"because\"\n"
+            "[[waiver]]\nrule = \"EP002\"\npath = \"x\"\nreason = \"because\"\n"
         )
         .is_err());
         let ok = parse_waivers(
-            "[[waiver]]\nrule = \"EP001\"\npath = \"x\"\nreason = \"a documented invariant\"\n",
+            "[[waiver]]\nrule = \"EP002\"\npath = \"x\"\nreason = \"a documented invariant\"\n",
         )
         .expect("valid");
         assert_eq!(ok.len(), 1);

@@ -1,5 +1,7 @@
-//! Fixture source: panic-free hot-path code; the unwrap and exact float
-//! compare live inside a test module, which EP001/EP002 must skip.
+//! Fixture source: the exact float compare lives inside a test module,
+//! which EP002 must skip.
+
+pub mod guard;
 
 pub fn centroid(xs: &[f32]) -> f32 {
     if xs.is_empty() {
@@ -11,8 +13,7 @@ pub fn centroid(xs: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_and_float_eq_are_fine_here() {
-        let first = [2.0f32].first().copied().unwrap();
-        assert!(first == 2.0);
+    fn float_eq_is_fine_here() {
+        assert!(super::centroid(&[2.0]) == 2.0);
     }
 }

@@ -1,18 +1,19 @@
-//! Fixture source: geom is a hot-path crate, so the unwrap and the
-//! panic! below must trip EP001, and the float compare EP002.
+//! Fixture source: the float compare below must trip EP002.
+
+pub mod guard;
 
 pub fn centroid(xs: &[f32]) -> f32 {
-    let first = xs.first().unwrap();
-    if *first == 0.5 {
-        panic!("bad centroid seed");
+    let sum = xs.iter().sum::<f32>();
+    if sum == 0.5 {
+        return 0.0;
     }
-    xs.iter().sum::<f32>() / xs.len() as f32
+    sum / xs.len() as f32
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_here_is_fine() {
-        assert!(super::centroid(&[1.0, 3.0]).is_finite());
+    fn float_eq_here_is_fine() {
+        assert!(super::centroid(&[1.0, 3.0]) == 2.0);
     }
 }

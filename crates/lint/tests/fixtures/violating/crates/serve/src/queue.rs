@@ -1,8 +1,10 @@
-//! Planted EP006 violations: a descending lock acquisition and an
-//! undeclared mutex. The fixture LINT.toml ranks `fixture.low` below
-//! `fixture.high` and declares a stale site plus a ghost ranking entry.
+//! Planted EP006 violations against the fixture's `enum Lock { Low,
+//! High, Ghost }`: a descending acquisition, a re-entrant one, and an
+//! unranked mutex.
 
 use std::sync::{Mutex, PoisonError};
+
+use fixture_geom::guard::{ranked_with, Lock};
 
 pub struct Queue {
     low: Mutex<u32>,
@@ -11,16 +13,31 @@ pub struct Queue {
 }
 
 impl Queue {
-    /// EP006: acquires `fixture.low` while holding `fixture.high` — the
-    /// declared ranking requires the reverse.
+    /// EP006: claims `Lock::Low` while holding `Lock::High` — the
+    /// declared order requires the reverse.
     pub fn descending(&self) -> u32 {
-        let h = self.high.lock().unwrap_or_else(PoisonError::into_inner);
-        let l = self.low.lock().unwrap_or_else(PoisonError::into_inner);
-        *h + *l
+        let h = ranked_with(Lock::High, || {
+            self.high.lock().unwrap_or_else(PoisonError::into_inner)
+        });
+        let l = ranked_with(Lock::Low, || {
+            self.low.lock().unwrap_or_else(PoisonError::into_inner)
+        });
+        **h + **l
     }
 
-    /// EP006: `self.count` has no `[[lock.site]]` declaration.
-    pub fn undeclared(&self) -> u32 {
+    /// EP006: claims `Lock::Low` again while already holding it.
+    pub fn reentrant(&self) -> u32 {
+        let a = ranked_with(Lock::Low, || {
+            self.low.lock().unwrap_or_else(PoisonError::into_inner)
+        });
+        let b = ranked_with(Lock::Low, || {
+            self.low.lock().unwrap_or_else(PoisonError::into_inner)
+        });
+        **a + **b
+    }
+
+    /// EP006: `self.count` is locked with no `Lock` claim at all.
+    pub fn unranked(&self) -> u32 {
         *self.count.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

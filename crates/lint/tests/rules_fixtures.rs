@@ -1,7 +1,7 @@
 //! End-to-end runs over the fixture mini-workspaces in
-//! `tests/fixtures/`: the violating tree must trip every rule (EP000
-//! through EP008) and the clean tree none, both through the library API
-//! and through the `lint_all` binary.
+//! `tests/fixtures/`: the violating tree must trip every rule in
+//! `ALL_RULES` and the clean tree none, both through the library API and
+//! through the `lint_all` binary.
 
 // Test-support helpers sit outside #[test] fns, where clippy.toml's
 // allow-expect-in-tests does not reach.
@@ -23,9 +23,7 @@ fn fixture(name: &str) -> PathBuf {
 fn violating_fixture_trips_every_rule() {
     let report = edgepc_lint::run_workspace(&fixture("violating")).expect("fixture run");
     let rules: BTreeSet<&str> = report.violations.iter().map(|d| d.rule).collect();
-    for expected in [
-        "EP000", "EP001", "EP002", "EP003", "EP004", "EP005", "EP006", "EP007", "EP008",
-    ] {
+    for &expected in edgepc_lint::ALL_RULES {
         assert!(
             rules.contains(expected),
             "expected a {expected} violation, got rules {rules:?}:\n{}",
@@ -49,9 +47,6 @@ fn violating_fixture_pinpoints_the_planted_sites() {
             .iter()
             .any(|d| d.rule == rule && d.file == file && d.message.contains(needle))
     };
-    // EP001: both the unwrap and the panic! in the hot-crate source.
-    assert!(has("EP001", "crates/geom/src/lib.rs", "unwrap"));
-    assert!(has("EP001", "crates/geom/src/lib.rs", "panic!"));
     // EP002: the float compare outside tests.
     assert!(has("EP002", "crates/geom/src/lib.rs", "=="));
     // EP003: the span-less public function in a span-covered file.
@@ -67,20 +62,28 @@ fn violating_fixture_pinpoints_the_planted_sites() {
         .any(|d| d.rule == "EP005" && d.file == "results/broken.json"));
     // EP000: the deliberately stale waiver.
     assert!(has("EP000", "LINT.toml", "crates/morton/src/lib.rs"));
-    // EP006: the descending acquisition, the undeclared mutex, the stale
-    // site declaration, and the ghost ranking entry.
+    // EP006: the descending and re-entrant claims, the unranked mutex,
+    // and the ghost variant of the fixture's own `enum Lock`.
     assert!(has(
         "EP006",
         "crates/serve/src/queue.rs",
-        "lock order violation"
+        "lock order violation: `Lock::Low` acquired while holding `Lock::High`"
     ));
     assert!(has(
         "EP006",
         "crates/serve/src/queue.rs",
-        "undeclared mutex acquisition `self.count.lock()`"
+        "reentrant acquisition: `Lock::Low`"
     ));
-    assert!(has("EP006", "LINT.toml", "stale lock site"));
-    assert!(has("EP006", "LINT.toml", "fixture.ghost"));
+    assert!(has(
+        "EP006",
+        "crates/serve/src/queue.rs",
+        "unranked mutex acquisition `self.count.lock()`"
+    ));
+    assert!(has(
+        "EP006",
+        "crates/geom/src/guard.rs",
+        "ghost lock `Lock::Ghost`"
+    ));
     // EP007: hash-order leak, wall-clock read, and the par-fold race.
     assert!(has("EP007", "crates/geom/src/detmap.rs", "hash-order leak"));
     assert!(has("EP007", "crates/geom/src/detmap.rs", "Instant::now"));
@@ -113,11 +116,9 @@ fn rules_filter_runs_only_the_named_rules() {
     let rules: BTreeSet<&str> = report.violations.iter().map(|d| d.rule).collect();
     assert!(rules.contains("EP006"));
     assert!(rules.contains("EP008"));
-    // Skipped rules report nothing — including EP000 for the stale EP001
+    // Skipped rules report nothing — including EP000 for the stale EP002
     // waiver, which is exempt while its rule is not running.
-    for skipped in [
-        "EP000", "EP001", "EP002", "EP003", "EP004", "EP005", "EP007",
-    ] {
+    for skipped in ["EP000", "EP002", "EP003", "EP004", "EP005", "EP007"] {
         assert!(!rules.contains(skipped), "unexpected {skipped} diagnostic");
     }
     // Only the enabled rules (plus parse) are timed.
@@ -144,6 +145,30 @@ fn clean_fixture_is_clean() {
     assert!(report.files_scanned >= 6, "sources + manifests + results");
 }
 
+/// EP006 cannot be switched off by omission: a tree with no LINT.toml
+/// and no `enum Lock` still gets checked, against an empty ranking, so
+/// its one mutex acquisition is unranked.
+#[test]
+fn ep006_runs_without_lint_toml_or_enum_lock() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_lock_config");
+    let src = root.join("crates/serve/src");
+    std::fs::create_dir_all(&src).expect("create fixture tree");
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn bump(m: &std::sync::Mutex<u32>) {\n    \
+         *m.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;\n}\n",
+    )
+    .expect("write fixture source");
+    let report = edgepc_lint::run_workspace(&root).expect("fixture run");
+    assert!(
+        report.violations.iter().any(|d| d.rule == "EP006"
+            && d.file == "crates/serve/src/lib.rs"
+            && d.message.contains("unranked mutex acquisition `m.lock()`")),
+        "expected an unranked acquisition, got {:?}",
+        report.violations
+    );
+}
+
 fn run_lint_all(root: &Path, json_out: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_lint_all"))
         .arg("--root")
@@ -160,7 +185,7 @@ fn lint_all_binary_fails_on_violating_fixture() {
     let out = run_lint_all(&fixture("violating"), &json);
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in ["EP000", "EP001", "EP002", "EP003", "EP004", "EP005"] {
+    for rule in ["EP000", "EP002", "EP003", "EP004", "EP005", "EP006"] {
         assert!(stdout.contains(rule), "stdout missing {rule}:\n{stdout}");
     }
     // The machine-readable report parses and agrees it is not clean.
@@ -180,18 +205,18 @@ fn lint_all_binary_honors_rules_filter() {
         .arg("--root")
         .arg(fixture("violating"))
         .arg("--rules")
-        .arg("EP001")
+        .arg("EP002")
         .arg("--json")
         .arg(&json)
         .output()
         .expect("spawn lint_all --rules");
-    assert_eq!(out.status.code(), Some(1), "EP001 findings must exit 1");
+    assert_eq!(out.status.code(), Some(1), "EP002 findings must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("[EP001]"),
-        "stdout missing EP001:\n{stdout}"
+        stdout.contains("[EP002]"),
+        "stdout missing EP002:\n{stdout}"
     );
-    for absent in ["EP002", "EP005", "EP000"] {
+    for absent in ["EP003", "EP005", "EP000"] {
         assert!(
             !stdout.contains(&format!("[{absent}]")),
             "filtered run leaked {absent} diagnostics:\n{stdout}"
@@ -199,7 +224,7 @@ fn lint_all_binary_honors_rules_filter() {
     }
     // The summary carries per-rule wall time for the rules that ran.
     assert!(
-        stdout.contains("EP001 ") && stdout.contains("ms"),
+        stdout.contains("EP002 ") && stdout.contains("ms"),
         "summary missing per-rule timing:\n{stdout}"
     );
 }

@@ -36,6 +36,8 @@
 //! assert!(!records.is_empty());
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod compiled;
 pub mod delayed;
 pub mod dgcnn;

@@ -31,6 +31,8 @@
 //! assert_eq!(s.permutation()[2], 0);
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod encode;
 pub mod grid;
 pub mod hilbert;

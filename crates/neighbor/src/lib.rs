@@ -39,6 +39,8 @@
 //! assert!(approx.ops.dist3 < exact.ops.dist3);
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod audit;
 pub mod ballquery;
 pub mod brute;

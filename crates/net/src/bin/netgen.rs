@@ -20,6 +20,7 @@
 //! workers by M ms per batch in self-hosted rows — the degraded-operation
 //! row CI's chaos checks look at. `--smoke` shrinks the run for CI (one
 //! 2-shard row, 96 requests, small clouds).
+#![warn(clippy::panic, clippy::unreachable)]
 #![allow(clippy::print_stderr)]
 
 use std::time::Duration;

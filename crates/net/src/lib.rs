@@ -30,6 +30,8 @@
 //! router's engines, so in-flight tickets settle instead of reporting
 //! `ShuttingDown`.
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod metrics;
 pub mod netgen;
 pub mod proto;
@@ -37,7 +39,6 @@ pub mod report;
 pub mod router;
 pub mod server;
 
-pub(crate) mod lockrank;
 pub(crate) mod pipe;
 
 pub use netgen::{run_against, run_row, run_sweep, NetReport, NetRow, NetgenConfig};

@@ -13,9 +13,7 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use edgepc_geom::guard::rank_scope;
-
-use crate::lockrank;
+use edgepc_geom::guard::{rank_scope, Lock};
 
 pub(crate) struct Pipe<T> {
     state: Mutex<PipeState<T>>,
@@ -54,7 +52,7 @@ impl<T> Pipe<T> {
     /// rides in a fn-scoped token (sound across waits: this thread is
     /// blocked while the mutex is released).
     pub fn enqueue_pending(&self, item: T) -> Result<bool, ()> {
-        let _rank = rank_scope(lockrank::PIPE, "net.pipe");
+        let _rank = rank_scope(Lock::NetPipe);
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let mut waited = false;
         while !state.closed && state.queue.len() >= self.capacity {
@@ -77,7 +75,7 @@ impl<T> Pipe<T> {
     /// empty. `None` means closed *and* drained — the writer's signal to
     /// flush and exit.
     pub fn dequeue_pending(&self) -> Option<T> {
-        let _rank = rank_scope(lockrank::PIPE, "net.pipe");
+        let _rank = rank_scope(Lock::NetPipe);
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(item) = state.queue.pop_front() {
@@ -99,7 +97,7 @@ impl<T> Pipe<T> {
     /// queued and then sees `None`. Idempotent; callable from either side.
     pub fn close_pipe(&self) {
         {
-            let _rank = rank_scope(lockrank::PIPE, "net.pipe");
+            let _rank = rank_scope(Lock::NetPipe);
             let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.closed = true;
         }

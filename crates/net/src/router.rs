@@ -32,12 +32,11 @@
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use edgepc_geom::guard::ranked_with;
+use edgepc_geom::guard::{ranked_with, Lock};
 use edgepc_geom::PointCloud;
 use edgepc_serve::{Engine, EngineConfig, InferenceOutput, ModelSpec, Request, ServeError, Ticket};
 use edgepc_trace::{next_trace_id, span_in, Registry};
 
-use crate::lockrank;
 use crate::metrics;
 
 /// How the router picks a shard for a request.
@@ -229,7 +228,7 @@ impl Router {
     /// Current per-shard health (false = marked down after a
     /// `ShuttingDown` refusal).
     pub fn healthy(&self) -> Vec<bool> {
-        ranked_with(lockrank::ROUTER, "net.router", || {
+        ranked_with(Lock::NetRouter, || {
             self.state.lock().unwrap_or_else(PoisonError::into_inner)
         })
         .healthy
@@ -237,7 +236,7 @@ impl Router {
     }
 
     fn mark_shard_down(&self, shard: usize) {
-        let mut state = ranked_with(lockrank::ROUTER, "net.router", || {
+        let mut state = ranked_with(Lock::NetRouter, || {
             self.state.lock().unwrap_or_else(PoisonError::into_inner)
         });
         if let Some(h) = state.healthy.get_mut(shard) {

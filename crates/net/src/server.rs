@@ -20,7 +20,7 @@
 //! close the connection when framing itself is lost), a connection at
 //! the cap is refused with a `Busy` error frame, and a client vanishing
 //! mid-request just tears its connection down. Nothing in this module
-//! panics on network input (EP001 holds for this crate).
+//! panics on network input (the crate denies clippy's panic lints).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -29,12 +29,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use edgepc_geom::guard::ranked_with;
+use edgepc_geom::guard::{ranked_with, Lock};
 use edgepc_geom::PointCloud;
 use edgepc_serve::ServeError;
 use edgepc_trace::{span_in, Registry};
 
-use crate::lockrank;
 use crate::metrics;
 use crate::pipe::Pipe;
 use crate::proto::{
@@ -82,7 +81,7 @@ impl ConnTable {
     /// Registers a connection thread, reaping already-finished handles so
     /// the table stays proportional to *live* connections.
     fn adopt_conn(&self, handle: JoinHandle<()>) {
-        let mut handles = ranked_with(lockrank::CONNS, "net.conns", || {
+        let mut handles = ranked_with(Lock::NetConns, || {
             self.handles.lock().unwrap_or_else(PoisonError::into_inner)
         });
         handles.retain(|h| !h.is_finished());
@@ -91,7 +90,7 @@ impl ConnTable {
 
     /// Takes every tracked handle (for join at shutdown).
     fn reap_conns(&self) -> Vec<JoinHandle<()>> {
-        let mut handles = ranked_with(lockrank::CONNS, "net.conns", || {
+        let mut handles = ranked_with(Lock::NetConns, || {
             self.handles.lock().unwrap_or_else(PoisonError::into_inner)
         });
         std::mem::take(&mut **handles)

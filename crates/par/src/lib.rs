@@ -33,6 +33,8 @@
 //! On a single-core host all primitives take a zero-spawn serial fast
 //! path, so parallelization never taxes the machines it cannot help.
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 mod pool;
 
 pub use pool::{par_chunk_map, par_chunks_mut, par_for, par_map, par_ranges, par_reduce};

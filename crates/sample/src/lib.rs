@@ -32,6 +32,8 @@
 //! assert_eq!(mc.ops.dist3, 0);
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 pub mod audit;
 pub mod fps;
 pub mod morton_sampler;

@@ -22,6 +22,7 @@
 //! to N ms — or until a client sends the `quit` verb — so external tools
 //! can query steady-state snapshots. `--flightrec PATH` arms the flight
 //! recorder's automatic dump triggers to write there.
+#![warn(clippy::panic, clippy::unreachable)]
 #![allow(clippy::print_stderr)]
 
 use std::time::Duration;

@@ -15,6 +15,7 @@
 //! `edgepc_serve::telemetry`); `check` is what `ci.sh --obs-smoke` runs —
 //! it exits nonzero unless every verb answers with a well-formed
 //! snapshot, making "the endpoint works under live load" a CI invariant.
+#![warn(clippy::panic, clippy::unreachable)]
 #![allow(clippy::print_stderr, clippy::print_stdout)]
 
 use std::io::{Read, Write};

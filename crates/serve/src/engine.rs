@@ -21,7 +21,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use edgepc_geom::guard::ranked_with;
+use edgepc_geom::guard::{ranked_with, Lock};
 use edgepc_geom::required;
 use edgepc_models::ExecState;
 use edgepc_trace::{next_trace_id, span_in, with_registry, with_trace, Registry};
@@ -29,7 +29,6 @@ use edgepc_trace::{next_trace_id, span_in, with_registry, with_trace, Registry};
 use crate::config::EngineConfig;
 use crate::error::ServeError;
 use crate::flight::TelemetryPlane;
-use crate::lockrank;
 use crate::metrics;
 use crate::model::{ModelSpec, ServeModel};
 use crate::plans::PlanCache;
@@ -220,7 +219,7 @@ impl Engine {
         let _span = span_in(self.registry.clone(), "serve.shutdown", "serve");
         self.queue.begin_shutdown();
         let handles = {
-            let mut workers = ranked_with(lockrank::WORKERS, "serve.workers", || {
+            let mut workers = ranked_with(Lock::ServeWorkers, || {
                 self.workers.lock().unwrap_or_else(PoisonError::into_inner)
             });
             std::mem::take(&mut **workers)

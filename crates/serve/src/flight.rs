@@ -20,13 +20,12 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError, Weak};
 
-use edgepc_geom::guard::{ranked_with, Ranked};
+use edgepc_geom::guard::{ranked_with, Lock, Ranked};
 use edgepc_trace::flight::{flightrec_json, EventKind, FlightRecorder, TelemetryEvent};
 use edgepc_trace::tail::TailSampler;
 use edgepc_trace::Registry;
 
 use crate::config::FlightConfig;
-use crate::lockrank;
 use crate::metrics;
 
 /// Sliding-window burst counters behind the dump triggers.
@@ -118,7 +117,7 @@ impl TelemetryPlane {
     pub(crate) fn note_done(&self, trace_id: u64, total_us: u64, batch_size: u64) -> bool {
         self.event(trace_id, EventKind::Done, total_us, batch_size);
         let (retain, threshold_us) = {
-            let mut sampler = ranked_with(lockrank::SAMPLER, "serve.sampler", || {
+            let mut sampler = ranked_with(Lock::ServeSampler, || {
                 self.sampler.lock().unwrap_or_else(PoisonError::into_inner)
             });
             sampler.observe_admit(total_us)
@@ -163,7 +162,7 @@ impl TelemetryPlane {
     }
 
     fn lock_trigger(&self) -> Ranked<MutexGuard<'_, TriggerState>> {
-        ranked_with(lockrank::TRIGGER, "serve.trigger", || {
+        ranked_with(Lock::ServeTrigger, || {
             self.trigger.lock().unwrap_or_else(PoisonError::into_inner)
         })
     }
@@ -224,7 +223,7 @@ static PLANES: Mutex<Vec<Weak<TelemetryPlane>>> = Mutex::new(Vec::new());
 static HOOK_INSTALL: Once = Once::new();
 
 fn register_for_guard_hook(plane: &Arc<TelemetryPlane>) {
-    let mut planes = ranked_with(lockrank::PLANES, "serve.planes", || {
+    let mut planes = ranked_with(Lock::ServePlanes, || {
         PLANES.lock().unwrap_or_else(PoisonError::into_inner)
     });
     planes.retain(|w| w.strong_count() > 0);
@@ -235,7 +234,7 @@ fn register_for_guard_hook(plane: &Arc<TelemetryPlane>) {
         // first we simply lose violation dumps, never correctness.
         let _ = edgepc_geom::set_violation_hook(|_msg| {
             let planes: Vec<Arc<TelemetryPlane>> = {
-                let held = ranked_with(lockrank::PLANES, "serve.planes", || {
+                let held = ranked_with(Lock::ServePlanes, || {
                     PLANES.lock().unwrap_or_else(PoisonError::into_inner)
                 });
                 held.iter().filter_map(Weak::upgrade).collect()

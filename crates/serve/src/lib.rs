@@ -35,9 +35,10 @@
 //! engine.shutdown();
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
+
 mod batch;
 mod flight;
-mod lockrank;
 mod plans;
 mod queue;
 

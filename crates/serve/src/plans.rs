@@ -3,8 +3,8 @@
 //! Plans are compiled once per `(model index, cloud size)` pair and shared
 //! by every worker through an `Arc` — compilation snapshots the replica's
 //! weights into the plan, and replicas are deterministic, so any worker's
-//! replica compiles the identical plan. The cache lock (rank
-//! `lockrank::PLAN_CACHE`) guards only the lookup vector; compilation —
+//! replica compiles the identical plan. The cache lock
+//! (`Lock::ServePlanCache`) guards only the lookup vector; compilation —
 //! graph lowering, fusion, weight packing — always happens *outside* it,
 //! with a double-checked insert so a racing worker's duplicate plan is
 //! simply dropped.
@@ -16,12 +16,11 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use edgepc_geom::guard::ranked_with;
+use edgepc_geom::guard::{ranked_with, Lock};
 use edgepc_geom::PointCloud;
 use edgepc_models::{CompiledDgcnn, CompiledPointNetPp, ExecState};
 use edgepc_nn::Tensor2;
 
-use crate::lockrank;
 use crate::model::ServeModel;
 
 /// A compiled replica: the model's forward path lowered to `edgepc-ir`
@@ -93,7 +92,7 @@ impl PlanCache {
         }
         let key = (model, n_points);
         {
-            let inner = ranked_with(lockrank::PLAN_CACHE, "serve.plan_cache", || {
+            let inner = ranked_with(Lock::ServePlanCache, || {
                 self.inner.lock().unwrap_or_else(PoisonError::into_inner)
             });
             if let Some((_, plan)) = inner.iter().find(|(k, _)| *k == key) {
@@ -107,7 +106,7 @@ impl PlanCache {
         // the lookup by orders of magnitude, and other workers must keep
         // serving (eagerly, if need be) while this plan builds.
         let plan = Arc::new(CompiledServeModel::build(replica, n_points));
-        let mut inner = ranked_with(lockrank::PLAN_CACHE, "serve.plan_cache", || {
+        let mut inner = ranked_with(Lock::ServePlanCache, || {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
         });
         // Double-checked: a racing worker may have inserted the same key
@@ -125,7 +124,7 @@ impl PlanCache {
     /// Plans currently cached.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        let inner = ranked_with(lockrank::PLAN_CACHE, "serve.plan_cache", || {
+        let inner = ranked_with(Lock::ServePlanCache, || {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
         });
         inner.len()

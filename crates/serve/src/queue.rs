@@ -15,11 +15,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use edgepc_geom::guard::{rank_scope, ranked_with, Ranked};
+use edgepc_geom::guard::{rank_scope, ranked_with, Lock, Ranked};
 
 use crate::batch::{gather_compatible, split_expired};
 use crate::error::ServeError;
-use crate::lockrank;
 use crate::request::QueuedRequest;
 
 /// What a worker pulled off the queue.
@@ -73,7 +72,7 @@ impl SubmitQueue {
     /// than cascading the panic through the engine. The rank wrapper
     /// asserts (in debug builds) that no higher-ranked lock is held.
     fn lock(&self) -> Ranked<MutexGuard<'_, Inner>> {
-        ranked_with(lockrank::QUEUE, "serve.queue", || {
+        ranked_with(Lock::ServeQueue, || {
             self.inner.lock().unwrap_or_else(PoisonError::into_inner)
         })
     }
@@ -142,7 +141,7 @@ impl SubmitQueue {
         // `Ranked` wrapper. Holding it across the wait is sound: this
         // thread is blocked while the mutex is released, so it cannot
         // acquire anything else in between.
-        let _rank = rank_scope(lockrank::QUEUE, "serve.queue");
+        let _rank = rank_scope(Lock::ServeQueue);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             expired.extend(split_expired(&mut inner.items, Instant::now()));

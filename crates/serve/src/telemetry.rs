@@ -24,13 +24,12 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use edgepc_geom::guard::{rank_scope, ranked_with};
+use edgepc_geom::guard::{rank_scope, ranked_with, Lock};
 use edgepc_trace::export::{metrics_text, registry_json};
 use edgepc_trace::{span_in, Registry};
 
 use crate::engine::Engine;
 use crate::flight::TelemetryPlane;
-use crate::lockrank;
 
 /// How long the accept loop sleeps between polls of the nonblocking
 /// listener (bounds both stop latency and idle CPU).
@@ -103,7 +102,7 @@ impl TelemetryServer {
         // the rank rides in a fn-scoped token instead of a `Ranked`
         // wrapper (sound across waits: this thread is blocked while the
         // mutex is released).
-        let _rank = rank_scope(lockrank::TELEMETRY, "serve.telemetry");
+        let _rank = rank_scope(Lock::ServeTelemetry);
         let mut requested = self
             .quit
             .requested
@@ -185,7 +184,7 @@ fn handle_conn(
         "flightrec" => plane.render("endpoint"),
         "quit" => {
             {
-                let mut requested = ranked_with(lockrank::TELEMETRY, "serve.telemetry", || {
+                let mut requested = ranked_with(Lock::ServeTelemetry, || {
                     quit.requested
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)

@@ -20,10 +20,9 @@
 
 use std::sync::Mutex;
 
-use edgepc_geom::guard::ranked_with;
+use edgepc_geom::guard::{ranked_with, Lock};
 
 use crate::json::escape;
-use crate::lockrank;
 use crate::span::SpanData;
 
 /// What happened to a request at one lifecycle edge.
@@ -137,7 +136,7 @@ impl FlightRecorder {
     /// Records one event (lock one shard, write one slot). Oldest events
     /// in the same shard are overwritten once the ring is full.
     pub fn record(&self, ev: TelemetryEvent) {
-        let mut shard = ranked_with(lockrank::FLIGHT, "trace.flight", || {
+        let mut shard = ranked_with(Lock::TraceFlight, || {
             self.shard(ev.trace_id)
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -157,7 +156,7 @@ impl FlightRecorder {
         self.shards
             .iter()
             .map(|s| {
-                ranked_with(lockrank::FLIGHT, "trace.flight", || {
+                ranked_with(Lock::TraceFlight, || {
                     s.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
                 })
                 .total
@@ -170,7 +169,7 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> Vec<TelemetryEvent> {
         let mut out = Vec::new();
         for s in &self.shards {
-            let shard = ranked_with(lockrank::FLIGHT, "trace.flight", || {
+            let shard = ranked_with(Lock::TraceFlight, || {
                 s.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
             });
             out.extend_from_slice(&shard.buf);

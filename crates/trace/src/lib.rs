@@ -48,7 +48,6 @@
 pub mod export;
 pub mod flight;
 pub mod json;
-mod lockrank;
 pub mod metrics;
 mod registry;
 mod span;

@@ -20,9 +20,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use edgepc_geom::guard::{ranked_with, Ranked};
+use edgepc_geom::guard::{ranked_with, Lock, Ranked};
 
-use crate::lockrank;
 use crate::metrics::Histogram;
 use crate::span::SpanData;
 
@@ -137,7 +136,7 @@ impl Registry {
     /// The rank wrapper asserts (in debug builds) that no higher-ranked
     /// lock is already held on this thread.
     fn lock(&self) -> Ranked<MutexGuard<'_, Inner>> {
-        ranked_with(lockrank::REGISTRY, "trace.registry", || {
+        ranked_with(Lock::TraceRegistry, || {
             self.inner
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
