@@ -7,7 +7,12 @@
 #                          deny unwrap/expect/todo!, and the hot crates'
 #                          roots add panic!/unreachable!.
 #   4. tier-1              release build + test suite
-#   5. workspace tests     cargo test --workspace
+#   5. workspace tests     cargo test --workspace. Among them the
+#                          compiled == eager pins: every edgepc-ir lowering
+#                          of PointNet++ seg and DGCNN cls/seg must match
+#                          the eager forward bit for bit
+#                          (crates/models/src/compiled.rs, and
+#                          tests/par_determinism.rs at 1/2/8 threads).
 #   6. the exact record    bench_all re-records results/BENCH.json into
 #                          target/ and diffs it against the committed
 #                          file. Every column (op counts, modeled Xavier
@@ -48,29 +53,20 @@
 #                   schema pin. Fails on panics, hangs, refused
 #                   connections, or schema drift.
 #
-# Optional IR smoke:
-#   --ir-smoke      compile every model forward path through the edgepc-ir
-#                   graph scheduler, run the compiled plans against the
-#                   eager oracles, and fail unless the logits are
-#                   bit-identical; then EP005 schema-check the generated
-#                   ir_smoke.json. This is the cheap end-to-end proof that
-#                   fusion + arena scheduling changed nothing numerically.
 set -eu
 
 SERVE_SMOKE=0
 OBS_SMOKE=0
 NET_SMOKE=0
-IR_SMOKE=0
 RUN_LINT=1
 for arg in "$@"; do
     case "$arg" in
         --serve-smoke) SERVE_SMOKE=1 ;;
         --obs-smoke)   OBS_SMOKE=1 ;;
         --net-smoke)   NET_SMOKE=1 ;;
-        --ir-smoke)    IR_SMOKE=1 ;;
         --no-lint)     RUN_LINT=0 ;;
         *)
-            echo "usage: ci.sh [--no-lint] [--serve-smoke] [--obs-smoke] [--net-smoke] [--ir-smoke]" >&2
+            echo "usage: ci.sh [--no-lint] [--serve-smoke] [--obs-smoke] [--net-smoke]" >&2
             exit 2
             ;;
     esac
@@ -165,11 +161,6 @@ if [ "$OBS_SMOKE" = 1 ]; then
     wait "$LOADGEN_PID"
     cargo run -q -p edgepc-lint --bin lint_all -- --results \
         target/obs/serve.json target/obs/flightrec.json
-fi
-
-if [ "$IR_SMOKE" = 1 ]; then
-    echo "==> ir smoke: compiled plans vs eager oracles + EP005 schema check"
-    smoke_artifact edgepc-bench ir_smoke target/ir_smoke.json
 fi
 
 if [ "$NET_SMOKE" = 1 ]; then

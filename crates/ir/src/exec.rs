@@ -54,14 +54,6 @@ pub struct Inputs<'a> {
     pub gathers: &'a [GatherIn<'a>],
 }
 
-impl Inputs<'_> {
-    /// An input set with no slots (plans over constants only).
-    pub const EMPTY: Inputs<'static> = Inputs {
-        tensors: &[],
-        gathers: &[],
-    };
-}
-
 /// Executes compiled [`Plan`]s over a reusable arena. One executor per
 /// worker thread; plans are shared.
 #[derive(Default)]
@@ -179,15 +171,11 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
                 src,
                 m,
                 w,
-                bias,
                 relu,
                 dst,
             } => {
-                step_fused(arena, plan, inputs, src, m, w, bias, relu, dst);
+                step_fused(arena, plan, inputs, src, m, w, relu, dst);
             }
-            Step::Gather { slot, rows, dst } => step_gather(arena, plan, inputs, slot, rows, dst),
-            Step::Bias { x, cols, b } => step_bias(arena, plan, x, cols, b),
-            Step::Relu { x } => step_relu(arena, x),
             Step::MaxPool {
                 src,
                 rows,
@@ -227,61 +215,33 @@ fn step_fused(
     src: ASrc,
     m: usize,
     w: usize,
-    bias: Option<usize>,
     relu: bool,
     dst: Region,
 ) {
-    let pw = &plan.weights[w];
-    let b = bias.map(|i| plan.biases[i].as_slice());
-    match src {
-        ASrc::Input(slot) => {
-            let rs = RowSource::Dense(inputs.tensors[slot].data);
-            let out = &mut arena[dst.off..dst.off + dst.len];
-            edgepc_nn::fused_linear(&rs, m, &pw.w, pw.packed.as_ref(), b, relu, out);
-        }
-        ASrc::Gather(slot) => {
-            let rs = gather_source(plan, inputs, slot);
-            let out = &mut arena[dst.off..dst.off + dst.len];
-            edgepc_nn::fused_linear(&rs, m, &pw.w, pw.packed.as_ref(), b, relu, out);
-        }
+    let (rs, out) = match src {
+        ASrc::Input(slot) => (
+            RowSource::Dense(inputs.tensors[slot].data),
+            &mut arena[dst.off..dst.off + dst.len],
+        ),
+        ASrc::Gather(slot) => (
+            gather_source(plan, inputs, slot),
+            &mut arena[dst.off..dst.off + dst.len],
+        ),
         ASrc::Arena(r) => {
             let (a, out) = split_src_dst(arena, r, dst);
-            let rs = RowSource::Dense(a);
-            edgepc_nn::fused_linear(&rs, m, &pw.w, pw.packed.as_ref(), b, relu, out);
+            (RowSource::Dense(a), out)
         }
-    }
-}
-
-fn step_gather(
-    arena: &mut [f32],
-    plan: &Plan,
-    inputs: &Inputs<'_>,
-    slot: usize,
-    rows: usize,
-    dst: Region,
-) {
-    let rs = gather_source(plan, inputs, slot);
-    let out = &mut arena[dst.off..dst.off + dst.len];
-    let width = dst.len / rows;
-    for (r, row) in out.chunks_exact_mut(width).enumerate() {
-        rs.stage_row(r, row);
-    }
-}
-
-fn step_bias(arena: &mut [f32], plan: &Plan, x: Region, cols: usize, b: usize) {
-    let bias = &plan.biases[b];
-    let buf = &mut arena[x.off..x.off + x.len];
-    for row in buf.chunks_exact_mut(cols) {
-        for (o, &bv) in row.iter_mut().zip(bias) {
-            *o += bv;
-        }
-    }
-}
-
-fn step_relu(arena: &mut [f32], x: Region) {
-    for v in arena[x.off..x.off + x.len].iter_mut() {
-        *v = v.max(0.0);
-    }
+    };
+    let lin = &plan.linears[w];
+    edgepc_nn::fused_linear(
+        &rs,
+        m,
+        &lin.w,
+        lin.packed.as_ref(),
+        Some(lin.b.as_slice()),
+        relu,
+        out,
+    );
 }
 
 fn step_max_pool(

@@ -4,23 +4,16 @@
 //! A [`Graph`] is built in topological order (every operand must already
 //! exist), carries static shapes on every node, and owns snapshots of
 //! the layer parameters it references. Ops mirror exactly what the eager
-//! forward paths do — matmul, bias add, ReLU, neighborhood gather,
-//! channel concat, grouped max-pool, row broadcast — so a compiled plan
-//! can promise bit-identical results to the eager oracle.
+//! forward paths do — a `Linear` layer with its optional ReLU,
+//! neighborhood gather, channel concat, grouped max-pool, row broadcast —
+//! so a compiled plan can promise bit-identical results to the eager
+//! oracle.
 
 use edgepc_nn::{Sequential, Tensor2};
 
 /// Handle to a node in a [`Graph`] (index into the build order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeId(pub(crate) usize);
-
-/// Handle to a weight-matrix snapshot owned by the graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeightId(pub(crate) usize);
-
-/// Handle to a bias-vector snapshot owned by the graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BiasId(pub(crate) usize);
 
 /// How a gather node assembles its rows from the runtime-provided
 /// feature matrix and index stream. Mirrors `edgepc_nn::RowSource`.
@@ -72,16 +65,34 @@ impl GatherMode {
     }
 }
 
+/// One graph op. `Linear` is `x * w + b`, then `max(0.0)` when `relu`,
+/// with `w`/`b` at `Graph::linears[p]`.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
     Input { slot: usize },
     Gather { slot: usize, mode: GatherMode },
-    Matmul { a: NodeId, w: WeightId },
-    BiasAdd { x: NodeId, b: BiasId },
-    Relu { x: NodeId },
+    Linear { x: NodeId, p: usize, relu: bool },
     MaxPool { x: NodeId, group: usize },
     Concat2 { a: NodeId, b: NodeId },
     Broadcast { x: NodeId, rows: usize },
+}
+
+impl Op {
+    /// The nodes this op reads.
+    pub(crate) fn deps(&self) -> Vec<NodeId> {
+        match *self {
+            Op::Input { .. } | Op::Gather { .. } => Vec::new(),
+            Op::Linear { x, .. } | Op::MaxPool { x, .. } | Op::Broadcast { x, .. } => vec![x],
+            Op::Concat2 { a, b } => vec![a, b],
+        }
+    }
+}
+
+/// A `Linear` layer's parameter snapshot.
+#[derive(Clone, Debug)]
+pub(crate) struct LinearParams {
+    pub(crate) w: Tensor2,
+    pub(crate) b: Vec<f32>,
 }
 
 #[derive(Clone, Debug)]
@@ -97,8 +108,7 @@ pub(crate) struct Node {
 pub struct Graph {
     pub(crate) label: String,
     pub(crate) nodes: Vec<Node>,
-    pub(crate) weights: Vec<Tensor2>,
-    pub(crate) biases: Vec<Vec<f32>>,
+    pub(crate) linears: Vec<LinearParams>,
     pub(crate) input_shapes: Vec<(usize, usize)>,
     pub(crate) gather_labels: Vec<String>,
     pub(crate) output: Option<NodeId>,
@@ -110,8 +120,7 @@ impl Graph {
         Graph {
             label: label.into(),
             nodes: Vec::new(),
-            weights: Vec::new(),
-            biases: Vec::new(),
+            linears: Vec::new(),
             input_shapes: Vec::new(),
             gather_labels: Vec::new(),
             output: None,
@@ -153,37 +162,23 @@ impl Graph {
         self.push(Op::Gather { slot, mode }, rows, cols)
     }
 
-    /// Matrix product `a * w`, snapshotting `w`.
+    /// One `Linear` layer `x * w + b`, followed by `max(0.0)` when
+    /// `relu` — a single fused kernel pass in the compiled plan.
+    /// Snapshots `w` and `b`.
     ///
     /// # Panics
     ///
-    /// Panics if `a.cols != w.rows`.
-    pub fn matmul(&mut self, a: NodeId, w: &Tensor2) -> NodeId {
-        let (rows, cols) = self.shape(a);
-        assert_eq!(cols, w.rows(), "ir matmul shape mismatch");
-        let wid = WeightId(self.weights.len());
-        self.weights.push(w.clone());
-        let n = w.cols();
-        self.push(Op::Matmul { a, w: wid }, rows, n)
-    }
-
-    /// Row-wise bias add, snapshotting `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != x.cols`.
-    pub fn bias_add(&mut self, x: NodeId, b: &[f32]) -> NodeId {
+    /// Panics if `x.cols != w.rows` or `b.len() != w.cols`.
+    pub fn linear(&mut self, x: NodeId, w: &Tensor2, b: &[f32], relu: bool) -> NodeId {
         let (rows, cols) = self.shape(x);
-        assert_eq!(b.len(), cols, "ir bias width mismatch");
-        let bid = BiasId(self.biases.len());
-        self.biases.push(b.to_vec());
-        self.push(Op::BiasAdd { x, b: bid }, rows, cols)
-    }
-
-    /// Element-wise `max(0.0)`.
-    pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let (rows, cols) = self.shape(x);
-        self.push(Op::Relu { x }, rows, cols)
+        assert_eq!(cols, w.rows(), "ir linear shape mismatch");
+        assert_eq!(b.len(), w.cols(), "ir linear bias width mismatch");
+        let p = self.linears.len();
+        self.linears.push(LinearParams {
+            w: w.clone(),
+            b: b.to_vec(),
+        });
+        self.push(Op::Linear { x, p, relu }, rows, w.cols())
     }
 
     /// Grouped max-pool over `group` consecutive rows (the eager
@@ -222,21 +217,19 @@ impl Graph {
         self.push(Op::Broadcast { x, rows }, rows, cols)
     }
 
-    /// Lowers a `Sequential` MLP (`Linear`/`ReLU` chain) onto `x`:
-    /// each `Linear` becomes matmul + bias nodes, each activation a
-    /// relu node. Layers that are neither diverge via `guard::violation`
-    /// — the models only build `Sequential::mlp` stacks.
+    /// Lowers a `Sequential` MLP onto `x`: each `Linear` becomes one
+    /// `linear` node, with `relu` set when an activation follows it. Any
+    /// other layer order diverges via `guard::violation` — the models
+    /// only build `Sequential::mlp` stacks.
     pub fn mlp(&mut self, x: NodeId, seq: &Sequential) -> NodeId {
         let mut cur = x;
-        for layer in seq.layers() {
-            if let Some(lin) = layer.as_linear() {
-                cur = self.matmul(cur, lin.weights());
-                cur = self.bias_add(cur, lin.bias());
-            } else if layer.is_activation() {
-                cur = self.relu(cur);
-            } else {
-                edgepc_geom::violation("ir lowering: unsupported layer kind in Sequential");
-            }
+        let mut layers = seq.layers().iter().peekable();
+        while let Some(layer) = layers.next() {
+            let Some(lin) = layer.as_linear() else {
+                edgepc_geom::violation("ir lowering: MLP layer is not a Linear(->ReLU) pair");
+            };
+            let relu = layers.next_if(|l| l.is_activation()).is_some();
+            cur = self.linear(cur, lin.weights(), lin.bias(), relu);
         }
         cur
     }

@@ -4,40 +4,38 @@
 //! The eager models (`edgepc-models`) stay the reference oracle; this
 //! crate gives them a compiled alternative:
 //!
-//! * [`Graph`] — a tiny shape-checked op graph (matmul, bias, relu,
-//!   gather, concat, max-pool, broadcast) that models lower their
-//!   forward paths into, snapshotting layer parameters,
-//! * [`compile`] — the scheduler: fuses `matmul + bias + ReLU` chains
-//!   into single blocked-kernel passes, folds neighborhood gathers into
-//!   the first fused MLP layer (gathered rows stream straight into
-//!   panel staging — the grouped matrix is never materialized, which is
-//!   what drops `gathered_bytes`), and plans buffer lifetimes over a
-//!   single arena with a first-fit liveness pass,
+//! * [`Graph`] — a tiny shape-checked op graph (`input`, `gather`,
+//!   `linear`, `max_pool`, `concat2`, `broadcast`) that models lower
+//!   their forward paths into, snapshotting layer parameters. Each
+//!   `linear` is a whole `Linear(→ReLU)` layer, so lowering is already
+//!   fusion: one blocked-kernel pass per layer, and a neighborhood
+//!   gather streams straight into the panel staging of the `linear`
+//!   that reads it — the grouped matrix is never materialized, which is
+//!   what drops `gathered_bytes`,
+//! * [`compile`] — the scheduler: plans buffer lifetimes over a single
+//!   arena with a first-fit liveness pass,
 //! * [`Executor`] — interprets a [`Plan`] over its reusable arena with
 //!   zero steady-state heap allocation (EP008-designated hot loop).
 //!
-//! **Determinism contract.** Fusion never reorders per-element f32
-//! arithmetic, the kernels parallelize over fixed chunk boundaries, and
-//! the arena layout is a pure function of the graph — so compiled
-//! results are bit-identical to the eager path at any thread budget.
+//! **Determinism contract.** A fused step performs the eager per-element
+//! f32 arithmetic in the eager order, the kernels parallelize over fixed
+//! chunk boundaries, and the arena layout is a pure function of the
+//! graph — so compiled results are bit-identical to the eager path at
+//! any thread budget.
 //!
 //! # Example
 //!
 //! ```
-//! use edgepc_ir::{compile, Executor, FuseConfig, Graph, InTensor, Inputs};
+//! use edgepc_ir::{compile, Executor, Graph, InTensor, Inputs};
 //! use edgepc_nn::Tensor2;
 //!
 //! // y = relu(x * w + b), compiled.
 //! let w = Tensor2::from_vec(vec![1.0, -1.0, 0.5, 2.0], 2, 2);
 //! let mut g = Graph::new("demo");
 //! let x = g.input(1, 2);
-//! let m = g.matmul(x, &w);
-//! let m = g.bias_add(m, &[0.1, -0.1]);
-//! let m = g.relu(m);
-//! g.set_output(m);
-//!
-//! let plan = compile(&g, &FuseConfig::default());
-//! assert_eq!(plan.fused_steps(), 1); // matmul+bias+relu collapsed
+//! let y = g.linear(x, &w, &[0.1, -0.1], true);
+//! g.set_output(y);
+//! let plan = compile(&g);
 //!
 //! let mut exec = Executor::new();
 //! let xs = [InTensor { data: &[3.0, 4.0], rows: 1, cols: 2 }];
@@ -52,13 +50,15 @@
 
 #![warn(clippy::panic, clippy::unreachable)]
 
+#[cfg(test)]
+mod differential;
 pub mod exec;
 pub mod graph;
 pub mod schedule;
 
 pub use exec::{Executor, GatherIn, InTensor, Inputs};
 pub use graph::{GatherMode, Graph, NodeId};
-pub use schedule::{compile, FuseConfig, GatherSite, Plan};
+pub use schedule::{compile, GatherSite, Plan};
 
 #[cfg(test)]
 mod tests {
@@ -79,10 +79,10 @@ mod tests {
         t
     }
 
-    /// Lower an MLP, compile fused and unfused, and check both match
-    /// the eager Sequential forward bit-for-bit.
+    /// Lower an MLP, compile it, and check it matches the eager
+    /// Sequential forward bit-for-bit and in MAC count.
     #[test]
-    fn fused_mlp_matches_eager_and_unfused() {
+    fn fused_mlp_matches_eager() {
         let mut seq = Sequential::mlp(&[7, 16, 4], 42);
         let x = random_tensor(20, 7, 0xabc);
         let mut ops = edgepc_geom::OpCounts::default();
@@ -92,35 +92,23 @@ mod tests {
         let xin = g.input(20, 7);
         let out = g.mlp(xin, &seq);
         g.set_output(out);
-
-        let fused = compile(&g, &FuseConfig::default());
-        assert_eq!(fused.fused_steps(), 2);
-        let unfused = compile(
-            &g,
-            &FuseConfig {
-                fuse_linear: false,
-                fuse_gather: false,
-            },
-        );
-        assert!(unfused.fused_steps() >= 2); // bare matmuls still run fused-kernel steps
+        let plan = compile(&g);
 
         let xs = [InTensor {
             data: x.as_slice(),
             rows: 20,
             cols: 7,
         }];
-        let inputs = Inputs {
-            tensors: &xs,
-            gathers: &[],
-        };
-        let mut e1 = Executor::new();
-        e1.run(&fused, &inputs);
-        let mut e2 = Executor::new();
-        e2.run(&unfused, &inputs);
-        assert_eq!(e1.output(&fused), eager.as_slice());
-        assert_eq!(e2.output(&unfused), eager.as_slice());
-        // The fused plan's MAC count matches the eager accounting.
-        assert_eq!(fused.ops().mac, ops.mac);
+        let mut e = Executor::new();
+        e.run(
+            &plan,
+            &Inputs {
+                tensors: &xs,
+                gathers: &[],
+            },
+        );
+        assert_eq!(e.output(&plan), eager.as_slice());
+        assert_eq!(plan.ops().mac, ops.mac);
     }
 
     /// SA-style gather -> MLP -> pool pipeline against a hand-built
@@ -169,12 +157,7 @@ mod tests {
         let mlp = g.mlp(gat, &seq);
         let pooled = g.max_pool(mlp, k);
         g.set_output(pooled);
-        let plan = compile(&g, &FuseConfig::default());
-        assert_eq!(
-            plan.gather_steps(),
-            0,
-            "gather must fuse into the first linear"
-        );
+        let plan = compile(&g);
         let site = &plan.gather_sites()[0];
         assert!(site.fused_bytes < site.eager_bytes);
 
@@ -202,7 +185,7 @@ mod tests {
         let gat = g.gather(idx.len(), GatherMode::SaGroup { c, k: 2 }, "sa.group");
         let mlp = g.mlp(gat, &seq);
         g.set_output(mlp);
-        let plan = compile(&g, &FuseConfig::default());
+        let plan = compile(&g);
         let gs = [GatherIn {
             feats,
             idx,
@@ -244,7 +227,7 @@ mod tests {
         let bc = g.broadcast(pool, 6);
         let out = g.concat2(cat, bc);
         g.set_output(out);
-        let plan = compile(&g, &FuseConfig::default());
+        let plan = compile(&g);
 
         let stacked = a.hstack(&b);
         let pooled = edgepc_nn::pool::global_max_pool(&stacked);
@@ -294,7 +277,7 @@ mod tests {
         let x = g.input(16, 8);
         let out = g.mlp(x, &seq);
         g.set_output(out);
-        let plan = compile(&g, &FuseConfig::default());
+        let plan = compile(&g);
         // Sum of all five intermediates would be 16*(32*4 + 8); live
         // pairs bound the arena by ~two widest layers.
         assert!(

@@ -1,45 +1,19 @@
-//! The scheduler: fusion + liveness planning.
+//! The scheduler: liveness planning.
 //!
-//! [`compile`] turns a [`Graph`] into an executable [`Plan`] in two
-//! passes:
-//!
-//! 1. **Fusion.** Every `Matmul -> BiasAdd -> Relu` chain whose links
-//!    have a single consumer collapses into one fused step over the
-//!    blocked panel kernel (`edgepc_nn::fused_linear`); a
-//!    single-consumer `Gather` feeding a fused matmul folds into the
-//!    step's A operand, so gathered rows stream straight into panel
-//!    staging and the grouped matrix is never materialized.
-//! 2. **Liveness.** Buffer lifetimes are planned over one arena with a
-//!    first-fit free list (coalescing on free): a node's region is
-//!    allocated before its operands are released, so every step's
-//!    destination is disjoint from its sources and steady-state
-//!    execution never allocates.
-//!
-//! Fusion never changes per-element arithmetic order, so a fused plan
-//! is bit-identical to its unfused (and to the eager) counterpart.
+//! [`compile`] turns a [`Graph`] into an executable [`Plan`]. Lowering
+//! already did the fusion: each `linear` node is one fused
+//! `A * W + b (+ ReLU)` step over the blocked panel kernel
+//! (`edgepc_nn::fused_linear`), and a gather is never materialized — its
+//! one consumer, a `linear`, streams the gathered rows straight into
+//! panel staging. What is left is buffer lifetimes, planned over one
+//! arena with a first-fit free list (coalescing on free): a node's
+//! region is allocated before its operands are released, so every
+//! step's destination is disjoint from its sources and steady-state
+//! execution never allocates.
 
-use crate::graph::{GatherMode, Graph, NodeId, Op};
+use crate::graph::{GatherMode, Graph, Op};
 use edgepc_geom::OpCounts;
 use edgepc_nn::{kernel_uses_blocked_path, PackedPanels, Tensor2};
-
-/// Which fusion rewrites [`compile`] applies. Disabling them yields an
-/// interpreter-style plan used by tests to pin fusion bit-exactness.
-#[derive(Clone, Copy, Debug)]
-pub struct FuseConfig {
-    /// Collapse `Matmul -> BiasAdd -> Relu` chains into one pass.
-    pub fuse_linear: bool,
-    /// Fold single-consumer gathers into the fused matmul's A operand.
-    pub fuse_gather: bool,
-}
-
-impl Default for FuseConfig {
-    fn default() -> Self {
-        FuseConfig {
-            fuse_linear: true,
-            fuse_gather: true,
-        }
-    }
-}
 
 /// A contiguous arena slice assigned by the liveness pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +29,8 @@ pub(crate) enum Src {
     Input(usize),
 }
 
-/// The A operand of a fused linear step.
+/// The A operand of a fused linear step — and, in `compile`, how each
+/// node is realized.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ASrc {
     Arena(Region),
@@ -65,26 +40,14 @@ pub(crate) enum ASrc {
 
 #[derive(Clone, Debug)]
 pub(crate) enum Step {
-    /// One fused `A * W (+bias) (ReLU)` pass.
+    /// One fused `A * W + b (ReLU)` pass; `w` indexes `Plan::linears`.
     Fused {
         src: ASrc,
         m: usize,
         w: usize,
-        bias: Option<usize>,
         relu: bool,
         dst: Region,
     },
-    /// Materialize a gather into the arena (fusion disabled or the
-    /// gather has multiple consumers).
-    Gather {
-        slot: usize,
-        rows: usize,
-        dst: Region,
-    },
-    /// In-place bias add (unfused).
-    Bias { x: Region, cols: usize, b: usize },
-    /// In-place ReLU (unfused).
-    Relu { x: Region },
     /// Grouped max-pool (`max_pool_groups` semantics).
     MaxPool {
         src: Src,
@@ -119,13 +82,16 @@ pub struct GatherSite {
     pub label: String,
     /// Bytes the eager grouping buffer materializes per forward.
     pub eager_bytes: u64,
-    /// Bytes the plan actually streams (indices + rel coords when the
-    /// site is fused; equal to `eager_bytes` when it is not).
+    /// Bytes the plan actually streams (indices, plus relative
+    /// coordinates for SA grouping).
     pub fused_bytes: u64,
 }
 
-pub(crate) struct PlanWeight {
+/// A fused step's parameters, weights prepacked when the step takes the
+/// blocked kernel path.
+pub(crate) struct PlanLinear {
     pub(crate) w: Tensor2,
+    pub(crate) b: Vec<f32>,
     pub(crate) packed: Option<PackedPanels>,
 }
 
@@ -143,8 +109,7 @@ pub(crate) struct GatherSpec {
 pub struct Plan {
     pub(crate) label: String,
     pub(crate) steps: Vec<Step>,
-    pub(crate) weights: Vec<PlanWeight>,
-    pub(crate) biases: Vec<Vec<f32>>,
+    pub(crate) linears: Vec<PlanLinear>,
     pub(crate) input_shapes: Vec<(usize, usize)>,
     pub(crate) gather_specs: Vec<GatherSpec>,
     pub(crate) arena_len: usize,
@@ -176,8 +141,8 @@ impl Plan {
         self.out_cols
     }
 
-    /// Static per-run op counts (feature-compute MACs plus the fused
-    /// per-site gather traffic).
+    /// Static per-run op counts (the fused steps' MACs; the gather
+    /// traffic is per site, see [`Plan::gather_sites`]).
     pub fn ops(&self) -> OpCounts {
         self.ops
     }
@@ -185,22 +150,6 @@ impl Plan {
     /// Per-gather-site eager vs. fused traffic.
     pub fn gather_sites(&self) -> &[GatherSite] {
         &self.gather_sites
-    }
-
-    /// Number of fused linear steps (diagnostics/tests).
-    pub fn fused_steps(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, Step::Fused { .. }))
-            .count()
-    }
-
-    /// Number of materialized-gather steps (zero when every site fused).
-    pub fn gather_steps(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, Step::Gather { .. }))
-            .count()
     }
 }
 
@@ -263,250 +212,134 @@ impl ArenaPlanner {
     }
 }
 
-/// How each graph node is realized in the plan.
-#[derive(Clone, Copy, Debug)]
-enum Realized {
-    /// Backed by an arena region.
-    Arena(Region),
-    /// A runtime input slot (no arena storage).
-    Input(usize),
-    /// A runtime gather slot left unmaterialized (fused into a step).
-    StreamedGather(usize),
-    /// Consumed by a fusion rewrite; never materialized.
-    FusedAway,
-}
-
-/// Compiles `graph` into an executable [`Plan`] under `cfg` (see the
-/// module docs for the fusion and liveness rules).
+/// Compiles `graph` into an executable [`Plan`] (see the module docs
+/// for the liveness rule).
 ///
 /// # Panics
 ///
-/// Panics (via `guard::violation`) if the graph has no output or an op
-/// feeds a shape the scheduler cannot realize.
-pub fn compile(graph: &Graph, cfg: &FuseConfig) -> Plan {
+/// Panics (via `guard::violation`) if the graph has no output, a gather
+/// does not feed exactly one `linear`, or an op feeds a shape the
+/// scheduler cannot realize.
+pub fn compile(graph: &Graph) -> Plan {
     let _sp = edgepc_trace::span(format!("ir.compile.{}", graph.label), "compile");
-    let n_nodes = graph.nodes.len();
     let output = match graph.output {
         Some(o) => o,
         None => edgepc_geom::violation("ir compile: graph has no output node"),
     };
 
-    // Consumer counts drive both fusion legality and liveness. The
-    // output node gets one synthetic consumer so its region survives.
-    let mut consumers = vec![0usize; n_nodes];
+    // Pending uses per node; a region is released after its last reader
+    // runs. The output node gets one synthetic use so its region survives.
+    let mut remaining = vec![0usize; graph.nodes.len()];
     for node in &graph.nodes {
-        for dep in deps(&node.op) {
-            consumers[dep.0] += 1;
+        for dep in node.op.deps() {
+            remaining[dep.0] += 1;
         }
     }
-    consumers[output.0] += 1;
+    remaining[output.0] += 1;
 
     let mut planner = ArenaPlanner::new();
-    let mut realized: Vec<Option<Realized>> = vec![None; n_nodes];
-    let mut remaining = consumers.clone();
+    // How each node is realized: an arena region, an input slot, or a
+    // gather slot streamed by its one linear reader.
+    let mut realized: Vec<ASrc> = Vec::with_capacity(graph.nodes.len());
     let mut steps = Vec::new();
     let mut ops = OpCounts::default();
-    let mut site_fused = vec![false; graph.gather_labels.len()];
 
-    // `release_use` decrements a node's pending uses and frees its
-    // region when the last consumer has executed.
-    let release_use = |id: NodeId,
-                       remaining: &mut [usize],
-                       realized: &[Option<Realized>],
-                       planner: &mut ArenaPlanner| {
-        remaining[id.0] -= 1;
-        if remaining[id.0] == 0 {
-            if let Some(Realized::Arena(r)) = realized[id.0] {
+    for (i, node) in graph.nodes.iter().enumerate() {
+        match node.op {
+            Op::Input { slot } => {
+                realized.push(ASrc::Input(slot));
+                continue;
+            }
+            Op::Gather { slot, .. } => {
+                if remaining[i] != 1 {
+                    edgepc_geom::violation("ir compile: a gather must feed exactly one linear");
+                }
+                realized.push(ASrc::Gather(slot));
+                continue;
+            }
+            _ => {}
+        }
+        let dst = planner.alloc(node.rows * node.cols);
+        steps.push(match node.op {
+            Op::Linear { x, p, relu } => {
+                ops.mac += (node.rows * graph.linears[p].w.rows() * node.cols) as u64;
+                Step::Fused {
+                    src: realized[x.0],
+                    m: node.rows,
+                    w: p,
+                    relu,
+                    dst,
+                }
+            }
+            Op::MaxPool { x, group } => {
+                let (rows, cols) = graph.shape(x);
+                Step::MaxPool {
+                    src: src_of(&realized, x.0),
+                    rows,
+                    cols,
+                    group,
+                    dst,
+                }
+            }
+            Op::Concat2 { a, b } => Step::Concat2 {
+                a: src_of(&realized, a.0),
+                b: src_of(&realized, b.0),
+                rows: node.rows,
+                a_cols: graph.shape(a).1,
+                b_cols: graph.shape(b).1,
+                dst,
+            },
+            Op::Broadcast { x, rows } => Step::Broadcast {
+                src: src_of(&realized, x.0),
+                cols: node.cols,
+                rows_out: rows,
+                dst,
+            },
+            // Source ops take no step; both arms above `continue`.
+            Op::Input { .. } | Op::Gather { .. } => continue,
+        });
+        for dep in node.op.deps() {
+            remaining[dep.0] -= 1;
+            if let (0, ASrc::Arena(r)) = (remaining[dep.0], realized[dep.0]) {
                 planner.release(r);
             }
         }
-    };
-
-    let mut i = 0;
-    while i < n_nodes {
-        if realized[i].is_some() {
-            i += 1;
-            continue;
-        }
-        let node = &graph.nodes[i];
-        match node.op {
-            Op::Input { slot } => {
-                realized[i] = Some(Realized::Input(slot));
-            }
-            Op::Gather { slot, mode } => {
-                // Fuse the gather into its consumer iff that consumer is
-                // a (to-be-)fused matmul and it is the only one.
-                let fuse = cfg.fuse_gather
-                    && consumers[i] == 1
-                    && gather_consumer_is_matmul(graph, NodeId(i));
-                if fuse {
-                    realized[i] = Some(Realized::StreamedGather(slot));
-                    site_fused[slot] = true;
-                } else {
-                    let dst = planner.alloc(node.rows * node.cols);
-                    steps.push(Step::Gather {
-                        slot,
-                        rows: node.rows,
-                        dst,
-                    });
-                    realized[i] = Some(Realized::Arena(dst));
-                }
-                let _ = mode;
-            }
-            Op::Matmul { a, w } => {
-                // Greedily absorb a single-consumer BiasAdd then Relu.
-                let mut chain = vec![i];
-                let mut bias = None;
-                let mut relu = false;
-                if cfg.fuse_linear {
-                    if let Some((j, b)) = bias_consumer(graph, NodeId(i), &consumers) {
-                        chain.push(j);
-                        bias = Some(b.0);
-                        if let Some(j2) = relu_consumer(graph, NodeId(j), &consumers) {
-                            chain.push(j2);
-                            relu = true;
-                        }
-                    }
-                }
-                let src = match realized[a.0] {
-                    Some(Realized::Arena(r)) => ASrc::Arena(r),
-                    Some(Realized::Input(slot)) => ASrc::Input(slot),
-                    Some(Realized::StreamedGather(slot)) => ASrc::Gather(slot),
-                    _ => edgepc_geom::violation("ir compile: matmul operand not realized"),
-                };
-                let dst = planner.alloc(node.rows * node.cols);
-                ops.mac += (node.rows * graph.weights[w.0].rows() * node.cols) as u64;
-                steps.push(Step::Fused {
-                    src,
-                    m: node.rows,
-                    w: w.0,
-                    bias,
-                    relu,
-                    dst,
-                });
-                let end = chain[chain.len() - 1];
-                for &mid in &chain[..chain.len() - 1] {
-                    realized[mid] = Some(Realized::FusedAway);
-                }
-                realized[end] = Some(Realized::Arena(dst));
-                release_use(a, &mut remaining, &realized, &mut planner);
-            }
-            Op::BiasAdd { x, b } => {
-                // Unfused: apply in place on the producing region; legal
-                // because x has no other consumer in our graphs.
-                let r = arena_of(&realized, x, "bias add");
-                assert_eq!(
-                    consumers[x.0], 1,
-                    "ir compile: in-place bias needs sole consumer"
-                );
-                steps.push(Step::Bias {
-                    x: r,
-                    cols: node.cols,
-                    b: b.0,
-                });
-                remaining[x.0] -= 1;
-                realized[i] = Some(Realized::Arena(r));
-            }
-            Op::Relu { x } => {
-                let r = arena_of(&realized, x, "relu");
-                assert_eq!(
-                    consumers[x.0], 1,
-                    "ir compile: in-place relu needs sole consumer"
-                );
-                steps.push(Step::Relu { x: r });
-                remaining[x.0] -= 1;
-                realized[i] = Some(Realized::Arena(r));
-            }
-            Op::MaxPool { x, group } => {
-                let src = src_of(&realized, x, "max pool");
-                let (xr, xc) = graph.shape(x);
-                let dst = planner.alloc(node.rows * node.cols);
-                steps.push(Step::MaxPool {
-                    src,
-                    rows: xr,
-                    cols: xc,
-                    group,
-                    dst,
-                });
-                realized[i] = Some(Realized::Arena(dst));
-                release_use(x, &mut remaining, &realized, &mut planner);
-            }
-            Op::Concat2 { a, b } => {
-                let sa = src_of(&realized, a, "concat");
-                let sb = src_of(&realized, b, "concat");
-                let (_, ac) = graph.shape(a);
-                let (_, bc) = graph.shape(b);
-                let dst = planner.alloc(node.rows * node.cols);
-                steps.push(Step::Concat2 {
-                    a: sa,
-                    b: sb,
-                    rows: node.rows,
-                    a_cols: ac,
-                    b_cols: bc,
-                    dst,
-                });
-                realized[i] = Some(Realized::Arena(dst));
-                release_use(a, &mut remaining, &realized, &mut planner);
-                release_use(b, &mut remaining, &realized, &mut planner);
-            }
-            Op::Broadcast { x, rows } => {
-                let src = src_of(&realized, x, "broadcast");
-                let (_, xc) = graph.shape(x);
-                let dst = planner.alloc(node.rows * node.cols);
-                steps.push(Step::Broadcast {
-                    src,
-                    cols: xc,
-                    rows_out: rows,
-                    dst,
-                });
-                realized[i] = Some(Realized::Arena(dst));
-                release_use(x, &mut remaining, &realized, &mut planner);
-            }
-        }
-        i += 1;
+        realized.push(ASrc::Arena(dst));
     }
 
     let out = match realized[output.0] {
-        Some(Realized::Arena(r)) => r,
+        ASrc::Arena(r) => r,
         _ => edgepc_geom::violation("ir compile: output node is not arena-backed"),
     };
 
     // Prepack every weight whose fused step takes the blocked kernel
     // path, so steady-state runs skip per-call panel packing.
-    let mut weights: Vec<PlanWeight> = graph
-        .weights
+    let mut linears: Vec<PlanLinear> = graph
+        .linears
         .iter()
-        .map(|w| PlanWeight {
-            w: w.clone(),
+        .map(|p| PlanLinear {
+            w: p.w.clone(),
+            b: p.b.clone(),
             packed: None,
         })
         .collect();
     for step in &steps {
-        if let Step::Fused { m, w, .. } = step {
-            let t = &weights[*w].w;
-            if kernel_uses_blocked_path(*m, t.rows(), t.cols()) && weights[*w].packed.is_none() {
-                weights[*w].packed = Some(PackedPanels::pack(t));
+        if let Step::Fused { m, w, .. } = *step {
+            let lin = &mut linears[w];
+            if kernel_uses_blocked_path(m, lin.w.rows(), lin.w.cols()) && lin.packed.is_none() {
+                lin.packed = Some(PackedPanels::pack(&lin.w));
             }
         }
     }
 
-    // Per-site gather accounting; the fused traffic also feeds the
-    // plan's static op counts.
     let mut gather_sites = Vec::new();
     let mut gather_specs = Vec::new();
     for node in &graph.nodes {
         if let Op::Gather { slot, mode } = node.op {
-            let fused = site_fused[slot];
-            let eager = mode.eager_bytes(node.rows);
-            let bytes = if fused {
-                mode.fused_bytes(node.rows)
-            } else {
-                eager
-            };
             gather_sites.push(GatherSite {
                 label: graph.gather_labels[slot].clone(),
-                eager_bytes: eager,
-                fused_bytes: bytes,
+                eager_bytes: mode.eager_bytes(node.rows),
+                fused_bytes: mode.fused_bytes(node.rows),
             });
             gather_specs.push(GatherSpec {
                 rows: node.rows,
@@ -519,8 +352,7 @@ pub fn compile(graph: &Graph, cfg: &FuseConfig) -> Plan {
     Plan {
         label: graph.label.clone(),
         steps,
-        weights,
-        biases: graph.biases.clone(),
+        linears,
         input_shapes: graph.input_shapes.clone(),
         gather_specs,
         arena_len: planner.len,
@@ -532,73 +364,12 @@ pub fn compile(graph: &Graph, cfg: &FuseConfig) -> Plan {
     }
 }
 
-fn deps(op: &Op) -> Vec<NodeId> {
-    match *op {
-        Op::Input { .. } | Op::Gather { .. } => Vec::new(),
-        Op::Matmul { a, .. } => vec![a],
-        Op::BiasAdd { x, .. }
-        | Op::Relu { x }
-        | Op::MaxPool { x, .. }
-        | Op::Broadcast { x, .. } => {
-            vec![x]
-        }
-        Op::Concat2 { a, b } => vec![a, b],
-    }
-}
-
-/// True iff `gather`'s sole consumer is a matmul (direct operand).
-fn gather_consumer_is_matmul(graph: &Graph, gather: NodeId) -> bool {
-    graph
-        .nodes
-        .iter()
-        .any(|n| matches!(n.op, Op::Matmul { a, .. } if a == gather))
-}
-
-/// The single-consumer `BiasAdd` directly following `x`, if any.
-fn bias_consumer(
-    graph: &Graph,
-    x: NodeId,
-    consumers: &[usize],
-) -> Option<(usize, crate::graph::BiasId)> {
-    if consumers[x.0] != 1 {
-        return None;
-    }
-    graph
-        .nodes
-        .iter()
-        .enumerate()
-        .find_map(|(j, n)| match n.op {
-            Op::BiasAdd { x: xx, b } if xx == x => Some((j, b)),
-            _ => None,
-        })
-}
-
-/// The single-consumer `Relu` directly following `x`, if any.
-fn relu_consumer(graph: &Graph, x: NodeId, consumers: &[usize]) -> Option<usize> {
-    if consumers[x.0] != 1 {
-        return None;
-    }
-    graph
-        .nodes
-        .iter()
-        .enumerate()
-        .find_map(|(j, n)| match n.op {
-            Op::Relu { x: xx } if xx == x => Some(j),
-            _ => None,
-        })
-}
-
-fn arena_of(realized: &[Option<Realized>], id: NodeId, what: &str) -> Region {
-    match realized[id.0] {
-        Some(Realized::Arena(r)) => r,
-        _ => edgepc_geom::violation(&format!("ir compile: {what} operand must be arena-backed")),
-    }
-}
-
-fn src_of(realized: &[Option<Realized>], id: NodeId, what: &str) -> Src {
-    match realized[id.0] {
-        Some(Realized::Arena(r)) => Src::Arena(r),
-        Some(Realized::Input(slot)) => Src::Input(slot),
-        _ => edgepc_geom::violation(&format!("ir compile: {what} operand not realized")),
+/// A non-linear op's operand: an arena region or an input slot (a
+/// gather streams into a linear only).
+fn src_of(realized: &[ASrc], id: usize) -> Src {
+    match realized[id] {
+        ASrc::Arena(r) => Src::Arena(r),
+        ASrc::Input(slot) => Src::Input(slot),
+        ASrc::Gather(_) => edgepc_geom::violation("ir compile: a gather can only feed a linear"),
     }
 }

@@ -232,6 +232,8 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
     // --- Rust sources: EP002/EP003 (token tier) + EP007/EP008 and the
     // --- EP006 model collection (syntactic tier) ---------------------------
     let mut lock_files: Vec<(String, rules::SourceModel, FileSyntax)> = Vec::new();
+    // Each designated file's non-test fn names, for EP008's stale check.
+    let mut designated_fns: Vec<(String, Vec<String>)> = Vec::new();
     for source in collect_rust_sources(root)? {
         let rel = source.rel.clone();
         let crate_name = rel
@@ -270,6 +272,8 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
             if !items.is_empty() {
                 let t = Instant::now();
                 diagnostics.extend(rules::ep008::check(&model, &syntax, &items));
+                let fns = syntax.fns.iter().filter(|f| !f.is_test);
+                designated_fns.push((rel.clone(), fns.map(|f| f.name.clone()).collect()));
                 timings.add("EP008", t);
             }
         }
@@ -277,6 +281,15 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
             lock_files.push((rel, model, syntax));
         }
         files_scanned += 1;
+    }
+
+    if enabled("EP008") {
+        let t = Instant::now();
+        diagnostics.extend(rules::ep008::stale_designations(
+            &cfg.alloc,
+            &designated_fns,
+        ));
+        timings.add("EP008", t);
     }
 
     // --- EP006: workspace-level lock-discipline pass -----------------------

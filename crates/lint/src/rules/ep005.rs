@@ -35,11 +35,6 @@ pub const KNOWN_NET_VERSIONS: &[i64] = &[1];
 /// output is a schema-checked artifact like any other.
 pub const KNOWN_LINT_VERSIONS: &[i64] = &[2];
 
-/// ir_smoke.json schema versions this linter understands. Bump alongside
-/// the `ir_smoke` harness in `edgepc-bench` when the compiled-vs-eager
-/// smoke report changes shape.
-pub const KNOWN_IR_SMOKE_VERSIONS: &[i64] = &[1];
-
 /// Artifacts pinned by basename: `(basename, schema, known versions)`.
 pub const PINNED_SCHEMAS: &[(&str, &str, &[i64])] = &[
     ("BENCH.json", "edgepc-bench", KNOWN_BENCH_VERSIONS),
@@ -51,7 +46,6 @@ pub const PINNED_SCHEMAS: &[(&str, &str, &[i64])] = &[
     ),
     ("lint.json", "edgepc-lint", KNOWN_LINT_VERSIONS),
     ("net.json", "edgepc-net", KNOWN_NET_VERSIONS),
-    ("ir_smoke.json", "edgepc-ir-smoke", KNOWN_IR_SMOKE_VERSIONS),
 ];
 
 /// Checks one results artifact. `rel` is the path shown in diagnostics
@@ -180,14 +174,6 @@ mod tests {
             check_results_file("target/flightrec.json", drifted).len(),
             1
         );
-    }
-
-    #[test]
-    fn ir_smoke_json_is_pinned() {
-        let ok = r#"{"schema":"edgepc-ir-smoke","schema_version":1,"models":[]}"#;
-        assert_eq!(check_results_file("target/ir_smoke.json", ok), Vec::new());
-        let drifted = r#"{"schema":"edgepc-ir-smoke","schema_version":9,"models":[]}"#;
-        assert_eq!(check_results_file("target/ir_smoke.json", drifted).len(), 1);
     }
 
     #[test]

@@ -18,7 +18,13 @@
 //! allocation into an *undesignated* helper is the sanctioned escape for
 //! first-observation/cold paths, and genuinely allocating steady-state
 //! code takes an item-level waiver so the exception is visible.
+//!
+//! A designation must designate something: a scope whose `path` is no
+//! scanned source file, or an item naming no (non-test) fn in its file,
+//! is itself a diagnostic against `LINT.toml` — as EP000 reports a stale
+//! waiver — so a deleted hot fn cannot leave a silent entry behind.
 
+use crate::config::AllocScope;
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::rules::SourceModel;
@@ -120,6 +126,35 @@ pub fn check(model: &SourceModel, syn: &FileSyntax, items: &[String]) -> Vec<Dia
     out
 }
 
+/// Stale `[[alloc.scope]]` entries. `defined` pairs every scanned file
+/// that some scope names with its non-test fn names.
+pub fn stale_designations(
+    scopes: &[AllocScope],
+    defined: &[(String, Vec<String>)],
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for scope in scopes {
+        let stale = |message: String| {
+            Diagnostic::new("EP008", "LINT.toml", 0, 0, message)
+                .with_suggestion("delete the stale designation from LINT.toml")
+        };
+        let Some((_, fns)) = defined.iter().find(|(rel, _)| *rel == scope.path) else {
+            out.push(stale(format!(
+                "stale designation: alloc scope `{}` names no scanned source file",
+                scope.path
+            )));
+            continue;
+        };
+        for item in scope.items.iter().filter(|i| !fns.contains(i)) {
+            out.push(stale(format!(
+                "stale designation: `{item}` names no fn in `{}`",
+                scope.path
+            )));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +204,28 @@ fn cold_setup(xs: &[u64]) -> Vec<u64> {
 }
 "#;
         assert!(run(src, &["hot"]).is_empty());
+    }
+
+    #[test]
+    fn designations_naming_nothing_are_stale() {
+        let scopes = [
+            AllocScope {
+                path: "crates/x/src/hot.rs".into(),
+                items: vec!["hot".into(), "gone".into()],
+            },
+            AllocScope {
+                path: "crates/x/src/missing.rs".into(),
+                items: vec!["hot".into()],
+            },
+        ];
+        let defined = [("crates/x/src/hot.rs".to_string(), vec!["hot".to_string()])];
+        let diags = stale_designations(&scopes, &defined);
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert!(diags.iter().all(|d| d.file == "LINT.toml"));
+        assert!(diags[0].message.contains("`gone` names no fn"));
+        assert!(diags[1]
+            .message
+            .contains("`crates/x/src/missing.rs` names no scanned"));
     }
 
     #[test]

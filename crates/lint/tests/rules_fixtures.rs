@@ -104,6 +104,18 @@ fn violating_fixture_pinpoints_the_planted_sites() {
         .violations
         .iter()
         .any(|d| d.rule == "EP008" && d.item.as_deref() == Some("plan_cold")));
+    // EP008 stale designations, reported against LINT.toml: an item
+    // naming no fn in its file and a scope naming no scanned file.
+    assert!(has(
+        "EP008",
+        "LINT.toml",
+        "`step_retired` names no fn in `crates/serve/src/fused.rs`"
+    ));
+    assert!(has(
+        "EP008",
+        "LINT.toml",
+        "alloc scope `crates/serve/src/retired.rs` names no scanned source file"
+    ));
 }
 
 #[test]

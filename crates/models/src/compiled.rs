@@ -3,24 +3,23 @@
 //!
 //! [`CompiledPointNetPp`] and [`CompiledDgcnn`] snapshot a trained
 //! model's layer parameters into per-module op graphs (gather -> shared
-//! MLP -> pool, concat -> MLP, ...), compile them once with the fusing
-//! scheduler, and then execute every forward pass over a single reusable
-//! arena ([`ExecState`]). The data-dependent glue — sampling, neighbor
+//! MLP -> pool, concat -> MLP, ...), compile them once, and then execute
+//! every forward pass over a single reusable arena ([`ExecState`]). The data-dependent glue — sampling, neighbor
 //! search, interpolation — is not replayed here: both drivers call the
 //! same functions (`selection::select`, `fp::upsample`,
 //! `dgcnn::module_graph`, `sa::clamped_k`), so stage records and logits
 //! are bit-identical to the eager oracle at any thread budget.
 //!
-//! What this file owns is the tensor work: `matmul + bias + ReLU` chains
-//! run as single fused passes, and the grouping gather streams rows
+//! What this file owns is the tensor work: each `Linear(→ReLU)` layer
+//! runs as a single fused pass, and the grouping gather streams rows
 //! directly into the kernel's panel staging instead of materializing the
 //! `(n*k) x (C+3)` grouped matrix — the `.group` stage stages only
 //! indices and relative coordinates and records the fused gather traffic,
-//! which is the measurable `gathered_bytes` drop the scheduler buys.
+//! which is the measurable `gathered_bytes` drop the lowering buys.
 
 use edgepc_geom::{required, OpCounts, Point3, PointCloud};
 use edgepc_ir::{
-    Executor, FuseConfig, GatherIn, GatherMode, GatherSite, Graph, InTensor, Inputs, NodeId, Plan,
+    Executor, GatherIn, GatherMode, GatherSite, Graph, InTensor, Inputs, NodeId, Plan,
 };
 use edgepc_nn::{Sequential, Tensor2, EMPTY_SLOT};
 use edgepc_sim::StageKind;
@@ -75,7 +74,7 @@ impl ModulePlan {
         }
         g.set_output(out);
         ModulePlan {
-            plan: edgepc_ir::compile(&g, &FuseConfig::default()),
+            plan: edgepc_ir::compile(&g),
             name: name.to_string(),
             fc_k: g.shape(x).1,
             seq_rounds: 2 * mlp.len() as u64,
@@ -541,47 +540,60 @@ mod tests {
         }
     }
 
+    /// The clouds the bit-identity tests run on: a scattered cube and
+    /// the 512-point bunny (short ball-query groups, so zero-padded
+    /// gather rows), each with the class count its models are built for.
+    fn test_clouds(scattered: usize, seed: u64) -> [(PointCloud, usize); 2] {
+        [
+            (scattered_cloud(scattered, seed), 4),
+            (edgepc_data::bunny_with_points(512, 9), 3),
+        ]
+    }
+
     #[test]
     fn compiled_pointnetpp_matches_eager_bitwise() {
-        let cloud = scattered_cloud(256, 1);
         let mut state = ExecState::new();
-        for strategy in [
-            PipelineStrategy::baseline(),
-            PipelineStrategy::edgepc_pointnetpp(2, 16),
-        ] {
-            let mut model = PointNetPpSeg::new(&PointNetPpConfig::tiny(4, strategy), 4);
-            let compiled = CompiledPointNetPp::compile(&model, 256);
-            assert_matches_eager(
-                "pointnetpp",
-                compiled.run(&cloud, &mut state),
-                model.forward(&cloud),
-            );
+        for (cloud, classes) in test_clouds(256, 1) {
+            for strategy in [
+                PipelineStrategy::baseline(),
+                PipelineStrategy::edgepc_pointnetpp(2, 16),
+            ] {
+                let mut model =
+                    PointNetPpSeg::new(&PointNetPpConfig::tiny(classes, strategy), classes);
+                let compiled = CompiledPointNetPp::compile(&model, cloud.len());
+                assert_matches_eager(
+                    "pointnetpp",
+                    compiled.run(&cloud, &mut state),
+                    model.forward(&cloud),
+                );
+            }
         }
     }
 
     #[test]
     fn compiled_dgcnn_cls_and_seg_match_eager_bitwise() {
-        let cloud = scattered_cloud(128, 2);
         let mut state = ExecState::new();
-        for strategy in [
-            PipelineStrategy::baseline_dgcnn(3),
-            PipelineStrategy::edgepc_dgcnn(3, 32),
-        ] {
-            let mut cls = DgcnnClassifier::new(&DgcnnConfig::tiny(strategy.clone()), 5);
-            let compiled = CompiledDgcnn::classifier(&cls, 128);
-            assert_matches_eager(
-                "dgcnn_cls",
-                compiled.run(&cloud, &mut state),
-                cls.forward(&cloud),
-            );
+        for (cloud, _) in test_clouds(128, 2) {
+            for strategy in [
+                PipelineStrategy::baseline_dgcnn(3),
+                PipelineStrategy::edgepc_dgcnn(3, 32),
+            ] {
+                let mut cls = DgcnnClassifier::new(&DgcnnConfig::tiny(strategy.clone()), 5);
+                let compiled = CompiledDgcnn::classifier(&cls, cloud.len());
+                assert_matches_eager(
+                    "dgcnn_cls",
+                    compiled.run(&cloud, &mut state),
+                    cls.forward(&cloud),
+                );
 
-            let mut seg = DgcnnSeg::new(&DgcnnConfig::tiny(strategy), 4);
-            let compiled = CompiledDgcnn::segmenter(&seg, 128);
-            assert_matches_eager(
-                "dgcnn_seg",
-                compiled.run(&cloud, &mut state),
-                seg.forward(&cloud),
-            );
+                let mut seg = DgcnnSeg::new(&DgcnnConfig::tiny(strategy), 4);
+                let compiled = CompiledDgcnn::segmenter(&seg, cloud.len());
+                assert_matches_eager(
+                    "dgcnn_seg",
+                    compiled.run(&cloud, &mut state),
+                    seg.forward(&cloud),
+                );
+            }
         }
     }
 

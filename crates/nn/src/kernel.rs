@@ -1,9 +1,9 @@
 //! Fused dense kernels over the blocked 4x8-tile panel micro-kernel.
 //!
 //! This module is the single home of the workspace's matmul inner loops:
-//! `Tensor2::matmul` delegates here, and the `edgepc-ir` executor calls
-//! [`fused_linear`] directly to run a whole `matmul + bias + ReLU` chain
-//! as one pass over the output. The fusion contract is bit-exactness:
+//! `Tensor2::matmul` is a bias-free [`fused_linear`] call, and the
+//! `edgepc-ir` executor calls [`fused_linear`] to run a whole
+//! `Linear(→ReLU)` layer as one pass over the output. The fusion contract is bit-exactness:
 //! for every output element the sequence of f32 operations (k-ascending
 //! multiply-accumulate, then `+ bias`, then `max(0.0)`) is identical to
 //! the eager `matmul` → `add_row_vector` → `ReLU` pipeline, so fused and
@@ -84,9 +84,8 @@ impl RowSource<'_> {
     /// Materialize row `r` into `dst` (`dst.len()` must equal the row
     /// width). Element-for-element the same moves and subtractions the
     /// eager grouping buffers perform, so staged rows are bit-identical
-    /// to materialized ones. Public for the IR executor's unfused
-    /// gather step; the fused paths call it internally per tile.
-    pub fn stage_row(&self, r: usize, dst: &mut [f32]) {
+    /// to materialized ones. The fused paths call it per tile.
+    fn stage_row(&self, r: usize, dst: &mut [f32]) {
         match self {
             RowSource::Dense(a) => {
                 let w = dst.len();

@@ -49,7 +49,7 @@ pub trait Layer: Send {
 
     /// Downcast hook for IR lowering: returns the layer as a [`Linear`]
     /// if it is one. The `edgepc-ir` lowering walks a [`Sequential`] and
-    /// turns each `Linear` into a matmul + bias node pair.
+    /// turns each `Linear` into one `linear` node.
     fn as_linear(&self) -> Option<&Linear> {
         None
     }

@@ -1,6 +1,6 @@
 //! A minimal row-major 2-D tensor.
 
-use crate::kernel::{self, RowSource, SMALL_MATMUL_WORK};
+use crate::kernel::{self, RowSource};
 use std::fmt;
 
 /// A dense row-major `rows x cols` matrix of `f32`.
@@ -126,58 +126,24 @@ impl Tensor2 {
         self.data
     }
 
-    /// Matrix product `self * other`.
+    /// Matrix product `self * other`: one
+    /// [`fused_linear`](crate::fused_linear) pass with no bias and no ReLU.
     ///
     /// Small products run a row-times-row loop with a zero-skip (grouped
     /// matrices are sparse in padded slots); anything larger than
-    /// [`SMALL_MATMUL_WORK`] scalar MACs takes the cache-blocked,
-    /// B-packed micro-kernel of [`Tensor2::matmul_blocked`], parallelized
-    /// over fixed row blocks. Both paths accumulate each output element
-    /// in ascending-`k` order within their path, and the dispatch depends
-    /// only on the shapes, so results are deterministic and independent
-    /// of the `edgepc_par` thread count.
+    /// `SMALL_MATMUL_WORK` scalar MACs takes the cache-blocked,
+    /// B-packed micro-kernel, parallelized over fixed row blocks. Both
+    /// paths accumulate each output element in ascending-`k` order, and
+    /// the dispatch depends only on the shapes, so results are
+    /// deterministic and independent of the `edgepc_par` thread count.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Tensor2) -> Tensor2 {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        if self.rows * self.cols * other.cols < SMALL_MATMUL_WORK {
-            return self.matmul_naive(other);
-        }
-        self.matmul_blocked(other)
-    }
-
-    /// The original triple loop, kept for small shapes where packing
-    /// costs more than it saves (the kernel's zero-skip exploits
-    /// zero-padded grouping slots; see LINT.toml's EP002 waiver on
-    /// `kernel::naive_into`). Delegates to `edgepc_nn::kernel` so the
-    /// eager path and the fused executor share one inner loop.
-    fn matmul_naive(&self, other: &Tensor2) -> Tensor2 {
         let mut out = Tensor2::zeros(self.rows, other.cols);
-        kernel::naive_into(
-            &RowSource::Dense(&self.data),
-            self.rows,
-            other,
-            None,
-            false,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// Cache-blocked matmul: `B` is packed on the calling thread into
-    /// NR-column panels (k-major inside each panel, zero-padded tails)
-    /// so the inner loop streams both operands contiguously; output rows
-    /// are computed in MR x NR register tiles, parallelized over
-    /// MC-row blocks with `edgepc_par::par_chunks_mut`. Each output
-    /// element is written by exactly one worker with `k`-ascending
-    /// accumulation, so the result is bit-identical for every thread
-    /// count. Delegates to `edgepc_nn::kernel` so the eager path and the
-    /// fused executor share one inner loop.
-    fn matmul_blocked(&self, other: &Tensor2) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.rows, other.cols);
-        kernel::blocked_into(
+        kernel::fused_linear(
             &RowSource::Dense(&self.data),
             self.rows,
             other,
@@ -307,6 +273,22 @@ impl fmt::Debug for Tensor2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::SMALL_MATMUL_WORK;
+
+    /// The small-product loop at any size: the reference the blocked
+    /// path must match bit for bit.
+    fn naive_matmul(a: &Tensor2, b: &Tensor2) -> Tensor2 {
+        let mut out = Tensor2::zeros(a.rows(), b.cols());
+        kernel::naive_into(
+            &RowSource::Dense(a.as_slice()),
+            a.rows(),
+            b,
+            None,
+            false,
+            out.as_mut_slice(),
+        );
+        out
+    }
 
     #[test]
     fn matmul_known_values() {
@@ -394,7 +376,7 @@ mod tests {
         let a = random_tensor(37, 41, 7);
         let b = random_tensor(41, 29, 11);
         const { assert!(37 * 41 * 29 >= SMALL_MATMUL_WORK) };
-        assert_eq!(a.matmul(&b), a.matmul_naive(&b));
+        assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
     }
 
     #[test]
@@ -413,7 +395,7 @@ mod tests {
         // Shapes landing exactly on MR/NR/MC boundaries.
         let a = random_tensor(128, 32, 17);
         let b = random_tensor(32, 16, 19);
-        assert_eq!(a.matmul(&b), a.matmul_naive(&b));
+        assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
     }
 
     #[test]

@@ -78,14 +78,6 @@ pub struct EngineConfig {
     /// slow shard without touching the model code; it delays execution
     /// only, so outputs are unchanged.
     pub exec_delay: Duration,
-    /// Bound of the shared compiled-plan cache: at most this many
-    /// `(model, cloud size)` plans are compiled and cached engine-wide.
-    /// Workers execute cached `edgepc-ir` plans when one exists for the
-    /// request's exact cloud size and fall back to the eager replica
-    /// otherwise — outputs are bit-identical either way, so this knob
-    /// trades compile-once memory for steady-state latency. `0` disables
-    /// the compiled path entirely.
-    pub plan_cache: usize,
     /// Telemetry plane: flight recorder, dump triggers, tail sampling.
     pub flight: FlightConfig,
 }
@@ -101,7 +93,6 @@ impl EngineConfig {
             max_batch: 4,
             intra_threads: 0,
             exec_delay: Duration::ZERO,
-            plan_cache: 8,
             flight: FlightConfig::default(),
         }
     }

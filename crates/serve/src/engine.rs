@@ -69,7 +69,7 @@ impl Engine {
         let queue = Arc::new(SubmitQueue::new(config.queue_capacity));
         let plane = TelemetryPlane::new(Arc::clone(&registry), config.flight.clone());
         let outstanding = Arc::new(AtomicUsize::new(0));
-        let plans = Arc::new(PlanCache::new(config.plan_cache));
+        let plans = Arc::new(PlanCache::default());
         let mut handles = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
             let queue = Arc::clone(&queue);

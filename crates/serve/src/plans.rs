@@ -9,10 +9,10 @@
 //! with a double-checked insert so a racing worker's duplicate plan is
 //! simply dropped.
 //!
-//! The cache is bounded: once full, unseen `(model, size)` pairs fall back
-//! to the eager replica forward (bit-identical output, just slower), so a
-//! chaos workload cycling through cloud sizes cannot grow memory without
-//! bound.
+//! The cache is bounded at [`CAPACITY`] plans: once full, unseen
+//! `(model, size)` pairs fall back to the eager replica forward
+//! (bit-identical output, just slower), so a chaos workload cycling
+//! through cloud sizes cannot grow memory without bound.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -56,6 +56,10 @@ impl CompiledServeModel {
     }
 }
 
+/// Plans an engine caches: compile-once memory traded for steady-state
+/// latency on the first eight `(model, size)` pairs seen.
+const CAPACITY: usize = 8;
+
 /// Cache key: `(model index, cloud size)`.
 type PlanKey = (usize, usize);
 
@@ -67,9 +71,15 @@ pub(crate) struct PlanCache {
     inner: Mutex<Vec<(PlanKey, Arc<CompiledServeModel>)>>,
 }
 
+impl Default for PlanCache {
+    /// The engine's cache, bounded at [`CAPACITY`].
+    fn default() -> PlanCache {
+        PlanCache::new(CAPACITY)
+    }
+}
+
 impl PlanCache {
-    /// Creates a cache holding at most `capacity` plans. Capacity 0
-    /// disables compilation entirely (every lookup falls back to eager).
+    /// Creates a cache holding at most `capacity` plans.
     pub(crate) fn new(capacity: usize) -> PlanCache {
         PlanCache {
             capacity,
@@ -78,18 +88,15 @@ impl PlanCache {
     }
 
     /// Returns the shared plan for `(model, n_points)`, compiling it from
-    /// `replica` on first use. Returns `None` when the cache is disabled
-    /// or full and the key is absent — the caller then runs the eager
-    /// replica, which produces the same logits.
+    /// `replica` on first use. Returns `None` when the cache is full and
+    /// the key is absent — the caller then runs the eager replica, which
+    /// produces the same logits.
     pub(crate) fn get_or_compile(
         &self,
         model: usize,
         n_points: usize,
         replica: &ServeModel,
     ) -> Option<Arc<CompiledServeModel>> {
-        if self.capacity == 0 {
-            return None;
-        }
         let key = (model, n_points);
         {
             let inner = ranked_with(Lock::ServePlanCache, || {
