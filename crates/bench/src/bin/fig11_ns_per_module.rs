@@ -71,13 +71,14 @@ fn main() {
         }
 
         // Per-gather-site grouping traffic: the IR scheduler's fused-gather
-        // accounting, one row per SA module. Each site gets its own span
-        // (named after the site), so the results JSON attributes
-        // gathered_bytes per module instead of folding every grouping into
-        // one aggregated row.
+        // accounting, one row per SA module, and whether the site's first
+        // layer is hoisted (more gathered rows than source points). Each
+        // site gets its own span (named after the site), so the results
+        // JSON attributes gathered_bytes per module instead of folding
+        // every grouping into one aggregated row.
         println!(
-            "\n{:<12} {:>14} {:>14} {:>10}",
-            "gather site", "eager bytes", "fused bytes", "saved"
+            "\n{:<12} {:>14} {:>14} {:>10} {:>8}",
+            "gather site", "eager bytes", "fused bytes", "saved", "hoisted"
         );
         let model = PointNetPpSeg::new(
             &PointNetPpConfig::paper(8192, PipelineStrategy::baseline()),
@@ -92,11 +93,12 @@ fn main() {
             });
             drop(sp);
             println!(
-                "{:<12} {:>14} {:>14} {:>10}",
+                "{:<12} {:>14} {:>14} {:>10} {:>8}",
                 site.label,
                 site.eager_bytes,
                 site.fused_bytes,
-                pct(1.0 - site.fused_bytes as f64 / site.eager_bytes.max(1) as f64)
+                pct(1.0 - site.fused_bytes as f64 / site.eager_bytes.max(1) as f64),
+                if site.hoisted { "yes" } else { "no" }
             );
         }
     });

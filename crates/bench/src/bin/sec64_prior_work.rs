@@ -6,6 +6,10 @@
 //! touches the sampling stage — only reaches 1.12x end to end, versus
 //! EdgePC's 1.55x mean.
 //!
+//! A second table counts DGCNN's EdgeConv MACs under the one-pass
+//! schedule, the compiled plan (which hoists the exact, per-point half of
+//! delayed aggregation) and Mesorasi's full schedule.
+//!
 //! Run with `cargo run --release -p edgepc-bench --bin sec64_prior_work`.
 
 use edgepc::{compare, EdgePcConfig, Workload};
@@ -13,7 +17,10 @@ use edgepc_bench::{banner, ms, report, row, speedup};
 use edgepc_models::delayed::{
     conventional_schedule, delayed_aggregation_schedule, paper_sa1_shape, SaShape,
 };
-use edgepc_models::price_stages;
+use edgepc_models::{
+    price_stages, CompiledDgcnn, DgcnnClassifier, DgcnnConfig, ExecState, PipelineStrategy,
+    StageRecord,
+};
 use edgepc_sim::{StageKind, XavierModel};
 
 fn main() {
@@ -22,6 +29,58 @@ fn main() {
         "DA: FC 2.1x faster, grouping 2.73x slower, E2E only 1.12x",
     );
     report::capture("sec64_prior_work", run);
+    dgcnn_macs();
+}
+
+/// Paper DGCNN's EdgeConv MACs on one 1024-point cloud (k = 20) under
+/// three schedules: one pass over the `n*k` edge rows `[f_i | f_j - f_i]`;
+/// the compiled plan, which computes each row's `f_i · W[..c]` once per
+/// point and resumes from it (exact in f32); and Mesorasi's delayed
+/// aggregation, which also moves `f_j · W[c..]` per point and the max
+/// inside (approximate), as `delayed.rs` predicts it.
+fn dgcnn_macs() {
+    let (n, k) = (1024, 20);
+    // (in channels, out channels) of the four EdgeConv modules.
+    let widths = [(3, 64), (64, 64), (64, 128), (128, 256)];
+    let predicted = |schedule: fn(&SaShape, &str) -> Vec<StageRecord>| -> u64 {
+        let module = |&(c, c_out): &(usize, usize)| {
+            let shape = SaShape {
+                n_in: n,
+                n_out: n,
+                k,
+                c_in: 2 * c,
+                c_out,
+            };
+            schedule(&shape, "ec")
+                .iter()
+                .map(|r| r.ops.mac)
+                .sum::<u64>()
+        };
+        widths.iter().map(module).sum()
+    };
+    let model = DgcnnClassifier::new(&DgcnnConfig::paper(PipelineStrategy::baseline_dgcnn(4)), 16);
+    let cloud = edgepc_data::bunny_with_points(n, 7);
+    let (_, records) = CompiledDgcnn::classifier(&model, n).run(&cloud, &mut ExecState::new());
+    let compiled: u64 = records
+        .iter()
+        .filter(|r| r.name.starts_with("ec") && r.name.ends_with(".fc"))
+        .map(|r| r.ops.mac)
+        .sum();
+    println!(
+        "
+DGCNN EdgeConv MACs per 1024-point cloud (k = 20):"
+    );
+    row(
+        "one-pass edge rows (eager)",
+        "-",
+        predicted(conventional_schedule),
+    );
+    row("compiled plan, f_i*W hoisted", "-", compiled);
+    row(
+        "Mesorasi DA (predicted)",
+        "-",
+        predicted(delayed_aggregation_schedule),
+    );
 }
 
 fn run() {

@@ -2,7 +2,9 @@
 //! each compiled plan checked bit for bit against a reference built from
 //! the eager ops (materialized gather rows → `Sequential::forward` →
 //! `max_pool_groups` / `hstack`), and each plan's arena layout checked
-//! for a destination that overlaps a live region.
+//! for a destination that overlaps a live region. Random gathers land on
+//! both sides of the hoisting rule (`rows > src_rows`), so one-pass and
+//! `Hoist` + `Resume` lowerings are both held to the reference.
 
 use crate::schedule::{ASrc, Region, Src, Step};
 use crate::{compile, Executor, GatherIn, GatherMode, Graph, InTensor, Inputs, NodeId, Plan};
@@ -167,7 +169,10 @@ fn random_case(rng: &mut Rng) -> (Case, Tensor2, Option<GatherCase>) {
                 edge_pair(rng)
             };
             let (GatherMode::SaGroup { k, .. } | GatherMode::EdgePair { k, .. }) = gc.mode;
-            let node = case.g.gather(gc.rows.rows(), gc.mode, "diff.group");
+            let src_rows = gc.feats.rows();
+            let node = case
+                .g
+                .gather(gc.rows.rows(), src_rows, gc.mode, "diff.group");
             let rows = gc.rows.clone();
             (node, rows, Some(gc), k)
         }
@@ -212,7 +217,8 @@ fn random_case(rng: &mut Rng) -> (Case, Tensor2, Option<GatherCase>) {
     (case, eager, gather)
 }
 
-/// Each step's (destination, arena regions read).
+/// Each step's (destination, arena regions read). A `Hoist` writes the
+/// start region its `Resume` reads.
 fn step_regions(step: &Step) -> (Region, Vec<Region>) {
     let arena = |s: Src| match s {
         Src::Arena(r) => Some(r),
@@ -226,6 +232,8 @@ fn step_regions(step: &Step) -> (Region, Vec<Region>) {
             };
             (dst, read)
         }
+        Step::Hoist { dst, .. } => (dst, Vec::new()),
+        Step::Resume { start, dst, .. } => (dst, vec![start]),
         Step::MaxPool { src, dst, .. } | Step::Broadcast { src, dst, .. } => {
             (dst, arena(src).into_iter().collect())
         }
@@ -263,15 +271,55 @@ fn assert_live_regions_disjoint(plan: &Plan, what: &str) {
     }
 }
 
+/// A hoisted pair is adjacent, its start region is read by its `Resume`
+/// alone (dead afterwards, until a later step rewrites the space), and
+/// the `Resume` destination is disjoint from it. Returns the pair count.
+fn assert_hoists_are_paired(plan: &Plan, what: &str) -> usize {
+    let mut hoists = 0;
+    for (s, step) in plan.steps.iter().enumerate() {
+        let Step::Hoist { slot, dst: p, .. } = *step else {
+            continue;
+        };
+        hoists += 1;
+        let next = plan.steps.get(s + 1);
+        let Some(&Step::Resume {
+            slot: resumed,
+            start,
+            dst,
+            ..
+        }) = next
+        else {
+            panic!("{what}: hoist at step {s} is not followed by its resume");
+        };
+        assert_eq!((resumed, start), (slot, p), "{what}: step {s}");
+        let disjoint = |x: Region| x.off + x.len <= p.off || p.off + p.len <= x.off;
+        assert!(disjoint(dst), "{what}: resume writes over its start region");
+        for later in &plan.steps[s + 2..] {
+            let (written, read) = step_regions(later);
+            assert!(
+                !read.contains(&p),
+                "{what}: start region read after its resume"
+            );
+            if !disjoint(written) {
+                break;
+            }
+        }
+    }
+    hoists
+}
+
 #[test]
 fn random_graphs_match_the_eager_reference_bitwise() {
     let mut rng = Rng(0x5eed_d1ff_c0de_0001);
     let mut exec = Executor::new();
+    // Gathers compiled as one pass vs. hoisted.
+    let (mut one_pass, mut hoisted) = (0, 0);
     for i in 0..GRAPHS {
         let what = format!("graph {i}");
         let (case, eager, gather) = random_case(&mut rng);
         let plan = compile(&case.g);
         assert_live_regions_disjoint(&plan, &what);
+        let hoists = assert_hoists_are_paired(&plan, &what);
         assert_eq!(
             (plan.out_rows(), plan.out_cols()),
             (eager.rows(), eager.cols()),
@@ -310,6 +358,21 @@ fn random_graphs_match_the_eager_reference_bitwise() {
                 "{what}"
             );
             assert!(site.fused_bytes <= site.eager_bytes, "{what}");
+            assert_eq!(
+                site.hoisted,
+                gc.rows.rows() > gc.feats.rows(),
+                "{what}: hoisting rule"
+            );
+            assert_eq!(hoists, usize::from(site.hoisted), "{what}");
+            if site.hoisted {
+                hoisted += 1;
+            } else {
+                one_pass += 1;
+            }
         }
     }
+    assert!(
+        one_pass >= 10 && hoisted >= 10,
+        "fuzz must cover both sides of the hoisting rule: {one_pass} one-pass, {hoisted} hoisted"
+    );
 }

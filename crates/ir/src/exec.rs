@@ -9,7 +9,8 @@
 //! into `edgepc_nn::fused_linear`.
 //!
 //! Step semantics replicate the eager ops bit-for-bit: fused linears
-//! follow the eager matmul/bias/ReLU op order, `MaxPool` replays
+//! follow the eager matmul/bias/ReLU op order (a hoisted linear's
+//! `Hoist` + `Resume` pair replays it split at column `c`), `MaxPool` replays
 //! `max_pool_groups` (strict `>`, first-seen winner), `Concat2` is
 //! `hstack`, `Broadcast` the seg-head row replication.
 
@@ -119,12 +120,12 @@ fn validate_inputs(plan: &Plan, inputs: &Inputs<'_>) {
             spec.rows,
             "ir exec: gather index count mismatch"
         );
-        let (GatherMode::SaGroup { c, .. } | GatherMode::EdgePair { c, .. }) = spec.mode;
+        let c = spec.mode.channels();
         assert!(c > 0, "ir exec: gather needs at least one feature channel");
         assert_eq!(
-            g.feats.len() % c,
-            0,
-            "ir exec: gather feature matrix ragged"
+            g.feats.len(),
+            spec.src_rows * c,
+            "ir exec: gather feature matrix must be src_rows x c"
         );
         match spec.mode {
             GatherMode::SaGroup { .. } => {
@@ -144,7 +145,14 @@ fn validate_inputs(plan: &Plan, inputs: &Inputs<'_>) {
     }
 }
 
-fn gather_source<'a>(plan: &Plan, inputs: &Inputs<'a>, slot: usize) -> RowSource<'a> {
+/// Gather `slot` as a kernel row source: one-pass, or resumed from the
+/// hoisted head products `start`.
+fn gather_source<'a>(
+    plan: &Plan,
+    inputs: &Inputs<'a>,
+    slot: usize,
+    start: Option<&'a [f32]>,
+) -> RowSource<'a> {
     let g = &inputs.gathers[slot];
     match plan.gather_specs[slot].mode {
         GatherMode::SaGroup { c, .. } => RowSource::SaGroup {
@@ -152,12 +160,14 @@ fn gather_source<'a>(plan: &Plan, inputs: &Inputs<'a>, slot: usize) -> RowSource
             c,
             idx: g.idx,
             rel: g.rel,
+            start,
         },
         GatherMode::EdgePair { c, k } => RowSource::EdgePair {
             feats: g.feats,
             c,
             k,
             idx: g.idx,
+            start,
         },
     }
 }
@@ -175,6 +185,19 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
                 dst,
             } => {
                 step_fused(arena, plan, inputs, src, m, w, relu, dst);
+            }
+            Step::Hoist { slot, rows, w, dst } => {
+                step_hoist(arena, plan, inputs, slot, rows, w, dst);
+            }
+            Step::Resume {
+                slot,
+                m,
+                w,
+                relu,
+                start,
+                dst,
+            } => {
+                step_resume(arena, plan, inputs, slot, m, w, relu, start, dst);
             }
             Step::MaxPool {
                 src,
@@ -224,7 +247,7 @@ fn step_fused(
             &mut arena[dst.off..dst.off + dst.len],
         ),
         ASrc::Gather(slot) => (
-            gather_source(plan, inputs, slot),
+            gather_source(plan, inputs, slot, None),
             &mut arena[dst.off..dst.off + dst.len],
         ),
         ASrc::Arena(r) => {
@@ -235,6 +258,56 @@ fn step_fused(
     let lin = &plan.linears[w];
     edgepc_nn::fused_linear(
         &rs,
+        m,
+        &lin.w,
+        lin.packed.as_ref(),
+        Some(lin.b.as_slice()),
+        relu,
+        out,
+    );
+}
+
+/// `P = feats · W[..c]` over gather `slot`'s source rows: the hoisted
+/// per-point half of its linear, before any bias or ReLU.
+fn step_hoist(
+    arena: &mut [f32],
+    plan: &Plan,
+    inputs: &Inputs<'_>,
+    slot: usize,
+    rows: usize,
+    w: usize,
+    dst: Region,
+) {
+    let lin = &plan.linears[w];
+    edgepc_nn::fused_linear(
+        &RowSource::Dense(inputs.gathers[slot].feats),
+        rows,
+        &lin.w,
+        lin.packed.as_ref(),
+        None,
+        false,
+        &mut arena[dst.off..dst.off + dst.len],
+    );
+}
+
+/// The gathered tail times `W[c..]`, each row resuming from its
+/// `Hoist` row in `start`, then bias and ReLU.
+#[allow(clippy::too_many_arguments)]
+fn step_resume(
+    arena: &mut [f32],
+    plan: &Plan,
+    inputs: &Inputs<'_>,
+    slot: usize,
+    m: usize,
+    w: usize,
+    relu: bool,
+    start: Region,
+    dst: Region,
+) {
+    let (p, out) = split_src_dst(arena, start, dst);
+    let lin = &plan.linears[w];
+    edgepc_nn::fused_linear(
+        &gather_source(plan, inputs, slot, Some(p)),
         m,
         &lin.w,
         lin.packed.as_ref(),

@@ -38,6 +38,12 @@ pub enum GatherMode {
 }
 
 impl GatherMode {
+    /// Feature channels per source point (`c`).
+    pub fn channels(&self) -> usize {
+        let (GatherMode::SaGroup { c, .. } | GatherMode::EdgePair { c, .. }) = *self;
+        c
+    }
+
     /// Width of one gathered row.
     pub fn row_width(&self) -> usize {
         match self {
@@ -69,12 +75,31 @@ impl GatherMode {
 /// with `w`/`b` at `Graph::linears[p]`.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
-    Input { slot: usize },
-    Gather { slot: usize, mode: GatherMode },
-    Linear { x: NodeId, p: usize, relu: bool },
-    MaxPool { x: NodeId, group: usize },
-    Concat2 { a: NodeId, b: NodeId },
-    Broadcast { x: NodeId, rows: usize },
+    Input {
+        slot: usize,
+    },
+    Gather {
+        slot: usize,
+        mode: GatherMode,
+        src_rows: usize,
+    },
+    Linear {
+        x: NodeId,
+        p: usize,
+        relu: bool,
+    },
+    MaxPool {
+        x: NodeId,
+        group: usize,
+    },
+    Concat2 {
+        a: NodeId,
+        b: NodeId,
+    },
+    Broadcast {
+        x: NodeId,
+        rows: usize,
+    },
 }
 
 impl Op {
@@ -151,15 +176,36 @@ impl Graph {
         self.push(Op::Input { slot }, rows, cols)
     }
 
-    /// Declares an index-driven gather producing `rows` rows. Gathers
-    /// occupy slots in declaration order, matching
-    /// `exec::Inputs::gathers`; `site` names the gather site in the
-    /// plan's per-site traffic accounting.
-    pub fn gather(&mut self, rows: usize, mode: GatherMode, site: impl Into<String>) -> NodeId {
+    /// Declares an index-driven gather producing `rows` rows from a
+    /// source feature matrix of `src_rows` points. Gathers occupy slots
+    /// in declaration order, matching `exec::Inputs::gathers`; `site`
+    /// names the gather site in the plan's per-site traffic accounting.
+    /// When `rows > src_rows` the compiled plan hoists the reading
+    /// `linear`'s per-point half (see `schedule::compile`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src_rows` is zero.
+    pub fn gather(
+        &mut self,
+        rows: usize,
+        src_rows: usize,
+        mode: GatherMode,
+        site: impl Into<String>,
+    ) -> NodeId {
+        assert!(src_rows > 0, "ir gather needs at least one source row");
         let slot = self.gather_labels.len();
         self.gather_labels.push(site.into());
         let cols = mode.row_width();
-        self.push(Op::Gather { slot, mode }, rows, cols)
+        self.push(
+            Op::Gather {
+                slot,
+                mode,
+                src_rows,
+            },
+            rows,
+            cols,
+        )
     }
 
     /// One `Linear` layer `x * w + b`, followed by `max(0.0)` when

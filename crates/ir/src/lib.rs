@@ -13,7 +13,9 @@
 //!   that reads it — the grouped matrix is never materialized, which is
 //!   what drops `gathered_bytes`,
 //! * [`compile`] — the scheduler: plans buffer lifetimes over a single
-//!   arena with a first-fit liveness pass,
+//!   arena with a first-fit liveness pass, and computes the per-point
+//!   half of a `linear` fed by a row-repeating gather once per point
+//!   (exact: the gathered rows resume their sums from it),
 //! * [`Executor`] — interprets a [`Plan`] over its reusable arena with
 //!   zero steady-state heap allocation (EP008-designated hot loop).
 //!
@@ -153,7 +155,7 @@ mod tests {
         let eager = edgepc_nn::pool::max_pool_groups(&transformed, k);
 
         let mut g = Graph::new("sa");
-        let gat = g.gather(m, GatherMode::SaGroup { c, k }, "sa.group");
+        let gat = g.gather(m, points, GatherMode::SaGroup { c, k }, "sa.group");
         let mlp = g.mlp(gat, &seq);
         let pooled = g.max_pool(mlp, k);
         g.set_output(pooled);
@@ -177,12 +179,14 @@ mod tests {
         assert_eq!(e.output(&plan), eager.output.as_slice());
     }
 
-    /// Runs a two-group SA plan (`k = 2`, so four gathered rows) over
-    /// `feats` and `idx`; the contract tests feed it malformed operands.
-    fn run_sa_plan(c: usize, feats: &[f32], idx: &[usize]) {
+    /// Runs a two-group SA plan (`k = 2`, so four gathered rows from
+    /// `src_rows` points) over `feats` and `idx`; the contract tests feed
+    /// it malformed operands.
+    fn run_sa_plan(c: usize, src_rows: usize, feats: &[f32], idx: &[usize]) {
         let seq = Sequential::mlp(&[c + 3, 4], 9);
         let mut g = Graph::new("sa");
-        let gat = g.gather(idx.len(), GatherMode::SaGroup { c, k: 2 }, "sa.group");
+        let mode = GatherMode::SaGroup { c, k: 2 };
+        let gat = g.gather(idx.len(), src_rows, mode, "sa.group");
         let mlp = g.mlp(gat, &seq);
         g.set_output(mlp);
         let plan = compile(&g);
@@ -203,14 +207,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "ir exec: gather needs at least one feature channel")]
     fn zero_channel_gather_fails_the_contract_check() {
-        run_sa_plan(0, &[], &[0, 0, 0, 0]);
+        run_sa_plan(0, 1, &[], &[0, 0, 0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "SA group neighbor index out of range")]
     fn out_of_range_gather_index_fails_the_contract_check() {
         // Two feature rows of three channels; index 2 is one past the end.
-        run_sa_plan(3, &[0.5; 6], &[0, 1, EMPTY_SLOT, 2]);
+        run_sa_plan(3, 2, &[0.5; 6], &[0, 1, EMPTY_SLOT, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ir exec: gather feature matrix must be src_rows x c")]
+    fn short_gather_feature_matrix_fails_at_validation() {
+        // Declared three source points of three channels, fed two.
+        run_sa_plan(3, 3, &[0.5; 6], &[0, 1, EMPTY_SLOT, 1]);
     }
 
     /// Concat + pool + broadcast replicate hstack / global pool / row

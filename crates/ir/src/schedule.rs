@@ -1,17 +1,29 @@
-//! The scheduler: liveness planning.
+//! The scheduler: liveness planning and the hoisting rule.
 //!
 //! [`compile`] turns a [`Graph`] into an executable [`Plan`]. Lowering
 //! already did the fusion: each `linear` node is one fused
 //! `A * W + b (+ ReLU)` step over the blocked panel kernel
 //! (`edgepc_nn::fused_linear`), and a gather is never materialized — its
 //! one consumer, a `linear`, streams the gathered rows straight into
-//! panel staging. What is left is buffer lifetimes, planned over one
-//! arena with a first-fit free list (coalescing on free): a node's
-//! region is allocated before its operands are released, so every
-//! step's destination is disjoint from its sources and steady-state
-//! execution never allocates.
+//! panel staging.
+//!
+//! A gather that emits more rows than its source matrix has
+//! (`rows > src_rows`) repeats each source row's leading `c` columns, so
+//! its `linear` is compiled into two steps: `Hoist` computes
+//! `P = feats · W[..c]` once per source row into a short-lived arena
+//! region, and `Resume` runs the kernel over the gathered tail columns
+//! only, each accumulator starting from its row of `P`. The kernel sums
+//! k-ascending from its start, so this replays the one-pass f32
+//! operations in order — bit-identical — for `(rows - src_rows) · c · n`
+//! fewer MACs.
+//!
+//! What is left is buffer lifetimes, planned over one arena with a
+//! first-fit free list (coalescing on free): a node's region is
+//! allocated before its operands are released, so every step's
+//! destination is disjoint from its sources and steady-state execution
+//! never allocates.
 
-use crate::graph::{GatherMode, Graph, Op};
+use crate::graph::{GatherMode, Graph, LinearParams, Op};
 use edgepc_geom::OpCounts;
 use edgepc_nn::{kernel_uses_blocked_path, PackedPanels, Tensor2};
 
@@ -46,6 +58,26 @@ pub(crate) enum Step {
         m: usize,
         w: usize,
         relu: bool,
+        dst: Region,
+    },
+    /// The per-point head of a hoisted gather-fed linear: the dense
+    /// product of gather `slot`'s `rows` source features with `W[..c]`
+    /// (`Plan::linears[w]`), no bias, no ReLU.
+    Hoist {
+        slot: usize,
+        rows: usize,
+        w: usize,
+        dst: Region,
+    },
+    /// The gathered tail of a hoisted linear: gather `slot`'s tail
+    /// columns times `W[c..]` (`Plan::linears[w]`), each row starting
+    /// from its `Hoist` row in `start`, then `+ b` (and ReLU).
+    Resume {
+        slot: usize,
+        m: usize,
+        w: usize,
+        relu: bool,
+        start: Region,
         dst: Region,
     },
     /// Grouped max-pool (`max_pool_groups` semantics).
@@ -85,20 +117,34 @@ pub struct GatherSite {
     /// Bytes the plan actually streams (indices, plus relative
     /// coordinates for SA grouping).
     pub fused_bytes: u64,
+    /// Whether the reading linear is hoisted (`rows > src_rows`), so
+    /// the site's stage does fewer MACs than the eager product.
+    pub hoisted: bool,
 }
 
-/// A fused step's parameters, weights prepacked when the step takes the
-/// blocked kernel path.
+/// A kernel step's weights (prepacked when the step takes the blocked
+/// kernel path) and bias. A hoisted linear keeps only its head block
+/// (bias-free) and its tail block, never the whole `W`.
 pub(crate) struct PlanLinear {
     pub(crate) w: Tensor2,
     pub(crate) b: Vec<f32>,
     pub(crate) packed: Option<PackedPanels>,
 }
 
+impl PlanLinear {
+    /// Snapshots `w` and `b` for a step over `m` rows.
+    fn new(w: Tensor2, b: Vec<f32>, m: usize) -> Self {
+        let blocked = kernel_uses_blocked_path(m, w.rows(), w.cols());
+        let packed = blocked.then(|| PackedPanels::pack(&w));
+        PlanLinear { w, b, packed }
+    }
+}
+
 /// Expected runtime shape of one gather slot.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GatherSpec {
     pub(crate) rows: usize,
+    pub(crate) src_rows: usize,
     pub(crate) mode: GatherMode,
 }
 
@@ -242,6 +288,7 @@ pub fn compile(graph: &Graph) -> Plan {
     // gather slot streamed by its one linear reader.
     let mut realized: Vec<ASrc> = Vec::with_capacity(graph.nodes.len());
     let mut steps = Vec::new();
+    let mut linears = Vec::new();
     let mut ops = OpCounts::default();
 
     for (i, node) in graph.nodes.iter().enumerate() {
@@ -260,44 +307,77 @@ pub fn compile(graph: &Graph) -> Plan {
             _ => {}
         }
         let dst = planner.alloc(node.rows * node.cols);
-        steps.push(match node.op {
+        match node.op {
             Op::Linear { x, p, relu } => {
-                ops.mac += (node.rows * graph.linears[p].w.rows() * node.cols) as u64;
-                Step::Fused {
-                    src: realized[x.0],
-                    m: node.rows,
-                    w: p,
-                    relu,
-                    dst,
+                let LinearParams { w, b } = &graph.linears[p];
+                let n = node.cols;
+                match graph.node(x).op {
+                    Op::Gather {
+                        slot,
+                        mode,
+                        src_rows,
+                    } if node.rows > src_rows => {
+                        let (head, tail) = w.split_rows(mode.channels());
+                        ops.mac += ((src_rows * head.rows() + node.rows * tail.rows()) * n) as u64;
+                        let start = planner.alloc(src_rows * n);
+                        steps.push(Step::Hoist {
+                            slot,
+                            rows: src_rows,
+                            w: linears.len(),
+                            dst: start,
+                        });
+                        linears.push(PlanLinear::new(head, Vec::new(), src_rows));
+                        steps.push(Step::Resume {
+                            slot,
+                            m: node.rows,
+                            w: linears.len(),
+                            relu,
+                            start,
+                            dst,
+                        });
+                        linears.push(PlanLinear::new(tail, b.clone(), node.rows));
+                        planner.release(start);
+                    }
+                    _ => {
+                        ops.mac += (node.rows * w.rows() * n) as u64;
+                        steps.push(Step::Fused {
+                            src: realized[x.0],
+                            m: node.rows,
+                            w: linears.len(),
+                            relu,
+                            dst,
+                        });
+                        linears.push(PlanLinear::new(w.clone(), b.clone(), node.rows));
+                    }
                 }
             }
             Op::MaxPool { x, group } => {
                 let (rows, cols) = graph.shape(x);
-                Step::MaxPool {
+                steps.push(Step::MaxPool {
                     src: src_of(&realized, x.0),
                     rows,
                     cols,
                     group,
                     dst,
-                }
+                });
             }
-            Op::Concat2 { a, b } => Step::Concat2 {
+            Op::Concat2 { a, b } => steps.push(Step::Concat2 {
                 a: src_of(&realized, a.0),
                 b: src_of(&realized, b.0),
                 rows: node.rows,
                 a_cols: graph.shape(a).1,
                 b_cols: graph.shape(b).1,
                 dst,
-            },
-            Op::Broadcast { x, rows } => Step::Broadcast {
+            }),
+            Op::Broadcast { x, rows } => steps.push(Step::Broadcast {
                 src: src_of(&realized, x.0),
                 cols: node.cols,
                 rows_out: rows,
                 dst,
-            },
+            }),
             // Source ops take no step; both arms above `continue`.
             Op::Input { .. } | Op::Gather { .. } => continue,
-        });
+        }
         for dep in node.op.deps() {
             remaining[dep.0] -= 1;
             if let (0, ASrc::Arena(r)) = (remaining[dep.0], realized[dep.0]) {
@@ -312,37 +392,24 @@ pub fn compile(graph: &Graph) -> Plan {
         _ => edgepc_geom::violation("ir compile: output node is not arena-backed"),
     };
 
-    // Prepack every weight whose fused step takes the blocked kernel
-    // path, so steady-state runs skip per-call panel packing.
-    let mut linears: Vec<PlanLinear> = graph
-        .linears
-        .iter()
-        .map(|p| PlanLinear {
-            w: p.w.clone(),
-            b: p.b.clone(),
-            packed: None,
-        })
-        .collect();
-    for step in &steps {
-        if let Step::Fused { m, w, .. } = *step {
-            let lin = &mut linears[w];
-            if kernel_uses_blocked_path(m, lin.w.rows(), lin.w.cols()) && lin.packed.is_none() {
-                lin.packed = Some(PackedPanels::pack(&lin.w));
-            }
-        }
-    }
-
     let mut gather_sites = Vec::new();
     let mut gather_specs = Vec::new();
     for node in &graph.nodes {
-        if let Op::Gather { slot, mode } = node.op {
+        if let Op::Gather {
+            slot,
+            mode,
+            src_rows,
+        } = node.op
+        {
             gather_sites.push(GatherSite {
                 label: graph.gather_labels[slot].clone(),
                 eager_bytes: mode.eager_bytes(node.rows),
                 fused_bytes: mode.fused_bytes(node.rows),
+                hoisted: node.rows > src_rows,
             });
             gather_specs.push(GatherSpec {
                 rows: node.rows,
+                src_rows,
                 mode,
             });
         }

@@ -15,7 +15,11 @@
 //! directly into the kernel's panel staging instead of materializing the
 //! `(n*k) x (C+3)` grouped matrix — the `.group` stage stages only
 //! indices and relative coordinates and records the fused gather traffic,
-//! which is the measurable `gathered_bytes` drop the lowering buys.
+//! which is the measurable `gathered_bytes` drop the lowering buys. Each
+//! gather declares its source point count (`n_points` for an EdgeConv,
+//! `n_in` for an SA level), so the scheduler can hoist the first layer's
+//! per-point half when the gather repeats source rows; the module's
+//! `.fc` stage then records the plan's smaller, exact MAC count.
 
 use edgepc_geom::{required, OpCounts, Point3, PointCloud};
 use edgepc_ir::{
@@ -185,6 +189,7 @@ impl CompiledPointNetPp {
             let mut g = Graph::new(format!("pointnetpp.{}", sa.name));
             let gat = g.gather(
                 sa.n_out * k,
+                n_in,
                 GatherMode::SaGroup {
                     c: sa.in_channels,
                     k,
@@ -374,6 +379,7 @@ impl CompiledDgcnn {
             let mut g = Graph::new(format!("dgcnn.{}", m.name));
             let gat = g.gather(
                 n_points * m.k,
+                n_points,
                 GatherMode::EdgePair {
                     c: m.in_channels,
                     k: m.k,
@@ -510,9 +516,11 @@ mod tests {
 
     /// The compiled ≡ eager contract: bit-identical logits and the same
     /// stage-record stream — names, kinds, `fc_k` and op counts — except
-    /// the fused grouping traffic, which must shrink.
+    /// the fused grouping traffic, which must shrink, and the MACs of a
+    /// hoisted gather-fed `.fc` stage (one of `sites`), which must too.
     fn assert_matches_eager(
         what: &str,
+        sites: &[GatherSite],
         (fast, records): (Tensor2, Vec<StageRecord>),
         (eager, eager_records): (Tensor2, Vec<StageRecord>),
     ) {
@@ -535,7 +543,24 @@ mod tests {
                     b.ops.gathered_bytes
                 );
             } else {
-                assert_eq!(a.ops, b.ops, "{what}: {}", a.name);
+                let site = a.name.strip_suffix(".fc").and_then(|module| {
+                    sites
+                        .iter()
+                        .find(|s| s.label.strip_suffix(".group") == Some(module))
+                });
+                if site.is_some_and(|s| s.hoisted) {
+                    assert!(
+                        a.ops.mac < b.ops.mac,
+                        "{what}: {}: hoisted {} !< eager {}",
+                        a.name,
+                        a.ops.mac,
+                        b.ops.mac
+                    );
+                } else {
+                    assert_eq!(a.ops.mac, b.ops.mac, "{what}: {}", a.name);
+                }
+                let without_mac = |ops: OpCounts| OpCounts { mac: 0, ..ops };
+                assert_eq!(without_mac(a.ops), without_mac(b.ops), "{what}: {}", a.name);
             }
         }
     }
@@ -563,6 +588,7 @@ mod tests {
                 let compiled = CompiledPointNetPp::compile(&model, cloud.len());
                 assert_matches_eager(
                     "pointnetpp",
+                    &compiled.gather_sites(),
                     compiled.run(&cloud, &mut state),
                     model.forward(&cloud),
                 );
@@ -582,6 +608,7 @@ mod tests {
                 let compiled = CompiledDgcnn::classifier(&cls, cloud.len());
                 assert_matches_eager(
                     "dgcnn_cls",
+                    &compiled.gather_sites(),
                     compiled.run(&cloud, &mut state),
                     cls.forward(&cloud),
                 );
@@ -590,6 +617,7 @@ mod tests {
                 let compiled = CompiledDgcnn::segmenter(&seg, cloud.len());
                 assert_matches_eager(
                     "dgcnn_seg",
+                    &compiled.gather_sites(),
                     compiled.run(&cloud, &mut state),
                     seg.forward(&cloud),
                 );

@@ -16,6 +16,15 @@
 //! into the panel micro-kernel — the grouped matrix is never
 //! materialized, which is what makes the `gathered_bytes` op-counter
 //! drop under the compiled plans.
+//!
+//! A gather can also be *resumed*: its leading `c` columns depend on one
+//! source row only (`feats[i]` for an edge pair, `feats[idx[r]]` for an
+//! SA row), so their partial sums can be computed once per source row —
+//! a dense pass `P = feats · W[..c]` — and handed back as the gather's
+//! `start`. The resumed pass then stages only the tail columns and
+//! starts each accumulator from its row of `P` instead of `+0.0`. That
+//! replays the same k-ascending f32 operations in the same order, so the
+//! two-pass result is bit-identical to the one-pass product.
 
 use crate::{Scratch, Tensor2};
 use std::cell::RefCell;
@@ -49,12 +58,19 @@ thread_local! {
 
 /// The A operand of a fused linear pass: either a dense row-major matrix
 /// or an index-driven gather producing rows on the fly.
+///
+/// A gather with a `start` is the resumed tail of a hoisted product:
+/// `start` holds `feats · W[..c]` (`points x n`, row-major), each row
+/// stages only the columns after the first `c`, and its accumulators
+/// start from the `start` row of its source point.
 pub enum RowSource<'a> {
     /// Dense `m x k` row-major slice.
     Dense(&'a [f32]),
     /// PointNet++ SA grouping rows: row `r` is
     /// `[feats.row(idx[r]) | rel[3r..3r+3]]` (width `c + 3`), or all
-    /// zeros when `idx[r] == EMPTY_SLOT`.
+    /// zeros when `idx[r] == EMPTY_SLOT`. Resumed (`start` set), row `r`
+    /// is `rel[3r..3r+3]` (width 3) starting from `start.row(idx[r])`,
+    /// or zeros starting from `+0.0` for an `EMPTY_SLOT`.
     SaGroup {
         /// Source feature matrix, row-major with `c` columns.
         feats: &'a [f32],
@@ -64,10 +80,14 @@ pub enum RowSource<'a> {
         idx: &'a [usize],
         /// Relative coordinates per grouped row (`3 * m` values).
         rel: &'a [f32],
+        /// Hoisted head products, one row per source point.
+        start: Option<&'a [f32]>,
     },
     /// DGCNN EdgeConv rows: row `r` (center `i = r / k`, neighbor
     /// `j = idx[r]`) is `[feats.row(i) | feats.row(j) - feats.row(i)]`
-    /// (width `2c`).
+    /// (width `2c`). Resumed (`start` set), row `r` is
+    /// `feats.row(j) - feats.row(i)` (width `c`) starting from
+    /// `start.row(i)`.
     EdgePair {
         /// Source feature matrix, row-major with `c` columns.
         feats: &'a [f32],
@@ -77,53 +97,104 @@ pub enum RowSource<'a> {
         k: usize,
         /// Flattened neighbor index per edge row (`m` values).
         idx: &'a [usize],
+        /// Hoisted head products, one row per source point.
+        start: Option<&'a [f32]>,
     },
 }
 
 impl RowSource<'_> {
     /// Materialize row `r` into `dst` (`dst.len()` must equal the row
-    /// width). Element-for-element the same moves and subtractions the
-    /// eager grouping buffers perform, so staged rows are bit-identical
-    /// to materialized ones. The fused paths call it per tile.
+    /// width): the whole gathered row, or only its tail when the source
+    /// is resumed. Element-for-element the same moves and subtractions
+    /// the eager grouping buffers perform, so staged rows are
+    /// bit-identical to materialized ones. The fused paths call it per
+    /// tile.
     fn stage_row(&self, r: usize, dst: &mut [f32]) {
         match self {
             RowSource::Dense(a) => {
                 let w = dst.len();
                 dst.copy_from_slice(&a[r * w..(r + 1) * w]);
             }
-            RowSource::SaGroup { feats, c, idx, rel } => {
+            RowSource::SaGroup {
+                feats,
+                c,
+                idx,
+                rel,
+                start,
+            } => {
                 let j = idx[r];
                 if j == EMPTY_SLOT {
                     dst.fill(0.0);
-                } else {
-                    dst[..*c].copy_from_slice(&feats[j * c..j * c + c]);
-                    dst[*c..].copy_from_slice(&rel[3 * r..3 * r + 3]);
+                    return;
                 }
+                let tail = match start {
+                    Some(_) => dst,
+                    None => {
+                        dst[..*c].copy_from_slice(&feats[j * c..j * c + c]);
+                        &mut dst[*c..]
+                    }
+                };
+                tail.copy_from_slice(&rel[3 * r..3 * r + 3]);
             }
-            RowSource::EdgePair { feats, c, k, idx } => {
+            RowSource::EdgePair {
+                feats,
+                c,
+                k,
+                idx,
+                start,
+            } => {
                 let i = r / k;
                 let j = idx[r];
                 let fi = &feats[i * c..(i + 1) * c];
                 let fj = &feats[j * c..(j + 1) * c];
-                dst[..*c].copy_from_slice(fi);
-                for (d, (&a, &b)) in dst[*c..].iter_mut().zip(fj.iter().zip(fi)) {
+                let tail = match start {
+                    Some(_) => dst,
+                    None => {
+                        dst[..*c].copy_from_slice(fi);
+                        &mut dst[*c..]
+                    }
+                };
+                for (d, (&a, &b)) in tail.iter_mut().zip(fj.iter().zip(fi)) {
                     *d = a - b;
                 }
             }
         }
     }
 
+    /// The `n`-wide accumulator start of row `r`: the hoisted head
+    /// products of its source point, or `None` for `+0.0` (a dense or
+    /// one-pass operand, or an `EMPTY_SLOT` row).
+    fn start_row(&self, r: usize, n: usize) -> Option<&[f32]> {
+        let (p, at) = match self {
+            RowSource::Dense(_) => return None,
+            RowSource::SaGroup { start, idx, .. } => match idx[r] {
+                EMPTY_SLOT => return None,
+                j => ((*start)?, j),
+            },
+            RowSource::EdgePair { start, k, .. } => ((*start)?, r / k),
+        };
+        Some(&p[at * n..(at + 1) * n])
+    }
+
     /// Contract checks run once up front, so a malformed operand fails
     /// with its own message instead of a slice-index panic inside a
-    /// parallel chunk.
-    fn validate(&self, m: usize, kk: usize) {
+    /// parallel chunk. `kk` is the staged row width, `n` the output
+    /// width a resumed source's `start` rows must have.
+    fn validate(&self, m: usize, kk: usize, n: usize) {
         match self {
             RowSource::Dense(a) => {
                 assert_eq!(a.len(), m * kk, "dense A operand size mismatch");
             }
-            RowSource::SaGroup { feats, c, idx, rel } => {
+            RowSource::SaGroup {
+                feats,
+                c,
+                idx,
+                rel,
+                start,
+            } => {
                 assert!(*c > 0, "SA group needs at least one feature channel");
-                assert_eq!(kk, c + 3, "SA group row width must be c + 3");
+                let width = if start.is_some() { 3 } else { c + 3 };
+                assert_eq!(kk, width, "SA group row width must be c + 3 (3 resumed)");
                 assert!(kk <= MAX_FUSED_K, "SA group row width exceeds MAX_FUSED_K");
                 assert_eq!(idx.len(), m, "SA group index count mismatch");
                 assert_eq!(rel.len(), 3 * m, "SA group rel-coord count mismatch");
@@ -133,10 +204,20 @@ impl RowSource<'_> {
                     idx.iter().all(|&j| j == EMPTY_SLOT || j < points),
                     "SA group neighbor index out of range"
                 );
+                if let Some(p) = start {
+                    assert_eq!(p.len(), points * n, "SA group start matrix shape mismatch");
+                }
             }
-            RowSource::EdgePair { feats, c, k, idx } => {
+            RowSource::EdgePair {
+                feats,
+                c,
+                k,
+                idx,
+                start,
+            } => {
                 assert!(*c > 0, "edge pair needs at least one feature channel");
-                assert_eq!(kk, 2 * c, "edge-pair row width must be 2c");
+                let width = if start.is_some() { *c } else { 2 * c };
+                assert_eq!(kk, width, "edge-pair row width must be 2c (c resumed)");
                 assert!(kk <= MAX_FUSED_K, "edge-pair row width exceeds MAX_FUSED_K");
                 assert_eq!(idx.len(), m, "edge-pair index count mismatch");
                 assert!(
@@ -150,6 +231,9 @@ impl RowSource<'_> {
                     idx.iter().all(|&j| j < points),
                     "edge-pair neighbor index out of range"
                 );
+                if let Some(p) = start {
+                    assert_eq!(p.len(), points * n, "edge-pair start matrix shape mismatch");
+                }
             }
         }
     }
@@ -212,7 +296,9 @@ pub fn kernel_uses_blocked_path(m: usize, k: usize, n: usize) -> bool {
 /// blocked kernels with the same work-size gate `Tensor2::matmul` uses,
 /// so a fused call is bit-identical to the eager layer sequence it
 /// replaces. Pass `packed` to skip per-call panel packing (the compiled
-/// plans pack every blocked-path weight once at schedule time).
+/// plans pack every blocked-path weight once at schedule time). A
+/// resumed gather `src` (one with a `start`) takes `W`'s tail rows and
+/// starts each row's accumulators from its `start` row.
 pub fn fused_linear(
     src: &RowSource<'_>,
     m: usize,
@@ -223,7 +309,7 @@ pub fn fused_linear(
     out: &mut [f32],
 ) {
     let (kk, n) = (w.rows(), w.cols());
-    src.validate(m, kk);
+    src.validate(m, kk, n);
     assert_eq!(out.len(), m * n, "fused_linear output size mismatch");
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "fused_linear bias width mismatch");
@@ -239,7 +325,8 @@ pub fn fused_linear(
 }
 
 /// Simple triple loop with the exact-zero sparsity skip; per output
-/// element the accumulation order matches the blocked kernel's k-order.
+/// element the accumulation order (from the row's start) matches the
+/// blocked kernel's k-order.
 pub(crate) fn naive_into(
     src: &RowSource<'_>,
     m: usize,
@@ -249,7 +336,6 @@ pub(crate) fn naive_into(
     out: &mut [f32],
 ) {
     let (kk, n) = (w.rows(), w.cols());
-    out.fill(0.0);
     let mut staged = [0.0f32; MAX_FUSED_K];
     for i in 0..m {
         let a_row: &[f32] = match src {
@@ -260,6 +346,10 @@ pub(crate) fn naive_into(
             }
         };
         let out_row = &mut out[i * n..(i + 1) * n];
+        match src.start_row(i, n) {
+            Some(start) => out_row.copy_from_slice(start),
+            None => out_row.fill(0.0),
+        }
         for (k, &a) in a_row.iter().enumerate() {
             // Exact-zero test on purpose: grouping buffers zero-pad
             // unfilled neighbor slots, and a zero coefficient
@@ -320,7 +410,7 @@ pub(crate) fn blocked_into(
                 for (t, out_rows) in tiles {
                     let mr = out_rows.len() / n;
                     let rows = tile_rows(a, r0 + t * MATMUL_MR, mr, kk);
-                    tile_panels(rows, kk, n, panels, out_rows);
+                    tile_panels(rows, [None; MATMUL_MR], kk, n, panels, out_rows);
                 }
             }
             gather => {
@@ -331,7 +421,11 @@ pub(crate) fn blocked_into(
                     for ri in 0..mr {
                         gather.stage_row(row0 + ri, &mut staged[ri * kk..(ri + 1) * kk]);
                     }
-                    tile_panels(tile_rows(&staged, 0, mr, kk), kk, n, panels, out_rows);
+                    let starts = std::array::from_fn(|ri| {
+                        (ri < mr).then(|| gather.start_row(row0 + ri, n)).flatten()
+                    });
+                    let rows = tile_rows(&staged, 0, mr, kk);
+                    tile_panels(rows, starts, kk, n, panels, out_rows);
                 }
             }
         }
@@ -367,10 +461,15 @@ fn tile_rows(a: &[f32], row0: usize, mr: usize, kk: usize) -> [&[f32]; MATMUL_MR
 
 /// Walk every packed B panel for one register tile of A `rows` (each
 /// `kk` long) and copy the finished tiles into `out_rows`, the tile's
-/// `n`-wide output rows. `out_rows` may hold fewer than `MATMUL_MR` rows
-/// (ragged last tile); the surplus accumulator rows are dropped.
+/// `n`-wide output rows. Each row's accumulators start from its
+/// `n`-wide `starts` row, or `+0.0` for `None`. `out_rows` may hold
+/// fewer than `MATMUL_MR` rows (ragged last tile); the surplus
+/// accumulator rows are dropped. Always inlined, so the dense call
+/// site's all-`None` starts fold to the zero tile.
+#[inline(always)]
 fn tile_panels(
     rows: [&[f32]; MATMUL_MR],
+    starts: [Option<&[f32]>; MATMUL_MR],
     kk: usize,
     n: usize,
     panels: &[f32],
@@ -378,7 +477,14 @@ fn tile_panels(
 ) {
     for (p, c0) in (0..n).step_by(MATMUL_NR).enumerate() {
         let panel = &panels[p * kk * MATMUL_NR..(p + 1) * kk * MATMUL_NR];
-        let acc = micro_kernel(rows, panel);
+        let mut start = [[0.0f32; MATMUL_NR]; MATMUL_MR];
+        for (tile_row, row) in start.iter_mut().zip(starts) {
+            if let Some(row) = row {
+                let cols = &row[c0..n.min(c0 + MATMUL_NR)];
+                tile_row[..cols.len()].copy_from_slice(cols);
+            }
+        }
+        let acc = micro_kernel(rows, panel, start);
         for (out_row, acc_row) in out_rows.chunks_exact_mut(n).zip(&acc) {
             let dst = &mut out_row[c0..];
             match dst.first_chunk_mut::<MATMUL_NR>() {
@@ -389,21 +495,27 @@ fn tile_panels(
     }
 }
 
-/// The one matmul inner loop: an MR x NR tile of `rows * panel`, each
-/// element a k-ascending sum of separately rounded products (multiply,
-/// then add — never fused, never split), which is what keeps blocked,
-/// naive, fused and eager results bit-identical. Every row must be as
-/// long as the panel is deep (`panel.len() / MATMUL_NR`).
+/// The one matmul inner loop: an MR x NR tile of `start + rows * panel`,
+/// each element a k-ascending sum of separately rounded products
+/// (multiply, then add — never fused, never split) onto its `start`
+/// value, which is what keeps blocked, naive, fused, resumed and eager
+/// results bit-identical. `start` is all `+0.0` except in a resumed
+/// pass. Every row must be as long as the panel is deep
+/// (`panel.len() / MATMUL_NR`).
 ///
 /// The shape is codegen-load-bearing: compile-time tile bounds and A
 /// rows walked in lock-step with the panel leave no bounds check in the
 /// k loop, so the accumulator stays in vector registers. Measure any
 /// edit with the `nn.*` scenarios of `bench_all`.
 #[inline(always)]
-fn micro_kernel(rows: [&[f32]; MATMUL_MR], panel: &[f32]) -> [[f32; MATMUL_NR]; MATMUL_MR] {
+fn micro_kernel(
+    rows: [&[f32]; MATMUL_MR],
+    panel: &[f32],
+    start: [[f32; MATMUL_NR]; MATMUL_MR],
+) -> [[f32; MATMUL_NR]; MATMUL_MR] {
     let [a0, a1, a2, a3] = rows;
     let (panel, _) = panel.as_chunks::<MATMUL_NR>();
-    let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
+    let mut acc = start;
     for ((((b, &x0), &x1), &x2), &x3) in panel.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
         for (acc_row, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
             for (o, &bv) in acc_row.iter_mut().zip(b) {
@@ -570,6 +682,7 @@ mod tests {
                     c,
                     idx: &idx,
                     rel: &rel,
+                    start: None,
                 },
                 m,
                 &w,
@@ -606,6 +719,7 @@ mod tests {
                     c,
                     k,
                     idx: &idx,
+                    start: None,
                 },
                 m,
                 &w,
@@ -723,6 +837,12 @@ mod tests {
         }
 
         fn source(&self) -> RowSource<'_> {
+            self.source_from(None)
+        }
+
+        /// The gather resumed from hoisted head products `start`, or
+        /// the one-pass gather for `None`.
+        fn source_from<'a>(&'a self, start: Option<&'a [f32]>) -> RowSource<'a> {
             match self.flavour {
                 Flavour::Dense => RowSource::Dense(self.feats.as_slice()),
                 Flavour::Sa => RowSource::SaGroup {
@@ -730,12 +850,14 @@ mod tests {
                     c: self.c,
                     idx: &self.idx,
                     rel: &self.rel,
+                    start,
                 },
                 Flavour::Edge => RowSource::EdgePair {
                     feats: self.feats.as_slice(),
                     c: self.c,
                     k: self.k,
                     idx: &self.idx,
+                    start,
                 },
             }
         }
@@ -765,7 +887,7 @@ mod tests {
                     let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.07 - 0.4).collect();
                     for operand in &operands {
                         let src = operand.source();
-                        src.validate(m, kk);
+                        src.validate(m, kk, n);
                         for (bias, relu) in [(None, false), (Some(bias.as_slice()), true)] {
                             let mut expect = vec![f32::NAN; m * n];
                             naive_into(&src, m, &w, bias, relu, &mut expect);
@@ -792,6 +914,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Hoisting is exact: the head pass `P = feats · W[..c]` followed by
+    /// the resumed tail pass equals the one-pass gathered product bit for
+    /// bit, on both kernel paths (and mixed: head on one, tail on the
+    /// other), at every tile edge — ragged row tiles, ragged panels, one
+    /// and several 64-row chunks — for edge rows and for SA rows with
+    /// `EMPTY_SLOT` pads and all-zero non-empty rows, at 1/2/8 threads.
+    #[test]
+    fn resumed_sums_match_one_pass_at_every_tile_edge() {
+        let ms: Vec<usize> = (1..=9).chain(63..=66).chain([130]).collect();
+        let ns: Vec<usize> = (1..=17).chain([33]).collect();
+        for &c in &[1usize, 2, 5, 8, 64, 128] {
+            for &m in &ms {
+                let seed = (m * 1000 + c) as u64;
+                for operand in [Operand::sa(m, c, seed), Operand::edge(m, c, seed)] {
+                    let kk = match operand.flavour {
+                        Flavour::Edge => 2 * c,
+                        _ => c + 3,
+                    };
+                    let points = operand.feats.rows();
+                    for &n in &ns {
+                        let w = random_tensor(kk, n, seed ^ n as u64);
+                        let (head, tail) = w.split_rows(c);
+                        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.07 - 0.4).collect();
+                        let mut expect = vec![f32::NAN; m * n];
+                        naive_into(&operand.source(), m, &w, Some(&bias), true, &mut expect);
+
+                        let feats = RowSource::Dense(operand.feats.as_slice());
+                        let mut naive_p = vec![f32::NAN; points * n];
+                        naive_into(&feats, points, &head, None, false, &mut naive_p);
+                        let mut blocked_p = vec![f32::NAN; points * n];
+                        blocked_into(&feats, points, &head, None, None, false, &mut blocked_p);
+                        assert_eq!(bits(&naive_p), bits(&blocked_p), "head m={m} c={c} n={n}");
+
+                        let src = operand.source_from(Some(&naive_p));
+                        src.validate(m, kk - c, n);
+                        let mut got = vec![f32::NAN; m * n];
+                        naive_into(&src, m, &tail, Some(&bias), true, &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&expect),
+                            "naive resume: {:?} m={m} c={c} n={n}",
+                            operand.flavour
+                        );
+                        let budgets: &[usize] = if m > MATMUL_MC { &[1, 2, 8] } else { &[1] };
+                        for &threads in budgets {
+                            let mut got = vec![f32::NAN; m * n];
+                            edgepc_par::with_threads(threads, || {
+                                blocked_into(&src, m, &tail, None, Some(&bias), true, &mut got);
+                            });
+                            assert_eq!(
+                                bits(&got),
+                                bits(&expect),
+                                "blocked resume: {:?} m={m} c={c} n={n} threads={threads}",
+                                operand.flavour
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Naive and blocked share the accumulation contract, so a change
@@ -836,6 +1024,7 @@ mod tests {
             c,
             idx,
             rel: &rel,
+            start: None,
         };
         fused_linear(&src, m, &w, None, None, false, &mut out);
     }

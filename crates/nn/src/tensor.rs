@@ -255,6 +255,21 @@ impl Tensor2 {
         out
     }
 
+    /// Splits into rows `0..at` and rows `at..` (a hoisted weight's head
+    /// and tail blocks).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > self.rows()`.
+    pub fn split_rows(&self, at: usize) -> (Tensor2, Tensor2) {
+        assert!(at <= self.rows, "split_rows at {at} out of range");
+        let (head, tail) = self.data.split_at(at * self.cols);
+        (
+            Tensor2::from_vec(head.to_vec(), at, self.cols),
+            Tensor2::from_vec(tail.to_vec(), self.rows - at, self.cols),
+        )
+    }
+
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()

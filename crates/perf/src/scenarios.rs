@@ -216,6 +216,7 @@ pub fn paper_scenarios() -> Vec<Scenario> {
                         c: C,
                         idx: &idx,
                         rel: fill_tensor(ROWS, 3, 0x4e1).as_slice(),
+                        start: None,
                     },
                     ROWS,
                     &w,
