@@ -7,11 +7,14 @@
 #                          deny unwrap/expect/todo!, and the hot crates'
 #                          roots add panic!/unreachable!.
 #   4. tier-1              release build + test suite
-#   5. workspace tests     cargo test --workspace. Among them the
-#                          compiled == eager pins: every edgepc-ir lowering
-#                          of PointNet++ seg and DGCNN cls/seg must match
-#                          the eager forward bit for bit
-#                          (crates/models/src/compiled.rs, and
+#   5. workspace tests     cargo test --workspace --exclude
+#                          edgepc-workspace: every member crate's tests.
+#                          The root package (edgepc-workspace, tests/) ran
+#                          in step 4, so every test runs exactly once.
+#                          Steps 4 and 5 hold the compiled == eager pins:
+#                          every edgepc-ir lowering of PointNet++ seg and
+#                          DGCNN cls/seg must match the eager forward bit
+#                          for bit (crates/models/src/compiled.rs, and
 #                          tests/par_determinism.rs at 1/2/8 threads).
 #   6. the exact record    bench_all re-records results/BENCH.json into
 #                          target/ and diffs it against the committed
@@ -106,8 +109,8 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> workspace tests: cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> workspace tests: cargo test --workspace -q --exclude edgepc-workspace"
+cargo test --workspace -q --exclude edgepc-workspace
 
 echo "==> exact record: bench_all vs committed results/BENCH.json"
 cargo run --release -q -p edgepc-bench --bin bench_all -- --out target/BENCH.json

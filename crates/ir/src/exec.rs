@@ -147,6 +147,8 @@ fn validate_inputs(plan: &Plan, inputs: &Inputs<'_>) {
 
 /// Gather `slot` as a kernel row source: one-pass, or resumed from the
 /// hoisted head products `start`.
+///
+/// Allocation-free at steady state (EP008).
 fn gather_source<'a>(
     plan: &Plan,
     inputs: &Inputs<'a>,
@@ -172,8 +174,10 @@ fn gather_source<'a>(
     }
 }
 
-/// The steady-state interpreter loop (EP008-designated together with
-/// the step helpers below: no allocation once the arena is warm).
+/// The steady-state interpreter loop: like the step helpers below, it
+/// allocates nothing once the arena is warm.
+///
+/// Allocation-free at steady state (EP008).
 fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
     for step in &plan.steps {
         match *step {
@@ -230,6 +234,7 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
     }
 }
 
+/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn step_fused(
     arena: &mut [f32],
@@ -269,6 +274,8 @@ fn step_fused(
 
 /// `P = feats · W[..c]` over gather `slot`'s source rows: the hoisted
 /// per-point half of its linear, before any bias or ReLU.
+///
+/// Allocation-free at steady state (EP008).
 fn step_hoist(
     arena: &mut [f32],
     plan: &Plan,
@@ -292,6 +299,8 @@ fn step_hoist(
 
 /// The gathered tail times `W[c..]`, each row resuming from its
 /// `Hoist` row in `start`, then bias and ReLU.
+///
+/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn step_resume(
     arena: &mut [f32],
@@ -317,6 +326,7 @@ fn step_resume(
     );
 }
 
+/// Allocation-free at steady state (EP008).
 fn step_max_pool(
     arena: &mut [f32],
     inputs: &Inputs<'_>,
@@ -344,6 +354,7 @@ fn step_max_pool(
     }
 }
 
+/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn step_concat2(
     arena: &mut [f32],
@@ -382,6 +393,7 @@ fn step_concat2(
     }
 }
 
+/// Allocation-free at steady state (EP008).
 fn concat_rows(a: &[f32], b: &[f32], rows: usize, a_cols: usize, b_cols: usize, out: &mut [f32]) {
     let w = a_cols + b_cols;
     for r in 0..rows {
@@ -390,6 +402,7 @@ fn concat_rows(a: &[f32], b: &[f32], rows: usize, a_cols: usize, b_cols: usize, 
     }
 }
 
+/// Allocation-free at steady state (EP008).
 fn step_broadcast(
     arena: &mut [f32],
     inputs: &Inputs<'_>,
@@ -406,6 +419,8 @@ fn step_broadcast(
 
 /// Resolves a read operand and the destination region simultaneously
 /// (splitting the arena when the operand also lives there).
+///
+/// Allocation-free at steady state (EP008).
 fn resolve_src_dst<'t>(
     arena: &'t mut [f32],
     inputs: &Inputs<'t>,
@@ -424,6 +439,8 @@ fn resolve_src_dst<'t>(
 /// Disjoint (read, write) projection of two arena regions via
 /// `split_at_mut`; diverges if the scheduler ever produced overlapping
 /// regions (it allocates destinations before releasing sources).
+///
+/// Allocation-free at steady state (EP008).
 fn split_src_dst(arena: &mut [f32], src: Region, dst: Region) -> (&[f32], &mut [f32]) {
     if src.off + src.len <= dst.off {
         let (lo, hi) = arena.split_at_mut(dst.off);
@@ -437,6 +454,8 @@ fn split_src_dst(arena: &mut [f32], src: Region, dst: Region) -> (&[f32], &mut [
 }
 
 /// Disjoint (read, read, write) projection of three arena regions.
+///
+/// Allocation-free at steady state (EP008).
 fn split2_dst(
     arena: &mut [f32],
     a: Region,

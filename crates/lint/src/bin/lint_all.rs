@@ -1,18 +1,16 @@
 //! Runs the full edgepc-lint rule set over the workspace.
 //!
 //! ```text
-//! lint_all [--root <dir>] [--json <path>] [--rules EP006,EP008]
+//! lint_all [--root <dir>] [--json <path>]
 //! lint_all --results FILE...
 //! ```
 //!
 //! Prints human-readable diagnostics, writes the machine-readable report
-//! (default `target/lint.json`, schema `edgepc-lint` v2 — itself pinned
+//! (default `target/lint.json`, schema `edgepc-lint` v3 — itself pinned
 //! under EP005), and exits non-zero on any violation. The summary line
 //! carries per-rule wall time. `ci.sh` runs this before clippy;
-//! `--no-lint` there skips it.
-//!
-//! `--rules EP00X,...` runs only the named rules; waivers for skipped
-//! rules are exempt from EP000 staleness.
+//! `--no-lint` there skips it. Without `--root`, the root is the nearest
+//! ancestor of the working directory that holds a `Cargo.lock`.
 //!
 //! `--results FILE...` skips the workspace scan and runs only the EP005
 //! results-schema checks over the named artifacts — `ci.sh --serve-smoke`
@@ -27,32 +25,17 @@ fn main() -> ExitCode {
     let mut root_arg: Option<PathBuf> = None;
     let mut json_arg: Option<PathBuf> = None;
     let mut results: Option<Vec<PathBuf>> = None;
-    let mut rules_arg: Option<Vec<String>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root_arg = args.next().map(PathBuf::from),
             "--json" => json_arg = args.next().map(PathBuf::from),
-            "--rules" => {
-                let Some(list) = args.next() else {
-                    println!("lint_all: --rules needs a comma-separated rule list");
-                    return ExitCode::from(2);
-                };
-                rules_arg = Some(
-                    list.split(',')
-                        .map(|r| r.trim().to_string())
-                        .filter(|r| !r.is_empty())
-                        .collect(),
-                );
-            }
             "--results" => {
                 // Every remaining argument is an artifact path.
                 results = Some(args.by_ref().map(PathBuf::from).collect());
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: lint_all [--root <dir>] [--json <path>] [--rules EP00X,...] [--results FILE...]"
-                );
+                println!("usage: lint_all [--root <dir>] [--json <path>] [--results FILE...]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -100,7 +83,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = match edgepc_lint::run_workspace_with(&root, rules_arg.as_deref()) {
+    let report = match edgepc_lint::run_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             println!("lint_all: {e}");

@@ -41,8 +41,8 @@ pub struct Diagnostic {
     pub message: String,
     /// A mechanical fix, when one exists.
     pub suggestion: Option<String>,
-    /// The named item the diagnostic is about (function name for EP003,
-    /// lock variant for EP006); waivers may scope to it.
+    /// The named item the diagnostic is about (function name for EP002
+    /// and EP008, lock variant for EP006); inline waivers match on it.
     pub item: Option<String>,
 }
 

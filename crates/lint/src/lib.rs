@@ -7,40 +7,38 @@
 //! | rule | invariant |
 //! |---|---|
 //! | EP002 | no float `==`/`!=` against literals outside tests |
-//! | EP003 | every substantial `pub fn` in [`SPAN_COVERED_FILES`] opens a span |
-//! | EP004 | all manifests depend only on workspace/path crates (std-only) |
+//! | EP004 | the root `Cargo.lock` holds no registry/git package (std-only) |
 //! | EP005 | committed `results/*.json` parse; pinned artifacts keep known schemas |
 //! | EP006 | every `.lock()` is ranked by a `guard::Lock` claim and nesting follows `enum Lock`'s order |
 //! | EP007 | [`rules::ep007::DETERMINISTIC_CRATES`] leak no hash order, wall clock, or scheduling into results |
-//! | EP008 | designated hot fns allocate nothing in steady state (Scratch pool excepted) |
+//! | EP008 | fns marked [`rules::ep008::MARKER`] allocate nothing in steady state (Scratch pool excepted) |
+//! | EP000 | every inline `// waive EPnnn: <reason>` matches a live diagnostic |
 //!
 //! Panic-freedom is clippy's job: the workspace lints deny `unwrap_used`,
 //! `expect_used` and `todo`, and the hot crates' roots add `panic` and
-//! `unreachable`.
+//! `unreachable`. Span coverage of the latency breakdowns is a runtime
+//! test (`tests/trace_pipeline.rs` checks every forward's stage ledger
+//! against its spans).
 //!
-//! EP002–EP005 are token-level. EP006–EP008 run on the **syntactic
-//! tier** ([`syntax::FileSyntax`]): a std-only item/impl/fn/closure
-//! recovery over the same lexer — same hand-rolled philosophy, no `syn`.
+//! EP002 is token-level. EP006–EP008 run on the **syntactic tier**
+//! ([`syntax::FileSyntax`]): a std-only item/impl/fn/closure recovery
+//! over the same lexer — same hand-rolled philosophy, no `syn`.
 //!
-//! Violations can be waived in the root `LINT.toml` (rule + path +
-//! optional item + mandatory reason); a waiver that matches nothing is
-//! itself a violation (`EP000`), so the waiver file cannot rot. The same
-//! file declares the EP008 allocation scopes (`[[alloc.scope]]`); EP006
-//! reads its lock order from the code (`enum Lock` in
-//! [`rules::ep006::LOCK_ENUM_FILE`]).
+//! All configuration lives in the code. EP008's designations and the
+//! waivers are lines in a fn's leading comment block
+//! ([`syntax::leading_comments`]); a waiver that matches nothing is
+//! itself a violation (`EP000`) at the comment's line. EP006 reads its
+//! lock order from `enum Lock` in [`rules::ep006::LOCK_ENUM_FILE`].
 //!
-//! The `lint_all` binary runs the whole engine (`--rules EP006,EP008`
-//! filters), prints human-readable diagnostics with per-rule wall time,
-//! writes machine-readable `target/lint.json` (schema `edgepc-lint`,
-//! itself pinned under EP005), and exits non-zero on any violation.
-//! `ci.sh` runs it before clippy.
+//! The `lint_all` binary runs the whole engine, prints human-readable
+//! diagnostics with per-rule wall time, writes machine-readable
+//! `target/lint.json` (schema `edgepc-lint`, itself pinned under EP005),
+//! and exits non-zero on any violation. `ci.sh` runs it before clippy.
 
-pub mod config;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
 pub mod syntax;
-pub mod toml_lite;
 pub mod waiver;
 
 use std::fs;
@@ -50,31 +48,9 @@ use std::time::Instant;
 use diag::Diagnostic;
 use syntax::FileSyntax;
 
-/// Every rule id the engine knows, in order. `--rules` filters against
-/// this list.
+/// Every rule id the engine reports, in order.
 pub const ALL_RULES: &[&str] = &[
-    "EP000", "EP002", "EP003", "EP004", "EP005", "EP006", "EP007", "EP008",
-];
-
-/// Files whose public functions must open spans (EP003): the stage entry
-/// points behind the paper's latency breakdowns.
-pub const SPAN_COVERED_FILES: &[&str] = &[
-    "crates/par/src/pool.rs",
-    "crates/sample/src/morton_sampler.rs",
-    "crates/sample/src/upsample.rs",
-    "crates/neighbor/src/window.rs",
-    "crates/ir/src/schedule.rs",
-    "crates/ir/src/exec.rs",
-    "crates/models/src/sa.rs",
-    "crates/models/src/fp.rs",
-    "crates/models/src/dgcnn.rs",
-    "crates/models/src/pointnetpp.rs",
-    "crates/serve/src/engine.rs",
-    "crates/serve/src/loadgen.rs",
-    "crates/serve/src/telemetry.rs",
-    "crates/trace/src/flight.rs",
-    "crates/net/src/router.rs",
-    "crates/net/src/server.rs",
+    "EP000", "EP002", "EP004", "EP005", "EP006", "EP007", "EP008",
 ];
 
 /// The outcome of a full workspace run.
@@ -82,9 +58,9 @@ pub const SPAN_COVERED_FILES: &[&str] = &[
 pub struct LintReport {
     /// Unwaived violations (including EP000 unused-waiver entries).
     pub violations: Vec<Diagnostic>,
-    /// Diagnostics silenced by LINT.toml waivers.
+    /// Diagnostics silenced by inline waivers.
     pub waived: usize,
-    /// Rust sources + manifests + results artifacts examined.
+    /// Rust sources + `Cargo.lock` + results artifacts examined.
     pub files_scanned: usize,
     /// Wall time per rule in microseconds, in rule-id order. Shared
     /// infrastructure (lexing, syntax recovery, file IO) is reported as
@@ -148,7 +124,7 @@ impl LintReport {
 
     /// The machine-readable report (`target/lint.json`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"edgepc-lint\",\"schema_version\":2,");
+        let mut s = String::from("{\"schema\":\"edgepc-lint\",\"schema_version\":3,");
         s.push_str(&format!(
             "\"files_scanned\":{},\"waivers_used\":{},\"clean\":{},",
             self.files_scanned,
@@ -177,13 +153,6 @@ impl LintReport {
     }
 }
 
-/// Runs every rule over the workspace rooted at `root` and applies the
-/// `LINT.toml` waivers. Errors are environmental (unreadable files,
-/// malformed LINT.toml) — rule violations are *not* errors.
-pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
-    run_workspace_with(root, None)
-}
-
 /// Accumulates per-rule wall time across files.
 #[derive(Default)]
 struct Timings {
@@ -200,42 +169,20 @@ impl Timings {
     }
 }
 
-/// [`run_workspace`] with an optional rule filter (`--rules` in
-/// `lint_all`). `filter = Some(["EP006", …])` runs only those rules;
-/// waivers for skipped rules are exempt from EP000 staleness (the rule
-/// that would use them never ran), and EP000 itself is skipped unless
-/// listed. Unknown rule ids are an error.
-pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<LintReport, String> {
-    if let Some(list) = filter {
-        for rule in list {
-            if !ALL_RULES.contains(&rule.as_str()) {
-                return Err(format!(
-                    "unknown rule `{rule}` (known: {})",
-                    ALL_RULES.join(", ")
-                ));
-            }
-        }
-    }
-    let enabled = |rule: &str| filter.is_none_or(|list| list.iter().any(|r| r == rule));
-
+/// Runs every rule over the workspace rooted at `root` and applies the
+/// inline waivers. Errors are environmental (unreadable files) — rule
+/// violations are *not* errors.
+pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
     let mut diagnostics = Vec::new();
+    let mut waivers = Vec::new();
     let mut files_scanned = 0usize;
     let mut timings = Timings::default();
 
-    // --- Configuration (waivers + alloc scopes) ----------------------------
-    let cfg = match fs::read_to_string(root.join("LINT.toml")) {
-        Ok(src) => config::parse_config(&src)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => config::LintConfig::default(),
-        Err(e) => return Err(format!("read LINT.toml: {e}")),
-    };
-
-    // --- Rust sources: EP002/EP003 (token tier) + EP007/EP008 and the
-    // --- EP006 model collection (syntactic tier) ---------------------------
+    // --- Rust sources: EP002 (token tier) + EP007/EP008, the inline
+    // --- waivers and the EP006 model collection (syntactic tier) ----------
     let mut lock_files: Vec<(String, rules::SourceModel, FileSyntax)> = Vec::new();
-    // Each designated file's non-test fn names, for EP008's stale check.
-    let mut designated_fns: Vec<(String, Vec<String>)> = Vec::new();
     for source in collect_rust_sources(root)? {
-        let rel = source.rel.clone();
+        let rel = source.rel;
         let crate_name = rel
             .strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
@@ -245,108 +192,65 @@ pub fn run_workspace_with(root: &Path, filter: Option<&[String]>) -> Result<Lint
         let t0 = Instant::now();
         let model = rules::SourceModel::new(&rel, &src);
         let syntax = FileSyntax::parse(&model);
+        let (found, malformed) = waiver::collect(&rel, &syntax);
+        waivers.extend(found);
+        diagnostics.extend(malformed);
         timings.add("parse", t0);
 
-        if enabled("EP002") {
-            let t = Instant::now();
-            diagnostics.extend(rules::ep002::check(&model, &syntax));
-            timings.add("EP002", t);
-        }
-        if enabled("EP003") && SPAN_COVERED_FILES.contains(&rel.as_str()) {
-            let t = Instant::now();
-            diagnostics.extend(rules::ep003::check(&model));
-            timings.add("EP003", t);
-        }
-        if enabled("EP007") && rules::ep007::DETERMINISTIC_CRATES.contains(&crate_name) {
+        let t = Instant::now();
+        diagnostics.extend(rules::ep002::check(&model, &syntax));
+        timings.add("EP002", t);
+        if rules::ep007::DETERMINISTIC_CRATES.contains(&crate_name) {
             let t = Instant::now();
             diagnostics.extend(rules::ep007::check(&model, &syntax));
             timings.add("EP007", t);
         }
-        if enabled("EP008") {
-            let items: Vec<String> = cfg
-                .alloc
-                .iter()
-                .filter(|scope| scope.path == rel)
-                .flat_map(|scope| scope.items.iter().cloned())
-                .collect();
-            if !items.is_empty() {
-                let t = Instant::now();
-                diagnostics.extend(rules::ep008::check(&model, &syntax, &items));
-                let fns = syntax.fns.iter().filter(|f| !f.is_test);
-                designated_fns.push((rel.clone(), fns.map(|f| f.name.clone()).collect()));
-                timings.add("EP008", t);
-            }
-        }
-        if enabled("EP006") {
-            lock_files.push((rel, model, syntax));
-        }
+        let t = Instant::now();
+        diagnostics.extend(rules::ep008::check(&model, &syntax));
+        timings.add("EP008", t);
+        lock_files.push((rel, model, syntax));
         files_scanned += 1;
     }
 
-    if enabled("EP008") {
-        let t = Instant::now();
-        diagnostics.extend(rules::ep008::stale_designations(
-            &cfg.alloc,
-            &designated_fns,
-        ));
-        timings.add("EP008", t);
-    }
-
     // --- EP006: workspace-level lock-discipline pass -----------------------
-    if enabled("EP006") {
-        let t = Instant::now();
-        let files: Vec<rules::ep006::LockFile<'_>> = lock_files
-            .iter()
-            .map(|(rel, model, syntax)| rules::ep006::LockFile { rel, model, syntax })
-            .collect();
-        diagnostics.extend(rules::ep006::check_workspace(&files));
-        timings.add("EP006", t);
-    }
+    let t = Instant::now();
+    let files: Vec<rules::ep006::LockFile<'_>> = lock_files
+        .iter()
+        .map(|(rel, model, syntax)| rules::ep006::LockFile { rel, model, syntax })
+        .collect();
+    diagnostics.extend(rules::ep006::check_workspace(&files));
+    timings.add("EP006", t);
 
-    // --- Manifests: EP004 -------------------------------------------------
-    if enabled("EP004") {
-        for manifest in collect_manifests(root)? {
-            let src = fs::read_to_string(&manifest.abs)
-                .map_err(|e| format!("read {}: {e}", manifest.abs.display()))?;
-            let t = Instant::now();
-            diagnostics.extend(rules::ep004::check_manifest(&manifest.rel, &src));
-            timings.add("EP004", t);
-            files_scanned += 1;
-        }
-    }
+    // --- EP004: the root Cargo.lock ----------------------------------------
+    let lock = match fs::read_to_string(root.join("Cargo.lock")) {
+        Ok(src) => Some(src),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => return Err(format!("read Cargo.lock: {e}")),
+    };
+    let t = Instant::now();
+    diagnostics.extend(rules::ep004::check_lock(lock.as_deref()));
+    timings.add("EP004", t);
+    files_scanned += usize::from(lock.is_some());
 
     // --- Results artifacts: EP005 -----------------------------------------
-    if enabled("EP005") {
-        let results_dir = root.join("results");
-        if results_dir.is_dir() {
-            for entry in sorted_dir(&results_dir)? {
-                if entry.extension().and_then(|e| e.to_str()) == Some("json") {
-                    let rel = rel_path(root, &entry);
-                    let src = fs::read_to_string(&entry)
-                        .map_err(|e| format!("read {}: {e}", entry.display()))?;
-                    let t = Instant::now();
-                    diagnostics.extend(rules::ep005::check_results_file(&rel, &src));
-                    timings.add("EP005", t);
-                    files_scanned += 1;
-                }
+    let results_dir = root.join("results");
+    if results_dir.is_dir() {
+        for entry in sorted_dir(&results_dir)? {
+            if entry.extension().and_then(|e| e.to_str()) == Some("json") {
+                let rel = rel_path(root, &entry);
+                let src = fs::read_to_string(&entry)
+                    .map_err(|e| format!("read {}: {e}", entry.display()))?;
+                let t = Instant::now();
+                diagnostics.extend(rules::ep005::check_results_file(&rel, &src));
+                timings.add("EP005", t);
+                files_scanned += 1;
             }
         }
     }
 
     // --- Waivers ----------------------------------------------------------
-    // Only waivers for rules that actually ran participate: a waiver for a
-    // skipped rule is neither used nor stale.
     let t = Instant::now();
-    let active_waivers: Vec<waiver::Waiver> = cfg
-        .waivers
-        .iter()
-        .filter(|w| enabled(&w.rule))
-        .cloned()
-        .collect();
-    let (mut violations, waived) = waiver::apply_waivers(diagnostics, &active_waivers);
-    if !enabled("EP000") {
-        violations.retain(|d| d.rule != "EP000");
-    }
+    let (mut violations, waived) = waiver::apply_waivers(diagnostics, &waivers);
     timings.add("EP000", t);
     violations
         .sort_by(|a, b| (a.rule, &a.file, a.line, a.col).cmp(&(b.rule, &b.file, b.line, b.col)));
@@ -378,23 +282,13 @@ pub fn check_results_files(paths: &[PathBuf]) -> Result<Vec<Diagnostic>, String>
     Ok(diagnostics)
 }
 
-/// Locates the workspace root from `start` by walking up to the first
-/// directory containing a `Cargo.toml` with a `[workspace]` table.
+/// Locates the workspace root from `start`: the nearest ancestor that
+/// holds a `Cargo.lock`, the file EP004 reads.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(src) = fs::read_to_string(&manifest) {
-            if toml_lite::parse(&src)
-                .ok()
-                .is_some_and(|doc| doc.get("workspace").is_some())
-            {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
+    start
+        .ancestors()
+        .find(|d| d.join("Cargo.lock").is_file())
+        .map(Path::to_path_buf)
 }
 
 struct FoundFile {
@@ -435,31 +329,6 @@ fn walk_rs(root: &Path, dir: &Path, out: &mut Vec<FoundFile>) -> Result<(), Stri
         }
     }
     Ok(())
-}
-
-/// The root manifest plus every `crates/*/Cargo.toml`.
-fn collect_manifests(root: &Path) -> Result<Vec<FoundFile>, String> {
-    let mut out = Vec::new();
-    let root_manifest = root.join("Cargo.toml");
-    if root_manifest.is_file() {
-        out.push(FoundFile {
-            rel: rel_path(root, &root_manifest),
-            abs: root_manifest,
-        });
-    }
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        for krate in sorted_dir(&crates_dir)? {
-            let manifest = krate.join("Cargo.toml");
-            if manifest.is_file() {
-                out.push(FoundFile {
-                    rel: rel_path(root, &manifest),
-                    abs: manifest,
-                });
-            }
-        }
-    }
-    Ok(out)
 }
 
 fn sorted_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {

@@ -1,119 +1,66 @@
-//! **EP004 — dependency policy: std-only, workspace-internal deps.**
+//! **EP004 — dependency policy: std-only, workspace-internal crates.**
 //!
-//! Every `Cargo.toml` in the workspace may depend only on workspace
-//! members (`foo.workspace = true` or `{ path = "…" }`). A version-string
-//! dependency (`serde = "1.0"`) or a git/registry table is a violation:
-//! the "runs on any edge device" claim rests on the workspace staying
-//! pure-Rust/std-only, and a transitive crates.io pull would also break
-//! the offline `ci.sh` guarantee.
-//!
-//! Checked sections: `[dependencies]`, `[dev-dependencies]`,
-//! `[build-dependencies]`, any `[target.….dependencies]`, and — in the
-//! root manifest — `[workspace.dependencies]`, where every entry must be
-//! a `path` table (this is where "workspace = true" bottoms out).
+//! The "runs on any edge device" claim rests on the workspace staying
+//! pure-Rust and std-only, and a crates.io or git pull would also break
+//! the offline `ci.sh` guarantee. Cargo writes a `source = …` line for
+//! every `[[package]]` in `Cargo.lock` that comes from a registry or a
+//! git repository, and none for workspace or path crates, so the policy
+//! holds if and only if the root `Cargo.lock` has no `source` line. That
+//! covers transitive dependencies exactly and needs no TOML parser. A
+//! missing `Cargo.lock` is itself a diagnostic: the rule never switches
+//! itself off.
 
 use crate::diag::Diagnostic;
-use crate::toml_lite::{self, TomlValue};
 
-const DEP_SECTIONS: &[&str] = &["dependencies", "dev-dependencies", "build-dependencies"];
-
-pub fn check_manifest(rel: &str, src: &str) -> Vec<Diagnostic> {
-    let doc = match toml_lite::parse(src) {
-        Ok(d) => d,
-        Err(e) => {
-            return vec![Diagnostic::new(
-                "EP004",
-                rel,
-                e.line,
-                0,
-                format!("manifest does not parse: {}", e.message),
-            )];
-        }
+/// Checks the root `Cargo.lock` (`None` when the file is missing).
+pub fn check_lock(src: Option<&str>) -> Vec<Diagnostic> {
+    let Some(src) = src else {
+        return vec![Diagnostic::new(
+            "EP004",
+            "Cargo.lock",
+            0,
+            0,
+            "no Cargo.lock at the workspace root, so the std-only policy cannot be checked"
+                .to_string(),
+        )
+        .with_suggestion("commit the Cargo.lock that `cargo build --offline` writes")];
     };
     let mut out = Vec::new();
-
-    for &section in DEP_SECTIONS {
-        if let Some(deps) = doc.get(section) {
-            check_dep_table(rel, src, section, deps, false, &mut out);
+    let mut in_package = false;
+    let mut name = "";
+    for (i, line) in src.lines().enumerate() {
+        let line = line.trim();
+        if line.starts_with('[') {
+            in_package = line == "[[package]]";
+            name = "";
+            continue;
         }
-    }
-    // [target.'cfg(…)'.dependencies] tables.
-    if let Some(targets) = doc.get("target").and_then(TomlValue::as_table) {
-        for (target_name, per_target) in targets {
-            for &section in DEP_SECTIONS {
-                if let Some(deps) = per_target.get(section) {
-                    let label = format!("target.{target_name}.{section}");
-                    check_dep_table(rel, src, &label, deps, false, &mut out);
-                }
-            }
-        }
-    }
-    // Root manifest: workspace.dependencies must bottom out in path deps.
-    if let Some(ws_deps) = doc.get("workspace").and_then(|w| w.get("dependencies")) {
-        check_dep_table(rel, src, "workspace.dependencies", ws_deps, true, &mut out);
-    }
-    out
-}
-
-/// `require_path`: in `[workspace.dependencies]` an entry must carry
-/// `path` (there is no outer workspace to defer to).
-fn check_dep_table(
-    rel: &str,
-    src: &str,
-    section: &str,
-    deps: &TomlValue,
-    require_path: bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(entries) = deps.as_table() else {
-        return;
-    };
-    for (name, spec) in entries {
-        let ok = match spec {
-            TomlValue::Table(_) => {
-                let has_path = spec.get("path").and_then(TomlValue::as_str).is_some();
-                let ws = spec
-                    .get("workspace")
-                    .and_then(TomlValue::as_bool)
-                    .unwrap_or(false);
-                let external = spec.get("git").is_some()
-                    || spec.get("version").is_some()
-                    || spec.get("registry").is_some();
-                (has_path || (ws && !require_path)) && !external
-            }
-            _ => false,
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
         };
-        if !ok {
-            out.push(
+        let value = value.trim().trim_matches('"');
+        match key.trim() {
+            "name" => name = value,
+            "source" if in_package => out.push(
                 Diagnostic::new(
                     "EP004",
-                    rel,
-                    find_key_line(src, name),
-                    0,
+                    "Cargo.lock",
+                    i + 1,
+                    1,
                     format!(
-                        "[{section}] `{name}` is not a workspace/path dependency \
+                        "package `{name}` comes from `{value}` \
                          (std-only policy forbids registry/git deps)"
                     ),
                 )
-                .with_suggestion(format!(
-                    "use `{name}.workspace = true` with a `path` entry in the root \
-                     [workspace.dependencies], or drop the dependency"
-                ))
-                .with_item(name.as_str()),
-            );
+                .with_suggestion(
+                    "drop the dependency, or vendor it as a workspace crate with a `path` entry",
+                )
+                .with_item(name),
+            ),
+            _ => {}
         }
     }
-}
-
-/// Best-effort line lookup for a dependency key, for clickable output.
-fn find_key_line(src: &str, key: &str) -> usize {
-    src.lines()
-        .position(|l| {
-            let t = l.trim_start();
-            t.starts_with(key) && t[key.len()..].trim_start().starts_with(['=', '.'])
-        })
-        .map(|i| i + 1)
-        .unwrap_or(0)
+    out
 }
 
 #[cfg(test)]
@@ -121,45 +68,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn workspace_and_path_deps_pass() {
-        let src = r#"
-[package]
-name = "edgepc-x"
+    fn path_only_lock_passes_and_source_lines_are_flagged() {
+        let clean = "version = 3\n\n[[package]]\nname = \"edgepc-geom\"\nversion = \"0.1.0\"\n";
+        assert_eq!(check_lock(Some(clean)), Vec::new());
 
-[dependencies]
-edgepc-geom.workspace = true
-edgepc-trace = { workspace = true }
-local = { path = "../local" }
-
-[dev-dependencies]
-edgepc-data.workspace = true
-"#;
-        assert_eq!(check_manifest("crates/x/Cargo.toml", src), Vec::new());
-    }
-
-    #[test]
-    fn registry_and_git_deps_flagged() {
-        let src = r#"
-[dependencies]
-serde = "1.0"
-rayon = { version = "1.8", features = ["std"] }
-remote = { git = "https://example.com/remote" }
-"#;
-        let got = check_manifest("crates/x/Cargo.toml", src);
-        let items: Vec<&str> = got.iter().filter_map(|d| d.item.as_deref()).collect();
-        assert_eq!(items, vec!["serde", "rayon", "remote"]);
-        assert_eq!(got[0].line, 3, "line lookup finds the dep key");
-    }
-
-    #[test]
-    fn workspace_dependencies_must_be_path() {
-        let src = r#"
-[workspace.dependencies]
-edgepc-geom = { path = "crates/geom" }
-serde = { workspace = true }
-"#;
-        let got = check_manifest("Cargo.toml", src);
+        let dirty = format!(
+            "{clean}\n[[package]]\nname = \"serde\"\nversion = \"1.0.0\"\n\
+             source = \"registry+https://github.com/rust-lang/crates.io-index\"\n"
+        );
+        let got = check_lock(Some(&dirty));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].item.as_deref(), Some("serde"));
+        assert_eq!((got[0].line, got[0].item.as_deref()), (10, Some("serde")));
+        assert!(got[0].message.contains("registry+"));
+    }
+
+    #[test]
+    fn missing_lock_is_a_violation() {
+        let got = check_lock(None);
+        assert_eq!((got.len(), got[0].file.as_str()), (1, "Cargo.lock"));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! ROADMAP item 2's zero-allocation steady state means the designated
 //! hot loops (model forwards, per-request serve paths, telemetry
-//! recording) must not allocate once warm. `LINT.toml` designates the
-//! scopes (`[[alloc.scope]]`: file + fn names); inside those fn bodies,
-//! non-test code may not:
+//! recording) must not allocate once warm. A fn is designated by the
+//! [`MARKER`] line in its leading comment block
+//! ([`syntax::leading_comments`]); inside a designated non-test fn's
+//! body, code may not:
 //!
 //! * call allocating methods — `.to_vec()`, `.to_owned()`,
 //!   `.to_string()`, `.clone()`, `.collect()`;
@@ -17,18 +18,17 @@
 //! reuse idiom. The rule is intraprocedural by design: factoring setup
 //! allocation into an *undesignated* helper is the sanctioned escape for
 //! first-observation/cold paths, and genuinely allocating steady-state
-//! code takes an item-level waiver so the exception is visible.
-//!
-//! A designation must designate something: a scope whose `path` is no
-//! scanned source file, or an item naming no (non-test) fn in its file,
-//! is itself a diagnostic against `LINT.toml` — as EP000 reports a stale
-//! waiver — so a deleted hot fn cannot leave a silent entry behind.
+//! code takes an inline `// waive EP008: …` so the exception is visible.
+//! The marker sits on the fn it designates, so it moves and disappears
+//! with it: a designation cannot go stale.
 
-use crate::config::AllocScope;
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::rules::SourceModel;
 use crate::syntax::{self, FileSyntax};
+
+/// The doc line that designates a fn.
+pub const MARKER: &str = "Allocation-free at steady state (EP008).";
 
 const ALLOC_METHODS: &[&str] = &["to_vec", "to_owned", "to_string", "clone", "collect"];
 const ALLOC_MACROS: &[&str] = &["vec", "format"];
@@ -37,14 +37,14 @@ const ALLOC_TYPES: &[&str] = &[
 ];
 const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
 
-pub fn check(model: &SourceModel, syn: &FileSyntax, items: &[String]) -> Vec<Diagnostic> {
+pub fn check(model: &SourceModel, syn: &FileSyntax) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let code = model.code_indices();
     let text = |ci: usize| model.token(code[ci]).text.as_str();
     let kind = |ci: usize| model.token(code[ci]).kind;
 
     for f in &syn.fns {
-        if f.is_test || !items.iter().any(|i| i == &f.name) {
+        if f.is_test || !f.leading.iter().any(|(_, text)| text == MARKER) {
             continue;
         }
         let Some((open, close)) = f.body else {
@@ -118,38 +118,9 @@ pub fn check(model: &SourceModel, syn: &FileSyntax, items: &[String]) -> Vec<Dia
                 .with_item(f.name.clone())
                 .with_suggestion(
                     "route the buffer through the Scratch pool, factor the setup into an \
-                     undesignated helper, or add an item-level EP008 waiver",
+                     undesignated helper, or waive it with `// waive EP008: <reason>`",
                 ),
             );
-        }
-    }
-    out
-}
-
-/// Stale `[[alloc.scope]]` entries. `defined` pairs every scanned file
-/// that some scope names with its non-test fn names.
-pub fn stale_designations(
-    scopes: &[AllocScope],
-    defined: &[(String, Vec<String>)],
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for scope in scopes {
-        let stale = |message: String| {
-            Diagnostic::new("EP008", "LINT.toml", 0, 0, message)
-                .with_suggestion("delete the stale designation from LINT.toml")
-        };
-        let Some((_, fns)) = defined.iter().find(|(rel, _)| *rel == scope.path) else {
-            out.push(stale(format!(
-                "stale designation: alloc scope `{}` names no scanned source file",
-                scope.path
-            )));
-            continue;
-        };
-        for item in scope.items.iter().filter(|i| !fns.contains(i)) {
-            out.push(stale(format!(
-                "stale designation: `{item}` names no fn in `{}`",
-                scope.path
-            )));
         }
     }
     out
@@ -159,16 +130,16 @@ pub fn stale_designations(
 mod tests {
     use super::*;
 
-    fn run(src: &str, items: &[&str]) -> Vec<Diagnostic> {
+    fn run(src: &str) -> Vec<Diagnostic> {
         let model = SourceModel::new("crates/x/src/hot.rs", src);
         let syn = FileSyntax::parse(&model);
-        let items: Vec<String> = items.iter().map(|s| s.to_string()).collect();
-        check(&model, &syn, &items)
+        check(&model, &syn)
     }
 
     #[test]
     fn allocations_in_designated_fn_are_flagged() {
         let src = r#"
+/// Allocation-free at steady state (EP008).
 pub fn hot(xs: &[u64]) -> u64 {
     let mut buf = Vec::new();
     for x in xs {
@@ -178,7 +149,7 @@ pub fn hot(xs: &[u64]) -> u64 {
     copy.len() as u64 + buf.len() as u64
 }
 "#;
-        let diags = run(src, &["hot"]);
+        let diags = run(src);
         assert_eq!(diags.len(), 3, "{diags:?}");
         assert!(diags.iter().all(|d| d.item.as_deref() == Some("hot")));
         assert!(diags.iter().any(|d| d.message.contains("Vec::new()")));
@@ -195,6 +166,7 @@ pub fn hot(xs: &[u64]) -> u64 {
     fn scratch_receivers_and_undesignated_fns_are_exempt() {
         let src = r#"
 pub struct Scratch { buf: Vec<u64> }
+/// Allocation-free at steady state (EP008).
 pub fn hot(scratch: &mut Scratch, xs: &[u64]) -> u64 {
     let reused = scratch.buf.clone();
     cold_setup(xs).len() as u64 + reused.len() as u64
@@ -203,29 +175,7 @@ fn cold_setup(xs: &[u64]) -> Vec<u64> {
     xs.to_vec()
 }
 "#;
-        assert!(run(src, &["hot"]).is_empty());
-    }
-
-    #[test]
-    fn designations_naming_nothing_are_stale() {
-        let scopes = [
-            AllocScope {
-                path: "crates/x/src/hot.rs".into(),
-                items: vec!["hot".into(), "gone".into()],
-            },
-            AllocScope {
-                path: "crates/x/src/missing.rs".into(),
-                items: vec!["hot".into()],
-            },
-        ];
-        let defined = [("crates/x/src/hot.rs".to_string(), vec!["hot".to_string()])];
-        let diags = stale_designations(&scopes, &defined);
-        assert_eq!(diags.len(), 2, "{diags:?}");
-        assert!(diags.iter().all(|d| d.file == "LINT.toml"));
-        assert!(diags[0].message.contains("`gone` names no fn"));
-        assert!(diags[1]
-            .message
-            .contains("`crates/x/src/missing.rs` names no scanned"));
+        assert!(run(src).is_empty());
     }
 
     #[test]
@@ -233,12 +183,13 @@ fn cold_setup(xs: &[u64]) -> Vec<u64> {
         let src = r#"
 #[cfg(test)]
 mod tests {
+    /// Allocation-free at steady state (EP008).
     #[test]
     fn hot() {
         let _v = vec![1, 2, 3];
     }
 }
 "#;
-        assert!(run(src, &["hot"]).is_empty());
+        assert!(run(src).is_empty());
     }
 }

@@ -1,16 +1,17 @@
 //! The rule engine: a shared token-level source model plus one module per
-//! rule. Rules run over [`SourceModel`] (per-file rules EP002, EP003,
-//! EP007, EP008; the workspace-wide EP006) or raw document text (EP004,
-//! EP005); all return [`Diagnostic`](crate::diag::Diagnostic)s and never
-//! panic on malformed input.
+//! rule. Rules run over [`SourceModel`] (per-file rules EP002, EP007,
+//! EP008; the workspace-wide EP006) or raw document text (EP004 over
+//! `Cargo.lock`, EP005); all return
+//! [`Diagnostic`](crate::diag::Diagnostic)s and never panic on malformed
+//! input.
 //!
 //! Adding a rule: create `rules/epNNN.rs` with a
-//! `check(&SourceModel) -> Vec<Diagnostic>` (or document-level) function,
-//! add it to the engine in `lib.rs`, and give it a fixture pair under
+//! `check(&SourceModel, &FileSyntax) -> Vec<Diagnostic>` (or
+//! document-level) function, call it from `run_workspace` in `lib.rs`,
+//! add its id to `ALL_RULES`, and give it a fixture pair under
 //! `tests/fixtures/`.
 
 pub mod ep002;
-pub mod ep003;
 pub mod ep004;
 pub mod ep005;
 pub mod ep006;

@@ -8,8 +8,9 @@
 //!
 //! * every `fn` item — name, visibility, enclosing `impl` type, parameter
 //!   names and types (with `Fn`/`FnMut`/`FnOnce` callback detection),
-//!   return type, brace-matched body extent, and maximum loop nesting
-//!   depth;
+//!   return type, brace-matched body extent, maximum loop nesting depth,
+//!   and its leading comment block ([`leading_comments`]), which carries
+//!   the EP008 marker and inline waivers;
 //! * closure literals inside any token range ([`closures_in`]), with
 //!   parameter names and a body extent that covers both braced and bare
 //!   expression bodies;
@@ -75,6 +76,9 @@ pub struct FnInfo {
     pub is_test: bool,
     /// Deepest `for`/`while`/`loop` nesting inside the body.
     pub max_loop_depth: usize,
+    /// The leading comment block, one `(line, text)` per comment with
+    /// its `//`/`///`/`/* */` fence stripped ([`leading_comments`]).
+    pub leading: Vec<(usize, String)>,
 }
 
 /// The recovered structure of one source file.
@@ -385,7 +389,69 @@ fn scan_fn(
         body,
         is_test: model.in_test(code[name_ci]),
         max_loop_depth,
+        leading: leading_comments(model, ci),
     })
+}
+
+/// The comment block that leads the fn whose `fn` keyword sits at code
+/// index `ci`: every comment between the previous item or statement and
+/// the keyword, looking through outer attributes (`#[inline(always)]`,
+/// `#[allow(..)]`) and qualifiers (`pub(crate)`, `const`, `unsafe`, …).
+/// An inner doc comment (`//!`) or inner attribute ends the block: it
+/// belongs to the enclosing module. Returns `(line, text)` per comment,
+/// fence stripped, in source order.
+pub fn leading_comments(model: &SourceModel, ci: usize) -> Vec<(usize, String)> {
+    let tokens = &model.tokens;
+    let mut out = Vec::new();
+    let Some(&start) = model.code_indices().get(ci) else {
+        return out;
+    };
+    let mut ti = start;
+    while ti > 0 {
+        ti -= 1;
+        let tok = &tokens[ti];
+        match tok.text.as_str() {
+            t if tok.is_comment() => {
+                if t.starts_with("//!") || t.starts_with("/*!") {
+                    break;
+                }
+                let body = t.strip_suffix("*/").unwrap_or(t);
+                let body = body.trim_start_matches(['/', '*']).trim();
+                out.push((tok.line, body.to_string()));
+            }
+            "pub" | "const" | "unsafe" | "async" | "extern" => {}
+            _ if tok.kind == TokenKind::Str => {} // extern "C"
+            ")" | "]" => {
+                // `pub(crate)` or an outer attribute `#[…]`: skip to the
+                // `pub` / `#` that opens it.
+                let (open, close) = if tok.text == ")" {
+                    ("(", ")")
+                } else {
+                    ("[", "]")
+                };
+                let mut depth = 0i32;
+                let mut j = ti;
+                let opened = loop {
+                    let t = tokens[j].text.as_str();
+                    if !tokens[j].is_comment() {
+                        depth += i32::from(t == close) - i32::from(t == open);
+                    }
+                    if depth == 0 || j == 0 {
+                        break (depth == 0).then_some(j);
+                    }
+                    j -= 1;
+                };
+                let opener = if open == "(" { "pub" } else { "#" };
+                match opened {
+                    Some(j) if j > 0 && tokens[j - 1].text == opener => ti = j - 1,
+                    _ => break,
+                }
+            }
+            _ => break,
+        }
+    }
+    out.reverse();
+    out
 }
 
 /// Given `ci` pointing at `(`, returns the code index of the matching `)`.

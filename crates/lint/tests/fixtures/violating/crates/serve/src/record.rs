@@ -1,6 +1,7 @@
-//! Planted EP008 violations: heap allocations inside a function the
-//! fixture LINT.toml designates steady-state allocation-free.
+//! Planted EP008 violations: heap allocations inside a function whose
+//! doc marks it steady-state allocation-free.
 
+/// Allocation-free at steady state (EP008).
 pub fn record_hot(name: &str) -> String {
     let key = format!("span.{name}");
     let copy = key.clone();

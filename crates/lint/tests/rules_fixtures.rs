@@ -49,19 +49,23 @@ fn violating_fixture_pinpoints_the_planted_sites() {
     };
     // EP002: the float compare outside tests.
     assert!(has("EP002", "crates/geom/src/lib.rs", "=="));
-    // EP003: the span-less public function in a span-covered file.
-    assert!(has("EP003", "crates/sample/src/upsample.rs", "interpolate"));
-    // EP004: both the versioned workspace dep and the registry dep.
-    assert!(has("EP004", "Cargo.toml", "serde"));
-    assert!(has("EP004", "crates/geom/Cargo.toml", "rand"));
+    // EP004: the registry package in Cargo.lock, at its `source` line.
+    assert!(report.violations.iter().any(|d| d.rule == "EP004"
+        && d.file == "Cargo.lock"
+        && d.line == 21
+        && d.item.as_deref() == Some("rand")
+        && d.message.contains("registry+")));
     // EP005: the unknown schema version and the unparsable file.
     assert!(has("EP005", "results/BENCH.json", "schema_version"));
     assert!(report
         .violations
         .iter()
         .any(|d| d.rule == "EP005" && d.file == "results/broken.json"));
-    // EP000: the deliberately stale waiver.
-    assert!(has("EP000", "LINT.toml", "crates/morton/src/lib.rs"));
+    // EP000: the deliberately stale waiver, at its own comment line.
+    assert!(report.violations.iter().any(|d| d.rule == "EP000"
+        && d.file == "crates/geom/src/lib.rs"
+        && d.line == 15
+        && d.message.contains("unused waiver: EP002 on `midpoint`")));
     // EP006: the descending and re-entrant claims, the unranked mutex,
     // and the ghost variant of the fixture's own `enum Lock`.
     assert!(has(
@@ -104,41 +108,6 @@ fn violating_fixture_pinpoints_the_planted_sites() {
         .violations
         .iter()
         .any(|d| d.rule == "EP008" && d.item.as_deref() == Some("plan_cold")));
-    // EP008 stale designations, reported against LINT.toml: an item
-    // naming no fn in its file and a scope naming no scanned file.
-    assert!(has(
-        "EP008",
-        "LINT.toml",
-        "`step_retired` names no fn in `crates/serve/src/fused.rs`"
-    ));
-    assert!(has(
-        "EP008",
-        "LINT.toml",
-        "alloc scope `crates/serve/src/retired.rs` names no scanned source file"
-    ));
-}
-
-#[test]
-fn rules_filter_runs_only_the_named_rules() {
-    let report = edgepc_lint::run_workspace_with(
-        &fixture("violating"),
-        Some(&["EP006".to_string(), "EP008".to_string()]),
-    )
-    .expect("filtered run");
-    let rules: BTreeSet<&str> = report.violations.iter().map(|d| d.rule).collect();
-    assert!(rules.contains("EP006"));
-    assert!(rules.contains("EP008"));
-    // Skipped rules report nothing — including EP000 for the stale EP002
-    // waiver, which is exempt while its rule is not running.
-    for skipped in ["EP000", "EP002", "EP003", "EP004", "EP005", "EP007"] {
-        assert!(!rules.contains(skipped), "unexpected {skipped} diagnostic");
-    }
-    // Only the enabled rules (plus parse) are timed.
-    assert!(report.timings_us.iter().any(|(r, _)| *r == "EP006"));
-    assert!(!report.timings_us.iter().any(|(r, _)| *r == "EP007"));
-
-    let unknown = edgepc_lint::run_workspace_with(&fixture("violating"), Some(&["EP999".into()]));
-    assert!(unknown.is_err(), "unknown rule names must be rejected");
 }
 
 #[test]
@@ -154,14 +123,16 @@ fn clean_fixture_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(report.files_scanned >= 6, "sources + manifests + results");
+    assert!(report.files_scanned >= 6, "sources + Cargo.lock + results");
+    // The one waiver, on `is_origin`'s exact compare, is in use.
+    assert_eq!(report.waived, 1);
 }
 
-/// EP006 cannot be switched off by omission: a tree with no LINT.toml
-/// and no `enum Lock` still gets checked, against an empty ranking, so
-/// its one mutex acquisition is unranked.
+/// No rule switches itself off by omission. A tree with no `enum Lock`
+/// still gets EP006, against an empty ranking, so its one mutex
+/// acquisition is unranked; a tree with no `Cargo.lock` gets EP004.
 #[test]
-fn ep006_runs_without_lint_toml_or_enum_lock() {
+fn missing_enum_lock_and_cargo_lock_still_get_checked() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_lock_config");
     let src = root.join("crates/serve/src");
     std::fs::create_dir_all(&src).expect("create fixture tree");
@@ -179,6 +150,35 @@ fn ep006_runs_without_lint_toml_or_enum_lock() {
         "expected an unranked acquisition, got {:?}",
         report.violations
     );
+    assert!(
+        report.violations.iter().any(|d| d.rule == "EP004"
+            && d.file == "Cargo.lock"
+            && d.message.contains("no Cargo.lock")),
+        "expected a missing-lock diagnostic, got {:?}",
+        report.violations
+    );
+}
+
+/// The workspace root is the nearest ancestor holding a `Cargo.lock`;
+/// without one, `lint_all` refuses to guess.
+#[test]
+fn workspace_root_is_the_nearest_cargo_lock() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("root_search");
+    let src = root.join("crates/x/src");
+    std::fs::create_dir_all(&src).expect("create fixture tree");
+    std::fs::write(root.join("Cargo.lock"), "version = 4\n").expect("write lock");
+    assert_eq!(edgepc_lint::find_workspace_root(&src), Some(root));
+
+    // The system temp dir sits outside any workspace.
+    let outside = std::env::temp_dir();
+    assert_eq!(edgepc_lint::find_workspace_root(&outside), None);
+    let out = Command::new(env!("CARGO_BIN_EXE_lint_all"))
+        .current_dir(&outside)
+        .output()
+        .expect("spawn lint_all");
+    assert_eq!(out.status.code(), Some(2));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("no workspace root found"), "{stdout}");
 }
 
 fn run_lint_all(root: &Path, json_out: &Path) -> std::process::Output {
@@ -197,7 +197,7 @@ fn lint_all_binary_fails_on_violating_fixture() {
     let out = run_lint_all(&fixture("violating"), &json);
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in ["EP000", "EP002", "EP003", "EP004", "EP005", "EP006"] {
+    for rule in edgepc_lint::ALL_RULES {
         assert!(stdout.contains(rule), "stdout missing {rule}:\n{stdout}");
     }
     // The machine-readable report parses and agrees it is not clean.
@@ -207,37 +207,6 @@ fn lint_all_binary_fails_on_violating_fixture() {
         doc.get("clean"),
         Some(&Value::Bool(false)),
         "report must say clean=false"
-    );
-}
-
-#[test]
-fn lint_all_binary_honors_rules_filter() {
-    let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join("filtered_lint.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_lint_all"))
-        .arg("--root")
-        .arg(fixture("violating"))
-        .arg("--rules")
-        .arg("EP002")
-        .arg("--json")
-        .arg(&json)
-        .output()
-        .expect("spawn lint_all --rules");
-    assert_eq!(out.status.code(), Some(1), "EP002 findings must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("[EP002]"),
-        "stdout missing EP002:\n{stdout}"
-    );
-    for absent in ["EP003", "EP005", "EP000"] {
-        assert!(
-            !stdout.contains(&format!("[{absent}]")),
-            "filtered run leaked {absent} diagnostics:\n{stdout}"
-        );
-    }
-    // The summary carries per-rule wall time for the rules that ran.
-    assert!(
-        stdout.contains("EP002 ") && stdout.contains("ms"),
-        "summary missing per-rule timing:\n{stdout}"
     );
 }
 

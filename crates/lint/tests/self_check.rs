@@ -1,6 +1,6 @@
 //! The workspace must pass its own lint: every EP rule clean on the real
-//! tree, with every LINT.toml waiver matching a live diagnostic. This is
-//! the same run `ci.sh` performs via `lint_all`.
+//! tree, with every inline waiver matching a live diagnostic. This is the
+//! same run `ci.sh` performs via `lint_all`.
 
 use std::path::Path;
 
@@ -27,5 +27,5 @@ fn workspace_lints_clean() {
         "scanned {}",
         report.files_scanned
     );
-    assert!(report.waived > 0, "LINT.toml waivers should be in use");
+    assert!(report.waived > 0, "the inline waivers should be in use");
 }

@@ -234,3 +234,68 @@ fn unbalanced_input_degrades_to_fewer_items_not_a_panic() {
         let _ = FileSyntax::parse(&model);
     }
 }
+
+/// The EP008 marker as it appears in a leading comment block.
+const MARKER: &str = edgepc_lint::rules::ep008::MARKER;
+
+fn marked(syntax: &FileSyntax, name: &str) -> bool {
+    find(syntax, name).leading.iter().any(|(_, t)| t == MARKER)
+}
+
+#[test]
+fn leading_block_looks_through_attributes_and_qualifiers() {
+    let src = "
+/// Hot.
+///
+/// Allocation-free at steady state (EP008).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) const fn attributed() {}
+
+struct S;
+impl S {
+    /// Allocation-free at steady state (EP008).
+    pub(super) fn method(&self) {}
+
+    // waive EP002: a reason of some length
+    fn other(&self) {}
+}
+";
+    let (_m, syntax) = parse(src);
+    assert!(marked(&syntax, "attributed"));
+    assert!(marked(&syntax, "method"));
+    assert!(!marked(&syntax, "other"));
+    assert_eq!(
+        find(&syntax, "attributed").leading,
+        [
+            (2, "Hot.".to_string()),
+            (3, String::new()),
+            (4, MARKER.to_string())
+        ]
+    );
+    assert_eq!(
+        find(&syntax, "other").leading,
+        [(14, "waive EP002: a reason of some length".to_string())]
+    );
+}
+
+#[test]
+fn markers_inside_bodies_designate_nothing() {
+    let src = "
+//! Allocation-free at steady state (EP008).
+fn first() {
+    /// Allocation-free at steady state (EP008).
+    let _x = 1;
+}
+fn second() {}
+fn third() {
+    // Allocation-free at steady state (EP008).
+}
+";
+    let (_m, syntax) = parse(src);
+    // The module doc above `first`, the comment inside its body, and the
+    // one inside `third`'s body lead no fn.
+    for name in ["first", "second", "third"] {
+        assert!(find(&syntax, name).leading.is_empty(), "{name}");
+    }
+}

@@ -109,6 +109,8 @@ impl RowSource<'_> {
     /// the eager grouping buffers perform, so staged rows are
     /// bit-identical to materialized ones. The fused paths call it per
     /// tile.
+    ///
+    /// Allocation-free at steady state (EP008).
     fn stage_row(&self, r: usize, dst: &mut [f32]) {
         match self {
             RowSource::Dense(a) => {
@@ -164,6 +166,8 @@ impl RowSource<'_> {
     /// The `n`-wide accumulator start of row `r`: the hoisted head
     /// products of its source point, or `None` for `+0.0` (a dense or
     /// one-pass operand, or an `EMPTY_SLOT` row).
+    ///
+    /// Allocation-free at steady state (EP008).
     fn start_row(&self, r: usize, n: usize) -> Option<&[f32]> {
         let (p, at) = match self {
             RowSource::Dense(_) => return None,
@@ -299,6 +303,8 @@ pub fn kernel_uses_blocked_path(m: usize, k: usize, n: usize) -> bool {
 /// plans pack every blocked-path weight once at schedule time). A
 /// resumed gather `src` (one with a `start`) takes `W`'s tail rows and
 /// starts each row's accumulators from its `start` row.
+///
+/// Allocation-free at steady state (EP008).
 pub fn fused_linear(
     src: &RowSource<'_>,
     m: usize,
@@ -326,7 +332,12 @@ pub fn fused_linear(
 
 /// Simple triple loop with the exact-zero sparsity skip; per output
 /// element the accumulation order (from the row's start) matches the
-/// blocked kernel's k-order.
+/// blocked kernel's k-order. The skip tests for exact ±0.0 on purpose:
+/// a zero coefficient contributes exactly nothing, while an epsilon test
+/// would silently change numerics for tiny weights.
+///
+/// Allocation-free at steady state (EP008).
+// waive EP002: the exact +/-0.0 sparsity skip is deliberate (see above)
 pub(crate) fn naive_into(
     src: &RowSource<'_>,
     m: usize,
@@ -353,7 +364,7 @@ pub(crate) fn naive_into(
         for (k, &a) in a_row.iter().enumerate() {
             // Exact-zero test on purpose: grouping buffers zero-pad
             // unfilled neighbor slots, and a zero coefficient
-            // contributes exactly nothing (see the EP002 waiver).
+            // contributes exactly nothing (see the waiver above).
             if a == 0.0 {
                 continue;
             }
@@ -380,6 +391,8 @@ pub(crate) fn naive_into(
 /// at any thread budget), and each chunk walks NR-wide packed B panels
 /// with an MR x NR register tile. Bias and ReLU run as chunk-local
 /// epilogues, preserving the eager per-element op order.
+///
+/// Allocation-free at steady state (EP008).
 pub(crate) fn blocked_into(
     src: &RowSource<'_>,
     m: usize,
@@ -452,6 +465,8 @@ pub(crate) fn blocked_into(
 /// `kk`-wide row-major `a`. A ragged last tile (`mr < MATMUL_MR`) repeats
 /// its last row so the micro-kernel always sees a full tile; the store
 /// in [`tile_panels`] drops the repeats.
+///
+/// Allocation-free at steady state (EP008).
 fn tile_rows(a: &[f32], row0: usize, mr: usize, kk: usize) -> [&[f32]; MATMUL_MR] {
     std::array::from_fn(|ri| {
         let row = row0 + ri.min(mr - 1);
@@ -466,6 +481,8 @@ fn tile_rows(a: &[f32], row0: usize, mr: usize, kk: usize) -> [&[f32]; MATMUL_MR
 /// fewer than `MATMUL_MR` rows (ragged last tile); the surplus
 /// accumulator rows are dropped. Always inlined, so the dense call
 /// site's all-`None` starts fold to the zero tile.
+///
+/// Allocation-free at steady state (EP008).
 #[inline(always)]
 fn tile_panels(
     rows: [&[f32]; MATMUL_MR],
@@ -507,6 +524,8 @@ fn tile_panels(
 /// rows walked in lock-step with the panel leave no bounds check in the
 /// k loop, so the accumulator stays in vector registers. Measure any
 /// edit with the `nn.*` scenarios of `bench_all`.
+///
+/// Allocation-free at steady state (EP008).
 #[inline(always)]
 fn micro_kernel(
     rows: [&[f32]; MATMUL_MR],

@@ -137,6 +137,8 @@ impl Tensor2 {
     /// the dispatch depends only on the shapes, so results are
     /// deterministic and independent of the `edgepc_par` thread count.
     ///
+    /// Allocation-free at steady state (EP008).
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.

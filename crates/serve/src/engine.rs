@@ -317,6 +317,7 @@ fn worker_body(
     }
 }
 
+/// Allocation-free at steady state (EP008).
 fn cancel_expired(
     registry: &Registry,
     plane: &TelemetryPlane,
@@ -338,6 +339,7 @@ fn cancel_expired(
         .send(Err(ServeError::DeadlineExpired { waited, deadline }));
 }
 
+/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     worker: usize,

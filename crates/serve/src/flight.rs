@@ -71,6 +71,7 @@ impl TelemetryPlane {
         self.registry.elapsed_us()
     }
 
+    /// Allocation-free at steady state (EP008).
     fn event(&self, trace_id: u64, kind: EventKind, a: u64, b: u64) {
         self.recorder.record(TelemetryEvent {
             t_us: self.now_us(),
@@ -83,12 +84,16 @@ impl TelemetryPlane {
 
     /// Request admitted: `depth` = queue depth after the push,
     /// `deadline_us` = its budget (0 = none).
+    ///
+    /// Allocation-free at steady state (EP008).
     pub(crate) fn note_enqueued(&self, trace_id: u64, depth: u64, deadline_us: u64) {
         self.event(trace_id, EventKind::Enqueued, depth, deadline_us);
     }
 
     /// Request shed by admission control; counts toward the shed-storm
     /// trigger.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub(crate) fn note_shed(&self, trace_id: u64, capacity: u64) {
         self.event(trace_id, EventKind::Shed, capacity, 0);
         let now = self.now_us();
@@ -103,17 +108,23 @@ impl TelemetryPlane {
     }
 
     /// Request joined a formed batch after waiting `waited_us` in queue.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub(crate) fn note_batch_formed(&self, trace_id: u64, batch_size: u64, waited_us: u64) {
         self.event(trace_id, EventKind::BatchFormed, batch_size, waited_us);
     }
 
     /// Request's forward pass is starting on `worker`.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub(crate) fn note_exec_begin(&self, trace_id: u64, worker: u64, batch_size: u64) {
         self.event(trace_id, EventKind::ExecBegin, worker, batch_size);
     }
 
     /// Request completed in `total_us`. Feeds the tail sampler and
     /// answers whether the request's span tree should be retained.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub(crate) fn note_done(&self, trace_id: u64, total_us: u64, batch_size: u64) -> bool {
         self.event(trace_id, EventKind::Done, total_us, batch_size);
         let (retain, threshold_us) = {
@@ -133,6 +144,8 @@ impl TelemetryPlane {
 
     /// Request cancelled on deadline after waiting `waited_us` against a
     /// `deadline_us` budget; counts toward the miss-burst trigger.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub(crate) fn note_culled(&self, trace_id: u64, waited_us: u64, deadline_us: u64) {
         self.event(trace_id, EventKind::Culled, waited_us, deadline_us);
         let now = self.now_us();

@@ -100,6 +100,8 @@ impl SubmitQueue {
     /// already-expired request (and trigger a flight-recorder dump) before
     /// the submitter logged its admission, leaving a timeline whose first
     /// event is the cull.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub fn push_with(
         &self,
         req: QueuedRequest,
@@ -134,6 +136,11 @@ impl SubmitQueue {
     /// oldest live request anchors it and the same-model requests behind
     /// it join, oldest first, up to `max_batch`. Never waits for a
     /// request that has not arrived.
+    ///
+    /// Not allocation-free, by design: it hands ownership of the formed
+    /// batch and the culled set to the worker as vectors. Those
+    /// allocations are the API surface, bounded by `max_batch` and
+    /// amortized across every request in the batch.
     pub fn take_batch(&self, max_batch: usize) -> Pop {
         let mut expired = Vec::new();
         // The condvar wait below consumes and re-issues the bare guard, so

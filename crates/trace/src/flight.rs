@@ -135,6 +135,8 @@ impl FlightRecorder {
 
     /// Records one event (lock one shard, write one slot). Oldest events
     /// in the same shard are overwritten once the ring is full.
+    ///
+    /// Allocation-free at steady state (EP008).
     pub fn record(&self, ev: TelemetryEvent) {
         let mut shard = ranked_with(Lock::TraceFlight, || {
             self.shard(ev.trace_id)
