@@ -16,6 +16,10 @@
 #                          DGCNN cls/seg must match the eager forward bit
 #                          for bit (crates/models/src/compiled.rs, and
 #                          tests/par_determinism.rs at 1/2/8 threads).
+#                          Step 5 also runs the allocation counts
+#                          (crates/serve/src/alloc_count.rs): exact
+#                          per-thread counts of the warm steady-state
+#                          scopes and of two compiled forwards.
 #   6. the exact record    bench_all re-records results/BENCH.json into
 #                          target/ and diffs it against the committed
 #                          file. Every column (op counts, modeled Xavier

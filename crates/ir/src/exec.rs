@@ -3,10 +3,11 @@
 //! An [`Executor`] owns one `Vec<f32>` arena sized to the plan's
 //! liveness high-water mark. [`Executor::run`] grows the arena at most
 //! once per plan shape (cold path) and then interprets the step list
-//! inside `run_steps`, which is EP008-designated allocation-free: every
-//! step reads and writes disjoint arena regions through safe
-//! `split_at_mut` projections, and the fused linear steps call straight
-//! into `edgepc_nn::fused_linear`.
+//! inside `run_steps`, which allocates nothing: every step reads and
+//! writes disjoint arena regions through safe `split_at_mut`
+//! projections, and the fused linear steps call straight into
+//! `edgepc_nn::fused_linear`. A run opens no span of its own; the
+//! caller's stage span (`<module>.fc` in `edgepc-models`) times it.
 //!
 //! Step semantics replicate the eager ops bit-for-bit: fused linears
 //! follow the eager matmul/bias/ReLU op order (a hoisted linear's
@@ -69,10 +70,8 @@ impl Executor {
     }
 
     /// Runs `plan` over `inputs`. The first run for the largest plan
-    /// grows the arena; every later run is allocation-free (the step
-    /// interpreter is EP008-designated).
+    /// grows the arena; every later run allocates nothing.
     pub fn run(&mut self, plan: &Plan, inputs: &Inputs<'_>) {
-        let _sp = edgepc_trace::span(format!("ir.exec.{}", plan.label()), "exec");
         validate_inputs(plan, inputs);
         if self.arena.len() < plan.arena_len() {
             self.arena.resize(plan.arena_len(), 0.0);
@@ -88,8 +87,8 @@ impl Executor {
         &self.arena[r.off..r.off + r.len]
     }
 
-    /// Current arena capacity in floats — pinned by the allocation-
-    /// freedom tests: once warm it must not move across runs.
+    /// Current arena capacity in floats: once warm it must not move
+    /// across runs.
     pub fn arena_capacity(&self) -> usize {
         self.arena.capacity()
     }
@@ -147,8 +146,6 @@ fn validate_inputs(plan: &Plan, inputs: &Inputs<'_>) {
 
 /// Gather `slot` as a kernel row source: one-pass, or resumed from the
 /// hoisted head products `start`.
-///
-/// Allocation-free at steady state (EP008).
 fn gather_source<'a>(
     plan: &Plan,
     inputs: &Inputs<'a>,
@@ -176,8 +173,6 @@ fn gather_source<'a>(
 
 /// The steady-state interpreter loop: like the step helpers below, it
 /// allocates nothing once the arena is warm.
-///
-/// Allocation-free at steady state (EP008).
 fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
     for step in &plan.steps {
         match *step {
@@ -234,7 +229,6 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
     }
 }
 
-/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn step_fused(
     arena: &mut [f32],
@@ -274,8 +268,6 @@ fn step_fused(
 
 /// `P = feats · W[..c]` over gather `slot`'s source rows: the hoisted
 /// per-point half of its linear, before any bias or ReLU.
-///
-/// Allocation-free at steady state (EP008).
 fn step_hoist(
     arena: &mut [f32],
     plan: &Plan,
@@ -299,8 +291,6 @@ fn step_hoist(
 
 /// The gathered tail times `W[c..]`, each row resuming from its
 /// `Hoist` row in `start`, then bias and ReLU.
-///
-/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn step_resume(
     arena: &mut [f32],
@@ -326,7 +316,6 @@ fn step_resume(
     );
 }
 
-/// Allocation-free at steady state (EP008).
 fn step_max_pool(
     arena: &mut [f32],
     inputs: &Inputs<'_>,
@@ -354,7 +343,6 @@ fn step_max_pool(
     }
 }
 
-/// Allocation-free at steady state (EP008).
 #[allow(clippy::too_many_arguments)]
 fn step_concat2(
     arena: &mut [f32],
@@ -393,7 +381,6 @@ fn step_concat2(
     }
 }
 
-/// Allocation-free at steady state (EP008).
 fn concat_rows(a: &[f32], b: &[f32], rows: usize, a_cols: usize, b_cols: usize, out: &mut [f32]) {
     let w = a_cols + b_cols;
     for r in 0..rows {
@@ -402,7 +389,6 @@ fn concat_rows(a: &[f32], b: &[f32], rows: usize, a_cols: usize, b_cols: usize, 
     }
 }
 
-/// Allocation-free at steady state (EP008).
 fn step_broadcast(
     arena: &mut [f32],
     inputs: &Inputs<'_>,
@@ -419,8 +405,6 @@ fn step_broadcast(
 
 /// Resolves a read operand and the destination region simultaneously
 /// (splitting the arena when the operand also lives there).
-///
-/// Allocation-free at steady state (EP008).
 fn resolve_src_dst<'t>(
     arena: &'t mut [f32],
     inputs: &Inputs<'t>,
@@ -439,8 +423,6 @@ fn resolve_src_dst<'t>(
 /// Disjoint (read, write) projection of two arena regions via
 /// `split_at_mut`; diverges if the scheduler ever produced overlapping
 /// regions (it allocates destinations before releasing sources).
-///
-/// Allocation-free at steady state (EP008).
 fn split_src_dst(arena: &mut [f32], src: Region, dst: Region) -> (&[f32], &mut [f32]) {
     if src.off + src.len <= dst.off {
         let (lo, hi) = arena.split_at_mut(dst.off);
@@ -454,8 +436,6 @@ fn split_src_dst(arena: &mut [f32], src: Region, dst: Region) -> (&[f32], &mut [
 }
 
 /// Disjoint (read, read, write) projection of three arena regions.
-///
-/// Allocation-free at steady state (EP008).
 fn split2_dst(
     arena: &mut [f32],
     a: Region,

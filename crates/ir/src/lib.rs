@@ -17,7 +17,8 @@
 //!   half of a `linear` fed by a row-repeating gather once per point
 //!   (exact: the gathered rows resume their sums from it),
 //! * [`Executor`] — interprets a [`Plan`] over its reusable arena with
-//!   zero steady-state heap allocation (EP008-designated hot loop).
+//!   zero steady-state heap allocation (a count `edgepc-serve`'s
+//!   allocation tests pin at 0).
 //!
 //! **Determinism contract.** A fused step performs the eager per-element
 //! f32 arithmetic in the eager order, the kernels parallelize over fixed

@@ -153,7 +153,6 @@ pub(crate) struct GatherSpec {
 /// per-run op counts. Plans are immutable and `Send + Sync`, so one
 /// plan can serve many executors.
 pub struct Plan {
-    pub(crate) label: String,
     pub(crate) steps: Vec<Step>,
     pub(crate) linears: Vec<PlanLinear>,
     pub(crate) input_shapes: Vec<(usize, usize)>,
@@ -167,11 +166,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The plan's span label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Total arena floats the executor needs.
     pub fn arena_len(&self) -> usize {
         self.arena_len
@@ -417,7 +411,6 @@ pub fn compile(graph: &Graph) -> Plan {
 
     let (out_rows, out_cols) = graph.shape(output);
     Plan {
-        label: graph.label.clone(),
         steps,
         linears,
         input_shapes: graph.input_shapes.clone(),

@@ -11,7 +11,6 @@
 //! | EP005 | committed `results/*.json` parse; pinned artifacts keep known schemas |
 //! | EP006 | every `.lock()` is ranked by a `guard::Lock` claim and nesting follows `enum Lock`'s order |
 //! | EP007 | [`rules::ep007::DETERMINISTIC_CRATES`] leak no hash order, wall clock, or scheduling into results |
-//! | EP008 | fns marked [`rules::ep008::MARKER`] allocate nothing in steady state (Scratch pool excepted) |
 //! | EP000 | every inline `// waive EPnnn: <reason>` matches a live diagnostic |
 //!
 //! Panic-freedom is clippy's job: the workspace lints deny `unwrap_used`,
@@ -20,15 +19,15 @@
 //! test (`tests/trace_pipeline.rs` checks every forward's stage ledger
 //! against its spans).
 //!
-//! EP002 is token-level. EP006–EP008 run on the **syntactic tier**
+//! EP002 is token-level. EP006 and EP007 run on the **syntactic tier**
 //! ([`syntax::FileSyntax`]): a std-only item/impl/fn/closure recovery
 //! over the same lexer — same hand-rolled philosophy, no `syn`.
 //!
-//! All configuration lives in the code. EP008's designations and the
-//! waivers are lines in a fn's leading comment block
-//! ([`syntax::leading_comments`]); a waiver that matches nothing is
-//! itself a violation (`EP000`) at the comment's line. EP006 reads its
-//! lock order from `enum Lock` in [`rules::ep006::LOCK_ENUM_FILE`].
+//! All configuration lives in the code. Waivers are lines in a fn's
+//! leading comment block ([`syntax::leading_comments`]); a waiver that
+//! matches nothing is itself a violation (`EP000`) at the comment's line.
+//! EP006 reads its lock order from `enum Lock` in
+//! [`rules::ep006::LOCK_ENUM_FILE`].
 //!
 //! The `lint_all` binary runs the whole engine, prints human-readable
 //! diagnostics with per-rule wall time, writes machine-readable
@@ -49,9 +48,7 @@ use diag::Diagnostic;
 use syntax::FileSyntax;
 
 /// Every rule id the engine reports, in order.
-pub const ALL_RULES: &[&str] = &[
-    "EP000", "EP002", "EP004", "EP005", "EP006", "EP007", "EP008",
-];
+pub const ALL_RULES: &[&str] = &["EP000", "EP002", "EP004", "EP005", "EP006", "EP007"];
 
 /// The outcome of a full workspace run.
 #[derive(Debug)]
@@ -178,7 +175,7 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
     let mut files_scanned = 0usize;
     let mut timings = Timings::default();
 
-    // --- Rust sources: EP002 (token tier) + EP007/EP008, the inline
+    // --- Rust sources: EP002 (token tier) + EP007, the inline
     // --- waivers and the EP006 model collection (syntactic tier) ----------
     let mut lock_files: Vec<(String, rules::SourceModel, FileSyntax)> = Vec::new();
     for source in collect_rust_sources(root)? {
@@ -205,9 +202,6 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
             diagnostics.extend(rules::ep007::check(&model, &syntax));
             timings.add("EP007", t);
         }
-        let t = Instant::now();
-        diagnostics.extend(rules::ep008::check(&model, &syntax));
-        timings.add("EP008", t);
         lock_files.push((rel, model, syntax));
         files_scanned += 1;
     }

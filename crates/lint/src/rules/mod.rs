@@ -1,6 +1,6 @@
 //! The rule engine: a shared token-level source model plus one module per
-//! rule. Rules run over [`SourceModel`] (per-file rules EP002, EP007,
-//! EP008; the workspace-wide EP006) or raw document text (EP004 over
+//! rule. Rules run over [`SourceModel`] (per-file rules EP002 and EP007;
+//! the workspace-wide EP006) or raw document text (EP004 over
 //! `Cargo.lock`, EP005); all return
 //! [`Diagnostic`](crate::diag::Diagnostic)s and never panic on malformed
 //! input.
@@ -16,7 +16,6 @@ pub mod ep004;
 pub mod ep005;
 pub mod ep006;
 pub mod ep007;
-pub mod ep008;
 
 use crate::lexer::{self, Token, TokenKind};
 

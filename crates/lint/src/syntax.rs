@@ -3,14 +3,13 @@
 //! (no `syn`).
 //!
 //! [`FileSyntax::parse`] walks a [`SourceModel`] once and recovers the
-//! structure the parser-backed rules (EP006–EP008) need and the
+//! structure the parser-backed rules (EP006, EP007) need and the
 //! token-level rules cannot see:
 //!
 //! * every `fn` item — name, visibility, enclosing `impl` type, parameter
 //!   names and types (with `Fn`/`FnMut`/`FnOnce` callback detection),
-//!   return type, brace-matched body extent, maximum loop nesting depth,
-//!   and its leading comment block ([`leading_comments`]), which carries
-//!   the EP008 marker and inline waivers;
+//!   return type, brace-matched body extent, and its leading comment
+//!   block ([`leading_comments`]), which carries the inline waivers;
 //! * closure literals inside any token range ([`closures_in`]), with
 //!   parameter names and a body extent that covers both braced and bare
 //!   expression bodies;
@@ -74,8 +73,6 @@ pub struct FnInfo {
     pub body: Option<(usize, usize)>,
     /// The fn sits in a `#[test]` / `#[cfg(test)]` region.
     pub is_test: bool,
-    /// Deepest `for`/`while`/`loop` nesting inside the body.
-    pub max_loop_depth: usize,
     /// The leading comment block, one `(line, text)` per comment with
     /// its `//`/`///`/`/* */` fence stripped ([`leading_comments`]).
     pub leading: Vec<(usize, String)>,
@@ -84,8 +81,6 @@ pub struct FnInfo {
 /// The recovered structure of one source file.
 pub struct FileSyntax {
     pub fns: Vec<FnInfo>,
-    /// Code indices of `{` tokens that open loop bodies.
-    loop_opens: Vec<usize>,
 }
 
 impl FileSyntax {
@@ -110,36 +105,7 @@ impl FileSyntax {
             ci += 1;
         }
 
-        // Pass 2: loop-body braces, for loop-depth accounting.
-        let mut loop_opens = Vec::new();
-        for ci in 0..code.len() {
-            if kind(ci) == TokenKind::Ident && matches!(text(ci), "for" | "while" | "loop") {
-                // The body is the first `{` at zero paren/bracket depth
-                // after the header expression. `for` inside generic bounds
-                // (`impl Fn() + for<'a> …`) never reaches a `{` at depth 0
-                // before a `;`, so the scan bails on `;` too.
-                let mut paren = 0i32;
-                let mut bracket = 0i32;
-                let mut j = ci + 1;
-                while j < code.len() {
-                    match text(j) {
-                        "(" => paren += 1,
-                        ")" => paren -= 1,
-                        "[" => bracket += 1,
-                        "]" => bracket -= 1,
-                        ";" if paren <= 0 && bracket <= 0 => break,
-                        "{" if paren <= 0 && bracket <= 0 => {
-                            loop_opens.push(j);
-                            break;
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-        }
-
-        // Pass 3: fn items.
+        // Pass 2: fn items.
         let mut fns = Vec::new();
         let mut ci = 0;
         while ci < code.len() {
@@ -152,14 +118,14 @@ impl FileSyntax {
                 ci += 1;
                 continue;
             }
-            let Some(info) = scan_fn(model, &impls, &loop_opens, ci, name_ci) else {
+            let Some(info) = scan_fn(model, &impls, ci, name_ci) else {
                 ci += 1;
                 continue;
             };
             ci = name_ci + 1;
             fns.push(info);
         }
-        FileSyntax { fns, loop_opens }
+        FileSyntax { fns }
     }
 
     /// The innermost fn whose body contains code index `ci`.
@@ -171,19 +137,6 @@ impl FileSyntax {
                 let (open, close) = f.body.unwrap_or((0, usize::MAX));
                 close - open
             })
-    }
-
-    /// Loop nesting depth at code index `ci` (0 = outside any loop).
-    pub fn loop_depth_at(&self, model: &SourceModel, ci: usize) -> usize {
-        let code = model.code_indices();
-        self.loop_opens
-            .iter()
-            .filter(|&&open| {
-                open < ci
-                    && super::rules::match_braces(&model.tokens, code, open)
-                        .is_some_and(|close| ci < close)
-            })
-            .count()
     }
 }
 
@@ -258,7 +211,6 @@ fn scan_impl_header(model: &SourceModel, ci: usize) -> Option<(String, usize)> {
 fn scan_fn(
     model: &SourceModel,
     impls: &[(String, usize, usize)],
-    loop_opens: &[usize],
     ci: usize,
     name_ci: usize,
 ) -> Option<FnInfo> {
@@ -348,31 +300,6 @@ fn scan_fn(
         None
     };
 
-    let max_loop_depth = body
-        .map(|(open, close)| {
-            let mut depth = 0usize;
-            let mut max = 0usize;
-            let mut stack: Vec<bool> = Vec::new();
-            for ci in open + 1..close {
-                match text(ci) {
-                    "{" => {
-                        let is_loop = loop_opens.contains(&ci);
-                        stack.push(is_loop);
-                        if is_loop {
-                            depth += 1;
-                            max = max.max(depth);
-                        }
-                    }
-                    "}" if stack.pop() == Some(true) => {
-                        depth = depth.saturating_sub(1);
-                    }
-                    _ => {}
-                }
-            }
-            max
-        })
-        .unwrap_or(0);
-
     let name_tok = model.token(code[name_ci]);
     Some(FnInfo {
         name: name_tok.text.clone(),
@@ -388,7 +315,6 @@ fn scan_fn(
         ret,
         body,
         is_test: model.in_test(code[name_ci]),
-        max_loop_depth,
         leading: leading_comments(model, ci),
     })
 }

@@ -143,7 +143,7 @@ mod tests {
         assert!(waivers[0].matches(&diag("EP002", "skip")));
         assert!(!waivers[0].matches(&diag("EP002", "other")));
         // A waiver that names another rule waives nothing.
-        assert!(!waivers[0].matches(&diag("EP008", "skip")));
+        assert!(!waivers[0].matches(&diag("EP007", "skip")));
     }
 
     #[test]

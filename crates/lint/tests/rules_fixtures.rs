@@ -92,22 +92,6 @@ fn violating_fixture_pinpoints_the_planted_sites() {
     assert!(has("EP007", "crates/geom/src/detmap.rs", "hash-order leak"));
     assert!(has("EP007", "crates/geom/src/detmap.rs", "Instant::now"));
     assert!(has("EP007", "crates/geom/src/detmap.rs", "par_for"));
-    // EP008: both planted allocations in the designated fn, and none in
-    // the undesignated sibling.
-    assert!(has("EP008", "crates/serve/src/record.rs", "`format!`"));
-    assert!(has("EP008", "crates/serve/src/record.rs", "`.clone()`"));
-    assert!(!report
-        .violations
-        .iter()
-        .any(|d| d.rule == "EP008" && d.item.as_deref() == Some("render_cold")));
-    // EP008 in the fused-executor plant: the per-call buffer, the staged
-    // copy, and nothing from the undesignated plan constructor.
-    assert!(has("EP008", "crates/serve/src/fused.rs", "`vec!`"));
-    assert!(has("EP008", "crates/serve/src/fused.rs", "`.collect()`"));
-    assert!(!report
-        .violations
-        .iter()
-        .any(|d| d.rule == "EP008" && d.item.as_deref() == Some("plan_cold")));
 }
 
 #[test]

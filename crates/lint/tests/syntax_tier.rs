@@ -1,9 +1,10 @@
 //! Edge-case coverage for the syntactic tier (`edgepc_lint::syntax`)
 //! through the public API: raw strings, nested block comments, macro
-//! bodies, impl/closure/brace nesting, loop depth, visibility, callback
-//! params, and receiver-chain recovery. These are the shapes that broke
-//! naive token scanners; each test pins the recovery the parser-backed
-//! rules (EP006–EP008) depend on.
+//! bodies, impl/closure/brace nesting, visibility, callback params,
+//! receiver-chain recovery and leading comment blocks. These are the
+//! shapes that broke naive token scanners; each test pins the recovery
+//! the parser-backed rules (EP006, EP007) and the inline waivers depend
+//! on.
 
 // Test-support indexing helpers sit outside #[test] fns, where
 // clippy.toml's allow-expect-in-tests does not reach.
@@ -100,30 +101,6 @@ fn free() {}
     assert!(find(&syntax, "on_a").is_pub);
     assert!(!find(&syntax, "on_b").is_pub, "pub(crate) is not pub");
     assert!(!find(&syntax, "helper").is_pub);
-}
-
-#[test]
-fn loop_depth_counts_nesting_not_occurrences() {
-    let src = "
-fn flat(xs: &[u32]) -> u32 {
-    let mut t = 0;
-    for x in xs { t += x; }
-    for x in xs { t += x; }
-    t
-}
-fn deep(xs: &[u32]) -> u32 {
-    let mut t = 0;
-    for x in xs {
-        while t < 10 {
-            loop { t += x; break; }
-        }
-    }
-    t
-}
-";
-    let (_m, syntax) = parse(src);
-    assert_eq!(find(&syntax, "flat").max_loop_depth, 1);
-    assert_eq!(find(&syntax, "deep").max_loop_depth, 3);
 }
 
 #[test]
@@ -235,11 +212,11 @@ fn unbalanced_input_degrades_to_fewer_items_not_a_panic() {
     }
 }
 
-/// The EP008 marker as it appears in a leading comment block.
-const MARKER: &str = edgepc_lint::rules::ep008::MARKER;
+/// A waiver line as it appears in a leading comment block.
+const WAIVER: &str = "waive EP002: the exact zero test is deliberate";
 
-fn marked(syntax: &FileSyntax, name: &str) -> bool {
-    find(syntax, name).leading.iter().any(|(_, t)| t == MARKER)
+fn waived(syntax: &FileSyntax, name: &str) -> bool {
+    find(syntax, name).leading.iter().any(|(_, t)| t == WAIVER)
 }
 
 #[test]
@@ -247,14 +224,14 @@ fn leading_block_looks_through_attributes_and_qualifiers() {
     let src = "
 /// Hot.
 ///
-/// Allocation-free at steady state (EP008).
+// waive EP002: the exact zero test is deliberate
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) const fn attributed() {}
 
 struct S;
 impl S {
-    /// Allocation-free at steady state (EP008).
+    // waive EP002: the exact zero test is deliberate
     pub(super) fn method(&self) {}
 
     // waive EP002: a reason of some length
@@ -262,15 +239,15 @@ impl S {
 }
 ";
     let (_m, syntax) = parse(src);
-    assert!(marked(&syntax, "attributed"));
-    assert!(marked(&syntax, "method"));
-    assert!(!marked(&syntax, "other"));
+    assert!(waived(&syntax, "attributed"));
+    assert!(waived(&syntax, "method"));
+    assert!(!waived(&syntax, "other"));
     assert_eq!(
         find(&syntax, "attributed").leading,
         [
             (2, "Hot.".to_string()),
             (3, String::new()),
-            (4, MARKER.to_string())
+            (4, WAIVER.to_string())
         ]
     );
     assert_eq!(
@@ -280,16 +257,16 @@ impl S {
 }
 
 #[test]
-fn markers_inside_bodies_designate_nothing() {
+fn comments_inside_bodies_lead_nothing() {
     let src = "
-//! Allocation-free at steady state (EP008).
+//! waive EP002: the exact zero test is deliberate
 fn first() {
-    /// Allocation-free at steady state (EP008).
+    // waive EP002: the exact zero test is deliberate
     let _x = 1;
 }
 fn second() {}
 fn third() {
-    // Allocation-free at steady state (EP008).
+    // waive EP002: the exact zero test is deliberate
 }
 ";
     let (_m, syntax) = parse(src);

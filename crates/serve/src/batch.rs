@@ -16,17 +16,7 @@ pub(crate) fn split_expired(
     items: &mut VecDeque<QueuedRequest>,
     now: Instant,
 ) -> Vec<QueuedRequest> {
-    let mut keep = VecDeque::with_capacity(items.len());
-    let mut expired = Vec::new();
-    while let Some(req) = items.pop_front() {
-        if req.is_expired(now) {
-            expired.push(req);
-        } else {
-            keep.push_back(req);
-        }
-    }
-    *items = keep;
-    expired
+    extract(items, |req| req.is_expired(now))
 }
 
 /// Removes up to `room` requests for `model` (oldest first), preserving
@@ -40,16 +30,31 @@ pub(crate) fn gather_compatible(
     if room == 0 {
         return Vec::new();
     }
+    let mut left = room;
+    extract(items, |req| {
+        let take = left > 0 && req.model == model;
+        left -= usize::from(take);
+        take
+    })
+}
+
+/// Moves the requests `take` selects out of `items`, oldest first, and
+/// keeps the rest in order. One pop-front/push-back rotation over the
+/// current length partitions the deque in place, so it keeps its
+/// allocation and the next push reuses it.
+fn extract(
+    items: &mut VecDeque<QueuedRequest>,
+    mut take: impl FnMut(&QueuedRequest) -> bool,
+) -> Vec<QueuedRequest> {
     let mut taken = Vec::new();
-    let mut keep = VecDeque::with_capacity(items.len());
-    while let Some(req) = items.pop_front() {
-        if taken.len() < room && req.model == model {
+    for _ in 0..items.len() {
+        let Some(req) = items.pop_front() else { break };
+        if take(&req) {
             taken.push(req);
         } else {
-            keep.push_back(req);
+            items.push_back(req);
         }
     }
-    *items = keep;
     taken
 }
 

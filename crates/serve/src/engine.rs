@@ -317,7 +317,8 @@ fn worker_body(
     }
 }
 
-/// Allocation-free at steady state (EP008).
+/// Answers a request culled on its deadline. Warm, it allocates one
+/// block: the response channel's, on its first send.
 fn cancel_expired(
     registry: &Registry,
     plane: &TelemetryPlane,
@@ -339,7 +340,10 @@ fn cancel_expired(
         .send(Err(ServeError::DeadlineExpired { waited, deadline }));
 }
 
-/// Allocation-free at steady state (EP008).
+/// Runs a formed batch, one forward per live request. Warm, at one
+/// thread, the batch allocates its `serve.batch` span's name and kind,
+/// and each request its forward, its `serve.exec` span's name and kind
+/// and its response channel's block (DESIGN.md §6 has the counts).
 #[allow(clippy::too_many_arguments)]
 fn run_batch(
     worker: usize,

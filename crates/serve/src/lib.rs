@@ -37,6 +37,8 @@
 
 #![warn(clippy::panic, clippy::unreachable)]
 
+#[cfg(test)]
+mod alloc_count;
 mod batch;
 mod flight;
 mod plans;

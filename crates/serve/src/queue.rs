@@ -100,8 +100,6 @@ impl SubmitQueue {
     /// already-expired request (and trigger a flight-recorder dump) before
     /// the submitter logged its admission, leaving a timeline whose first
     /// event is the cull.
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn push_with(
         &self,
         req: QueuedRequest,

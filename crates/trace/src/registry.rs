@@ -70,14 +70,14 @@ struct Inner {
     histograms: HashMap<String, Histogram>,
     /// Reusable scratch for composing derived metric keys (`span.<kind>`)
     /// under the lock, so steady-state recording never formats into a
-    /// fresh `String` (lint rule EP008).
+    /// fresh `String`.
     key_buf: String,
 }
 
 /// Borrows the slot for `key`, inserting `init()` under a freshly
-/// allocated key only on first sight. The designated EP008 hot fns below
-/// route every map access through this helper: after warmup each metric
-/// name already exists, so recording is two hash lookups and zero
+/// allocated key only on first sight. The recorders below route every
+/// map access through this helper: after warmup each metric name
+/// already exists, so recording is two hash lookups and zero
 /// allocations. (`HashMap::entry` would allocate the owned key on *every*
 /// call just to probe.)
 fn slot<'m, V>(map: &'m mut HashMap<String, V>, key: &str, init: impl FnOnce() -> V) -> &'m mut V {
@@ -150,8 +150,6 @@ impl Registry {
 
     /// Stores a completed span and folds it into the per-stage metrics
     /// (counter `span.<kind>`, histogram keyed by the span name).
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn record(&self, span: SpanData) {
         let mut inner = self.lock();
         // Reborrow so the key scratch and the maps borrow disjoint fields.
@@ -192,8 +190,6 @@ impl Registry {
     /// flight plus those of the newest kept traces. Touches the spans of
     /// this trace and, at most, of the one it evicts. `trace_id` 0 is a
     /// no-op (unattributed spans are never sampled away).
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn finish_trace(&self, trace_id: u64, keep: bool) {
         if trace_id == 0 {
             return;
@@ -212,16 +208,12 @@ impl Registry {
     }
 
     /// Increments the named monotonic counter.
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn incr(&self, name: &str, by: u64) {
         let mut inner = self.lock();
         *slot(&mut inner.counters, name, || 0) += by;
     }
 
     /// Records one latency observation (µs) in the named histogram.
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn observe_us(&self, name: &str, us: u64) {
         let mut inner = self.lock();
         slot(&mut inner.histograms, name, Histogram::default).observe(us);
@@ -231,8 +223,6 @@ impl Registry {
     /// tags it with a trace id the histogram may retain as an exemplar
     /// (see [`Histogram::exemplars`]). `trace_id` 0 means "unattributed"
     /// and is recorded without an exemplar.
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn observe_us_tagged(&self, name: &str, us: u64, trace_id: u64) {
         let mut inner = self.lock();
         slot(&mut inner.histograms, name, Histogram::default).observe_tagged(us, trace_id);
@@ -243,8 +233,6 @@ impl Registry {
     /// Gauges carry instantaneous *measurements* rather than monotonic
     /// counts — the quality auditors use them for live false-neighbor
     /// rate, recall@k, and sampling-coverage readings.
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut inner = self.lock();
         *slot(&mut inner.gauges, name, || 0.0) = value;
@@ -255,8 +243,6 @@ impl Registry {
     /// read-modify-write the serving runtime needs for queue-depth and
     /// in-flight gauges updated from many worker threads — a `gauge` +
     /// `set_gauge` pair would race.
-    ///
-    /// Allocation-free at steady state (EP008).
     pub fn add_gauge(&self, name: &str, delta: f64) -> f64 {
         let mut inner = self.lock();
         let g = slot(&mut inner.gauges, name, || 0.0);

@@ -114,8 +114,9 @@ fn compiled_executor_is_allocation_free_at_steady_state() {
     let model = PointNetPpSeg::new(&config, 3);
     // Planning twice must give byte-identical arena layouts (the plan is a
     // pure function of the graph), and a warm executor must hold its arena
-    // capacity across many steady-state runs — the zero-allocation
-    // contract the EP008 lint scopes pin at the source level.
+    // capacity across many steady-state runs — the arena half of the
+    // zero-allocation contract; edgepc-serve's allocation counts pin
+    // the executor's run at zero allocations.
     let a = edgepc_models::CompiledPointNetPp::compile(&model, cloud.len());
     let b = edgepc_models::CompiledPointNetPp::compile(&model, cloud.len());
     let mut state_a = edgepc_models::ExecState::new();
