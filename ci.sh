@@ -19,7 +19,10 @@
 #                          Step 5 also runs the allocation counts
 #                          (crates/serve/src/alloc_count.rs): exact
 #                          per-thread counts of the warm steady-state
-#                          scopes and of two compiled forwards.
+#                          scopes, of two compiled forwards, and of one
+#                          served batch on a worker's cached plan (every
+#                          served forward is compiled; eager forwards
+#                          are training and the test oracle only).
 #   6. the exact record    bench_all re-records results/BENCH.json into
 #                          target/ and diffs it against the committed
 #                          file. Every column (op counts, modeled Xavier

@@ -61,10 +61,6 @@ pub enum Lock {
     /// `serve` telemetry endpoint's quit flag (condvar-coupled); the
     /// leaf among the serve control locks.
     ServeTelemetry,
-    /// `serve` compiled-plan cache. Workers consult it with nothing held
-    /// (compilation runs outside it); it is declared before the trace
-    /// locks so a recorded hit still ascends.
-    ServePlanCache,
     /// `trace` registry maps. Every crate records into it while holding
     /// its own locks, so it ranks last but one.
     TraceRegistry,

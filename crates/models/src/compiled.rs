@@ -294,7 +294,7 @@ impl CompiledPointNetPp {
                             rel.extend_from_slice(&[r.x, r.y, r.z]);
                         } else {
                             // Short ball-query group: zero-padded row,
-                            // exactly like the eager zeroed scratch.
+                            // exactly like the eager zero-filled grouping buffer.
                             idx.push(EMPTY_SLOT);
                             rel.extend_from_slice(&[0.0; 3]);
                         }

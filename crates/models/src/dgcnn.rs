@@ -14,7 +14,6 @@ use edgepc_nn::pool::{global_max_pool, max_pool_groups, PooledGroups};
 use edgepc_nn::{Layer, Sequential, Tensor2};
 use edgepc_sim::StageKind;
 
-use crate::scratch::Scratch;
 use crate::strategy::{PipelineStrategy, SearchStrategy, StageRecord};
 
 /// One EdgeConv module: per point, gather `k` neighbors, build edge
@@ -81,9 +80,7 @@ impl EdgeConv {
     }
 
     /// Forward pass given precomputed neighbor lists (one per point, `k`
-    /// entries each). The `(n*k) x 2C` edge matrix borrows its allocation
-    /// from `scratch` (handed out zero-filled) and returns it after the
-    /// shared MLP.
+    /// entries each).
     ///
     /// # Panics
     ///
@@ -93,7 +90,6 @@ impl EdgeConv {
         feats: &Tensor2,
         neighbors: &[Vec<usize>],
         records: &mut Vec<StageRecord>,
-        scratch: &mut Scratch,
     ) -> Tensor2 {
         let n = feats.rows();
         assert_eq!(feats.cols(), self.in_channels, "unexpected input width");
@@ -112,7 +108,7 @@ impl EdgeConv {
                 // matrix is bit-identical for any thread count.
                 let row_w = 2 * c;
                 let point_elems = k * row_w;
-                let mut buf = scratch.take_zeroed(n * point_elems);
+                let mut buf = vec![0.0f32; n * point_elems];
                 edgepc_par::par_chunks_mut(&mut buf, 32 * point_elems, |ci, block| {
                     let i0 = ci * 32;
                     for (il, rows) in block.chunks_mut(point_elems).enumerate() {
@@ -142,7 +138,8 @@ impl EdgeConv {
         );
 
         let transformed = crate::observe::mlp_stage(&self.name, &mut self.mlp, &edges, records);
-        scratch.give(edges.into_vec());
+        // Dead from here: holding it through pooling raises peak memory.
+        drop(edges);
 
         let pool = max_pool_groups(&transformed, self.k);
         let out = pool.output.clone();
@@ -247,12 +244,7 @@ impl DgcnnBackbone {
     }
 
     /// Runs all modules; returns each module's output (for concat heads).
-    fn forward(
-        &mut self,
-        cloud: &PointCloud,
-        records: &mut Vec<StageRecord>,
-        scratch: &mut Scratch,
-    ) -> Vec<Tensor2> {
+    fn forward(&mut self, cloud: &PointCloud, records: &mut Vec<StageRecord>) -> Vec<Tensor2> {
         let mut feats = crate::pointnetpp::xyz_features(cloud.points());
         let mut outputs = Vec::with_capacity(self.modules.len());
         let mut prev_neighbors: Option<Vec<Vec<usize>>> = None;
@@ -267,7 +259,7 @@ impl DgcnnBackbone {
                 self.k,
                 records,
             );
-            let out = module.forward(&feats, &neighbors, records, scratch);
+            let out = module.forward(&feats, &neighbors, records);
             prev_neighbors = Some(neighbors);
             feats = out.clone();
             outputs.push(out);
@@ -414,7 +406,6 @@ pub struct DgcnnClassifier {
     pub(crate) head: Sequential,
     num_classes: usize,
     cache: Option<ClsCache>,
-    scratch: Scratch,
 }
 
 struct ClsCache {
@@ -447,7 +438,6 @@ impl DgcnnClassifier {
             head: Sequential::mlp(&head_dims, 0xc1a55),
             num_classes,
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -460,9 +450,7 @@ impl DgcnnClassifier {
     pub fn forward(&mut self, cloud: &PointCloud) -> (Tensor2, Vec<StageRecord>) {
         let _forward_span = edgepc_trace::span("dgcnn_cls.forward", "model");
         let mut records = Vec::new();
-        let outputs = self
-            .backbone
-            .forward(cloud, &mut records, &mut self.scratch);
+        let outputs = self.backbone.forward(cloud, &mut records);
         let module_cols: Vec<usize> = outputs.iter().map(|t| t.cols()).collect();
         let mut stacked = outputs[0].clone();
         for t in &outputs[1..] {
@@ -533,7 +521,6 @@ pub struct DgcnnSeg {
     pub(crate) head: Sequential,
     num_classes: usize,
     cache: Option<SegCache>,
-    scratch: Scratch,
 }
 
 struct SegCache {
@@ -569,7 +556,6 @@ impl DgcnnSeg {
             head: Sequential::mlp(&head_dims, 0x5e6),
             num_classes,
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -582,9 +568,7 @@ impl DgcnnSeg {
     pub fn forward(&mut self, cloud: &PointCloud) -> (Tensor2, Vec<StageRecord>) {
         let _forward_span = edgepc_trace::span("dgcnn_seg.forward", "model");
         let mut records = Vec::new();
-        let outputs = self
-            .backbone
-            .forward(cloud, &mut records, &mut self.scratch);
+        let outputs = self.backbone.forward(cloud, &mut records);
         let module_cols: Vec<usize> = outputs.iter().map(|t| t.cols()).collect();
         let mut stacked = outputs[0].clone();
         for t in &outputs[1..] {
@@ -823,7 +807,7 @@ mod tests {
             .collect();
         let mut ec = EdgeConv::new("ec", k, 2, &[4], 5);
         let mut records = Vec::new();
-        let out = ec.forward(&feats, &neighbors, &mut records, &mut Scratch::new());
+        let out = ec.forward(&feats, &neighbors, &mut records);
         let dy = Tensor2::from_vec(
             (0..out.rows() * out.cols())
                 .map(|i| ((i % 5) as f32) - 2.0)
@@ -836,7 +820,7 @@ mod tests {
 
         let objective = |ec: &mut EdgeConv, f: &Tensor2| -> f32 {
             let mut r = Vec::new();
-            let y = ec.forward(f, &neighbors, &mut r, &mut Scratch::new());
+            let y = ec.forward(f, &neighbors, &mut r);
             y.as_slice()
                 .iter()
                 .zip(dy.as_slice())

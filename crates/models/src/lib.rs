@@ -51,10 +51,6 @@ pub mod trainer;
 
 pub use compiled::{CompiledDgcnn, CompiledPointNetPp, ExecState};
 pub use dgcnn::{DgcnnClassifier, DgcnnConfig, DgcnnSeg, EdgeConv};
-/// Re-exported from `edgepc_nn`, where the pool moved so the blocked
-/// matmul kernel can recycle its pack buffers too.
-pub use edgepc_nn::scratch;
-pub use edgepc_nn::Scratch;
 pub use fp::FeaturePropagation;
 pub use pointnetpp::{PointNetPpConfig, PointNetPpSeg, SaLevelSpec};
 pub use sa::SetAbstraction;
@@ -81,7 +77,6 @@ mod send_safety {
         assert_send::<DgcnnSeg>();
         assert_send::<SetAbstraction>();
         assert_send::<EdgeConv>();
-        assert_send::<Scratch>();
         assert_send::<CompiledPointNetPp>();
         assert_send::<CompiledDgcnn>();
         assert_send::<ExecState>();

@@ -6,7 +6,6 @@ use edgepc_nn::{Layer, Sequential, Tensor2};
 
 use crate::fp::{FeaturePropagation, InterpSource};
 use crate::sa::SetAbstraction;
-use crate::scratch::Scratch;
 use crate::selection::MortonContext;
 use crate::strategy::{PipelineStrategy, StageRecord};
 use edgepc_geom::OpCounts;
@@ -114,7 +113,6 @@ pub struct PointNetPpSeg {
     num_classes: usize,
     pub(crate) depth: usize,
     cache: Option<ForwardCache>,
-    scratch: Scratch,
 }
 
 #[allow(dead_code)] // retained for debugging / future per-level introspection
@@ -193,7 +191,6 @@ impl PointNetPpSeg {
             num_classes,
             depth,
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -229,7 +226,6 @@ impl PointNetPpSeg {
                 ),
                 required(level_feats.last(), "levels start non-empty"),
                 &mut records,
-                &mut self.scratch,
             );
             contexts.push(selection.morton_context);
             level_points.push(pts);

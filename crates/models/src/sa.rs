@@ -10,7 +10,6 @@ use edgepc_nn::pool::{max_pool_groups, PooledGroups};
 use edgepc_nn::{Layer, Sequential, Tensor2};
 use edgepc_sim::StageKind;
 
-use crate::scratch::Scratch;
 use crate::selection::{select, Selection};
 use crate::strategy::{SampleStrategy, SearchStrategy, StageRecord};
 
@@ -110,9 +109,7 @@ impl SetAbstraction {
     /// `points` are the module's input coordinates and `feats` the matching
     /// `N x C` features. Returns the sampled coordinates, their features
     /// (`n_out x C'`), and the selection (for downstream FP reuse). Stage
-    /// work is appended to `records`. The `(n*k) x (C+3)` grouped matrix
-    /// borrows its allocation from `scratch` (handed out zero-filled) and
-    /// returns it after the shared MLP.
+    /// work is appended to `records`.
     ///
     /// # Panics
     ///
@@ -123,7 +120,6 @@ impl SetAbstraction {
         points: &[Point3],
         feats: &Tensor2,
         records: &mut Vec<StageRecord>,
-        scratch: &mut Scratch,
     ) -> (Vec<Point3>, Tensor2, Selection) {
         assert_eq!(feats.rows(), points.len(), "one feature row per point");
         assert_eq!(feats.cols(), self.in_channels, "unexpected input width");
@@ -154,7 +150,7 @@ impl SetAbstraction {
                 // for any thread count.
                 let row_w = c + 3;
                 let group_elems = k * row_w;
-                let mut buf = scratch.take_zeroed(n_out * group_elems);
+                let mut buf = vec![0.0f32; n_out * group_elems];
                 let selection = &selection;
                 edgepc_par::par_chunks_mut(&mut buf, 32 * group_elems, |ci, block| {
                     let g0 = ci * 32;
@@ -186,7 +182,8 @@ impl SetAbstraction {
 
         // --- Shared MLP + max pool ---
         let transformed = crate::observe::mlp_stage(&self.name, &mut self.mlp, &grouped, records);
-        scratch.give(grouped.into_vec());
+        // Dead from here: holding it through pooling raises peak memory.
+        drop(grouped);
 
         let pool = max_pool_groups(&transformed, k);
         let out = pool.output.clone();
@@ -284,7 +281,7 @@ mod tests {
             SearchStrategy::BallQuery { radius2: 0.2 },
         ));
         let mut records = Vec::new();
-        let (sampled, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
+        let (sampled, out, sel) = m.forward(&pts, &feats, &mut records);
         assert_eq!(sampled.len(), 16);
         assert_eq!((out.rows(), out.cols()), (16, 8));
         assert_eq!(sel.sample_indices.len(), 16);
@@ -308,7 +305,7 @@ mod tests {
             SearchStrategy::MortonWindow { window: 16 },
         ));
         let mut records = Vec::new();
-        let (_, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
+        let (_, out, sel) = m.forward(&pts, &feats, &mut records);
         assert_eq!((out.rows(), out.cols()), (16, 8));
         assert!(sel.morton_context.is_some());
     }
@@ -332,26 +329,11 @@ mod tests {
         let (small, large) = (scattered(12), scattered(64));
         let mut reused = build();
         let mut records = Vec::new();
-        let (_, _, sel) = reused.forward(
-            &small,
-            &xyz_feats(&small),
-            &mut records,
-            &mut Scratch::new(),
-        );
+        let (_, _, sel) = reused.forward(&small, &xyz_feats(&small), &mut records);
         assert_eq!(sel.neighbor_indices[0].len(), 11);
         assert_eq!(reused.k(), 16);
-        let (_, after_small, _) = reused.forward(
-            &large,
-            &xyz_feats(&large),
-            &mut records,
-            &mut Scratch::new(),
-        );
-        let (_, fresh, _) = build().forward(
-            &large,
-            &xyz_feats(&large),
-            &mut records,
-            &mut Scratch::new(),
-        );
+        let (_, after_small, _) = reused.forward(&large, &xyz_feats(&large), &mut records);
+        let (_, fresh, _) = build().forward(&large, &xyz_feats(&large), &mut records);
         assert_eq!(after_small.as_slice(), fresh.as_slice());
     }
 
@@ -361,7 +343,7 @@ mod tests {
         let feats = xyz_feats(&pts);
         let mut m = module((SampleStrategy::Fps, SearchStrategy::Knn));
         let mut records = Vec::new();
-        let (_, out, _) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
+        let (_, out, _) = m.forward(&pts, &feats, &mut records);
         let d = m.backward(&Tensor2::from_vec(
             vec![1.0; out.rows() * out.cols()],
             out.rows(),
@@ -387,7 +369,7 @@ mod tests {
             1,
         );
         let mut records = Vec::new();
-        let (_, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
+        let (_, out, sel) = m.forward(&pts, &feats, &mut records);
         let d = m.backward(&Tensor2::from_vec(
             vec![1.0; out.rows() * out.cols()],
             out.rows(),
@@ -423,7 +405,7 @@ mod tests {
             3,
         );
         let mut records = Vec::new();
-        let (_, out, sel) = m.forward(&pts, &feats, &mut records, &mut Scratch::new());
+        let (_, out, sel) = m.forward(&pts, &feats, &mut records);
         let dy = Tensor2::from_vec(
             (0..out.rows() * out.cols())
                 .map(|i| ((i % 5) as f32) - 2.0)

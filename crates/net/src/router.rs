@@ -360,9 +360,11 @@ impl Router {
                 }
                 // The request itself is at fault and every shard holds
                 // the same specs: no failover.
-                Err(err @ (ServeError::TooFewPoints { .. } | ServeError::UnknownModel { .. })) => {
-                    return Err(err)
-                }
+                Err(
+                    err @ (ServeError::TooFewPoints { .. }
+                    | ServeError::UnknownModel { .. }
+                    | ServeError::NonFiniteCloud),
+                ) => return Err(err),
                 Err(err) => {
                     if matches!(err, ServeError::ShuttingDown) {
                         self.mark_shard_down(shard);

@@ -402,8 +402,8 @@ fn route_request(router: &Router, req: RequestFrame) -> Pending {
         points,
     } = req;
     let deadline = (deadline_us > 0).then(|| Duration::from_micros(deadline_us));
-    // Unknown models and clouds under the model's point floor come back
-    // from the shard's own admission check as typed errors.
+    // Unknown models and thin or non-finite clouds come back from the
+    // shard's own admission check as typed errors.
     let cloud = PointCloud::from_points(points);
     match router.submit(model as usize, tenant, cloud, deadline) {
         Ok(ticket) => Pending::Routed { seq, ticket },
@@ -427,6 +427,7 @@ fn serve_err_frame(seq: u64, trace_id: u64, err: &ServeError) -> ErrFrame {
         ServeError::TooFewPoints { points, min } => {
             (ErrCode::TooFewPoints, *points as u64, *min as u64)
         }
+        ServeError::NonFiniteCloud => (ErrCode::Malformed, 0, 0),
         ServeError::WorkerLost => (ErrCode::Internal, 0, 0),
     };
     ErrFrame {

@@ -26,7 +26,7 @@
 //! replays the same k-ascending f32 operations in the same order, so the
 //! two-pass result is bit-identical to the one-pass product.
 
-use crate::{Scratch, Tensor2};
+use crate::Tensor2;
 use std::cell::RefCell;
 
 /// Below this `m * k * n` work bound the simple triple loop beats the
@@ -51,9 +51,10 @@ pub const MAX_FUSED_K: usize = 512;
 pub const EMPTY_SLOT: usize = usize::MAX;
 
 thread_local! {
-    /// Per-thread pool for transient B-panel packing buffers (used only
-    /// when the caller did not pre-pack the weights).
-    static PACK_POOL: RefCell<Scratch> = RefCell::new(Scratch::new());
+    /// Per-thread buffer for transient B-panel packing (used only when
+    /// the caller did not pre-pack the weights). Reused across calls, so
+    /// a warm unpacked pass allocates nothing.
+    static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The A operand of a fused linear pass: either a dense row-major matrix
@@ -399,7 +400,11 @@ pub(crate) fn blocked_into(
     let panels: &[f32] = match packed {
         Some(p) => &p.data,
         None => {
-            let mut buf = PACK_POOL.with(|s| s.borrow_mut().take_zeroed(n_panels * kk * MATMUL_NR));
+            // Zero-filled like a fresh buffer: a ragged last panel's
+            // padding columns must read exactly 0.0.
+            let mut buf = PACK_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
+            buf.clear();
+            buf.resize(n_panels * kk * MATMUL_NR, 0.0);
             pack_panels(w, &mut buf);
             &*local_pack.insert(buf)
         }
@@ -447,7 +452,7 @@ pub(crate) fn blocked_into(
     });
 
     if let Some(buf) = local_pack {
-        PACK_POOL.with(|s| s.borrow_mut().give(buf));
+        PACK_BUF.with(|b| *b.borrow_mut() = buf);
     }
 }
 

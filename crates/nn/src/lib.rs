@@ -52,7 +52,6 @@ pub mod layer;
 pub mod loss;
 pub mod optim;
 pub mod pool;
-pub mod scratch;
 pub mod tensor;
 
 pub use kernel::{
@@ -60,7 +59,6 @@ pub use kernel::{
 };
 pub use layer::{BatchNorm1d, Dropout, Layer, Linear, ReLU, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use scratch::Scratch;
 pub use tensor::Tensor2;
 
 pub use edgepc_geom::OpCounts;

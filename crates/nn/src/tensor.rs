@@ -118,9 +118,8 @@ impl Tensor2 {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its row-major storage. Lets callers
-    /// recycle the allocation (see `edgepc_models`' scratch pool) instead
-    /// of dropping it after a forward pass.
+    /// Consumes the tensor, returning its row-major storage without a
+    /// copy.
     #[inline]
     pub fn into_vec(self) -> Vec<f32> {
         self.data

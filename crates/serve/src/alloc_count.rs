@@ -11,8 +11,8 @@
 //!
 //! The scopes are the ones a serving worker repeats per request: the
 //! registry recorders, the flight ring, the telemetry plane, the
-//! submission queue, the fused kernel, the plan executor and the
-//! compiled forwards. They live in this crate because it is the one that
+//! submission queue, the fused kernel, the plan executor, the compiled
+//! forwards and a whole one-request batch. They live in this crate because it is the one that
 //! reaches all of them, its private queue and plane included. A count
 //! follows callees, so an allocation moved into a helper still shows.
 //!
@@ -24,6 +24,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -38,8 +39,11 @@ use edgepc_trace::flight::{EventKind, FlightRecorder, TelemetryEvent};
 use edgepc_trace::{Registry, SpanData};
 
 use crate::config::FlightConfig;
+use crate::engine::run_batch;
 use crate::flight::TelemetryPlane;
 use crate::metrics;
+use crate::model::{ModelSpec, ServeModel};
+use crate::plans::WorkerPlans;
 use crate::queue::SubmitQueue;
 use crate::request::QueuedRequest;
 
@@ -437,4 +441,70 @@ fn compiled_dgcnn_forward_allocation_count() {
         let _ = plan.run(&cloud, &mut state);
     });
     assert_eq!(n, (4_225, 1_136_062), "(allocations, bytes)");
+}
+
+#[test]
+fn warm_one_request_batch_allocation_count() {
+    // The forward pinned above (PointNet++ tiny, 256 points), served
+    // through a worker's `run_batch` on a cached plan key.
+    let registry = Arc::new(Registry::new());
+    // A small flight ring, so the warm-up wraps it as steady-state
+    // serving does.
+    let cfg = FlightConfig {
+        capacity: 64,
+        shards: 2,
+        tail_warmup: 0,
+        ..FlightConfig::default()
+    };
+    let plane = TelemetryPlane::new(Arc::clone(&registry), cfg);
+    let replicas = [ServeModel::build(&ModelSpec::pointnetpp_tiny(4))];
+    let (mut plans, mut state) = (WorkerPlans::default(), ExecState::new());
+    let outstanding = AtomicUsize::new(0);
+    let cloud = edgepc_data::bunny_with_points(256, 7);
+    let mut serve = |id: u64, age: Duration| {
+        let (tx, rx) = mpsc::channel();
+        let enqueued = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
+        let batch = vec![QueuedRequest {
+            id,
+            model: 0,
+            cloud: cloud.clone(),
+            enqueued,
+            deadline: None,
+            tx,
+        }];
+        outstanding.fetch_add(1, Ordering::Relaxed);
+        let (_, n) = counted(|| {
+            run_batch(
+                0,
+                &replicas,
+                &mut plans,
+                &mut state,
+                &registry,
+                &plane,
+                &outstanding,
+                batch,
+            );
+        });
+        assert!(matches!(rx.recv(), Ok(Ok(_))), "request {id} served");
+        n
+    };
+    let n = edgepc_trace::with_registry(Arc::clone(&registry), || {
+        solo(|| {
+            // A request that waited 10 s sets the tail sampler's threshold
+            // far above every later one, so their span trees are dropped,
+            // as a fast request's are in steady state.
+            serve(1, Duration::from_secs(10));
+            for id in 2..40 {
+                serve(id, Duration::ZERO);
+            }
+            let second = serve(40, Duration::ZERO);
+            let third = serve(41, Duration::ZERO);
+            assert_eq!(second, third, "a warm batch's count is deterministic");
+            third
+        })
+    });
+    // The forward (589, 166 130 B), the `serve.batch` and `serve.exec`
+    // spans' names and kinds (4, 31 B) and the response channel's first
+    // block (1, 2 736 B).
+    assert_eq!(n, (594, 168_897), "(allocations, bytes)");
 }

@@ -55,8 +55,8 @@ impl Default for FlightConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Worker threads. Each worker builds its own replica of every
-    /// configured model (replicas are deterministic, so worker count never
-    /// changes outputs; each owns its grouping-buffer pool).
+    /// configured model and compiles its own plans from them (replicas
+    /// are deterministic, so worker count never changes outputs).
     pub workers: usize,
     /// Bound of the submission queue. A submit that would exceed it is
     /// rejected with [`ServeError::QueueFull`](crate::ServeError::QueueFull)

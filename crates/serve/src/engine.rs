@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!            submit()            take_batch()
-//!   callers ---------> [queue] <-------------- worker 0 (replicas + arena)
-//!     |  shed (full)      |                     worker 1 (replicas + arena)
+//!   callers ---------> [queue] <-------------- worker 0 (replicas + plans + arena)
+//!     |  shed (full)      |                     worker 1 (replicas + plans + arena)
 //!     +<------------------+  expired -> cancel  ...
 //! ```
 //!
@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use edgepc_geom::guard::{ranked_with, Lock};
-use edgepc_geom::required;
+use edgepc_geom::{required, Point3, PointCloud};
 use edgepc_models::ExecState;
 use edgepc_trace::{next_trace_id, span_in, with_registry, with_trace, Registry};
 
@@ -31,14 +31,15 @@ use crate::error::ServeError;
 use crate::flight::TelemetryPlane;
 use crate::metrics;
 use crate::model::{ModelSpec, ServeModel};
-use crate::plans::PlanCache;
+use crate::plans::WorkerPlans;
 use crate::queue::{Pop, SubmitQueue};
 use crate::request::{InferenceOutput, QueuedRequest, Request, Ticket};
 
 /// A running inference engine. See the module docs for the lifecycle.
 pub struct Engine {
     config: EngineConfig,
-    specs: Arc<Vec<ModelSpec>>,
+    /// Each spec's [`ModelSpec::min_points`], read at admission.
+    floors: Vec<usize>,
     queue: Arc<SubmitQueue>,
     registry: Arc<Registry>,
     plane: Arc<TelemetryPlane>,
@@ -65,11 +66,11 @@ impl Engine {
         assert!(!specs.is_empty(), "need at least one model spec");
         let registry = edgepc_trace::current_registry();
         let _init_span = span_in(registry.clone(), "serve.engine_init", "serve");
+        let floors = specs.iter().map(ModelSpec::min_points).collect();
         let specs = Arc::new(specs);
         let queue = Arc::new(SubmitQueue::new(config.queue_capacity));
         let plane = TelemetryPlane::new(Arc::clone(&registry), config.flight.clone());
         let outstanding = Arc::new(AtomicUsize::new(0));
-        let plans = Arc::new(PlanCache::default());
         let mut handles = Vec::with_capacity(config.workers);
         for w in 0..config.workers {
             let queue = Arc::clone(&queue);
@@ -77,27 +78,17 @@ impl Engine {
             let specs = Arc::clone(&specs);
             let plane = Arc::clone(&plane);
             let outstanding = Arc::clone(&outstanding);
-            let plans = Arc::clone(&plans);
             let cfg = config.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("serve-worker-{w}"))
                 .spawn(move || {
-                    worker_loop(
-                        w,
-                        &cfg,
-                        &specs,
-                        &queue,
-                        &registry,
-                        &plane,
-                        &outstanding,
-                        &plans,
-                    )
+                    worker_loop(w, &cfg, &specs, &queue, &registry, &plane, &outstanding)
                 });
             handles.push(required(spawned.ok(), "spawn serve worker"));
         }
         Engine {
             config,
-            specs,
+            floors,
             queue,
             registry,
             plane,
@@ -134,8 +125,8 @@ impl Engine {
 
     /// Submits a request. Returns a [`Ticket`] if admitted; rejects with
     /// [`ServeError::QueueFull`] (shedding — the caller is never blocked),
-    /// [`ServeError::ShuttingDown`], [`ServeError::UnknownModel`], or
-    /// [`ServeError::TooFewPoints`].
+    /// [`ServeError::ShuttingDown`], [`ServeError::UnknownModel`],
+    /// [`ServeError::TooFewPoints`] or [`ServeError::NonFiniteCloud`].
     ///
     /// The ticket's id doubles as the request's **trace id**: every span
     /// and telemetry event the request produces — enqueue, batch, exec,
@@ -156,17 +147,21 @@ impl Engine {
     }
 
     fn admit(&self, id: u64, request: Request) -> Result<Ticket, ServeError> {
-        let Some(spec) = self.specs.get(request.model) else {
+        let Some(&min) = self.floors.get(request.model) else {
             return Err(ServeError::UnknownModel {
                 index: request.model,
-                models: self.specs.len(),
+                models: self.floors.len(),
             });
         };
-        // The forward (and plan compilation) asserts the floor; a worker
-        // that trips it dies, so thin clouds stop here.
-        let (points, min) = (request.cloud.len(), spec.min_points());
+        // The forward (and plan compilation) asserts the floor, and its
+        // sampling, search and Morton grid assume finite distances; a
+        // worker that trips either dies, so such clouds stop here.
+        let points = request.cloud.len();
         if points < min {
             return Err(ServeError::TooFewPoints { points, min });
+        }
+        if !has_finite_geometry(&request.cloud) {
+            return Err(ServeError::NonFiniteCloud);
         }
         let deadline_us = request.deadline.map(|d| d.as_micros() as u64).unwrap_or(0);
         let (tx, rx) = mpsc::channel();
@@ -238,7 +233,17 @@ impl Drop for Engine {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `true` when every coordinate is finite and so is the bounding box's
+/// squared diagonal. No coordinate difference exceeds the box's extent,
+/// so every squared distance between the cloud's points is then finite.
+fn has_finite_geometry(cloud: &PointCloud) -> bool {
+    cloud.iter().all(Point3::is_finite)
+        && cloud.try_bounding_box().is_some_and(|b| {
+            let e = b.extent();
+            e.dot(e).is_finite()
+        })
+}
+
 fn worker_loop(
     worker: usize,
     cfg: &EngineConfig,
@@ -247,7 +252,6 @@ fn worker_loop(
     registry: &Arc<Registry>,
     plane: &Arc<TelemetryPlane>,
     outstanding: &AtomicUsize,
-    plans: &PlanCache,
 ) {
     // Install the engine's registry as this thread's current one so the
     // model-internal spans (structurize/sample/neighbor/fc) land beside
@@ -255,21 +259,11 @@ fn worker_loop(
     // budget to this thread (0 leaves the ambient resolution in place).
     with_registry(Arc::clone(registry), || {
         edgepc_par::with_threads(cfg.intra_threads, || {
-            worker_body(
-                worker,
-                cfg,
-                specs,
-                queue,
-                registry,
-                plane,
-                outstanding,
-                plans,
-            );
+            worker_body(worker, cfg, specs, queue, registry, plane, outstanding);
         });
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_body(
     worker: usize,
     cfg: &EngineConfig,
@@ -278,11 +272,12 @@ fn worker_body(
     registry: &Arc<Registry>,
     plane: &TelemetryPlane,
     outstanding: &AtomicUsize,
-    plans: &PlanCache,
 ) {
-    let mut replicas: Vec<ServeModel> = specs.iter().map(ServeModel::build).collect();
-    // Per-worker executor arena for the compiled plans; grows to its
-    // steady-state capacity on the first compiled batch and never after.
+    let replicas: Vec<ServeModel> = specs.iter().map(ServeModel::build).collect();
+    // This worker's compiled plans, and the executor arena they run in;
+    // the arena grows to its steady-state capacity on the first batch of
+    // the largest key and never after.
+    let mut plans = WorkerPlans::default();
     let mut exec_state = ExecState::new();
     loop {
         match queue.take_batch(cfg.max_batch) {
@@ -303,9 +298,9 @@ fn worker_body(
                     }
                     run_batch(
                         worker,
-                        &mut replicas,
+                        &replicas,
+                        &mut plans,
                         &mut exec_state,
-                        plans,
                         registry,
                         plane,
                         outstanding,
@@ -340,16 +335,16 @@ fn cancel_expired(
         .send(Err(ServeError::DeadlineExpired { waited, deadline }));
 }
 
-/// Runs a formed batch, one forward per live request. Warm, at one
-/// thread, the batch allocates its `serve.batch` span's name and kind,
-/// and each request its forward, its `serve.exec` span's name and kind
-/// and its response channel's block (DESIGN.md §6 has the counts).
+/// Runs a formed batch, one compiled forward per live request. Warm, at
+/// one thread, the batch allocates its `serve.batch` span's name and
+/// kind, and each request its forward, its `serve.exec` span's name and
+/// kind and its response channel's block (DESIGN.md §8 has the counts).
 #[allow(clippy::too_many_arguments)]
-fn run_batch(
+pub(crate) fn run_batch(
     worker: usize,
-    replicas: &mut [ServeModel],
+    replicas: &[ServeModel],
+    plans: &mut WorkerPlans,
     exec_state: &mut ExecState,
-    plans: &PlanCache,
     registry: &Registry,
     plane: &TelemetryPlane,
     outstanding: &AtomicUsize,
@@ -377,7 +372,7 @@ fn run_batch(
         }
         let queue_us = req.enqueued.elapsed().as_micros() as u64;
         registry.observe_us_tagged(metrics::QUEUE_WAIT_US, queue_us, req.id);
-        let Some(replica) = replicas.get_mut(req.model) else {
+        let Some(replica) = replicas.get(req.model) else {
             // submit() validates indices; stay total regardless.
             registry.add_gauge(metrics::IN_FLIGHT, -1.0);
             outstanding.fetch_sub(1, Ordering::Relaxed);
@@ -389,18 +384,11 @@ fn run_batch(
             continue;
         };
         plane.note_exec_begin(req.id, worker as u64, batch_size as u64);
-        // Compiled fast path: execute the cached plan for this exact
-        // (model, cloud size) if one exists or fits in the cache; the
-        // eager replica is the bit-identical fallback.
-        let compiled = plans.get_or_compile(req.model, req.cloud.len(), replica);
         // Ambient trace scope: the serve.exec span and every model-internal
         // span the forward opens inherit this request's trace id.
         let logits = with_trace(req.id, || {
             let _exec = edgepc_trace::span("serve.exec", "serve");
-            match compiled.as_deref() {
-                Some(plan) => plan.infer(&req.cloud, exec_state),
-                None => replica.infer(&req.cloud),
-            }
+            plans.infer(req.model, replica, &req.cloud, exec_state)
         });
         let total_us = req.enqueued.elapsed().as_micros() as u64;
         registry.observe_us_tagged(metrics::LATENCY_US, total_us, req.id);

@@ -48,6 +48,11 @@ pub enum ServeError {
         /// The model's floor.
         min: usize,
     },
+    /// The request's cloud has a NaN or infinite coordinate, or spans so
+    /// far that its bounding box's squared diagonal overflows `f32`, so
+    /// some squared distance between its points would not be finite. It
+    /// was never enqueued.
+    NonFiniteCloud,
 }
 
 impl fmt::Display for ServeError {
@@ -76,6 +81,10 @@ impl fmt::Display for ServeError {
                     "cloud has {points} points; the model needs at least {min}"
                 )
             }
+            ServeError::NonFiniteCloud => write!(
+                f,
+                "cloud has a non-finite coordinate or a non-finite squared extent"
+            ),
         }
     }
 }

@@ -15,9 +15,13 @@
 //!   same-model requests already queued behind it, up to `max_batch`,
 //!   and runs them one after another. It never waits for stragglers: an
 //!   idle engine answers in execution time, and batches grow with load.
+//! * **Admission checks** — unknown models, clouds under the model's
+//!   point floor and clouds with non-finite geometry are refused with a
+//!   typed error before they are queued, so no request can kill a worker.
 //! * **Worker pool** — plain `std::thread` workers, each with its own
-//!   deterministic model replicas and executor arena, so the hot path takes
-//!   no locks beyond the queue and outputs do not depend on worker count.
+//!   deterministic model replicas, compiled plans and executor arena, so
+//!   the hot path takes no locks beyond the queue and outputs do not
+//!   depend on worker count.
 //! * **Observability** — every stage publishes spans and `serve.*`
 //!   metrics into `edgepc-trace` (see [`metrics`]).
 //! * **Load generation** — [`run_loadgen`] drives seeded open-loop

@@ -7,24 +7,16 @@
 //! [`ServeModel`] replica (no locks on the hot path) while the engine
 //! still guarantees worker-count-independent outputs.
 
-use edgepc_geom::PointCloud;
 use edgepc_models::{
     DgcnnClassifier, DgcnnConfig, DgcnnSeg, PipelineStrategy, PointNetPpConfig, PointNetPpSeg,
 };
-use edgepc_nn::Tensor2;
 
 /// A deterministic description of one servable model.
 #[derive(Debug, Clone)]
 pub enum ModelSpec {
     /// Reduced PointNet++ segmentation (2 SA + 2 FP), sized for ~256-point
-    /// clouds. Needs at least 64 input points.
+    /// clouds.
     PointNetPpTiny {
-        classes: usize,
-        strategy: PipelineStrategy,
-    },
-    /// Paper-shaped PointNet++ segmentation for `n_input`-point clouds.
-    PointNetPpPaper {
-        n_input: usize,
         classes: usize,
         strategy: PipelineStrategy,
     },
@@ -63,16 +55,21 @@ impl ModelSpec {
     /// [`Engine::submit`](crate::Engine::submit) rejects thinner requests).
     pub fn min_points(&self) -> usize {
         match self {
-            ModelSpec::PointNetPpTiny { .. } => 64,
-            ModelSpec::PointNetPpPaper { n_input, .. } => (n_input / 8).max(4),
-            // DGCNN keeps all points but needs more points than neighbors
-            // (tiny config: k = 8).
-            ModelSpec::DgcnnClsTiny { .. } | ModelSpec::DgcnnSegTiny { .. } => 9,
+            // The first SA level samples this many points from the cloud.
+            ModelSpec::PointNetPpTiny { classes, strategy } => {
+                let cfg = PointNetPpConfig::tiny(*classes, strategy.clone());
+                cfg.levels.first().map_or(1, |level| level.n_points)
+            }
+            // DGCNN keeps all points but needs more points than neighbors.
+            ModelSpec::DgcnnClsTiny { strategy, .. } | ModelSpec::DgcnnSegTiny { strategy, .. } => {
+                DgcnnConfig::tiny(strategy.clone()).k + 1
+            }
         }
     }
 }
 
-/// One worker's executable replica of a [`ModelSpec`].
+/// One worker's replica of a [`ModelSpec`]: the weights its compiled
+/// plans are built from.
 pub enum ServeModel {
     PointNetPp(Box<PointNetPpSeg>),
     DgcnnCls(Box<DgcnnClassifier>),
@@ -89,14 +86,6 @@ impl ServeModel {
                 let cfg = PointNetPpConfig::tiny(*classes, strategy.clone());
                 ServeModel::PointNetPp(Box::new(PointNetPpSeg::new(&cfg, *classes)))
             }
-            ModelSpec::PointNetPpPaper {
-                n_input,
-                classes,
-                strategy,
-            } => {
-                let cfg = PointNetPpConfig::paper(*n_input, strategy.clone());
-                ServeModel::PointNetPp(Box::new(PointNetPpSeg::new(&cfg, *classes)))
-            }
             ModelSpec::DgcnnClsTiny { classes, strategy } => {
                 let cfg = DgcnnConfig::tiny(strategy.clone());
                 ServeModel::DgcnnCls(Box::new(DgcnnClassifier::new(&cfg, *classes)))
@@ -107,22 +96,16 @@ impl ServeModel {
             }
         }
     }
+}
 
-    /// Runs one eager forward pass (the replica owns its grouping-buffer
-    /// pool). Stage spans (structurize, sample, neighbor, fc) are
-    /// published to the thread's current trace registry by the models
-    /// themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cloud is smaller than the spec's
-    /// [`min_points`](ModelSpec::min_points).
-    pub fn infer(&mut self, cloud: &PointCloud) -> Tensor2 {
-        match self {
-            ServeModel::PointNetPp(m) => m.forward(cloud).0,
-            ServeModel::DgcnnCls(m) => m.forward(cloud).0,
-            ServeModel::DgcnnSeg(m) => m.forward(cloud).0,
-        }
+/// The eager forward of `model`: the oracle every served (compiled)
+/// forward is checked against.
+#[cfg(test)]
+pub(crate) fn eager(model: &mut ServeModel, cloud: &edgepc_geom::PointCloud) -> edgepc_nn::Tensor2 {
+    match model {
+        ServeModel::PointNetPp(m) => m.forward(cloud).0,
+        ServeModel::DgcnnCls(m) => m.forward(cloud).0,
+        ServeModel::DgcnnSeg(m) => m.forward(cloud).0,
     }
 }
 
@@ -135,8 +118,8 @@ mod tests {
     fn replicas_are_deterministic() {
         let spec = ModelSpec::pointnetpp_tiny(4);
         let cloud = bunny_with_points(256, 11);
-        let a = ServeModel::build(&spec).infer(&cloud);
-        let b = ServeModel::build(&spec).infer(&cloud);
+        let a = eager(&mut ServeModel::build(&spec), &cloud);
+        let b = eager(&mut ServeModel::build(&spec), &cloud);
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
@@ -144,18 +127,13 @@ mod tests {
     fn dgcnn_replica_classifies() {
         let spec = ModelSpec::dgcnn_cls_tiny(5);
         let cloud = bunny_with_points(64, 3);
-        let logits = ServeModel::build(&spec).infer(&cloud);
+        let logits = eager(&mut ServeModel::build(&spec), &cloud);
         assert_eq!((logits.rows(), logits.cols()), (1, 5));
     }
 
     #[test]
     fn min_points_reflects_first_level() {
         assert_eq!(ModelSpec::pointnetpp_tiny(2).min_points(), 64);
-        let paper = ModelSpec::PointNetPpPaper {
-            n_input: 8192,
-            classes: 6,
-            strategy: PipelineStrategy::baseline(),
-        };
-        assert_eq!(paper.min_points(), 1024);
+        assert_eq!(ModelSpec::dgcnn_cls_tiny(2).min_points(), 9);
     }
 }

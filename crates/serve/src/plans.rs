@@ -1,22 +1,17 @@
-//! Shared cache of compiled per-model inference plans.
+//! One worker's compiled inference plans.
 //!
-//! Plans are compiled once per `(model index, cloud size)` pair and shared
-//! by every worker through an `Arc` — compilation snapshots the replica's
-//! weights into the plan, and replicas are deterministic, so any worker's
-//! replica compiles the identical plan. The cache lock
-//! (`Lock::ServePlanCache`) guards only the lookup vector; compilation —
-//! graph lowering, fusion, weight packing — always happens *outside* it,
-//! with a double-checked insert so a racing worker's duplicate plan is
-//! simply dropped.
+//! Every served forward runs a compiled plan. A plan is compiled from the
+//! worker's own replica on the first request for its `(model index,
+//! cloud size)` key; compilation snapshots the replica's weights, and
+//! replicas are deterministic, so every worker compiles the identical
+//! plan and no plan is shared across threads.
 //!
-//! The cache is bounded at [`CAPACITY`] plans: once full, unseen
-//! `(model, size)` pairs fall back to the eager replica forward
-//! (bit-identical output, just slower), so a chaos workload cycling
-//! through cloud sizes cannot grow memory without bound.
+//! The list keeps the first [`CAPACITY`] keys it sees. A request for any
+//! other key compiles its plan, runs it, and drops it, so a workload
+//! cycling through cloud sizes cannot grow a worker's memory without
+//! bound. Compiling takes tens of microseconds, a small share of even
+//! the smallest served forward (DESIGN.md §13 has the measurements).
 
-use std::sync::{Arc, Mutex, PoisonError};
-
-use edgepc_geom::guard::{ranked_with, Lock};
 use edgepc_geom::PointCloud;
 use edgepc_models::{CompiledDgcnn, CompiledPointNetPp, ExecState};
 use edgepc_nn::Tensor2;
@@ -25,7 +20,7 @@ use crate::model::ServeModel;
 
 /// A compiled replica: the model's forward path lowered to `edgepc-ir`
 /// plans for one fixed cloud size. Read-only after construction.
-pub(crate) enum CompiledServeModel {
+enum CompiledServeModel {
     PointNetPp(CompiledPointNetPp),
     Dgcnn(CompiledDgcnn),
 }
@@ -46,9 +41,8 @@ impl CompiledServeModel {
     }
 
     /// Runs one compiled forward pass over the worker's arena. Logits are
-    /// bit-identical to the eager replica at any intra-batch thread
-    /// budget.
-    pub(crate) fn infer(&self, cloud: &PointCloud, state: &mut ExecState) -> Tensor2 {
+    /// bit-identical to the eager model at any intra-batch thread budget.
+    fn infer(&self, cloud: &PointCloud, state: &mut ExecState) -> Tensor2 {
         match self {
             CompiledServeModel::PointNetPp(p) => p.run(cloud, state).0,
             CompiledServeModel::Dgcnn(p) => p.run(cloud, state).0,
@@ -56,133 +50,119 @@ impl CompiledServeModel {
     }
 }
 
-/// Plans an engine caches: compile-once memory traded for steady-state
-/// latency on the first eight `(model, size)` pairs seen.
+/// Plans a worker keeps: compile-once memory traded for steady-state
+/// latency on the first eight `(model, size)` keys it sees.
 const CAPACITY: usize = 8;
 
-/// Cache key: `(model index, cloud size)`.
+/// Plan key: `(model index, cloud size)`.
 type PlanKey = (usize, usize);
 
-/// Bounded map from [`PlanKey`] to a shared compiled plan.
-pub(crate) struct PlanCache {
-    capacity: usize,
-    /// Small linear-scan vec: entries are few (bounded by `capacity`) and
-    /// scanned without hashing, which also keeps iteration deterministic.
-    inner: Mutex<Vec<(PlanKey, Arc<CompiledServeModel>)>>,
+/// A worker's kept plans, in first-seen order. Few enough to scan without
+/// hashing.
+#[derive(Default)]
+pub(crate) struct WorkerPlans {
+    plans: Vec<(PlanKey, CompiledServeModel)>,
 }
 
-impl Default for PlanCache {
-    /// The engine's cache, bounded at [`CAPACITY`].
-    fn default() -> PlanCache {
-        PlanCache::new(CAPACITY)
-    }
-}
-
-impl PlanCache {
-    /// Creates a cache holding at most `capacity` plans.
-    pub(crate) fn new(capacity: usize) -> PlanCache {
-        PlanCache {
-            capacity,
-            inner: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Returns the shared plan for `(model, n_points)`, compiling it from
-    /// `replica` on first use. Returns `None` when the cache is full and
-    /// the key is absent — the caller then runs the eager replica, which
-    /// produces the same logits.
-    pub(crate) fn get_or_compile(
-        &self,
+impl WorkerPlans {
+    /// Runs `cloud` through the compiled plan of `replica` (model index
+    /// `model`) for the cloud's size, compiling it on the key's first
+    /// request. The plan is kept while fewer than [`CAPACITY`] are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cloud is smaller than the model's
+    /// [`min_points`](crate::ModelSpec::min_points).
+    pub(crate) fn infer(
+        &mut self,
         model: usize,
-        n_points: usize,
         replica: &ServeModel,
-    ) -> Option<Arc<CompiledServeModel>> {
-        let key = (model, n_points);
-        {
-            let inner = ranked_with(Lock::ServePlanCache, || {
-                self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-            });
-            if let Some((_, plan)) = inner.iter().find(|(k, _)| *k == key) {
-                return Some(Arc::clone(plan));
-            }
-            if inner.len() >= self.capacity {
-                return None;
-            }
+        cloud: &PointCloud,
+        state: &mut ExecState,
+    ) -> Tensor2 {
+        let key = (model, cloud.len());
+        if let Some((_, plan)) = self.plans.iter().find(|(k, _)| *k == key) {
+            return plan.infer(cloud, state);
         }
-        // Compile outside the lock: lowering and weight packing dominate
-        // the lookup by orders of magnitude, and other workers must keep
-        // serving (eagerly, if need be) while this plan builds.
-        let plan = Arc::new(CompiledServeModel::build(replica, n_points));
-        let mut inner = ranked_with(Lock::ServePlanCache, || {
-            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-        });
-        // Double-checked: a racing worker may have inserted the same key
-        // while we compiled; keep the first plan so all workers share one.
-        if let Some((_, existing)) = inner.iter().find(|(k, _)| *k == key) {
-            return Some(Arc::clone(existing));
+        let plan = CompiledServeModel::build(replica, cloud.len());
+        let logits = plan.infer(cloud, state);
+        if self.plans.len() < CAPACITY {
+            self.plans.push((key, plan));
         }
-        if inner.len() >= self.capacity {
-            return None;
-        }
-        inner.push((key, Arc::clone(&plan)));
-        Some(plan)
+        logits
     }
 
-    /// Plans currently cached.
+    /// The kept keys, in first-seen order.
     #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        let inner = ranked_with(Lock::ServePlanCache, || {
-            self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-        });
-        inner.len()
+    fn keys(&self) -> Vec<PlanKey> {
+        self.plans.iter().map(|(k, _)| *k).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelSpec;
+    use crate::model::{eager, ModelSpec};
     use edgepc_data::bunny_with_points;
 
-    #[test]
-    fn cache_shares_one_plan_per_key() {
-        let cache = PlanCache::new(4);
-        let replica = ServeModel::build(&ModelSpec::pointnetpp_tiny(4));
-        let a = cache.get_or_compile(0, 256, &replica);
-        let b = cache.get_or_compile(0, 256, &replica);
-        let (a, b) = match (a, b) {
-            (Some(a), Some(b)) => (a, b),
-            _ => panic!("both lookups must hit"),
-        };
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the plan");
-        assert_eq!(cache.len(), 1);
+    /// Sizes of `count` distinct keys of one model, all above its floor.
+    fn sizes(count: usize) -> Vec<usize> {
+        (0..count).map(|i| 64 + 8 * i).collect()
     }
 
     #[test]
-    fn full_cache_falls_back_to_eager() {
-        let cache = PlanCache::new(1);
+    fn the_first_keys_stay_cached() {
         let replica = ServeModel::build(&ModelSpec::pointnetpp_tiny(4));
-        assert!(cache.get_or_compile(0, 256, &replica).is_some());
-        assert!(cache.get_or_compile(0, 128, &replica).is_none());
-        assert_eq!(cache.len(), 1);
-        // The cached key still hits.
-        assert!(cache.get_or_compile(0, 256, &replica).is_some());
+        let (mut plans, mut state) = (WorkerPlans::default(), ExecState::new());
+        let sizes = sizes(CAPACITY);
+        for &n in &sizes {
+            let _ = plans.infer(0, &replica, &bunny_with_points(n, 1), &mut state);
+        }
+        // A second pass over the same keys hits and changes nothing.
+        for &n in &sizes {
+            let _ = plans.infer(0, &replica, &bunny_with_points(n, 2), &mut state);
+        }
+        let kept: Vec<PlanKey> = sizes.iter().map(|&n| (0, n)).collect();
+        assert_eq!(plans.keys(), kept);
     }
 
     #[test]
-    fn compiled_plan_matches_eager_replica_bitwise() {
+    fn past_the_bound_a_request_is_served_compiled_and_the_list_stays() {
+        let spec = ModelSpec::pointnetpp_tiny(4);
+        let replica = ServeModel::build(&spec);
+        let (mut plans, mut state) = (WorkerPlans::default(), ExecState::new());
+        for n in sizes(CAPACITY) {
+            let _ = plans.infer(0, &replica, &bunny_with_points(n, 1), &mut state);
+        }
+        let kept = plans.keys();
+        let cloud = bunny_with_points(200, 3);
+        let (logits, spans) =
+            edgepc_trace::with_local(|| plans.infer(0, &replica, &cloud, &mut state));
+        let names: Vec<String> = spans.into_iter().map(|s| s.name).collect();
+        assert!(
+            names.iter().any(|n| n == "pointnetpp.compiled"),
+            "{names:?}"
+        );
+        assert!(
+            !names.iter().any(|n| n == "pointnetpp.forward"),
+            "{names:?}"
+        );
+        assert_eq!(plans.keys(), kept, "an uncached key is not kept");
+        let oracle = eager(&mut ServeModel::build(&spec), &cloud);
+        assert_eq!(logits.as_slice(), oracle.as_slice());
+    }
+
+    #[test]
+    fn compiled_plan_matches_eager_bitwise() {
         let cloud = bunny_with_points(256, 7);
         for spec in [ModelSpec::pointnetpp_tiny(4), ModelSpec::dgcnn_cls_tiny(5)] {
-            let mut replica = ServeModel::build(&spec);
-            let cache = PlanCache::new(2);
-            let plan = match cache.get_or_compile(0, cloud.len(), &replica) {
-                Some(plan) => plan,
-                None => panic!("cache has room"),
-            };
-            let mut state = ExecState::new();
-            let compiled = plan.infer(&cloud, &mut state);
-            let eager = replica.infer(&cloud);
-            assert_eq!(compiled.as_slice(), eager.as_slice());
+            let replica = ServeModel::build(&spec);
+            let (mut plans, mut state) = (WorkerPlans::default(), ExecState::new());
+            let compiled = plans.infer(0, &replica, &cloud, &mut state);
+            let cached = plans.infer(0, &replica, &cloud, &mut state);
+            let oracle = eager(&mut ServeModel::build(&spec), &cloud);
+            assert_eq!(compiled.as_slice(), oracle.as_slice());
+            assert_eq!(cached.as_slice(), oracle.as_slice());
         }
     }
 }

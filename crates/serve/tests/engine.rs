@@ -5,11 +5,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use edgepc_data::bunny_with_points;
-use edgepc_serve::{metrics, Engine, EngineConfig, ModelSpec, Request, ServeError};
+use edgepc_serve::{metrics, Engine, EngineConfig, ModelSpec, Request, ServeError, ServeModel};
 use edgepc_trace::{with_registry, Registry};
 
 fn cloud(seed: u64) -> edgepc_geom::PointCloud {
     bunny_with_points(128, seed)
+}
+
+/// The eager forward of a fresh replica of `spec`: the oracle every
+/// served (compiled) forward must match bit for bit.
+fn eager(spec: &ModelSpec, cloud: &edgepc_geom::PointCloud) -> Vec<f32> {
+    let logits = match ServeModel::build(spec) {
+        ServeModel::PointNetPp(mut m) => m.forward(cloud).0,
+        ServeModel::DgcnnCls(mut m) => m.forward(cloud).0,
+        ServeModel::DgcnnSeg(mut m) => m.forward(cloud).0,
+    };
+    logits.as_slice().to_vec()
 }
 
 fn slow_config(workers: usize) -> EngineConfig {
@@ -316,4 +327,106 @@ fn soak_span_memory_follows_kept_traces_only() {
         counter(metrics::SUBMITTED),
         counter(metrics::COMPLETED) + counter(metrics::SHED) + counter(metrics::EXPIRED)
     );
+}
+
+/// The two tiny models the benchmark serves.
+fn both_tiny() -> Vec<ModelSpec> {
+    vec![ModelSpec::pointnetpp_tiny(4), ModelSpec::dgcnn_cls_tiny(5)]
+}
+
+/// A worker keeps 8 plans. Twelve keys, each requested twice, overflow
+/// it by four: every request, kept key or not, runs a compiled plan, and
+/// every logit matches a fresh eager model's.
+#[test]
+fn every_served_request_runs_a_compiled_plan() {
+    let registry = Arc::new(Registry::new());
+    let specs = both_tiny();
+    // (model, size): six sizes of each model, 12 keys in all.
+    let keys: Vec<(usize, usize)> = (0..12).map(|i| (i % 2, 96 + 16 * (i / 2))).collect();
+    let served = with_registry(registry.clone(), || {
+        let mut cfg = EngineConfig::new(1);
+        // Keep every span tree, so the forward spans below are all held.
+        cfg.flight.tail_warmup = 1_000;
+        let engine = Engine::new(cfg, specs.clone());
+        let mut served = Vec::new();
+        for round in 0..2u64 {
+            for &(model, size) in &keys {
+                let cloud = bunny_with_points(size, 17 * round + size as u64);
+                let ticket = engine
+                    .submit(Request::new(model, cloud.clone()))
+                    .expect("admitted");
+                served.push((model, cloud, ticket.wait().expect("served").logits));
+            }
+        }
+        engine.shutdown();
+        served
+    });
+    // The oracle runs outside the engine's registry, so every forward
+    // span counted below is the engine's.
+    for (model, cloud, logits) in &served {
+        assert_eq!(
+            logits.as_slice(),
+            eager(&specs[*model], cloud).as_slice(),
+            "model {model}, {} points",
+            cloud.len()
+        );
+    }
+    let spans = registry.spans();
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(
+        named("pointnetpp.compiled") + named("dgcnn_cls.compiled"),
+        2 * keys.len()
+    );
+    assert_eq!(named("pointnetpp.forward") + named("dgcnn_cls.forward"), 0);
+}
+
+/// `cloud` with its first point moved to `p`.
+fn with_first_point(
+    cloud: &edgepc_geom::PointCloud,
+    p: edgepc_geom::Point3,
+) -> edgepc_geom::PointCloud {
+    let mut points = cloud.points().to_vec();
+    points[0] = p;
+    edgepc_geom::PointCloud::from_points(points)
+}
+
+/// The hostile coordinates a request may carry: NaN, infinities, and
+/// finite ones whose squared distances overflow `f32`.
+fn hostile_points() -> Vec<edgepc_geom::Point3> {
+    use edgepc_geom::Point3;
+    vec![
+        Point3::new(f32::NAN, 0.0, 0.0),
+        Point3::new(f32::INFINITY, 0.0, 0.0),
+        Point3::new(0.0, f32::NEG_INFINITY, 0.0),
+        Point3::new(3e38, -3e38, 0.0),
+        Point3::new(0.0, 0.0, -3e38),
+    ]
+}
+
+#[test]
+fn non_finite_clouds_are_rejected_and_the_worker_survives() {
+    let specs = both_tiny();
+    let engine = Engine::new(EngineConfig::new(1), specs.clone());
+    let healthy = bunny_with_points(256, 5);
+    for (model, spec) in specs.iter().enumerate() {
+        for p in hostile_points() {
+            let err = engine
+                .submit(Request::new(model, with_first_point(&healthy, p)))
+                .err();
+            assert_eq!(
+                err,
+                Some(ServeError::NonFiniteCloud),
+                "model {model}, {p:?}"
+            );
+        }
+        assert_eq!(engine.queue_depth(), 0);
+        assert_eq!(engine.load(), 0);
+        // The single worker never saw a hostile cloud, so it still serves.
+        let ticket = engine
+            .submit(Request::new(model, healthy.clone()))
+            .expect("admitted");
+        let out = ticket.wait().expect("served");
+        assert_eq!(out.logits.as_slice(), eager(spec, &healthy).as_slice());
+    }
+    engine.shutdown();
 }

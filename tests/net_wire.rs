@@ -13,11 +13,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use edgepc_data::bunny_with_points;
+use edgepc_geom::{Point3, PointCloud};
 use edgepc_net::proto::{
     self, decode_body, encode_request, ErrCode, Frame, FrameRead, RequestFrame, DEFAULT_MAX_FRAME,
 };
 use edgepc_net::{NetConfig, NetServer, RoutePolicy, Router};
-use edgepc_serve::{EngineConfig, ModelSpec};
+use edgepc_serve::{EngineConfig, ModelSpec, ServeModel};
 use edgepc_trace::Registry;
 
 fn start_server(shards: usize, workers: usize) -> (NetServer, Arc<Router>) {
@@ -334,6 +335,67 @@ fn zero_point_payload_answers_typed_error() {
         }
     }
     still_serving(&server);
+    server.stop();
+    router.shutdown();
+}
+
+/// Clouds with NaN, infinite, or overflowing (±3e38) coordinates are
+/// refused at admission as `Malformed`; a healthy request pipelined
+/// behind them on the same connection is served, bit-identical to the
+/// eager model.
+#[test]
+fn non_finite_coordinates_answer_malformed_and_keep_serving() {
+    let (server, router) = start_server(1, 1);
+    let healthy = bunny_with_points(96, 7).points().to_vec();
+    let hostile = [
+        Point3::new(f32::NAN, 0.0, 0.0),
+        Point3::new(f32::INFINITY, 0.0, 0.0),
+        Point3::new(0.0, f32::NEG_INFINITY, 0.0),
+        Point3::new(3e38, -3e38, 0.0),
+        Point3::new(0.0, 0.0, -3e38),
+    ];
+    let mut requests: Vec<RequestFrame> = hostile
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let mut points = healthy.clone();
+            points[0] = p;
+            RequestFrame {
+                seq: i as u64,
+                trace_id: 0,
+                model: 0,
+                tenant: 0,
+                deadline_us: 0,
+                points,
+            }
+        })
+        .collect();
+    let ok_seq = hostile.len() as u64;
+    requests.push(RequestFrame {
+        seq: ok_seq,
+        trace_id: 0,
+        model: 0,
+        tenant: 0,
+        deadline_us: 0,
+        points: healthy.clone(),
+    });
+    let mut conn = connect(&server);
+    let mut responses = drive(&mut conn, &requests);
+    for seq in 0..ok_seq {
+        match responses.remove(&seq) {
+            Some(Frame::Err(err)) => assert_eq!(err.code, ErrCode::Malformed, "seq {seq}"),
+            other => panic!("seq {seq}: expected Malformed, got {other:?}"),
+        }
+    }
+    let logits = logits_by_seq(responses)
+        .remove(&ok_seq)
+        .expect("healthy answered");
+    let oracle = match ServeModel::build(&ModelSpec::pointnetpp_tiny(4)) {
+        ServeModel::PointNetPp(mut m) => m.forward(&PointCloud::from_points(healthy)).0,
+        _ => unreachable!("a PointNet++ spec builds a PointNet++ model"),
+    };
+    assert_eq!(logits.as_slice(), oracle.as_slice());
+    drop(conn);
     server.stop();
     router.shutdown();
 }
