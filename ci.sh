@@ -10,7 +10,8 @@
 #   5. workspace tests     cargo test --workspace --exclude
 #                          edgepc-workspace: every member crate's tests.
 #                          The root package (edgepc-workspace, tests/) ran
-#                          in step 4, so every test runs exactly once.
+#                          in step 4, so every test runs once in debug
+#                          (step 6 re-runs the bit pins in release).
 #                          Steps 4 and 5 hold the compiled == eager pins:
 #                          every edgepc-ir lowering of PointNet++ seg and
 #                          DGCNN cls/seg must match the eager forward bit
@@ -23,15 +24,31 @@
 #                          served batch on a worker's cached plan (every
 #                          served forward is compiled; eager forwards
 #                          are training and the test oracle only).
-#   6. the exact record    bench_all re-records results/BENCH.json into
-#                          target/ and diffs it against the committed
-#                          file. Every column (op counts, modeled Xavier
-#                          ms/mJ, audited quality) is deterministic, so
-#                          any difference fails: re-record with bench_all
-#                          and commit the new rows with the change that
-#                          moved them. Wall time is not gated here — the
-#                          repo benchmark (benchmark/, BENCHMARK.json)
-#                          owns it.
+#                          And it runs edgepc-nn's build guard
+#                            build_targets_the_hosts_vector_width:
+#                          on an AVX2 host it fails unless the tuned
+#                          flags are in effect.
+#   6. bit pins, both builds
+#                          edgepc-nn's three kernel bit pins
+#                            fused_product_bits_are_pinned
+#                            blocked_matches_naive_at_every_tile_edge
+#                            resumed_sums_match_one_pass_at_every_tile_edge,
+#                          tests/par_determinism.rs, and the exact record:
+#                          bench_all re-records results/BENCH.json and
+#                          diffs it against the committed file. Every
+#                          column (op counts, modeled Xavier ms/mJ,
+#                          audited quality) is deterministic, so any
+#                          difference fails: re-record with bench_all and
+#                          commit the new rows with the change that moved
+#                          them. All of it runs twice, in release (debug
+#                          code is not vectorized): under the tuned flags
+#                          of the root .cargo/config.toml (target-cpu=
+#                          native), and under RUSTFLAGS="-C target-cpu=
+#                          generic" in target/portable. So a kernel edit
+#                          that keeps the bits on one ISA but not on the
+#                          other fails here. Wall time is not gated here
+#                          — the repo benchmark (benchmark/,
+#                          BENCHMARK.json) owns it.
 #   7. benchmark build     builds (never runs) the repo benchmark package
 #                          under benchmark/, which sits outside the
 #                          workspace, so a crate API change that breaks
@@ -119,9 +136,26 @@ cargo test -q
 echo "==> workspace tests: cargo test --workspace -q --exclude edgepc-workspace"
 cargo test --workspace -q --exclude edgepc-workspace
 
-echo "==> exact record: bench_all vs committed results/BENCH.json"
-cargo run --release -q -p edgepc-bench --bin bench_all -- --out target/BENCH.json
-diff results/BENCH.json target/BENCH.json
+# bit_pins DIR: step 6 for the build the environment selects; the
+# record goes to DIR/BENCH.json.
+bit_pins() {
+    cargo test --release -q -p edgepc-nn --lib -- \
+        fused_product_bits_are_pinned \
+        blocked_matches_naive_at_every_tile_edge \
+        resumed_sums_match_one_pass_at_every_tile_edge
+    cargo test --release -q --test par_determinism
+    cargo run --release -q -p edgepc-bench --bin bench_all -- --out "$1/BENCH.json"
+    diff results/BENCH.json "$1/BENCH.json"
+}
+
+echo "==> bit pins + exact record, tuned build (.cargo/config.toml)"
+bit_pins target
+
+echo "==> bit pins + exact record, portable build (target-cpu=generic)"
+(
+    export CARGO_TARGET_DIR=target/portable RUSTFLAGS="-C target-cpu=generic"
+    bit_pins target/portable
+)
 
 echo "==> benchmark build: the repo benchmark (benchmark/) still builds"
 # Same target directory benchmark/run.sh uses, so neither rebuilds.

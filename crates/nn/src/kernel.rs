@@ -1022,6 +1022,21 @@ mod tests {
         );
     }
 
+    /// The root `.cargo/config.toml` builds for the host CPU. A deleted or
+    /// shadowed config (any set `RUSTFLAGS` replaces it) still passes every
+    /// bit pin, so this is what notices that the kernels lost half their
+    /// vector width. Not run-time dispatch: it reads the build, not the
+    /// code path. `ci.sh`'s portable step does not select it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn build_targets_the_hosts_vector_width() {
+        assert!(
+            cfg!(target_feature = "avx2") || !std::is_x86_feature_detected!("avx2"),
+            "the host has AVX2 but this build does not target it: the root \
+             .cargo/config.toml is missing or a RUSTFLAGS setting overrides it"
+        );
+    }
+
     fn sa_product(c: usize, feats: &[f32], idx: &[usize]) {
         let m = idx.len();
         let w = random_tensor(c + 3, 4, 0xc0de);
