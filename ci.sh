@@ -5,8 +5,18 @@
 #   3. lints               cargo clippy -D warnings (all targets). This
 #                          step carries panic-freedom: the workspace lints
 #                          deny unwrap/expect/todo!, and the hot crates'
-#                          roots add panic!/unreachable!.
-#   4. tier-1              release build + test suite
+#                          roots add panic!/unreachable!. It also carries
+#                          determinism hygiene: clippy.toml bans hash
+#                          types, Instant/SystemTime::now and thread
+#                          identity, and the nine deterministic crates'
+#                          roots turn clippy::disallowed_{types,methods}
+#                          on.
+#   4. tier-1              release build + test suite. tests/artifacts.rs
+#                          holds the std-only pin (Cargo.lock names no
+#                          registry or git package) and the schema pins
+#                          (every results/*.json parses; BENCH, serve,
+#                          net and flightrec carry their emitters'
+#                          current schema constants).
 #   5. workspace tests     cargo test --workspace --exclude
 #                          edgepc-workspace: every member crate's tests.
 #                          The root package (edgepc-workspace, tests/) ran
@@ -60,24 +70,26 @@
 # Optional serving smoke:
 #   --serve-smoke   after the gates above, drive a short bursty load
 #                   through the edgepc-serve engine (loadgen --smoke) and
-#                   validate the generated serve.json against the EP005
-#                   schema pin. Fails on panics, hangs, or schema drift.
+#                   hold the generated serve.json to its schema pin
+#                   (tests/artifacts.rs). Fails on panics, hangs, or
+#                   schema drift.
 #
 # Optional observability smoke:
 #   --obs-smoke     run loadgen --smoke with the live telemetry endpoint
 #                   enabled, query all three snapshot verbs (metrics /
 #                   registry / flightrec) through obsctl WHILE the load
-#                   runs, release the run with the quit verb, and EP005
+#                   runs, release the run with the quit verb, and
 #                   schema-check the generated serve.json and the saved
-#                   flightrec.json. Fails if the endpoint is unreachable,
-#                   any snapshot is malformed, or a schema drifted.
+#                   flightrec.json (tests/artifacts.rs). Fails if the
+#                   endpoint is unreachable, any snapshot is malformed,
+#                   or a schema drifted.
 #
 # Optional network smoke:
 #   --net-smoke     stand up the sharded TCP front end (2 engine shards
 #                   behind the router on an ephemeral loopback port),
 #                   drive it with netgen --smoke over real sockets, and
-#                   validate the generated net.json against the EP005
-#                   schema pin. Fails on panics, hangs, refused
+#                   hold the generated net.json to its schema pin
+#                   (tests/artifacts.rs). Fails on panics, hangs, refused
 #                   connections, or schema drift.
 #
 set -eu
@@ -99,13 +111,19 @@ for arg in "$@"; do
     esac
 done
 
-# smoke_artifact PACKAGE BIN OUT [ARGS...]: runs the release binary with
-# `ARGS --out OUT`, then holds OUT to its EP005 schema pin.
+# pinned TEST: runs the ignored tests/artifacts.rs test that holds one
+# generated artifact to its schema pin (it fails if the file is missing).
+pinned() {
+    cargo test -q --test artifacts -- --ignored --exact "$1"
+}
+
+# smoke_artifact PACKAGE BIN OUT TEST [ARGS...]: runs the release binary
+# with `ARGS --out OUT`, then `pinned TEST`, which reads OUT.
 smoke_artifact() {
-    pkg=$1 bin=$2 out=$3
-    shift 3
+    pkg=$1 bin=$2 out=$3 test=$4
+    shift 4
     cargo run --release -q -p "$pkg" --bin "$bin" -- "$@" --out "$out"
-    cargo run -q -p edgepc-lint --bin lint_all -- --results "$out"
+    pinned "$test"
 }
 
 if [ "$RUN_LINT" = 1 ]; then
@@ -114,9 +132,6 @@ if [ "$RUN_LINT" = 1 ]; then
     cargo run -q -p edgepc-lint --bin lint_all -- --json target/lint.json
     LINT_T1=$(date +%s)
     echo "==> lint_all: gate took $((LINT_T1 - LINT_T0))s wall (per-rule breakdown in the summary above)"
-    # The report the gate just emitted must itself satisfy the EP005
-    # schema pin — lint.json is a pinned artifact like BENCH/serve.json.
-    cargo run -q -p edgepc-lint --bin lint_all -- --results target/lint.json
 else
     echo "==> lint_all: skipped (--no-lint)"
 fi
@@ -163,8 +178,8 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 if [ "$SERVE_SMOKE" = 1 ]; then
-    echo "==> serve smoke: loadgen --smoke + EP005 schema check"
-    smoke_artifact edgepc-serve loadgen target/serve.json --smoke
+    echo "==> serve smoke: loadgen --smoke + schema check"
+    smoke_artifact edgepc-serve loadgen target/serve.json serve_smoke_json --smoke
 fi
 
 if [ "$OBS_SMOKE" = 1 ]; then
@@ -203,15 +218,15 @@ if [ "$OBS_SMOKE" = 1 ]; then
     # Release the --hold-ms window and let loadgen finish writing serve.json.
     cargo run --release -q -p edgepc-serve --bin obsctl -- "$ADDR" quit >/dev/null
     wait "$LOADGEN_PID"
-    cargo run -q -p edgepc-lint --bin lint_all -- --results \
-        target/obs/serve.json target/obs/flightrec.json
+    pinned obs_smoke_serve_json
+    pinned obs_smoke_flightrec_json
 fi
 
 if [ "$NET_SMOKE" = 1 ]; then
-    echo "==> net smoke: netgen --smoke over loopback sockets + EP005 schema check"
+    echo "==> net smoke: netgen --smoke over loopback sockets + schema check"
     # Self-hosts 2 engine shards behind the router on an ephemeral port
     # and drives them over real TCP connections.
-    smoke_artifact edgepc-net netgen target/net.json --smoke
+    smoke_artifact edgepc-net netgen target/net.json net_smoke_json --smoke
 fi
 
 echo "CI OK"

@@ -38,6 +38,7 @@
 //! ```
 
 #![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod analysis;
 pub mod workloads;

@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn all_lists_every_workload_once() {
-        let ids: std::collections::HashSet<&str> =
+        let ids: std::collections::BTreeSet<&str> =
             Workload::ALL.iter().map(|w| w.spec().id).collect();
         assert_eq!(ids.len(), 6);
     }

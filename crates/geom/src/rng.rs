@@ -234,7 +234,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let idx = rng.sample_indices(100, 30);
         assert_eq!(idx.len(), 30);
-        let set: std::collections::HashSet<_> = idx.iter().collect();
+        let set: std::collections::BTreeSet<_> = idx.iter().collect();
         assert_eq!(set.len(), 30, "indices must be distinct");
         assert!(idx.iter().all(|&i| i < 100));
     }

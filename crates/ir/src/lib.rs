@@ -52,6 +52,7 @@
 //! ```
 
 #![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 #[cfg(test)]
 mod differential;

@@ -33,9 +33,9 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Repo-relative path with `/` separators.
     pub file: String,
-    /// 1-based line (0 for whole-file diagnostics such as EP005).
+    /// 1-based line.
     pub line: usize,
-    /// 1-based column (0 for whole-file diagnostics).
+    /// 1-based column.
     pub col: usize,
     /// What went wrong, in one sentence.
     pub message: String,
@@ -96,27 +96,16 @@ fn push_field(out: &mut String, key: &str, value: &str) {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line > 0 {
-            write!(
-                f,
-                "{}: {}:{}:{}: [{}] {}",
-                self.severity.as_str(),
-                self.file,
-                self.line,
-                self.col,
-                self.rule,
-                self.message
-            )?;
-        } else {
-            write!(
-                f,
-                "{}: {}: [{}] {}",
-                self.severity.as_str(),
-                self.file,
-                self.rule,
-                self.message
-            )?;
-        }
+        write!(
+            f,
+            "{}: {}:{}:{}: [{}] {}",
+            self.severity.as_str(),
+            self.file,
+            self.line,
+            self.col,
+            self.rule,
+            self.message
+        )?;
         if let Some(s) = &self.suggestion {
             write!(f, "\n    suggestion: {s}")?;
         }

@@ -7,17 +7,19 @@
 //! | rule | invariant |
 //! |---|---|
 //! | EP002 | no float `==`/`!=` against literals outside tests |
-//! | EP004 | the root `Cargo.lock` holds no registry/git package (std-only) |
-//! | EP005 | committed `results/*.json` parse; pinned artifacts keep known schemas |
 //! | EP006 | every `.lock()` is ranked by a `guard::Lock` claim and nesting follows `enum Lock`'s order |
-//! | EP007 | [`rules::ep007::DETERMINISTIC_CRATES`] leak no hash order, wall clock, or scheduling into results |
+//! | EP007 | no `par_*` closure takes a mutex or a read-modify-write atomic |
 //! | EP000 | every inline `// waive EPnnn: <reason>` matches a live diagnostic |
 //!
 //! Panic-freedom is clippy's job: the workspace lints deny `unwrap_used`,
 //! `expect_used` and `todo`, and the hot crates' roots add `panic` and
-//! `unreachable`. Span coverage of the latency breakdowns is a runtime
-//! test (`tests/trace_pipeline.rs` checks every forward's stage ledger
-//! against its spans).
+//! `unreachable`. Determinism hygiene is clippy's too: `clippy.toml`
+//! bans hash types, clocks and thread identity, and the deterministic
+//! crates' roots turn the `disallowed_*` lints on. The std-only policy
+//! and the pinned `results/*.json` schemas are the root
+//! `tests/artifacts.rs`. Span coverage of the latency breakdowns is a
+//! runtime test (`tests/trace_pipeline.rs` checks every forward's stage
+//! ledger against its spans).
 //!
 //! EP002 is token-level. EP006 and EP007 run on the **syntactic tier**
 //! ([`syntax::FileSyntax`]): a std-only item/impl/fn/closure recovery
@@ -31,7 +33,7 @@
 //!
 //! The `lint_all` binary runs the whole engine, prints human-readable
 //! diagnostics with per-rule wall time, writes machine-readable
-//! `target/lint.json` (schema `edgepc-lint`, itself pinned under EP005),
+//! `target/lint.json` (schema [`SCHEMA_NAME`] at [`SCHEMA_VERSION`]),
 //! and exits non-zero on any violation. `ci.sh` runs it before clippy.
 
 pub mod diag;
@@ -48,7 +50,12 @@ use diag::Diagnostic;
 use syntax::FileSyntax;
 
 /// Every rule id the engine reports, in order.
-pub const ALL_RULES: &[&str] = &["EP000", "EP002", "EP004", "EP005", "EP006", "EP007"];
+pub const ALL_RULES: &[&str] = &["EP000", "EP002", "EP006", "EP007"];
+
+/// The `schema` field of `lint.json`.
+pub const SCHEMA_NAME: &str = "edgepc-lint";
+/// The current `schema_version` of `lint.json`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The outcome of a full workspace run.
 #[derive(Debug)]
@@ -57,7 +64,7 @@ pub struct LintReport {
     pub violations: Vec<Diagnostic>,
     /// Diagnostics silenced by inline waivers.
     pub waived: usize,
-    /// Rust sources + `Cargo.lock` + results artifacts examined.
+    /// Rust sources examined.
     pub files_scanned: usize,
     /// Wall time per rule in microseconds, in rule-id order. Shared
     /// infrastructure (lexing, syntax recovery, file IO) is reported as
@@ -121,7 +128,7 @@ impl LintReport {
 
     /// The machine-readable report (`target/lint.json`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"edgepc-lint\",\"schema_version\":3,");
+        let mut s = format!("{{\"schema\":\"{SCHEMA_NAME}\",\"schema_version\":{SCHEMA_VERSION},");
         s.push_str(&format!(
             "\"files_scanned\":{},\"waivers_used\":{},\"clean\":{},",
             self.files_scanned,
@@ -175,15 +182,11 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
     let mut files_scanned = 0usize;
     let mut timings = Timings::default();
 
-    // --- Rust sources: EP002 (token tier) + EP007, the inline
-    // --- waivers and the EP006 model collection (syntactic tier) ----------
+    // --- Rust sources: EP002 (token tier), EP007, the inline waivers
+    // --- and the EP006 model collection (syntactic tier) ------------------
     let mut lock_files: Vec<(String, rules::SourceModel, FileSyntax)> = Vec::new();
     for source in collect_rust_sources(root)? {
         let rel = source.rel;
-        let crate_name = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("");
         let src = fs::read_to_string(&source.abs)
             .map_err(|e| format!("read {}: {e}", source.abs.display()))?;
         let t0 = Instant::now();
@@ -197,11 +200,9 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
         let t = Instant::now();
         diagnostics.extend(rules::ep002::check(&model, &syntax));
         timings.add("EP002", t);
-        if rules::ep007::DETERMINISTIC_CRATES.contains(&crate_name) {
-            let t = Instant::now();
-            diagnostics.extend(rules::ep007::check(&model, &syntax));
-            timings.add("EP007", t);
-        }
+        let t = Instant::now();
+        diagnostics.extend(rules::ep007::check(&model, &syntax));
+        timings.add("EP007", t);
         lock_files.push((rel, model, syntax));
         files_scanned += 1;
     }
@@ -214,33 +215,6 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
         .collect();
     diagnostics.extend(rules::ep006::check_workspace(&files));
     timings.add("EP006", t);
-
-    // --- EP004: the root Cargo.lock ----------------------------------------
-    let lock = match fs::read_to_string(root.join("Cargo.lock")) {
-        Ok(src) => Some(src),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(format!("read Cargo.lock: {e}")),
-    };
-    let t = Instant::now();
-    diagnostics.extend(rules::ep004::check_lock(lock.as_deref()));
-    timings.add("EP004", t);
-    files_scanned += usize::from(lock.is_some());
-
-    // --- Results artifacts: EP005 -----------------------------------------
-    let results_dir = root.join("results");
-    if results_dir.is_dir() {
-        for entry in sorted_dir(&results_dir)? {
-            if entry.extension().and_then(|e| e.to_str()) == Some("json") {
-                let rel = rel_path(root, &entry);
-                let src = fs::read_to_string(&entry)
-                    .map_err(|e| format!("read {}: {e}", entry.display()))?;
-                let t = Instant::now();
-                diagnostics.extend(rules::ep005::check_results_file(&rel, &src));
-                timings.add("EP005", t);
-                files_scanned += 1;
-            }
-        }
-    }
 
     // --- Waivers ----------------------------------------------------------
     let t = Instant::now();
@@ -258,26 +232,8 @@ pub fn run_workspace(root: &Path) -> Result<LintReport, String> {
     })
 }
 
-/// Runs only the EP005 results-schema checks over explicit artifact
-/// paths (committed or freshly generated — e.g. `target/serve.json` from
-/// `ci.sh --serve-smoke`). Pinning is keyed on each file's basename, as
-/// in the workspace run. Errors are environmental (unreadable files).
-pub fn check_results_files(paths: &[PathBuf]) -> Result<Vec<Diagnostic>, String> {
-    let mut diagnostics = Vec::new();
-    for path in paths {
-        let src = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let shown = path
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        diagnostics.extend(rules::ep005::check_results_file(&shown, &src));
-    }
-    Ok(diagnostics)
-}
-
 /// Locates the workspace root from `start`: the nearest ancestor that
-/// holds a `Cargo.lock`, the file EP004 reads.
+/// holds a `Cargo.lock`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     start
         .ancestors()
@@ -375,5 +331,10 @@ mod tests {
             Some(message.as_str())
         );
         assert_eq!(v.get("clean"), Some(&Value::Bool(false)));
+        assert_eq!(v.get("schema").and_then(Value::as_str), Some(SCHEMA_NAME));
+        assert_eq!(
+            v.get("schema_version").and_then(Value::as_f64),
+            Some(f64::from(SCHEMA_VERSION))
+        );
     }
 }

@@ -1,46 +1,18 @@
-//! EP007 — determinism hygiene.
+//! EP007 — unordered cross-chunk communication in parallel folds.
 //!
 //! The repo's headline invariant is bit-identical outputs at any thread
-//! budget (`par_determinism` pins). This rule flags the three classic
-//! ways that invariant erodes in the deterministic crates:
-//!
-//! * **(a) hash-order leaks**: iterating a `HashMap`/`HashSet`
-//!   (`iter`/`keys`/`values`/`drain`/`into_iter`) inside a fn that
-//!   returns a value — hash iteration order is randomized per process,
-//!   so anything derived from it must be sorted first. A later `sort*`
-//!   call on the iteration result inside the same fn sanitizes the site.
-//!   Keyed access (`get`/`entry`/`contains_key`/`insert`) is fine.
-//! * **(b) wall-clock and identity values**: `Instant::now`,
-//!   `SystemTime`, `ThreadId` / `thread::current()` in non-test code —
-//!   timing belongs in spans (the `trace` crate is exempt by
-//!   configuration), never in results.
-//! * **(c) unordered cross-chunk communication in parallel folds**:
-//!   closures passed to the `par_*` primitives that use read-modify-write
-//!   atomics (`fetch_add`…, `compare_exchange`) or take mutexes — both
-//!   make the result depend on chunk scheduling. Plain `store`/`load`
-//!   (the disjoint-index radix scatter idiom) and chunk-order
-//!   recombination stay allowed.
+//! budget (`par_determinism` pins). Closures passed to the `par_*`
+//! primitives that use read-modify-write atomics (`fetch_add`…,
+//! `compare_exchange`) or take mutexes make the result depend on chunk
+//! scheduling. Plain `store`/`load` (the disjoint-index radix scatter
+//! idiom) and chunk-order recombination stay allowed. The rule runs on
+//! every crate; hash order, wall clock and thread identity in the
+//! deterministic crates are clippy's (`clippy.toml`'s `disallowed-*`).
 
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::rules::SourceModel;
 use crate::syntax::{self, FileSyntax};
-
-/// Crates under the bit-identical-results contract. `serve`/`trace`/
-/// `perf` are exempt: they measure wall time by design.
-pub const DETERMINISTIC_CRATES: &[&str] = &[
-    "geom", "morton", "par", "sample", "neighbor", "models", "core", "nn", "ir",
-];
-
-const HASH_ITERATORS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-];
 
 const PAR_ENTRY_POINTS: &[&str] = &[
     "par_for",
@@ -66,132 +38,6 @@ const RMW_ATOMICS: &[&str] = &[
 
 pub fn check(model: &SourceModel, syn: &FileSyntax) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let code = model.code_indices();
-    let text = |ci: usize| model.token(code[ci]).text.as_str();
-    let kind = |ci: usize| model.token(code[ci]).kind;
-    let is_test = |ci: usize| model.in_test(code[ci]);
-
-    // --- (a) names bound to hash collections -------------------------------
-    let mut hash_names: Vec<String> = Vec::new();
-    for ci in 0..code.len() {
-        if kind(ci) != TokenKind::Ident || !matches!(text(ci), "HashMap" | "HashSet") {
-            continue;
-        }
-        // Walk back over the path (`std :: collections :: HashMap`) and
-        // any reference/mutability tokens (`&`, `mut`, lifetimes).
-        let mut j = ci;
-        while j >= 2 && text(j - 1) == "::" && kind(j - 2) == TokenKind::Ident {
-            j -= 2;
-        }
-        while j >= 1 && (matches!(text(j - 1), "&" | "mut") || kind(j - 1) == TokenKind::Lifetime) {
-            j -= 1;
-        }
-        if j == 0 {
-            continue;
-        }
-        let name = match text(j - 1) {
-            // `name: HashMap<…>` (binding or field or param).
-            ":" if j >= 2 && kind(j - 2) == TokenKind::Ident => text(j - 2),
-            // `let name = HashMap::new()` / `= HashSet::from(…)`.
-            "=" if j >= 2 && kind(j - 2) == TokenKind::Ident => text(j - 2),
-            _ => continue,
-        };
-        if !hash_names.iter().any(|n| n == name) {
-            hash_names.push(name.to_string());
-        }
-    }
-    for ci in 0..code.len() {
-        if kind(ci) != TokenKind::Ident
-            || !HASH_ITERATORS.contains(&text(ci))
-            || is_test(ci)
-            || ci + 1 >= code.len()
-            || text(ci + 1) != "("
-            || ci == 0
-            || text(ci - 1) != "."
-        {
-            continue;
-        }
-        let (recv, _) = syntax::recv_chain(model, ci);
-        let Some(hashed) = recv.iter().find(|c| {
-            let base = c.trim_end_matches("()");
-            hash_names.iter().any(|n| n == base)
-        }) else {
-            continue;
-        };
-        let Some(f) = syn.enclosing_fn(ci) else {
-            continue;
-        };
-        if f.ret.is_empty() {
-            continue; // nothing returned; iteration feeds no result value
-        }
-        // Sanitized if the iteration result is sorted later in the fn.
-        let sorted_after = f.body.is_some_and(|(_, close)| {
-            (ci..=close.min(code.len().saturating_sub(1))).any(|j| {
-                kind(j) == TokenKind::Ident
-                    && text(j).starts_with("sort")
-                    && j > 0
-                    && text(j - 1) == "."
-            })
-        });
-        if sorted_after {
-            continue;
-        }
-        let tok = model.token(code[ci]);
-        out.push(
-            Diagnostic::new(
-                "EP007",
-                &model.rel,
-                tok.line,
-                tok.col,
-                format!(
-                    "hash-order leak: `{hashed}.{}()` iterates a HashMap/HashSet inside `{}`, \
-                     which returns a value — iteration order is randomized per process",
-                    text(ci),
-                    f.name
-                ),
-            )
-            .with_item(f.name.clone())
-            .with_suggestion("sort the iteration result (or collect into a sorted structure) before it feeds the return value"),
-        );
-    }
-
-    // --- (b) wall-clock / thread-identity sources --------------------------
-    for ci in 0..code.len() {
-        if kind(ci) != TokenKind::Ident || is_test(ci) {
-            continue;
-        }
-        let offender = match text(ci) {
-            "Instant" if ci + 2 < code.len() && text(ci + 1) == "::" && text(ci + 2) == "now" => {
-                Some("Instant::now")
-            }
-            "SystemTime" => Some("SystemTime"),
-            "ThreadId" => Some("ThreadId"),
-            "current" if ci >= 2 && text(ci - 1) == "::" && text(ci - 2) == "thread" => {
-                Some("thread::current")
-            }
-            _ => None,
-        };
-        let Some(offender) = offender else { continue };
-        let tok = model.token(code[ci]);
-        let item = syn.enclosing_fn(ci).map(|f| f.name.clone());
-        let mut d = Diagnostic::new(
-            "EP007",
-            &model.rel,
-            tok.line,
-            tok.col,
-            format!(
-                "nondeterministic source `{offender}` in a deterministic crate — timing and \
-                 thread identity belong in spans (edgepc-trace), never in results"
-            ),
-        )
-        .with_suggestion("move the measurement into a span or behind the trace registry");
-        if let Some(item) = item {
-            d = d.with_item(item);
-        }
-        out.push(d);
-    }
-
-    // --- (c) scheduling-dependent state in par_* closures ------------------
     for f in &syn.fns {
         if f.is_test {
             continue;
@@ -208,7 +54,6 @@ pub fn check(model: &SourceModel, syn: &FileSyntax) -> Vec<Diagnostic> {
             }
         }
     }
-
     out
 }
 
@@ -273,61 +118,6 @@ mod tests {
         let model = SourceModel::new("crates/geom/src/x.rs", src);
         let syn = FileSyntax::parse(&model);
         check(&model, &syn)
-    }
-
-    #[test]
-    fn unsorted_hash_iteration_feeding_return_is_flagged() {
-        let src = r#"
-use std::collections::HashMap;
-pub fn skewed(m: &HashMap<String, u64>) -> Vec<String> {
-    m.keys().cloned().collect()
-}
-"#;
-        let diags = run(src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("hash-order leak"));
-        assert_eq!(diags[0].item.as_deref(), Some("skewed"));
-    }
-
-    #[test]
-    fn sorted_iteration_and_keyed_access_are_clean() {
-        let src = r#"
-use std::collections::HashMap;
-pub fn ordered(m: &HashMap<String, u64>) -> Vec<String> {
-    let mut names: Vec<String> = m.keys().cloned().collect();
-    names.sort();
-    names
-}
-pub fn keyed(m: &HashMap<String, u64>, k: &str) -> u64 {
-    m.get(k).copied().unwrap_or(0)
-}
-pub fn side_effect_only(m: &HashMap<String, u64>) {
-    for v in m.values() {
-        let _ = v;
-    }
-}
-"#;
-        assert!(run(src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_sources_are_flagged_outside_tests() {
-        let src = r#"
-pub fn stamp() -> u64 {
-    let t = std::time::Instant::now();
-    t.elapsed().as_micros() as u64
-}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn timing_in_tests_is_fine() {
-        let _t = std::time::Instant::now();
-    }
-}
-"#;
-        let diags = run(src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("Instant::now"));
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! The rule engine: a shared token-level source model plus one module per
 //! rule. Rules run over [`SourceModel`] (per-file rules EP002 and EP007;
-//! the workspace-wide EP006) or raw document text (EP004 over
-//! `Cargo.lock`, EP005); all return
+//! the workspace-wide EP006); all return
 //! [`Diagnostic`](crate::diag::Diagnostic)s and never panic on malformed
 //! input.
 //!
 //! Adding a rule: create `rules/epNNN.rs` with a
-//! `check(&SourceModel, &FileSyntax) -> Vec<Diagnostic>` (or
-//! document-level) function, call it from `run_workspace` in `lib.rs`,
-//! add its id to `ALL_RULES`, and give it a fixture pair under
-//! `tests/fixtures/`.
+//! `check(&SourceModel, &FileSyntax) -> Vec<Diagnostic>` function, call
+//! it from `run_workspace` in `lib.rs`, add its id to `ALL_RULES`, and
+//! give it a fixture pair under `tests/fixtures/`.
 
 pub mod ep002;
-pub mod ep004;
-pub mod ep005;
 pub mod ep006;
 pub mod ep007;
 

@@ -1,10 +1,10 @@
-//! The sanctioned determinism shape: hash-map iteration is fine when the
-//! result is sorted before it escapes.
+//! The sanctioned parallel shape: each index stores its own slot, and
+//! nothing is folded across chunks.
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-pub fn sorted_keys(m: &HashMap<String, u32>) -> Vec<String> {
-    let mut keys: Vec<String> = m.keys().cloned().collect();
-    keys.sort();
-    keys
+pub fn scatter(xs: &[u64], out: &[AtomicU64]) {
+    edgepc_par::par_for(0..xs.len(), |i| {
+        out[i].store(xs[i], Ordering::Relaxed);
+    });
 }

@@ -1,23 +1,9 @@
-//! Planted EP007 violations (geom is a deterministic crate): hash-order
-//! iteration feeding a returned value, a wall-clock read, and a
+//! Planted EP007 violation (the rule runs on every crate): a
 //! scheduling-dependent fold inside a par closure.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 static TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// EP007: HashMap iteration order leaks into the return value.
-pub fn keys_in_hash_order(m: &HashMap<String, u32>) -> Vec<String> {
-    m.keys().cloned().collect()
-}
-
-/// EP007: wall-clock reads do not belong in deterministic results.
-pub fn stamp() -> u64 {
-    let t = Instant::now();
-    t.elapsed().as_micros() as u64
-}
 
 /// EP007: the fold result depends on chunk scheduling.
 pub fn racy_total(n: u64) -> u64 {

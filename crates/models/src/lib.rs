@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod compiled;
 pub mod delayed;

@@ -375,7 +375,7 @@ mod tests {
             out.rows(),
             out.cols(),
         ));
-        let touched: std::collections::HashSet<usize> =
+        let touched: std::collections::BTreeSet<usize> =
             sel.neighbor_indices.iter().flatten().copied().collect();
         for i in 0..32 {
             let row_norm: f32 = d.row(i).iter().map(|v| v * v).sum();

@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod encode;
 pub mod grid;

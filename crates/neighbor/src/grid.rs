@@ -1,4 +1,4 @@
-//! Uniform-grid (cell hash) neighbor search — the comparator used by the
+//! Uniform-grid (cell-binned) neighbor search — the comparator used by the
 //! grid-based prior works the paper discusses ([22, 26, 39, 50]).
 //!
 //! Points are binned into cubic cells; a k-NN query inspects expanding
@@ -8,7 +8,7 @@
 //! access pattern irregular — the paper's argument for preferring the
 //! Morton window approximation on edge GPUs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use edgepc_geom::{OpCounts, Point3, PointCloud};
 
@@ -97,7 +97,7 @@ impl NeighborSearcher for GridSearcher {
         let origin = cloud.bounding_box().min();
         let cell = self.resolve_cell_size(cloud, k);
 
-        let mut bins: HashMap<(i32, i32, i32), Vec<u32>> = HashMap::new();
+        let mut bins: BTreeMap<(i32, i32, i32), Vec<u32>> = BTreeMap::new();
         for (i, &p) in points.iter().enumerate() {
             bins.entry(cell_of(p, origin, cell))
                 .or_default()

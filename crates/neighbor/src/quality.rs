@@ -5,8 +5,6 @@
 //! neighbor ratio and recall@k can never drift apart: they are two views of
 //! the same count, `recall@k = 1 − false_neighbor_ratio`.
 
-use std::collections::HashSet;
-
 /// Aggregated neighbor-quality counts from comparing an approximate search
 /// result against the exact one, query by query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,11 +55,14 @@ pub fn neighbor_quality(approx: &[Vec<usize>], exact: &[Vec<usize>]) -> Neighbor
         reported: 0,
         false_neighbors: 0,
     };
+    let mut truth: Vec<usize> = Vec::new();
     for (a, e) in approx.iter().zip(exact) {
-        let truth: HashSet<usize> = e.iter().copied().collect();
+        truth.clear();
+        truth.extend_from_slice(e);
+        truth.sort_unstable();
         for n in a {
             q.reported += 1;
-            if !truth.contains(n) {
+            if truth.binary_search(n).is_err() {
                 q.false_neighbors += 1;
             }
         }

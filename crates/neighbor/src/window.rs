@@ -294,7 +294,7 @@ mod tests {
         let r = MortonWindowSearcher::new(16, 10).search_structurized(&s, &[0, 63], 8);
         for list in &r.neighbors {
             assert_eq!(list.len(), 8);
-            let unique: std::collections::HashSet<_> = list.iter().collect();
+            let unique: std::collections::BTreeSet<_> = list.iter().collect();
             assert_eq!(
                 unique.len(),
                 8,

@@ -1,6 +1,6 @@
 //! The `results/net.json` document.
 //!
-//! Schema (`"schema": "edgepc-net"`, version 1; EP005 pins both):
+//! Schema (`"schema": "edgepc-net"`, version 1; `tests/artifacts.rs` pins both):
 //!
 //! ```json
 //! {

@@ -46,6 +46,8 @@
 //! assert!(logits.get(3, 1) > logits.get(3, 0)); // positive -> class 1
 //! ```
 
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
+
 pub mod gradcheck;
 pub mod kernel;
 pub mod layer;

@@ -34,6 +34,7 @@
 //! path, so parallelization never taxes the machines it cannot help.
 
 #![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 mod pool;
 

@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(clippy::panic, clippy::unreachable)]
+#![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod audit;
 pub mod fps;

@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn random_is_distinct_and_in_range() {
         let r = RandomSampler::with_seed(42).sample(&cloud(50), 20);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &i in &r.indices {
             assert!(i < 50);
             assert!(seen.insert(i), "duplicate index {i}");

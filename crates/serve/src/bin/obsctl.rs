@@ -22,6 +22,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use edgepc_trace::flight;
 use edgepc_trace::json::{parse, Value};
 
 /// Connect/read timeout for one query: generous for CI, finite so a dead
@@ -93,10 +94,10 @@ fn check_registry(body: &str) -> Result<(), String> {
 
 fn check_flightrec(body: &str) -> Result<usize, String> {
     let v = parsed("flightrec", body)?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("edgepc-flightrec") {
+    if v.get("schema").and_then(|s| s.as_str()) != Some(flight::SCHEMA_NAME) {
         return Err("flightrec: wrong or missing schema tag".to_string());
     }
-    if v.get("schema_version").and_then(|s| s.as_f64()) != Some(1.0) {
+    if v.get("schema_version").and_then(|s| s.as_f64()) != Some(f64::from(flight::SCHEMA_VERSION)) {
         return Err("flightrec: wrong or missing schema_version".to_string());
     }
     let events = v

@@ -1,6 +1,6 @@
 //! The `results/serve.json` document.
 //!
-//! Schema (`"schema": "edgepc-serve"`, version 1; EP005 pins both):
+//! Schema (`"schema": "edgepc-serve"`, version 1; `tests/artifacts.rs` pins both):
 //!
 //! ```json
 //! {

@@ -25,6 +25,11 @@ use edgepc_geom::guard::{ranked_with, Lock};
 use crate::json::escape;
 use crate::span::SpanData;
 
+/// The `schema` field of a `flightrec.json` document.
+pub const SCHEMA_NAME: &str = "edgepc-flightrec";
+/// The current `schema_version`.
+pub const SCHEMA_VERSION: u32 = 1;
+
 /// What happened to a request at one lifecycle edge.
 ///
 /// The meaning of the event's `a`/`b` payload words depends on the kind;
@@ -180,7 +185,7 @@ impl FlightRecorder {
 }
 
 /// Renders a flight-recorder dump as a `flightrec.json` document
-/// (schema `edgepc-flightrec`, version 1 — pinned by lint rule EP005).
+/// (schema [`SCHEMA_NAME`] at [`SCHEMA_VERSION`]).
 ///
 /// `reason` says which trigger fired (`deadline_miss_burst`,
 /// `shed_storm`, `guard_violation`, `manual`); `dumped_at_us` is the
@@ -197,8 +202,8 @@ pub fn flightrec_json(
     let events = recorder.snapshot();
     let mut out = String::with_capacity(64 * (events.len() + spans.len()) + 256);
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"edgepc-flightrec\",\n");
-    out.push_str("  \"schema_version\": 1,\n");
+    out.push_str(&format!("  \"schema\": \"{SCHEMA_NAME}\",\n"));
+    out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
     out.push_str(&format!("  \"reason\": \"{}\",\n", escape(reason)));
     out.push_str(&format!("  \"dumped_at_us\": {dumped_at_us},\n"));
     out.push_str(&format!("  \"capacity\": {},\n", recorder.capacity()));
@@ -342,8 +347,11 @@ mod tests {
         }];
         let doc = flightrec_json("deadline_miss_burst", 9000, &rec, &spans);
         let v = parse(&doc).unwrap();
-        assert_eq!(v.get("schema").unwrap().as_str(), Some("edgepc-flightrec"));
-        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(1.0));
+        assert_eq!(v.get("schema").unwrap().as_str(), Some(SCHEMA_NAME));
+        assert_eq!(
+            v.get("schema_version").unwrap().as_f64(),
+            Some(f64::from(SCHEMA_VERSION))
+        );
         assert_eq!(
             v.get("reason").unwrap().as_str(),
             Some("deadline_miss_burst")

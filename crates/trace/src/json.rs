@@ -5,8 +5,8 @@
 //! The writer side is just [`escape`] and [`fmt_f64`]; exporters build
 //! their documents with `format!` (the shapes are small and fixed). The
 //! parser reads documents back: tests checking exported documents,
-//! `obsctl` checking live snapshots off a socket, and `edgepc-lint`'s
-//! EP005 checking committed artifacts. It is linear in the input, caps
+//! `obsctl` checking live snapshots off a socket, and
+//! `tests/artifacts.rs` checking committed artifacts. It is linear in the input, caps
 //! nesting at 128 levels, and reports failures with their line
 //! ([`ParseError`]).
 

@@ -4,7 +4,6 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use edgepc_geom::OpCounts;
 
@@ -119,7 +118,6 @@ pub struct SpanGuard {
     kind: String,
     trace_id: u64,
     depth: usize,
-    start: Instant,
     start_us: u64,
     ops: OpCounts,
     modeled_ms: Option<f64>,
@@ -146,7 +144,6 @@ pub fn span_in(reg: Arc<Registry>, name: impl Into<String>, kind: impl Into<Stri
         kind: kind.into(),
         trace_id: current_trace_id(),
         depth,
-        start: Instant::now(),
         start_us,
         ops: OpCounts::ZERO,
         modeled_ms: None,
@@ -185,7 +182,8 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let dur_us = self.start.elapsed().as_micros() as u64;
+        // The same clock as `start_us`, so a child never ends after its parent.
+        let dur_us = self.reg.elapsed_us().saturating_sub(self.start_us);
         let data = SpanData {
             name: std::mem::take(&mut self.name),
             kind: std::mem::take(&mut self.kind),
@@ -258,6 +256,21 @@ mod tests {
         assert_eq!(by_name("outer"), Some(outer));
         assert_eq!(by_name("inner"), Some(inner));
         assert_eq!(by_name("manual"), Some(777));
+    }
+
+    /// Start and end come from one clock, so whole-µs rounding can never
+    /// push a child's end past its parent's.
+    #[test]
+    fn every_nested_pair_is_enclosed() {
+        let reg = Arc::new(Registry::new());
+        for _ in 0..10_000 {
+            let _outer = span_in(reg.clone(), "outer", "x");
+            let _inner = span_in(reg.clone(), "inner", "x");
+        }
+        let spans = reg.drain_spans();
+        assert_eq!(spans.len(), 20_000);
+        let broken = spans.chunks(2).filter(|p| !p[1].encloses(&p[0])).count();
+        assert_eq!(broken, 0, "{broken} of 10000 parents fail to enclose");
     }
 
     #[test]
