@@ -39,11 +39,15 @@
 #                          on an AVX2 host it fails unless the tuned
 #                          flags are in effect.
 #   6. bit pins, both builds
-#                          edgepc-nn's three kernel bit pins
+#                          edgepc-nn's four kernel bit pins
 #                            fused_product_bits_are_pinned
 #                            blocked_matches_naive_at_every_tile_edge
-#                            resumed_sums_match_one_pass_at_every_tile_edge,
-#                          tests/par_determinism.rs, and the exact record:
+#                            resumed_sums_match_one_pass_at_every_tile_edge
+#                            nearest_rows_match_the_scalar_loop
+#                          (the last runs its 1000- and 1024-row shapes
+#                          in release only), tests/par_determinism.rs
+#                          (feature k-NN at 1/2/8 threads included), and
+#                          the exact record:
 #                          bench_all re-records results/BENCH.json and
 #                          diffs it against the committed file. Every
 #                          column (op counts, modeled Xavier ms/mJ,
@@ -157,7 +161,8 @@ bit_pins() {
     cargo test --release -q -p edgepc-nn --lib -- \
         fused_product_bits_are_pinned \
         blocked_matches_naive_at_every_tile_edge \
-        resumed_sums_match_one_pass_at_every_tile_edge
+        resumed_sums_match_one_pass_at_every_tile_edge \
+        nearest_rows_match_the_scalar_loop
     cargo test --release -q --test par_determinism
     cargo run --release -q -p edgepc-bench --bin bench_all -- --out "$1/BENCH.json"
     diff results/BENCH.json "$1/BENCH.json"

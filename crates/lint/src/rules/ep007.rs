@@ -19,7 +19,6 @@ const PAR_ENTRY_POINTS: &[&str] = &[
     "par_map",
     "par_chunk_map",
     "par_chunks_mut",
-    "par_ranges",
     "par_reduce",
 ];
 

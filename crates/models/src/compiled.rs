@@ -453,12 +453,11 @@ impl CompiledDgcnn {
             "plans are compiled for a fixed cloud size"
         );
         let _sp = edgepc_trace::span(self.span_label, "model");
-        let ExecState { exec, idx, .. } = state;
+        let exec = &mut state.exec;
         let mut records = Vec::new();
-        let k = self.k;
         let mut feats = xyz_features(cloud.points());
         let mut outputs: Vec<Tensor2> = Vec::with_capacity(self.modules.len());
-        let mut prev_neighbors: Option<Vec<Vec<usize>>> = None;
+        let mut graph: Option<Vec<usize>> = None;
 
         for m in &self.modules {
             let neighbors = module_graph(
@@ -466,26 +465,21 @@ impl CompiledDgcnn {
                 &m.module.name,
                 cloud,
                 &feats,
-                prev_neighbors.as_ref(),
-                k,
+                graph.take(),
+                self.k,
                 &mut records,
             );
 
-            m.module.group_stage(&mut records, || {
-                idx.clear();
-                for (pi, nbrs) in neighbors.iter().enumerate() {
-                    assert_eq!(nbrs.len(), k, "point {pi} has wrong neighbor count");
-                    idx.extend_from_slice(nbrs);
-                }
-            });
+            // The flat graph is the gather's index array as it stands.
+            m.module.group_stage(&mut records, || {});
             let gathers = [GatherIn {
                 feats: feats.as_slice(),
-                idx,
+                idx: &neighbors,
                 rel: &[],
             }];
             let out = m.module.run(exec, &[], &gathers, &mut records);
 
-            prev_neighbors = Some(neighbors);
+            graph = Some(neighbors);
             feats = out.clone();
             outputs.push(out);
         }

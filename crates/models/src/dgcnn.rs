@@ -11,7 +11,7 @@
 use edgepc_geom::{required, violation, OpCounts, PointCloud};
 use edgepc_neighbor::{BruteKnn, MortonWindowSearcher, NeighborSearcher};
 use edgepc_nn::pool::{global_max_pool, max_pool_groups, PooledGroups};
-use edgepc_nn::{Layer, Sequential, Tensor2};
+use edgepc_nn::{nearest_rows, Layer, Sequential, Tensor2};
 use edgepc_sim::StageKind;
 
 use crate::strategy::{PipelineStrategy, SearchStrategy, StageRecord};
@@ -28,7 +28,7 @@ pub struct EdgeConv {
 }
 
 struct EcCache {
-    neighbors: Vec<Vec<usize>>,
+    neighbors: Vec<usize>,
     pool: PooledGroups,
     rows: usize,
 }
@@ -79,8 +79,8 @@ impl EdgeConv {
         &mut self.mlp
     }
 
-    /// Forward pass given precomputed neighbor lists (one per point, `k`
-    /// entries each).
+    /// Forward pass given a precomputed neighbor graph: flat `n x k`,
+    /// point `i`'s neighbors at `neighbors[i * k..(i + 1) * k]`.
     ///
     /// # Panics
     ///
@@ -88,15 +88,15 @@ impl EdgeConv {
     pub fn forward(
         &mut self,
         feats: &Tensor2,
-        neighbors: &[Vec<usize>],
+        neighbors: &[usize],
         records: &mut Vec<StageRecord>,
     ) -> Tensor2 {
         let n = feats.rows();
+        let k = self.k;
         assert_eq!(feats.cols(), self.in_channels, "unexpected input width");
-        assert_eq!(neighbors.len(), n, "one neighbor list per point");
+        assert_eq!(neighbors.len(), n * k, "k neighbors per point");
         let c = self.in_channels;
 
-        let k = self.k;
         let edges = crate::observe::stage(
             format!("{}.group", self.name),
             StageKind::Grouping,
@@ -113,8 +113,7 @@ impl EdgeConv {
                     let i0 = ci * 32;
                     for (il, rows) in block.chunks_mut(point_elems).enumerate() {
                         let i = i0 + il;
-                        let nbrs = &neighbors[i];
-                        assert_eq!(nbrs.len(), k, "point {i} has wrong neighbor count");
+                        let nbrs = &neighbors[i * k..(i + 1) * k];
                         let fi_row = feats.row(i);
                         for (slot, &j) in nbrs.iter().enumerate() {
                             let row = &mut rows[slot * row_w..(slot + 1) * row_w];
@@ -161,7 +160,7 @@ impl EdgeConv {
         let d_edges = self.mlp.backward(&cache.pool.backward(d_out));
         let c = self.in_channels;
         let mut d_feats = Tensor2::zeros(cache.rows, c);
-        for (i, nbrs) in cache.neighbors.iter().enumerate() {
+        for (i, nbrs) in cache.neighbors.chunks_exact(self.k).enumerate() {
             for (slot, &j) in nbrs.iter().enumerate() {
                 let g = d_edges.row(i * self.k + slot);
                 for col in 0..c {
@@ -247,7 +246,7 @@ impl DgcnnBackbone {
     fn forward(&mut self, cloud: &PointCloud, records: &mut Vec<StageRecord>) -> Vec<Tensor2> {
         let mut feats = crate::pointnetpp::xyz_features(cloud.points());
         let mut outputs = Vec::with_capacity(self.modules.len());
-        let mut prev_neighbors: Option<Vec<Vec<usize>>> = None;
+        let mut graph: Option<Vec<usize>> = None;
 
         for (i, module) in self.modules.iter_mut().enumerate() {
             let neighbors = module_graph(
@@ -255,12 +254,12 @@ impl DgcnnBackbone {
                 &module.name,
                 cloud,
                 &feats,
-                prev_neighbors.as_ref(),
+                graph.take(),
                 self.k,
                 records,
             );
             let out = module.forward(&feats, &neighbors, records);
-            prev_neighbors = Some(neighbors);
+            graph = Some(neighbors);
             feats = out.clone();
             outputs.push(out);
         }
@@ -299,105 +298,84 @@ impl DgcnnBackbone {
     }
 }
 
-/// Builds one EdgeConv module's k-NN graph inside its
+/// Builds one EdgeConv module's k-NN graph, flat `n x k`, inside its
 /// `<name>.search(..)` stage — the single home of DGCNN's per-module
 /// dispatch (Sec. 5.2.3), called by both forward paths: exact or
 /// Morton-window search on coordinates for the xyz module, exact
 /// feature-space k-NN or the previous module's graph `prev` after it.
+/// `prev` is taken by value, so reuse hands the same buffer on.
 pub(crate) fn module_graph(
     search: SearchStrategy,
     name: &str,
     cloud: &PointCloud,
     feats: &Tensor2,
-    prev: Option<&Vec<Vec<usize>>>,
+    prev: Option<Vec<usize>>,
     k: usize,
     records: &mut Vec<StageRecord>,
-) -> Vec<Vec<usize>> {
+) -> Vec<usize> {
     let n = cloud.len();
     let on_xyz = |searcher: &dyn NeighborSearcher| {
         let all: Vec<usize> = (0..n).collect();
         let r = searcher.search(cloud, &all, k);
-        (r.neighbors, r.ops)
-    };
-    let mut search_stage = |label: &str, f: &dyn Fn() -> (Vec<Vec<usize>>, OpCounts)| {
-        crate::observe::stage(
-            format!("{name}.search({label})"),
-            StageKind::NeighborSearch,
-            None,
-            records,
-            f,
-        )
-    };
-    match search {
-        SearchStrategy::Knn => search_stage("knn", &|| on_xyz(&BruteKnn::new())),
-        SearchStrategy::MortonWindow { window } => {
-            assert!(
-                prev.is_none(),
-                "Morton window only applies to the xyz module"
-            );
-            search_stage("window", &|| on_xyz(&MortonWindowSearcher::new(window, 10)))
+        let mut graph = Vec::with_capacity(n * k);
+        for (i, nbrs) in r.neighbors.iter().enumerate() {
+            assert_eq!(nbrs.len(), k, "point {i} has wrong neighbor count");
+            graph.extend_from_slice(nbrs);
         }
-        SearchStrategy::FeatureKnn => search_stage("feat-knn", &|| feature_knn(feats, k)),
-        SearchStrategy::Reuse => search_stage("reuse", &|| {
-            let nbrs = required(prev, "Reuse requires a previous module's graph").clone();
-            // Reuse costs only the cached read of the index array
-            // (the paper's ~160 KB per batch, Sec. 5.2.3).
-            let ops = OpCounts {
-                gathered_bytes: (n * k * 4) as u64,
-                seq_rounds: 1,
-                ..OpCounts::ZERO
-            };
-            (nbrs, ops)
-        }),
-        SearchStrategy::BallQuery { .. } => violation("DGCNN uses k-NN graphs, not ball query"),
-    }
+        (graph, r.ops)
+    };
+    let label = match search {
+        SearchStrategy::Knn => "knn",
+        SearchStrategy::MortonWindow { .. } => "window",
+        SearchStrategy::FeatureKnn => "feat-knn",
+        SearchStrategy::Reuse => "reuse",
+        SearchStrategy::BallQuery { .. } => "ball",
+    };
+    crate::observe::stage(
+        format!("{name}.search({label})"),
+        StageKind::NeighborSearch,
+        None,
+        records,
+        || match search {
+            SearchStrategy::Knn => on_xyz(&BruteKnn::new()),
+            SearchStrategy::MortonWindow { window } => {
+                assert!(
+                    prev.is_none(),
+                    "Morton window only applies to the xyz module"
+                );
+                on_xyz(&MortonWindowSearcher::new(window, 10))
+            }
+            SearchStrategy::FeatureKnn => feature_knn(feats, k),
+            SearchStrategy::Reuse => {
+                let graph = required(prev, "Reuse requires a previous module's graph");
+                // Reuse costs only the cached read of the index array
+                // (the paper's ~160 KB per batch, Sec. 5.2.3).
+                let ops = OpCounts {
+                    gathered_bytes: (n * k * 4) as u64,
+                    seq_rounds: 1,
+                    ..OpCounts::ZERO
+                };
+                (graph, ops)
+            }
+            SearchStrategy::BallQuery { .. } => violation("DGCNN uses k-NN graphs, not ball query"),
+        },
+    )
 }
 
 /// Exact k-NN in feature space: the SOTA graph construction of DGCNN's
-/// later modules (`dist(p_i, p_j) = dist(f_i, f_j)`, Sec. 5.2.3).
-pub fn feature_knn(feats: &Tensor2, k: usize) -> (Vec<Vec<usize>>, OpCounts) {
+/// later modules (`dist(p_i, p_j) = dist(f_i, f_j)`, Sec. 5.2.3), as a
+/// flat `n x k` graph. The register-tiled [`nearest_rows`] kernel does
+/// the work; the op counts price the per-pair search it replays.
+pub fn feature_knn(feats: &Tensor2, k: usize) -> (Vec<usize>, OpCounts) {
     let n = feats.rows();
-    assert!(k < n, "k must be smaller than the point count");
-    let mut ops = OpCounts::ZERO;
-    // Parallel across fixed 32-query ranges; each query's top-k is
-    // independent, so thread count cannot affect the lists.
-    let per_chunk = edgepc_par::par_ranges(n, 32, |range| {
-        range
-            .map(|i| {
-                let fi = feats.row(i);
-                let mut best: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
-                for j in 0..n {
-                    if j == i {
-                        continue;
-                    }
-                    let mut d = 0.0f32;
-                    for (a, b) in fi.iter().zip(feats.row(j)) {
-                        let t = a - b;
-                        d += t * t;
-                    }
-                    // A candidate no closer than the current k-th can
-                    // never enter the list; skip the binary search.
-                    if best.len() == k && d >= best[k - 1].0 {
-                        continue;
-                    }
-                    let pos = best.partition_point(|&(bd, _)| bd <= d);
-                    if pos < k {
-                        best.insert(pos, (d, j));
-                        best.truncate(k);
-                    }
-                }
-                best.into_iter().map(|(_, j)| j).collect::<Vec<usize>>()
-            })
-            .collect::<Vec<Vec<usize>>>()
-    });
-    let mut neighbors = Vec::with_capacity(n);
-    for mut lists in per_chunk {
-        neighbors.append(&mut lists);
-    }
-    ops.feat_flops = (n * (n - 1) * 3 * feats.cols()) as u64;
-    ops.cmp = (n * (n - 1)) as u64;
-    ops.seq_rounds = (n.max(2) as f64).log2().ceil() as u64;
-    (neighbors, ops)
+    let graph = nearest_rows(feats, k);
+    let ops = OpCounts {
+        feat_flops: (n * (n - 1) * 3 * feats.cols()) as u64,
+        cmp: (n * (n - 1)) as u64,
+        seq_rounds: (n.max(2) as f64).log2().ceil() as u64,
+        ..OpCounts::ZERO
+    };
+    (graph, ops)
 }
 
 /// DGCNN(c): cloud-level classification (workload W3).
@@ -727,7 +705,7 @@ mod tests {
         let feats = Tensor2::from_vec(vec![0.0, 0.0, 1.0, 0.0, 5.0, 5.0, 1.1, 0.1], 4, 2);
         let (nbrs, ops) = feature_knn(&feats, 2);
         // Point 0's nearest in feature space are 1 (d=1) and 3 (d~1.22).
-        assert_eq!(nbrs[0], vec![1, 3]);
+        assert_eq!(nbrs[..2], [1, 3]);
         assert!(ops.feat_flops > 0);
     }
 
@@ -802,8 +780,8 @@ mod tests {
             n,
             2,
         );
-        let neighbors: Vec<Vec<usize>> = (0..n)
-            .map(|i| (1..=k).map(|d| (i + d) % n).collect())
+        let neighbors: Vec<usize> = (0..n)
+            .flat_map(|i| (1..=k).map(move |d| (i + d) % n))
             .collect();
         let mut ec = EdgeConv::new("ec", k, 2, &[4], 5);
         let mut records = Vec::new();

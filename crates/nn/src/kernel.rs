@@ -25,6 +25,11 @@
 //! starts each accumulator from its row of `P` instead of `+0.0`. That
 //! replays the same k-ascending f32 operations in the same order, so the
 //! two-pass result is bit-identical to the one-pass product.
+//!
+//! [`nearest_rows`] runs DGCNN's feature-space k-NN on the same tiles:
+//! candidates packed like a weight matrix's panels, a 4x8 tile of
+//! squared distances, each the per-pair scalar loop's exact float
+//! sequence, streamed into a top-k walk that replays that loop's rules.
 
 use crate::Tensor2;
 use std::cell::RefCell;
@@ -51,9 +56,10 @@ pub const MAX_FUSED_K: usize = 512;
 pub const EMPTY_SLOT: usize = usize::MAX;
 
 thread_local! {
-    /// Per-thread buffer for transient B-panel packing (used only when
-    /// the caller did not pre-pack the weights). Reused across calls, so
-    /// a warm unpacked pass allocates nothing.
+    /// Per-thread buffer for transient B-panel packing (used when the
+    /// caller did not pre-pack the weights, and for [`nearest_rows`]'
+    /// candidate panels). Reused across calls, so a warm unpacked pass
+    /// allocates nothing.
     static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -400,11 +406,7 @@ pub(crate) fn blocked_into(
     let panels: &[f32] = match packed {
         Some(p) => &p.data,
         None => {
-            // Zero-filled like a fresh buffer: a ragged last panel's
-            // padding columns must read exactly 0.0.
-            let mut buf = PACK_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
-            buf.clear();
-            buf.resize(n_panels * kk * MATMUL_NR, 0.0);
+            let mut buf = take_pack_buf(n_panels * kk * MATMUL_NR);
             pack_panels(w, &mut buf);
             &*local_pack.insert(buf)
         }
@@ -454,6 +456,16 @@ pub(crate) fn blocked_into(
     if let Some(buf) = local_pack {
         PACK_BUF.with(|b| *b.borrow_mut() = buf);
     }
+}
+
+/// This thread's `PACK_BUF`, taken out and zero-filled to `len` like a
+/// fresh buffer: a ragged last panel's padding columns must read exactly
+/// 0.0. Put it back when done, so the next call reuses its capacity.
+fn take_pack_buf(len: usize) -> Vec<f32> {
+    let mut buf = PACK_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
 }
 
 /// The A rows of one register tile: rows `row0..row0 + mr` of the
@@ -532,6 +544,135 @@ fn micro_kernel(
         }
     }
     acc
+}
+
+/// Exact k-nearest rows: for every row `i` of `feats` (`n x c`), the
+/// `k` other rows nearest to it by squared Euclidean distance, as one
+/// flat `n x k` row-major index buffer (DGCNN's feature-space graph).
+///
+/// The bit contract is the per-pair scalar loop's. Each distance is the
+/// channel-ascending sum `d += t * t`, `t = q[ch] - cand[ch]`, from
+/// `+0.0`; `dist_tile` vectorizes only across candidates, so every
+/// distance is bit-identical to the loop's. Candidates then reach each
+/// query's list in ascending index under the loop's rules: skip `j == i`;
+/// once the list is full, skip `d >= kth`; otherwise insert at
+/// `partition_point(|bd| bd <= d)` and truncate to `k`. So the lists,
+/// ties (lower index first) and NaN/±inf distances included, are the
+/// loop's too. Queries run in fixed 32-row chunks, so the graph does not
+/// depend on the thread count.
+///
+/// # Panics
+///
+/// Panics unless `0 < k < n`.
+pub fn nearest_rows(feats: &Tensor2, k: usize) -> Vec<usize> {
+    let (n, c) = (feats.rows(), feats.cols());
+    assert!(k < n, "k must be smaller than the point count");
+    assert!(k > 0, "k must be positive");
+    // Fᵀ in NR-candidate, channel-major panels: the layout `pack_panels`
+    // gives a `c x n` weight matrix, zero-padded past the last row.
+    let n_panels = n.div_ceil(MATMUL_NR);
+    let mut panels = take_pack_buf(n_panels * c * MATMUL_NR);
+    for j in 0..n {
+        let panel = (j / MATMUL_NR) * c * MATMUL_NR;
+        for (ch, &v) in feats.row(j).iter().enumerate() {
+            panels[panel + ch * MATMUL_NR + j % MATMUL_NR] = v;
+        }
+    }
+
+    let f = feats.as_slice();
+    let mut best = vec![(0.0f32, 0usize); n * k];
+    edgepc_par::par_chunks_mut(&mut best, 32 * k, |ci, chunk| {
+        for (t, tile) in chunk.chunks_mut(MATMUL_MR * k).enumerate() {
+            let row0 = ci * 32 + t * MATMUL_MR;
+            let rows = tile_rows(f, row0, tile.len() / k, c);
+            let mut lens = [0usize; MATMUL_MR];
+            for p in 0..n_panels {
+                let acc = dist_tile(rows, &panels[p * c * MATMUL_NR..(p + 1) * c * MATMUL_NR]);
+                let j0 = p * MATMUL_NR;
+                let width = MATMUL_NR.min(n - j0);
+                for (r, (list, len)) in tile.chunks_exact_mut(k).zip(&mut lens).enumerate() {
+                    offer(list, len, &acc[r], width, j0, row0 + r);
+                }
+            }
+        }
+    });
+    PACK_BUF.with(|b| *b.borrow_mut() = panels);
+    best.into_iter().map(|(_, j)| j).collect()
+}
+
+/// The distance twin of [`micro_kernel`]: an MR x NR tile of squared
+/// distances from the query `rows` to one panel's candidates, each a
+/// channel-ascending `d += t * t` of `t = q - cand` from `+0.0`.
+///
+/// Kept apart from the top-k walk on purpose: sharing a body with code
+/// that indexes the tile at run time keeps the accumulators on the stack
+/// whenever `c` is a run-time value, and the tile runs no faster than
+/// the scalar loop.
+#[inline(always)]
+fn dist_tile(rows: [&[f32]; MATMUL_MR], panel: &[f32]) -> [[f32; MATMUL_NR]; MATMUL_MR] {
+    let [a0, a1, a2, a3] = rows;
+    let (panel, _) = panel.as_chunks::<MATMUL_NR>();
+    let mut acc = [[0.0f32; MATMUL_NR]; MATMUL_MR];
+    for ((((b, &x0), &x1), &x2), &x3) in panel.iter().zip(a0).zip(a1).zip(a2).zip(a3) {
+        for (acc_row, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+            for (o, &bv) in acc_row.iter_mut().zip(b) {
+                let t = x - bv;
+                *o += t * t;
+            }
+        }
+    }
+    acc
+}
+
+/// Offers candidates `j0 + jj` (`jj < width`, ascending) at distances
+/// `dists[jj]` to query `i`'s list `list[..*len]`, by the scalar loop's
+/// rules. Lanes the full-list test would skip are masked out up front;
+/// the mask is recomputed after every insert, because a NaN distance
+/// lands at the list's front, leaves it unsorted, and the k-th entry can
+/// then rise.
+#[inline]
+fn offer(
+    list: &mut [(f32, usize)],
+    len: &mut usize,
+    dists: &[f32; MATMUL_NR],
+    width: usize,
+    j0: usize,
+    i: usize,
+) {
+    let k = list.len();
+    let valid = (1u32 << width) - 1;
+    let mut lanes = open_lanes(dists, list, *len) & valid;
+    while lanes != 0 {
+        let jj = lanes.trailing_zeros() as usize;
+        let later = valid & (u32::MAX << (jj + 1));
+        lanes &= later;
+        let (d, j) = (dists[jj], j0 + jj);
+        if j == i {
+            continue;
+        }
+        let pos = list[..*len].partition_point(|&(bd, _)| bd <= d);
+        if pos < k {
+            let last = (*len).min(k - 1);
+            list[pos..=last].rotate_right(1);
+            list[pos] = (d, j);
+            *len = last + 1;
+            lanes = open_lanes(dists, list, *len) & later;
+        }
+    }
+}
+
+/// The lanes of `dists` a list of `len` entries still takes: all of them
+/// while it fills, then those not `>=` its k-th distance (NaN included).
+#[inline(always)]
+fn open_lanes(dists: &[f32; MATMUL_NR], list: &[(f32, usize)], len: usize) -> u32 {
+    if len < list.len() {
+        return u32::MAX;
+    }
+    let kth = list[len - 1].0;
+    dists
+        .iter()
+        .enumerate()
+        .fold(0, |m, (jj, &d)| if d >= kth { m } else { m | 1 << jj })
 }
 
 #[cfg(test)]
@@ -1035,6 +1176,88 @@ mod tests {
             "the host has AVX2 but this build does not target it: the root \
              .cargo/config.toml is missing or a RUSTFLAGS setting overrides it"
         );
+    }
+
+    /// The per-pair scalar loop [`nearest_rows`] replaced, kept verbatim
+    /// as its oracle: one serial channel reduction per pair and a
+    /// `Vec::insert` top-k per query.
+    fn scalar_nearest_rows(feats: &Tensor2, k: usize) -> Vec<usize> {
+        let n = feats.rows();
+        let mut graph = Vec::with_capacity(n * k);
+        for i in 0..n {
+            let fi = feats.row(i);
+            let mut best: Vec<(f32, usize)> = Vec::with_capacity(k + 1);
+            for j in 0..n {
+                if j == i {
+                    continue;
+                }
+                let mut d = 0.0f32;
+                for (a, b) in fi.iter().zip(feats.row(j)) {
+                    let t = a - b;
+                    d += t * t;
+                }
+                if best.len() == k && d >= best[k - 1].0 {
+                    continue;
+                }
+                let pos = best.partition_point(|&(bd, _)| bd <= d);
+                if pos < k {
+                    best.insert(pos, (d, j));
+                    best.truncate(k);
+                }
+            }
+            graph.extend(best.into_iter().map(|(_, j)| j));
+        }
+        graph
+    }
+
+    /// A seeded `n x c` cloud where every fifth row duplicates another
+    /// (exact distance ties), and, when `hostile`, every eleventh row
+    /// holds a NaN, +inf or -inf channel.
+    fn knn_cloud(n: usize, c: usize, hostile: bool) -> Tensor2 {
+        let mut t = random_tensor(n, c, (n * 131 + c) as u64);
+        for r in (0..n).step_by(5) {
+            let src = t.row((r * 7 + 3) % n).to_vec();
+            t.row_mut(r).copy_from_slice(&src);
+        }
+        if hostile {
+            for r in (5..n).step_by(11) {
+                let v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(r / 11) % 3];
+                t.set(r, r % c, v);
+            }
+        }
+        t
+    }
+
+    /// The distance tile and streaming top-k against the scalar loop:
+    /// identical lists on ragged query tiles and candidate panels, one
+    /// and several 32-query chunks, duplicate rows and NaN/±inf rows, at
+    /// 1/2/8 threads. Debug builds run the shapes up to 255 rows; the
+    /// release runs (`ci.sh` step 6, both builds) run them all.
+    #[test]
+    fn nearest_rows_match_the_scalar_loop() {
+        let max_n = if cfg!(debug_assertions) { 255 } else { 1024 };
+        let mut shapes = vec![(2, 1), (9, 8), (21, 20)];
+        for n in [21usize, 37, 255, 1000, 1024] {
+            shapes.extend([1, 8, 20, n - 1].iter().map(|&k| (n, k)));
+        }
+        shapes.sort_unstable();
+        shapes.dedup();
+        for &(n, k) in shapes.iter().filter(|s| s.0 <= max_n) {
+            for c in [1usize, 3, 16, 64, 128] {
+                for hostile in [false, true] {
+                    let feats = knn_cloud(n, c, hostile);
+                    let expect = scalar_nearest_rows(&feats, k);
+                    let budgets: &[usize] = if n > 32 { &[1, 2, 8] } else { &[1] };
+                    for &threads in budgets {
+                        let got = edgepc_par::with_threads(threads, || nearest_rows(&feats, k));
+                        assert!(
+                            got == expect,
+                            "n={n} c={c} k={k} hostile={hostile} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn sa_product(c: usize, feats: &[f32], idx: &[usize]) {

@@ -57,7 +57,8 @@ pub mod pool;
 pub mod tensor;
 
 pub use kernel::{
-    fused_linear, kernel_uses_blocked_path, PackedPanels, RowSource, EMPTY_SLOT, MAX_FUSED_K,
+    fused_linear, kernel_uses_blocked_path, nearest_rows, PackedPanels, RowSource, EMPTY_SLOT,
+    MAX_FUSED_K,
 };
 pub use layer::{BatchNorm1d, Dropout, Layer, Linear, ReLU, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};

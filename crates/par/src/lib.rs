@@ -38,7 +38,7 @@
 
 mod pool;
 
-pub use pool::{par_chunk_map, par_chunks_mut, par_for, par_map, par_ranges, par_reduce};
+pub use pool::{par_chunk_map, par_chunks_mut, par_for, par_map, par_reduce};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

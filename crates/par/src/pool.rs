@@ -105,26 +105,6 @@ pub fn par_chunk_map<T: Sync, A: Send>(
     out
 }
 
-/// Maps `f` over half-open index ranges `[c*chunk, min((c+1)*chunk, n))`
-/// covering `0..n`, returning one result per range in range order. For
-/// kernels that index shared state rather than iterate a slice.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn par_ranges<A: Send>(
-    n: usize,
-    chunk: usize,
-    f: impl Fn(std::ops::Range<usize>) -> A + Sync,
-) -> Vec<A> {
-    assert!(chunk > 0, "chunk size must be positive");
-    let starts: Vec<usize> = (0..n.div_ceil(chunk)).map(|c| c * chunk).collect();
-    par_chunk_map(&starts, 1, |_, s| {
-        let lo = s[0];
-        f(lo..(lo + chunk).min(n))
-    })
-}
-
 /// Element-wise parallel map with deterministic chunking: equivalent to
 /// `items.iter().map(f).collect()` for every thread count.
 ///
@@ -290,14 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn par_ranges_covers_zero_to_n() {
-        for t in [1usize, 4] {
-            let got = with_threads(t, || par_ranges(23, 5, |r| (r.start, r.end)));
-            assert_eq!(got, vec![(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]);
-        }
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, 8, |&x| x).is_empty());
@@ -305,7 +277,6 @@ mod tests {
         let mut none: Vec<u32> = Vec::new();
         par_chunks_mut(&mut none, 8, |_, _| {});
         par_for(0, |_| {});
-        assert!(par_ranges(0, 8, |r| r.len()).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The canonical benchmark scenario set, at the paper's configurations.
 //!
-//! Fourteen scenarios cover the pipeline bottom-up — samplers, the radix
+//! Fifteen scenarios cover the pipeline bottom-up — samplers, the radix
 //! structurization sort, searchers, and the blocked, fused and
 //! gather-fused matmul kernels in isolation, then full model forwards
 //! both eager and through the compiled `edgepc-ir` plans — at Table 1
@@ -14,6 +14,7 @@
 
 use edgepc::Workload;
 use edgepc_geom::{OpCounts, PointCloud};
+use edgepc_models::dgcnn::feature_knn;
 use edgepc_models::{
     price_stages, CompiledDgcnn, CompiledPointNetPp, DgcnnClassifier, DgcnnConfig, ExecState,
     PipelineStrategy, PointNetPpConfig, PointNetPpSeg, StageRecord,
@@ -106,7 +107,7 @@ fn query_positions(cloud: &PointCloud) -> Vec<usize> {
     (0..cloud.len()).step_by(cloud.len() / QUERIES).collect()
 }
 
-/// The fourteen canonical scenarios, in pipeline order.
+/// The fifteen canonical scenarios, in pipeline order.
 pub fn paper_scenarios() -> Vec<Scenario> {
     let mut scenarios = vec![
         // --- Samplers (paper Sec. 5.1): 8192 -> 1024, W2's scene. ---
@@ -146,6 +147,13 @@ pub fn paper_scenarios() -> Vec<Scenario> {
                 (r.ops, priced(StageKind::NeighborSearch, r.ops, true))
             },
         ),
+        // --- DGCNN's feature-space k-NN (Sec. 5.2.3) at the paper
+        // classifier's ec3 shape: 1024 points, 64 channels, k = 20. ---
+        Scenario::new("search.featknn.n1024.c64.k20", 1024, || {
+            let (graph, ops) = feature_knn(&fill_tensor(1024, 64, 0xfea7), 20);
+            assert_eq!(graph.len(), 1024 * 20);
+            (ops, priced(StageKind::NeighborSearch, ops, false))
+        }),
         // --- Blocked matmul (the shifted bottleneck of Sec. 5.4): an SA1-
         // shaped shared-MLP product, (n*k) x C times C x C'. ---
         Scenario::new("nn.matmul.m4096.k64.n64", 4096, || {
@@ -327,6 +335,7 @@ mod tests {
                 "sort.radix.n8192",
                 "search.knn.n8192.q2048.k32",
                 "search.window.w128.n8192.q2048.k32",
+                "search.featknn.n1024.c64.k20",
                 "nn.matmul.m4096.k64.n64",
                 "nn.fused_mlp.m4096.k64.n64",
                 "nn.fused_gather.sa.m8192.k67.n64",

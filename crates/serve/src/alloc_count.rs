@@ -440,7 +440,7 @@ fn compiled_dgcnn_forward_allocation_count() {
     let n = warm_forward(|| {
         let _ = plan.run(&cloud, &mut state);
     });
-    assert_eq!(n, (4_225, 1_136_062), "(allocations, bytes)");
+    assert_eq!(n, (2_143, 1_044_926), "(allocations, bytes)");
 }
 
 #[test]

@@ -64,6 +64,34 @@ fn dgcnn_forward_is_thread_count_invariant() {
 }
 
 #[test]
+fn feature_knn_is_thread_count_invariant() {
+    // 1000 queries, so the last 32-query chunk holds 8 (two register
+    // tiles) and the last candidate panel is full; every seventh row
+    // repeats another, so distance ties cross chunk boundaries.
+    let (n, c) = (1000, 64);
+    let mut state = 0x5eed_u64;
+    let mut feats = edgepc_nn::Tensor2::from_vec(
+        (0..n * c)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 40) as f32) / (1 << 24) as f32 - 0.5
+            })
+            .collect(),
+        n,
+        c,
+    );
+    for r in (0..n).step_by(7) {
+        let src = feats.row((r * 13 + 500) % n).to_vec();
+        feats.row_mut(r).copy_from_slice(&src);
+    }
+    assert_thread_count_invariant("feature k-NN graph", || {
+        edgepc_models::dgcnn::feature_knn(&feats, 20).0
+    });
+}
+
+#[test]
 fn compiled_pointnetpp_matches_eager_at_every_thread_budget() {
     let cloud = bunny_cloud();
     let config = PointNetPpConfig::tiny(3, PipelineStrategy::edgepc_pointnetpp(2, 16));
