@@ -67,6 +67,7 @@ pub mod prelude {
         false_neighbor_ratio, neighbor_quality, BallQuery, BruteKnn, GridSearcher, KdTree,
         MortonWindowSearcher, NeighborQuality, NeighborSearcher,
     };
+    pub use edgepc_nn::Params;
     pub use edgepc_sample::{
         FarthestPointSampler, MortonInterpolator, MortonSampler, RandomSampler, Sampler,
         ThreeNnInterpolator, UniformSampler,

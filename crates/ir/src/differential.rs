@@ -9,7 +9,7 @@
 use crate::schedule::{ASrc, Region, Src, Step};
 use crate::{compile, Executor, GatherIn, GatherMode, Graph, InTensor, Inputs, NodeId, Plan};
 use edgepc_nn::pool::max_pool_groups;
-use edgepc_nn::{Layer, Sequential, Tensor2, EMPTY_SLOT};
+use edgepc_nn::{Sequential, Tensor2, EMPTY_SLOT};
 
 const GRAPHS: u64 = 300;
 

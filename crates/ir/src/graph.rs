@@ -264,18 +264,12 @@ impl Graph {
     }
 
     /// Lowers a `Sequential` MLP onto `x`: each `Linear` becomes one
-    /// `linear` node, with `relu` set when an activation follows it. Any
-    /// other layer order diverges via `guard::violation` — the models
-    /// only build `Sequential::mlp` stacks.
+    /// `linear` node, with `relu` set on all but the last.
     pub fn mlp(&mut self, x: NodeId, seq: &Sequential) -> NodeId {
+        let linears = seq.linears();
         let mut cur = x;
-        let mut layers = seq.layers().iter().peekable();
-        while let Some(layer) = layers.next() {
-            let Some(lin) = layer.as_linear() else {
-                edgepc_geom::violation("ir lowering: MLP layer is not a Linear(->ReLU) pair");
-            };
-            let relu = layers.next_if(|l| l.is_activation()).is_some();
-            cur = self.linear(cur, lin.weights(), lin.bias(), relu);
+        for (i, lin) in linears.iter().enumerate() {
+            cur = self.linear(cur, lin.weights(), lin.bias(), i + 1 < linears.len());
         }
         cur
     }

@@ -67,7 +67,7 @@ pub use schedule::{compile, GatherSite, Plan};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edgepc_nn::{Layer, Sequential, Tensor2, EMPTY_SLOT};
+    use edgepc_nn::{Sequential, Tensor2, EMPTY_SLOT};
 
     fn random_tensor(rows: usize, cols: usize, seed: u64) -> Tensor2 {
         let mut s = seed | 1;

@@ -14,13 +14,7 @@ use crate::lexer::TokenKind;
 use crate::rules::SourceModel;
 use crate::syntax::{self, FileSyntax};
 
-const PAR_ENTRY_POINTS: &[&str] = &[
-    "par_for",
-    "par_map",
-    "par_chunk_map",
-    "par_chunks_mut",
-    "par_reduce",
-];
+const PAR_ENTRY_POINTS: &[&str] = &["par_for", "par_chunk_map", "par_chunks_mut"];
 
 const RMW_ATOMICS: &[&str] = &[
     "fetch_add",
@@ -124,15 +118,12 @@ mod tests {
         let src = r#"
 use std::sync::atomic::{AtomicU64, Ordering};
 pub fn bad_fold(xs: &[u64], total: &AtomicU64) -> u64 {
-    edgepc_par::par_reduce(
-        xs,
-        8,
-        |chunk| {
-            total.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            chunk.iter().sum()
-        },
-        |a, b| a + b,
-    )
+    edgepc_par::par_chunk_map(xs, 8, |_, chunk| {
+        total.fetch_add(chunk.len() as u64, Ordering::Relaxed);
+        chunk.iter().sum::<u64>()
+    })
+    .into_iter()
+    .sum()
 }
 pub fn scatter(xs: &[u64], out: &[AtomicU64]) {
     edgepc_par::par_for(xs.len(), 8, |i| {

@@ -81,7 +81,7 @@ impl ModulePlan {
             plan: edgepc_ir::compile(&g),
             name: name.to_string(),
             fc_k: g.shape(x).1,
-            seq_rounds: 2 * mlp.len() as u64,
+            seq_rounds: crate::observe::seq_rounds(mlp),
         }
     }
 

@@ -11,7 +11,7 @@
 use edgepc_geom::{required, violation, OpCounts, PointCloud};
 use edgepc_neighbor::{BruteKnn, MortonWindowSearcher, NeighborSearcher};
 use edgepc_nn::pool::{global_max_pool, max_pool_groups, PooledGroups};
-use edgepc_nn::{nearest_rows, Layer, Sequential, Tensor2};
+use edgepc_nn::{nearest_rows, Params, Sequential, Tensor2};
 use edgepc_sim::StageKind;
 
 use crate::strategy::{PipelineStrategy, SearchStrategy, StageRecord};
@@ -287,12 +287,6 @@ impl DgcnnBackbone {
         }
     }
 
-    fn zero_grads(&mut self) {
-        for m in &mut self.modules {
-            m.mlp_mut().zero_grads();
-        }
-    }
-
     fn out_channels(&self) -> usize {
         self.modules.iter().map(|m| m.out_channels()).sum()
     }
@@ -463,31 +457,12 @@ impl DgcnnClassifier {
         }
         self.backbone.backward(d_outputs);
     }
-
-    /// Zeroes all gradients.
-    pub fn zero_grads(&mut self) {
-        self.backbone.zero_grads();
-        self.head.zero_grads();
-    }
-
-    /// Visits all parameters for an optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.backbone.visit_params(f);
-        self.head.visit_params(f);
-    }
 }
 
-impl Layer for DgcnnClassifier {
-    fn forward(&mut self, _x: &Tensor2, _ops: &mut OpCounts) -> Tensor2 {
-        unimplemented!("use DgcnnClassifier::forward(cloud)")
-    }
-
-    fn backward(&mut self, _dy: &Tensor2) -> Tensor2 {
-        unimplemented!("use DgcnnClassifier::backward(d_logits)")
-    }
-
+impl Params for DgcnnClassifier {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        DgcnnClassifier::visit_params(self, f);
+        self.backbone.visit_params(f);
+        self.head.visit_params(f);
     }
 }
 
@@ -605,31 +580,12 @@ impl DgcnnSeg {
         }
         self.backbone.backward(d_outputs);
     }
-
-    /// Zeroes all gradients.
-    pub fn zero_grads(&mut self) {
-        self.backbone.zero_grads();
-        self.head.zero_grads();
-    }
-
-    /// Visits all parameters for an optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.backbone.visit_params(f);
-        self.head.visit_params(f);
-    }
 }
 
-impl Layer for DgcnnSeg {
-    fn forward(&mut self, _x: &Tensor2, _ops: &mut OpCounts) -> Tensor2 {
-        unimplemented!("use DgcnnSeg::forward(cloud)")
-    }
-
-    fn backward(&mut self, _dy: &Tensor2) -> Tensor2 {
-        unimplemented!("use DgcnnSeg::backward(d_logits)")
-    }
-
+impl Params for DgcnnSeg {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        DgcnnSeg::visit_params(self, f);
+        self.backbone.visit_params(f);
+        self.head.visit_params(f);
     }
 }
 

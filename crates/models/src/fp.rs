@@ -7,7 +7,7 @@
 //! shared MLP.
 
 use edgepc_geom::{required, Point3};
-use edgepc_nn::{Layer, Sequential, Tensor2};
+use edgepc_nn::{Sequential, Tensor2};
 use edgepc_sample::{InterpPlan, MortonInterpolator, ThreeNnInterpolator};
 use edgepc_sim::StageKind;
 
@@ -264,6 +264,7 @@ mod tests {
     use super::*;
     use crate::selection::select;
     use crate::strategy::{SampleStrategy, SearchStrategy};
+    use edgepc_nn::Params;
 
     fn scattered(n: usize) -> Vec<Point3> {
         let mut state = 0xf00d_5eed_1234_5678u64;

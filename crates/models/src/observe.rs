@@ -7,7 +7,7 @@
 //! modeled device time/energy next to the measured wall clock.
 
 use edgepc_geom::OpCounts;
-use edgepc_nn::{Layer, Sequential, Tensor2};
+use edgepc_nn::{Sequential, Tensor2};
 use edgepc_sim::{EnergyModel, ExecMode, PowerState, StageKind, XavierModel};
 use edgepc_trace::span;
 
@@ -75,10 +75,16 @@ pub(crate) fn mlp_stage(
         || {
             let mut ops = OpCounts::ZERO;
             let out = mlp.forward(x, &mut ops);
-            ops.seq_rounds = 2 * mlp.len() as u64;
+            ops.seq_rounds = seq_rounds(mlp);
             (out, ops)
         },
     )
+}
+
+/// Dependent rounds the device model charges an MLP: two per layer,
+/// counting the ReLU between each pair of linears as a layer.
+pub(crate) fn seq_rounds(mlp: &Sequential) -> u64 {
+    2 * (2 * mlp.linears().len() as u64 - 1)
 }
 
 #[cfg(test)]

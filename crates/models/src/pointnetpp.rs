@@ -2,13 +2,12 @@
 //! pluggable EdgePC strategies.
 
 use edgepc_geom::{required, Point3, PointCloud};
-use edgepc_nn::{Layer, Sequential, Tensor2};
+use edgepc_nn::{Params, Sequential, Tensor2};
 
 use crate::fp::{FeaturePropagation, InterpSource};
 use crate::sa::SetAbstraction;
 use crate::selection::MortonContext;
 use crate::strategy::{PipelineStrategy, StageRecord};
-use edgepc_geom::OpCounts;
 
 /// One SA level's shape: how many points survive, how many neighbors are
 /// grouped, and the shared-MLP widths.
@@ -287,20 +286,10 @@ impl PointNetPpSeg {
         }
         // Gradient w.r.t. the input xyz features is discarded.
     }
+}
 
-    /// Zeroes all parameter gradients.
-    pub fn zero_grads(&mut self) {
-        for sa in &mut self.sa {
-            sa.mlp_mut().zero_grads();
-        }
-        for fp in &mut self.fp {
-            fp.mlp_mut().zero_grads();
-        }
-        self.head.zero_grads();
-    }
-
-    /// Visits all parameters for an optimizer.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+impl Params for PointNetPpSeg {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         for sa in &mut self.sa {
             sa.mlp_mut().visit_params(f);
         }
@@ -308,23 +297,6 @@ impl PointNetPpSeg {
             fp.mlp_mut().visit_params(f);
         }
         self.head.visit_params(f);
-    }
-}
-
-impl Layer for PointNetPpSeg {
-    /// [`Layer`] is implemented so optimizers can drive the whole network;
-    /// `forward`/`backward` through this interface are unsupported because
-    /// the network consumes clouds, not tensors.
-    fn forward(&mut self, _x: &Tensor2, _ops: &mut OpCounts) -> Tensor2 {
-        unimplemented!("use PointNetPpSeg::forward(cloud)")
-    }
-
-    fn backward(&mut self, _dy: &Tensor2) -> Tensor2 {
-        unimplemented!("use PointNetPpSeg::backward(d_logits)")
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        PointNetPpSeg::visit_params(self, f);
     }
 }
 

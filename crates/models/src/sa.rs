@@ -7,7 +7,7 @@
 
 use edgepc_geom::{required, OpCounts, Point3};
 use edgepc_nn::pool::{max_pool_groups, PooledGroups};
-use edgepc_nn::{Layer, Sequential, Tensor2};
+use edgepc_nn::{Sequential, Tensor2};
 use edgepc_sim::StageKind;
 
 use crate::selection::{select, Selection};
@@ -239,6 +239,7 @@ pub(crate) fn clamped_k(k: usize, n_in: usize) -> usize {
 mod tests {
     use super::*;
     use edgepc_nn::OpCounts as _OpAlias;
+    use edgepc_nn::Params;
 
     fn scattered(n: usize) -> Vec<Point3> {
         let mut state = 0x51_5151u64;

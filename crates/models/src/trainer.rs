@@ -8,7 +8,7 @@
 //! classification / per-point accuracy.
 
 use edgepc_data::{Dataset, Task};
-use edgepc_nn::{loss, Adam, Optimizer};
+use edgepc_nn::{loss, Adam, Optimizer, Params};
 
 use crate::{DgcnnClassifier, DgcnnSeg, PointNetPpSeg};
 use edgepc_geom::required;

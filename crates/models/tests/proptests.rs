@@ -9,7 +9,7 @@ use edgepc_models::{
     DgcnnClassifier, DgcnnConfig, DgcnnSeg, PipelineStrategy, PointNetPpConfig, PointNetPpSeg,
     SaLevelSpec,
 };
-use edgepc_nn::{loss, Tensor2};
+use edgepc_nn::{loss, Params, Tensor2};
 use edgepc_sim::StageKind;
 
 const CASES: usize = 12;

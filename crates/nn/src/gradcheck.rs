@@ -1,23 +1,23 @@
 //! Numerical gradient checking.
 //!
-//! The test suites of this crate and `edgepc-models` verify every layer's
-//! analytic backward pass against central finite differences.
+//! This crate's test suites verify the MLP's analytic backward pass
+//! against central finite differences.
 
 use edgepc_geom::OpCounts;
 
-use crate::{Layer, Tensor2};
+use crate::{Params, Sequential, Tensor2};
 
-/// Compares a layer's analytic input gradient against central finite
+/// Compares an MLP's analytic input gradient against central finite
 /// differences of the scalar objective `sum(forward(x) * dy)`.
 ///
 /// Returns the maximum absolute element-wise discrepancy.
 ///
 /// # Panics
 ///
-/// Panics if the layer changes output shape between calls.
-pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f32 {
+/// Panics if the MLP changes output shape between calls.
+pub fn check_input_gradient(net: &mut Sequential, x: &Tensor2, eps: f32) -> f32 {
     let mut ops = OpCounts::ZERO;
-    let y = layer.forward(x, &mut ops);
+    let y = net.forward(x, &mut ops);
     // A fixed, reproducible upstream gradient.
     let dy = Tensor2::from_vec(
         (0..y.rows() * y.cols())
@@ -26,12 +26,12 @@ pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f32
         y.rows(),
         y.cols(),
     );
-    layer.zero_grads();
-    let analytic = layer.backward(&dy);
+    net.zero_grads();
+    let analytic = net.backward(&dy);
 
-    let objective = |layer: &mut dyn Layer, x: &Tensor2| -> f32 {
+    let objective = |net: &mut Sequential, x: &Tensor2| -> f32 {
         let mut ops = OpCounts::ZERO;
-        let y = layer.forward(x, &mut ops);
+        let y = net.forward(x, &mut ops);
         y.as_slice()
             .iter()
             .zip(dy.as_slice())
@@ -44,9 +44,9 @@ pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f32
     for i in 0..x.rows() * x.cols() {
         let orig = xp.as_slice()[i];
         xp.as_mut_slice()[i] = orig + eps;
-        let plus = objective(layer, &xp);
+        let plus = objective(net, &xp);
         xp.as_mut_slice()[i] = orig - eps;
-        let minus = objective(layer, &xp);
+        let minus = objective(net, &xp);
         xp.as_mut_slice()[i] = orig;
         let numeric = (plus - minus) / (2.0 * eps);
         worst = worst.max((numeric - analytic.as_slice()[i]).abs());
@@ -54,12 +54,12 @@ pub fn check_input_gradient(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f32
     worst
 }
 
-/// Compares a layer's analytic *parameter* gradients against central finite
+/// Compares an MLP's analytic *parameter* gradients against central finite
 /// differences. Returns the maximum absolute discrepancy over all
 /// parameters.
-pub fn check_param_gradients(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f32 {
+pub fn check_param_gradients(net: &mut Sequential, x: &Tensor2, eps: f32) -> f32 {
     let mut ops = OpCounts::ZERO;
-    let y = layer.forward(x, &mut ops);
+    let y = net.forward(x, &mut ops);
     let dy = Tensor2::from_vec(
         (0..y.rows() * y.cols())
             .map(|i| ((i % 5) as f32 - 2.0) / 2.0)
@@ -67,16 +67,16 @@ pub fn check_param_gradients(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f3
         y.rows(),
         y.cols(),
     );
-    layer.zero_grads();
-    let _ = layer.backward(&dy);
+    net.zero_grads();
+    let _ = net.backward(&dy);
 
     // Snapshot analytic gradients.
     let mut analytic: Vec<Vec<f32>> = Vec::new();
-    layer.visit_params(&mut |_, g| analytic.push(g.to_vec()));
+    net.visit_params(&mut |_, g| analytic.push(g.to_vec()));
 
-    let objective = |layer: &mut dyn Layer| -> f32 {
+    let objective = |net: &mut Sequential| -> f32 {
         let mut ops = OpCounts::ZERO;
-        let y = layer.forward(x, &mut ops);
+        let y = net.forward(x, &mut ops);
         y.as_slice()
             .iter()
             .zip(dy.as_slice())
@@ -85,9 +85,9 @@ pub fn check_param_gradients(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f3
     };
 
     // Nudges parameter (slot, i) by delta via visit_params.
-    fn nudge(layer: &mut dyn Layer, slot: usize, i: usize, delta: f32) {
+    fn nudge(net: &mut dyn Params, slot: usize, i: usize, delta: f32) {
         let mut s = 0usize;
-        layer.visit_params(&mut |p, _| {
+        net.visit_params(&mut |p, _| {
             if s == slot {
                 p[i] += delta;
             }
@@ -98,11 +98,11 @@ pub fn check_param_gradients(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f3
     let mut worst = 0.0f32;
     for (slot, grads) in analytic.iter().enumerate() {
         for (i, &expected) in grads.iter().enumerate() {
-            nudge(layer, slot, i, eps);
-            let plus = objective(layer);
-            nudge(layer, slot, i, -2.0 * eps);
-            let minus = objective(layer);
-            nudge(layer, slot, i, eps);
+            nudge(net, slot, i, eps);
+            let plus = objective(net);
+            nudge(net, slot, i, -2.0 * eps);
+            let minus = objective(net);
+            nudge(net, slot, i, eps);
             let numeric = (plus - minus) / (2.0 * eps);
             worst = worst.max((numeric - expected).abs());
         }
@@ -113,30 +113,13 @@ pub fn check_param_gradients(layer: &mut dyn Layer, x: &Tensor2, eps: f32) -> f3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchNorm1d, Linear, ReLU, Sequential};
 
     #[test]
     fn linear_gradients_check_out() {
-        let mut l = Linear::new(3, 4, 5);
+        let mut l = Sequential::mlp(&[3, 4], 5);
         let x = Tensor2::from_vec((0..6).map(|v| v as f32 * 0.3 - 1.0).collect(), 2, 3);
         assert!(check_input_gradient(&mut l, &x, 1e-2) < 1e-2);
         assert!(check_param_gradients(&mut l, &x, 1e-2) < 1e-2);
-    }
-
-    #[test]
-    fn relu_input_gradient_checks_out() {
-        let mut r = ReLU::new();
-        // Keep inputs away from the kink at 0.
-        let x = Tensor2::from_vec(vec![-1.0, -0.5, 0.5, 1.0, 2.0, -2.0], 2, 3);
-        assert!(check_input_gradient(&mut r, &x, 1e-3) < 1e-2);
-    }
-
-    #[test]
-    fn batchnorm_gradients_check_out() {
-        let mut bn = BatchNorm1d::new(2);
-        let x = Tensor2::from_vec(vec![0.1, 1.0, -0.4, 2.0, 0.7, -1.0, 1.5, 0.3], 4, 2);
-        assert!(check_input_gradient(&mut bn, &x, 1e-2) < 5e-2);
-        assert!(check_param_gradients(&mut bn, &x, 1e-2) < 5e-2);
     }
 
     #[test]
@@ -145,5 +128,13 @@ mod tests {
         let x = Tensor2::from_vec(vec![0.3, -0.8, 1.2, 0.4], 2, 2);
         assert!(check_input_gradient(&mut net, &x, 1e-2) < 2e-2);
         assert!(check_param_gradients(&mut net, &x, 1e-2) < 2e-2);
+    }
+
+    #[test]
+    fn two_relu_mlp_checks_out() {
+        let mut net = Sequential::mlp(&[3, 6, 5, 2], 4);
+        let x = Tensor2::from_vec(vec![-1.0, -0.5, 0.5, 1.0, 2.0, -2.0], 2, 3);
+        assert!(check_input_gradient(&mut net, &x, 1e-3) < 2e-2);
+        assert!(check_param_gradients(&mut net, &x, 1e-3) < 2e-2);
     }
 }

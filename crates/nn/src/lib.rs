@@ -7,12 +7,13 @@
 //!
 //! * [`Tensor2`] — a row-major 2-D `f32` tensor with the linear algebra the
 //!   models need,
-//! * [`Linear`], [`ReLU`], [`BatchNorm1d`], [`Sequential`] — layers with
-//!   forward/backward passes (a `Linear` applied row-wise over points is
-//!   exactly the shared-MLP / 1x1 convolution of point-cloud CNNs),
+//! * [`Sequential`] — the shared MLP, [`Linear`] layers with a ReLU
+//!   between each pair, with forward/backward passes (a `Linear` applied
+//!   row-wise over points is exactly the 1x1 convolution of point-cloud
+//!   CNNs),
 //! * [`pool`] — grouped max-pooling over neighborhoods with backward,
 //! * [`loss`] — softmax cross-entropy,
-//! * [`Sgd`] / [`Adam`] — optimizers over any [`Layer`]'s parameters,
+//! * [`Sgd`] / [`Adam`] — optimizers over any [`Params`] visitor,
 //! * [`gradcheck`] — numerical gradient checking used by the test suite.
 //!
 //! Feature-compute work is reported through [`OpCounts::mac`] so the device
@@ -21,15 +22,11 @@
 //! # Example
 //!
 //! ```
-//! use edgepc_nn::{loss, Adam, Layer, Linear, Optimizer, ReLU, Sequential, Tensor2};
+//! use edgepc_nn::{loss, Adam, Optimizer, Params, Sequential, Tensor2};
 //! use edgepc_geom::OpCounts;
 //!
-//! // Learn y = x > 0 with a tiny MLP.
-//! let mut net = Sequential::new(vec![
-//!     Box::new(Linear::new(1, 8, 0)),
-//!     Box::new(ReLU::new()),
-//!     Box::new(Linear::new(8, 2, 1)),
-//! ]);
+//! // Learn y = x > 0 with a tiny MLP: Linear(1, 8) -> ReLU -> Linear(8, 2).
+//! let mut net = Sequential::mlp(&[1, 8, 2], 0);
 //! let mut opt = Adam::new(0.05);
 //! let x = Tensor2::from_vec(vec![-1.0, -0.5, 0.5, 1.0], 4, 1);
 //! let t = [0u32, 0, 1, 1];
@@ -46,6 +43,7 @@
 //! assert!(logits.get(3, 1) > logits.get(3, 0)); // positive -> class 1
 //! ```
 
+#![warn(clippy::panic, clippy::unreachable)]
 #![warn(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod gradcheck;
@@ -60,7 +58,7 @@ pub use kernel::{
     fused_linear, kernel_uses_blocked_path, nearest_rows, PackedPanels, RowSource, EMPTY_SLOT,
     MAX_FUSED_K,
 };
-pub use layer::{BatchNorm1d, Dropout, Layer, Linear, ReLU, Sequential};
+pub use layer::{Linear, Params, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use tensor::Tensor2;
 

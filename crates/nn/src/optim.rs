@@ -1,12 +1,12 @@
-//! Optimizers over [`Layer`] parameters.
+//! Optimizers over [`Params`].
 
-use crate::Layer;
+use crate::Params;
 
 /// A first-order optimizer: consumes the gradients a backward pass
 /// accumulated and updates the parameters in place.
 pub trait Optimizer {
-    /// Applies one update step to every parameter of `layer`.
-    fn step(&mut self, layer: &mut dyn Layer);
+    /// Applies one update step to every parameter of `params`.
+    fn step(&mut self, params: &mut dyn Params);
 }
 
 /// Stochastic gradient descent with classical momentum.
@@ -14,10 +14,10 @@ pub trait Optimizer {
 /// # Example
 ///
 /// ```
-/// use edgepc_nn::{Layer, Linear, Optimizer, Sgd, Tensor2};
+/// use edgepc_nn::{Optimizer, Sequential, Sgd, Tensor2};
 /// use edgepc_geom::OpCounts;
 ///
-/// let mut l = Linear::new(1, 1, 0);
+/// let mut l = Sequential::mlp(&[1, 1], 0);
 /// let mut opt = Sgd::new(0.1).with_momentum(0.9);
 /// let x = Tensor2::from_vec(vec![1.0], 1, 1);
 /// let mut ops = OpCounts::default();
@@ -62,11 +62,11 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, layer: &mut dyn Layer) {
+    fn step(&mut self, params: &mut dyn Params) {
         let mut slot = 0usize;
         let (lr, mu) = (self.lr, self.momentum);
         let velocity = &mut self.velocity;
-        layer.visit_params(&mut |p, g| {
+        params.visit_params(&mut |p, g| {
             if velocity.len() == slot {
                 velocity.push(vec![0.0; p.len()]);
             }
@@ -115,14 +115,14 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, layer: &mut dyn Layer) {
+    fn step(&mut self, params: &mut dyn Params) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t);
         let bc2 = 1.0 - self.beta2.powi(self.t);
         let mut slot = 0usize;
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let (ms, vs) = (&mut self.m, &mut self.v);
-        layer.visit_params(&mut |p, g| {
+        params.visit_params(&mut |p, g| {
             if ms.len() == slot {
                 ms.push(vec![0.0; p.len()]);
                 vs.push(vec![0.0; p.len()]);
@@ -145,13 +145,13 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{loss, Linear, Sequential, Tensor2};
+    use crate::{loss, Sequential, Tensor2};
     use edgepc_geom::OpCounts;
 
     /// Train y = 2x with a 1-layer net and the given optimizer; return the
     /// final mean-squared error.
     fn fit_line(opt: &mut dyn Optimizer, steps: usize) -> f32 {
-        let mut l = Linear::new(1, 1, 9);
+        let mut l = Sequential::mlp(&[1, 1], 9);
         let x = Tensor2::from_vec(vec![-1.0, 0.0, 1.0, 2.0], 4, 1);
         let t = [-2.0f32, 0.0, 2.0, 4.0];
         let mut ops = OpCounts::ZERO;

@@ -240,20 +240,6 @@ impl Tensor2 {
         out
     }
 
-    /// Gathers rows by index into a new tensor (repeats allowed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn gather_rows(&self, index: &[usize]) -> Tensor2 {
-        let mut out = Tensor2::zeros(index.len(), self.cols);
-        for (dst, &src) in index.iter().enumerate() {
-            assert!(src < self.rows, "gather index {src} out of range");
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
     /// Splits into rows `0..at` and rows `at..` (a hoisted weight's head
     /// and tail blocks).
     ///
@@ -351,13 +337,6 @@ mod tests {
         let c = a.hstack(&b);
         assert_eq!(c.row(0), &[1.0, 3.0]);
         assert_eq!(c.row(1), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn gather_rows_with_repeats() {
-        let a = Tensor2::from_vec(vec![1.0, 2.0, 3.0], 3, 1);
-        let g = a.gather_rows(&[2, 2, 0]);
-        assert_eq!(g.as_slice(), &[3.0, 3.0, 1.0]);
     }
 
     #[test]

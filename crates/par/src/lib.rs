@@ -2,7 +2,8 @@
 //!
 //! A std-only, deterministic data-parallel runtime for the EdgePC hot
 //! kernels: a scoped-thread (`std::thread::scope`) fork/join pool with
-//! chunked [`par_map`] / [`par_chunks_mut`] / [`par_reduce`] primitives.
+//! chunked [`par_chunk_map`] / [`par_chunks_mut`] primitives and an
+//! index-strided [`par_for`].
 //!
 //! ## Determinism contract
 //!
@@ -26,9 +27,8 @@
 //! 1. a thread-local override installed by [`with_threads`] (used by the
 //!    determinism tests and by serve workers to give each worker its own
 //!    budget without races),
-//! 2. the process-global value set by [`set_threads`],
-//! 3. the `EDGEPC_THREADS` environment variable (read once),
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `EDGEPC_THREADS` environment variable (read once),
+//! 3. [`std::thread::available_parallelism`].
 //!
 //! On a single-core host all primitives take a zero-spawn serial fast
 //! path, so parallelization never taxes the machines it cannot help.
@@ -38,19 +38,14 @@
 
 mod pool;
 
-pub use pool::{par_chunk_map, par_chunks_mut, par_for, par_map, par_reduce};
+pub use pool::{par_chunk_map, par_chunks_mut, par_for};
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Hard ceiling on the worker count, bounding scoped-spawn cost even
 /// under a nonsensical `EDGEPC_THREADS`.
 pub const MAX_THREADS: usize = 64;
-
-/// Process-global worker budget; 0 means "not set" (fall through to the
-/// environment / detected parallelism).
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Per-thread override installed by [`with_threads`]; 0 = none.
@@ -77,10 +72,6 @@ pub fn threads() -> usize {
     if local > 0 {
         return local.min(MAX_THREADS);
     }
-    let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if global > 0 {
-        return global.min(MAX_THREADS);
-    }
     let env = env_threads();
     if env > 0 {
         return env.min(MAX_THREADS);
@@ -99,13 +90,6 @@ fn detected_threads() -> usize {
             .unwrap_or(1)
             .min(MAX_THREADS)
     })
-}
-
-/// Sets the process-global worker budget. `0` resets to automatic
-/// resolution (`EDGEPC_THREADS`, then detected parallelism). Thread-local
-/// [`with_threads`] overrides still win.
-pub fn set_threads(n: usize) {
-    GLOBAL_THREADS.store(n, Ordering::Relaxed);
 }
 
 /// Runs `f` with the worker budget overridden to `n` on the *current*

@@ -105,26 +105,6 @@ pub fn par_chunk_map<T: Sync, A: Send>(
     out
 }
 
-/// Element-wise parallel map with deterministic chunking: equivalent to
-/// `items.iter().map(f).collect()` for every thread count.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn par_map<T: Sync, U: Send>(items: &[T], chunk: usize, f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let t = workers_for(items.len().div_ceil(chunk.max(1)));
-    if t <= 1 {
-        assert!(chunk > 0, "chunk size must be positive");
-        return items.iter().map(f).collect();
-    }
-    let per_chunk = par_chunk_map(items, chunk, |_, c| c.iter().map(&f).collect::<Vec<U>>());
-    let mut out = Vec::with_capacity(items.len());
-    for mut v in per_chunk {
-        out.append(&mut v);
-    }
-    out
-}
-
 /// Applies `f` to fixed `chunk`-sized mutable slices of `data` in
 /// parallel. `f` receives the chunk index and the chunk slice; the
 /// element offset of chunk `i` is `i * chunk`. Equivalent to the serial
@@ -169,41 +149,10 @@ pub fn par_chunks_mut<T: Send>(data: &mut [T], chunk: usize, f: impl Fn(usize, &
     });
 }
 
-/// Chunked map-reduce: maps `map` over fixed `chunk`-sized slices in
-/// parallel, then folds the per-chunk results **sequentially in chunk
-/// order** on the calling thread — so the reduction order (and any
-/// floating-point rounding in `fold`) is independent of the thread
-/// count.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn par_reduce<T: Sync, A: Send>(
-    items: &[T],
-    chunk: usize,
-    identity: A,
-    map: impl Fn(usize, &[T]) -> A + Sync,
-    fold: impl FnMut(A, A) -> A,
-) -> A {
-    par_chunk_map(items, chunk, map)
-        .into_iter()
-        .fold(identity, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::with_threads;
-
-    #[test]
-    fn par_map_matches_serial_for_every_thread_count() {
-        let items: Vec<u64> = (0..1000).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
-        for t in [1usize, 2, 3, 8] {
-            let got = with_threads(t, || par_map(&items, 64, |&x| x * 3 + 1));
-            assert_eq!(got, expect, "thread count {t}");
-        }
-    }
 
     #[test]
     fn par_chunk_map_preserves_chunk_order_and_indices() {
@@ -236,26 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_folds_in_chunk_order() {
-        // A non-commutative fold (string concat) exposes any ordering
-        // dependence on the worker count.
-        let items: Vec<usize> = (0..40).collect();
-        let reduce = || {
-            par_reduce(
-                &items,
-                7,
-                String::new(),
-                |i, c| format!("[{i}:{}]", c.len()),
-                |a, b| a + &b,
-            )
-        };
-        let serial = with_threads(1, reduce);
-        for t in [2usize, 8] {
-            assert_eq!(with_threads(t, reduce), serial, "thread count {t}");
-        }
-    }
-
-    #[test]
     fn par_for_runs_every_index_exactly_once() {
         use std::sync::atomic::{AtomicU32, Ordering};
         for t in [1usize, 3, 9] {
@@ -272,7 +201,6 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, 8, |&x| x).is_empty());
         assert!(par_chunk_map(&empty, 8, |_, c| c.len()).is_empty());
         let mut none: Vec<u32> = Vec::new();
         par_chunks_mut(&mut none, 8, |_, _| {});

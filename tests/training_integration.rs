@@ -112,3 +112,82 @@ fn retraining_closes_the_transplant_gap() {
         base_rep.test_accuracy
     );
 }
+
+/// FNV-1a over the bit patterns of `values`, folded into `h`.
+fn fold_bits(mut h: u64, values: &[f32]) -> u64 {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn training_steps_are_bit_pinned() {
+    // A few Adam steps on seeded batches, hashed bit for bit: every
+    // parameter (in `visit_params` order) and the final logits. Any
+    // change to the eager forward, backward or optimizer arithmetic
+    // moves these constants.
+    use edgepc_nn::{loss, Adam, Optimizer};
+
+    let seg = s3dis_like(&DatasetConfig {
+        classes: 1,
+        train_per_class: 2,
+        test_per_class: 0,
+        points_per_cloud: Some(128),
+        seed: 31,
+    });
+    let mut pnpp = PointNetPpSeg::new(
+        &PointNetPpConfig::tiny(6, PipelineStrategy::edgepc_pointnetpp(2, 16)),
+        seg.num_classes,
+    );
+    let mut opt = Adam::new(0.01);
+    for _ in 0..2 {
+        for sample in &seg.train {
+            let (logits, _) = pnpp.forward(&sample.cloud);
+            let (_, d) = loss::softmax_cross_entropy(&logits, sample.cloud.labels().unwrap());
+            pnpp.zero_grads();
+            pnpp.backward(&d);
+            opt.step(&mut pnpp);
+        }
+    }
+    let mut h = FNV_OFFSET;
+    pnpp.visit_params(&mut |p, _| h = fold_bits(h, p));
+    let (logits, _) = pnpp.forward(&seg.train[0].cloud);
+    h = fold_bits(h, logits.as_slice());
+    assert_eq!(
+        h, 0x3418_b1ee_cb7f_8057,
+        "PointNet++ seg training bits moved: {h:#018x}"
+    );
+
+    let cls = modelnet_like(&DatasetConfig {
+        classes: 2,
+        train_per_class: 2,
+        test_per_class: 0,
+        points_per_cloud: Some(96),
+        seed: 32,
+    });
+    let mut dgcnn =
+        DgcnnClassifier::new(&DgcnnConfig::tiny(PipelineStrategy::edgepc_dgcnn(3, 24)), 2);
+    let mut opt = Adam::new(0.01);
+    for _ in 0..2 {
+        for sample in &cls.train {
+            let (logits, _) = dgcnn.forward(&sample.cloud);
+            let (_, d) = loss::softmax_cross_entropy(&logits, &[sample.class.unwrap()]);
+            dgcnn.zero_grads();
+            dgcnn.backward(&d);
+            opt.step(&mut dgcnn);
+        }
+    }
+    let mut h = FNV_OFFSET;
+    dgcnn.visit_params(&mut |p, _| h = fold_bits(h, p));
+    let (logits, _) = dgcnn.forward(&cls.train[0].cloud);
+    h = fold_bits(h, logits.as_slice());
+    assert_eq!(
+        h, 0xfb80_594d_82a8_8d19,
+        "DGCNN cls training bits moved: {h:#018x}"
+    );
+}
