@@ -39,13 +39,15 @@
 #                          on an AVX2 host it fails unless the tuned
 #                          flags are in effect.
 #   6. bit pins, both builds
-#                          edgepc-nn's four kernel bit pins
+#                          edgepc-nn's five kernel bit pins
 #                            fused_product_bits_are_pinned
 #                            blocked_matches_naive_at_every_tile_edge
 #                            resumed_sums_match_one_pass_at_every_tile_edge
+#                            pooled_epilogue_matches_linear_then_pool
 #                            nearest_rows_match_the_scalar_loop
-#                          (the last runs its 1000- and 1024-row shapes
-#                          in release only), tests/par_determinism.rs
+#                          (the last two run their largest shapes, above
+#                          the fork floor, in release only),
+#                          tests/par_determinism.rs
 #                          (feature k-NN at 1/2/8 threads included), and
 #                          the exact record:
 #                          bench_all re-records results/BENCH.json and
@@ -162,6 +164,7 @@ bit_pins() {
         fused_product_bits_are_pinned \
         blocked_matches_naive_at_every_tile_edge \
         resumed_sums_match_one_pass_at_every_tile_edge \
+        pooled_epilogue_matches_linear_then_pool \
         nearest_rows_match_the_scalar_loop
     cargo test --release -q --test par_determinism
     cargo run --release -q -p edgepc-bench --bin bench_all -- --out "$1/BENCH.json"

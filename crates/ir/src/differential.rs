@@ -3,8 +3,11 @@
 //! the eager ops (materialized gather rows → `Sequential::forward` →
 //! `max_pool_groups` / `hstack`), and each plan's arena layout checked
 //! for a destination that overlaps a live region. Random gathers land on
-//! both sides of the hoisting rule (`rows > src_rows`), so one-pass and
-//! `Hoist` + `Resume` lowerings are both held to the reference.
+//! both sides of the hoisting rule (`rows > src_rows`, and `c` past
+//! `edgepc_nn::hoisting_pays`' bound), so one-pass and
+//! `Hoist` + `Resume` lowerings are both held to the reference, and
+//! random heads pool a linear (pooled in its epilogue) or a concat (a
+//! standalone `MaxPool` step).
 
 use crate::schedule::{ASrc, Region, Src, Step};
 use crate::{compile, Executor, GatherIn, GatherMode, Graph, InTensor, Inputs, NodeId, Plan};
@@ -308,18 +311,67 @@ fn assert_hoists_are_paired(plan: &Plan, what: &str) -> usize {
     hoists
 }
 
+/// A pooled linear step's region is the pool node's: it holds exactly
+/// the `m / group` pooled rows, and no standalone `MaxPool` step reads
+/// what a linear step wrote (that pool would have gone into the linear's
+/// epilogue, since nothing else reads a linear feeding a pool in these
+/// graphs). Returns the (pooled, standalone) step counts.
+fn assert_pools_are_aliased(plan: &Plan, what: &str) -> (usize, usize) {
+    let (mut pooled, mut standalone) = (0, 0);
+    for (s, step) in plan.steps.iter().enumerate() {
+        match *step {
+            Step::Fused {
+                m,
+                w,
+                pool: Some(group),
+                dst,
+                ..
+            }
+            | Step::Resume {
+                m,
+                w,
+                pool: Some(group),
+                dst,
+                ..
+            } => {
+                pooled += 1;
+                let n = plan.linears[w].w.cols();
+                assert_eq!(dst.len, m / group * n, "{what}: step {s} pooled region");
+            }
+            Step::MaxPool { src, .. } => {
+                standalone += 1;
+                let writer = plan.steps[..s]
+                    .iter()
+                    .rev()
+                    .find(|earlier| matches!(src, Src::Arena(r) if r == step_regions(earlier).0));
+                assert!(
+                    !matches!(writer, Some(Step::Fused { .. } | Step::Resume { .. })),
+                    "{what}: step {s} pools a linear outside its epilogue"
+                );
+            }
+            _ => {}
+        }
+    }
+    (pooled, standalone)
+}
+
 #[test]
 fn random_graphs_match_the_eager_reference_bitwise() {
     let mut rng = Rng(0x5eed_d1ff_c0de_0001);
     let mut exec = Executor::new();
-    // Gathers compiled as one pass vs. hoisted.
+    // Gathers compiled as one pass vs. hoisted; pools in a linear's
+    // epilogue vs. standalone.
     let (mut one_pass, mut hoisted) = (0, 0);
+    let (mut pooled, mut standalone) = (0, 0);
     for i in 0..GRAPHS {
         let what = format!("graph {i}");
         let (case, eager, gather) = random_case(&mut rng);
         let plan = compile(&case.g);
         assert_live_regions_disjoint(&plan, &what);
         let hoists = assert_hoists_are_paired(&plan, &what);
+        let (p, u) = assert_pools_are_aliased(&plan, &what);
+        pooled += p;
+        standalone += u;
         assert_eq!(
             (plan.out_rows(), plan.out_cols()),
             (eager.rows(), eager.cols()),
@@ -358,9 +410,10 @@ fn random_graphs_match_the_eager_reference_bitwise() {
                 "{what}"
             );
             assert!(site.fused_bytes <= site.eager_bytes, "{what}");
+            let repeats = gc.rows.rows() > gc.feats.rows();
             assert_eq!(
                 site.hoisted,
-                gc.rows.rows() > gc.feats.rows(),
+                repeats && edgepc_nn::hoisting_pays(gc.mode.channels()),
                 "{what}: hoisting rule"
             );
             assert_eq!(hoists, usize::from(site.hoisted), "{what}");
@@ -374,5 +427,9 @@ fn random_graphs_match_the_eager_reference_bitwise() {
     assert!(
         one_pass >= 10 && hoisted >= 10,
         "fuzz must cover both sides of the hoisting rule: {one_pass} one-pass, {hoisted} hoisted"
+    );
+    assert!(
+        pooled >= 10 && standalone >= 10,
+        "fuzz must cover both pool lowerings: {pooled} pooled, {standalone} standalone"
     );
 }

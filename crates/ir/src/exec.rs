@@ -11,9 +11,10 @@
 //!
 //! Step semantics replicate the eager ops bit-for-bit: fused linears
 //! follow the eager matmul/bias/ReLU op order (a hoisted linear's
-//! `Hoist` + `Resume` pair replays it split at column `c`), `MaxPool` replays
-//! `max_pool_groups` (strict `>`, first-seen winner), `Concat2` is
-//! `hstack`, `Broadcast` the seg-head row replication.
+//! `Hoist` + `Resume` pair replays it split at column `c`), a pooled
+//! linear and `MaxPool` replay `max_pool_groups` (strict `>`, first-seen
+//! winner), `Concat2` is `hstack`, `Broadcast` the seg-head row
+//! replication.
 
 use crate::graph::GatherMode;
 use crate::schedule::{ASrc, Plan, Region, Src, Step};
@@ -181,9 +182,10 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
                 m,
                 w,
                 relu,
+                pool,
                 dst,
             } => {
-                step_fused(arena, plan, inputs, src, m, w, relu, dst);
+                step_fused(arena, plan, inputs, src, (m, w, relu, pool), dst);
             }
             Step::Hoist { slot, rows, w, dst } => {
                 step_hoist(arena, plan, inputs, slot, rows, w, dst);
@@ -193,10 +195,11 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
                 m,
                 w,
                 relu,
+                pool,
                 start,
                 dst,
             } => {
-                step_resume(arena, plan, inputs, slot, m, w, relu, start, dst);
+                step_resume(arena, plan, inputs, slot, (m, w, relu, pool), start, dst);
             }
             Step::MaxPool {
                 src,
@@ -229,15 +232,29 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// A kernel step's rows `m`, `Plan::linears` index, ReLU flag and pool
+/// group.
+type Pass = (usize, usize, bool, Option<usize>);
+
+/// Runs plan linear `w` over `m` rows of `src` into `out`, with its bias
+/// and ReLU, pooling groups of `pool` rows in the epilogue when set.
+fn linear_pass(plan: &Plan, src: &RowSource<'_>, (m, w, relu, pool): Pass, out: &mut [f32]) {
+    let lin = &plan.linears[w];
+    let (packed, bias) = (lin.packed.as_ref(), Some(lin.b.as_slice()));
+    match pool {
+        None => edgepc_nn::fused_linear(src, m, &lin.w, packed, bias, relu, out),
+        Some(group) => {
+            edgepc_nn::fused_linear_pooled(src, m, &lin.w, packed, bias, relu, group, out);
+        }
+    }
+}
+
 fn step_fused(
     arena: &mut [f32],
     plan: &Plan,
     inputs: &Inputs<'_>,
     src: ASrc,
-    m: usize,
-    w: usize,
-    relu: bool,
+    pass: Pass,
     dst: Region,
 ) {
     let (rs, out) = match src {
@@ -254,16 +271,7 @@ fn step_fused(
             (RowSource::Dense(a), out)
         }
     };
-    let lin = &plan.linears[w];
-    edgepc_nn::fused_linear(
-        &rs,
-        m,
-        &lin.w,
-        lin.packed.as_ref(),
-        Some(lin.b.as_slice()),
-        relu,
-        out,
-    );
+    linear_pass(plan, &rs, pass, out);
 }
 
 /// `P = feats · W[..c]` over gather `slot`'s source rows: the hoisted
@@ -290,30 +298,18 @@ fn step_hoist(
 }
 
 /// The gathered tail times `W[c..]`, each row resuming from its
-/// `Hoist` row in `start`, then bias and ReLU.
-#[allow(clippy::too_many_arguments)]
+/// `Hoist` row in `start`, then bias and ReLU (and the pool).
 fn step_resume(
     arena: &mut [f32],
     plan: &Plan,
     inputs: &Inputs<'_>,
     slot: usize,
-    m: usize,
-    w: usize,
-    relu: bool,
+    pass: Pass,
     start: Region,
     dst: Region,
 ) {
     let (p, out) = split_src_dst(arena, start, dst);
-    let lin = &plan.linears[w];
-    edgepc_nn::fused_linear(
-        &gather_source(plan, inputs, slot, Some(p)),
-        m,
-        &lin.w,
-        lin.packed.as_ref(),
-        Some(lin.b.as_slice()),
-        relu,
-        out,
-    );
+    linear_pass(plan, &gather_source(plan, inputs, slot, Some(p)), pass, out);
 }
 
 fn step_max_pool(

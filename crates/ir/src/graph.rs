@@ -180,7 +180,7 @@ impl Graph {
     /// source feature matrix of `src_rows` points. Gathers occupy slots
     /// in declaration order, matching `exec::Inputs::gathers`; `site`
     /// names the gather site in the plan's per-site traffic accounting.
-    /// When `rows > src_rows` the compiled plan hoists the reading
+    /// When `rows > src_rows` the compiled plan may hoist the reading
     /// `linear`'s per-point half (see `schedule::compile`).
     ///
     /// # Panics

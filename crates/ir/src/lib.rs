@@ -13,9 +13,11 @@
 //!   that reads it — the grouped matrix is never materialized, which is
 //!   what drops `gathered_bytes`,
 //! * [`compile`] — the scheduler: plans buffer lifetimes over a single
-//!   arena with a first-fit liveness pass, and computes the per-point
-//!   half of a `linear` fed by a row-repeating gather once per point
-//!   (exact: the gathered rows resume their sums from it),
+//!   arena with a first-fit liveness pass, computes the per-point half
+//!   of a `linear` fed by a row-repeating gather once per point where
+//!   that pays (exact: the gathered rows resume their sums from it), and
+//!   runs a `max_pool` that reads a `linear` in that linear's epilogue,
+//!   so the pooled rows are the only ones stored,
 //! * [`Executor`] — interprets a [`Plan`] over its reusable arena with
 //!   zero steady-state heap allocation (a count `edgepc-serve`'s
 //!   allocation tests pin at 0).

@@ -9,13 +9,25 @@
 //!
 //! A gather that emits more rows than its source matrix has
 //! (`rows > src_rows`) repeats each source row's leading `c` columns, so
-//! its `linear` is compiled into two steps: `Hoist` computes
+//! its `linear` can run as two steps: `Hoist` computes
 //! `P = feats · W[..c]` once per source row into a short-lived arena
 //! region, and `Resume` runs the kernel over the gathered tail columns
 //! only, each accumulator starting from its row of `P`. The kernel sums
 //! k-ascending from its start, so this replays the one-pass f32
 //! operations in order — bit-identical — for `(rows - src_rows) · c · n`
-//! fewer MACs.
+//! fewer MACs. It is taken only where it pays
+//! (`edgepc_nn::hoisting_pays(c)`): a resumed register tile starts from
+//! `MATMUL_MR` loaded rows where a one-pass tile starts from zeros, so
+//! the head's `c` saved k-steps must outnumber those loads. The
+//! coordinate-only first levels (`c = 3`) stay one pass.
+//!
+//! A `linear` whose only reader is a `max_pool` carries the pool's group
+//! into its `Fused` or `Resume` step: the kernel folds each finished row
+//! into its group's running max (`edgepc_nn::fused_linear_pooled`), so
+//! the `rows x n` product is never allocated. The pool node aliases the
+//! step's pooled region and takes no step of its own; a standalone
+//! `MaxPool` step is left only for pools no linear feeds (DGCNN's head
+//! pools a concat).
 //!
 //! What is left is buffer lifetimes, planned over one arena with a
 //! first-fit free list (coalescing on free): a node's region is
@@ -53,11 +65,14 @@ pub(crate) enum ASrc {
 #[derive(Clone, Debug)]
 pub(crate) enum Step {
     /// One fused `A * W + b (ReLU)` pass; `w` indexes `Plan::linears`.
+    /// With `pool`, the pass also max-pools groups of that many rows in
+    /// its epilogue, and `dst` holds the pooled `m / group` rows.
     Fused {
         src: ASrc,
         m: usize,
         w: usize,
         relu: bool,
+        pool: Option<usize>,
         dst: Region,
     },
     /// The per-point head of a hoisted gather-fed linear: the dense
@@ -71,16 +86,19 @@ pub(crate) enum Step {
     },
     /// The gathered tail of a hoisted linear: gather `slot`'s tail
     /// columns times `W[c..]` (`Plan::linears[w]`), each row starting
-    /// from its `Hoist` row in `start`, then `+ b` (and ReLU).
+    /// from its `Hoist` row in `start`, then `+ b` (and ReLU), pooled
+    /// like [`Step::Fused`] when `pool` is set.
     Resume {
         slot: usize,
         m: usize,
         w: usize,
         relu: bool,
+        pool: Option<usize>,
         start: Region,
         dst: Region,
     },
-    /// Grouped max-pool (`max_pool_groups` semantics).
+    /// Grouped max-pool (`max_pool_groups` semantics) of an operand no
+    /// linear step could pool in its epilogue.
     MaxPool {
         src: Src,
         rows: usize,
@@ -117,7 +135,8 @@ pub struct GatherSite {
     /// Bytes the plan actually streams (indices, plus relative
     /// coordinates for SA grouping).
     pub fused_bytes: u64,
-    /// Whether the reading linear is hoisted (`rows > src_rows`), so
+    /// Whether the reading linear is hoisted (`rows > src_rows` and a
+    /// head wide enough to pay, see the module docs), so
     /// the site's stage does fewer MACs than the eager product.
     pub hoisted: bool,
 }
@@ -277,6 +296,18 @@ pub fn compile(graph: &Graph) -> Plan {
     }
     remaining[output.0] += 1;
 
+    // A linear whose only reader is a max-pool runs the pool in its
+    // epilogue: its region holds the pooled rows, and the pool node
+    // aliases it instead of taking a step.
+    let mut pooled = vec![None; graph.nodes.len()];
+    for node in &graph.nodes {
+        if let Op::MaxPool { x, group } = node.op {
+            if remaining[x.0] == 1 && matches!(graph.node(x).op, Op::Linear { .. }) {
+                pooled[x.0] = Some(group);
+            }
+        }
+    }
+
     let mut planner = ArenaPlanner::new();
     // How each node is realized: an arena region, an input slot, or a
     // gather slot streamed by its one linear reader.
@@ -298,9 +329,14 @@ pub fn compile(graph: &Graph) -> Plan {
                 realized.push(ASrc::Gather(slot));
                 continue;
             }
+            Op::MaxPool { x, .. } if pooled[x.0].is_some() => {
+                realized.push(realized[x.0]);
+                continue;
+            }
             _ => {}
         }
-        let dst = planner.alloc(node.rows * node.cols);
+        let pool = pooled[i];
+        let dst = planner.alloc(node.rows / pool.unwrap_or(1) * node.cols);
         match node.op {
             Op::Linear { x, p, relu } => {
                 let LinearParams { w, b } = &graph.linears[p];
@@ -310,7 +346,7 @@ pub fn compile(graph: &Graph) -> Plan {
                         slot,
                         mode,
                         src_rows,
-                    } if node.rows > src_rows => {
+                    } if hoists(node.rows, src_rows, mode) => {
                         let (head, tail) = w.split_rows(mode.channels());
                         ops.mac += ((src_rows * head.rows() + node.rows * tail.rows()) * n) as u64;
                         let start = planner.alloc(src_rows * n);
@@ -326,6 +362,7 @@ pub fn compile(graph: &Graph) -> Plan {
                             m: node.rows,
                             w: linears.len(),
                             relu,
+                            pool,
                             start,
                             dst,
                         });
@@ -339,6 +376,7 @@ pub fn compile(graph: &Graph) -> Plan {
                             m: node.rows,
                             w: linears.len(),
                             relu,
+                            pool,
                             dst,
                         });
                         linears.push(PlanLinear::new(w.clone(), b.clone(), node.rows));
@@ -369,7 +407,8 @@ pub fn compile(graph: &Graph) -> Plan {
                 rows_out: rows,
                 dst,
             }),
-            // Source ops take no step; both arms above `continue`.
+            // Source ops and pooled aliases take no step; the arms above
+            // `continue`.
             Op::Input { .. } | Op::Gather { .. } => continue,
         }
         for dep in node.op.deps() {
@@ -399,7 +438,7 @@ pub fn compile(graph: &Graph) -> Plan {
                 label: graph.gather_labels[slot].clone(),
                 eager_bytes: mode.eager_bytes(node.rows),
                 fused_bytes: mode.fused_bytes(node.rows),
-                hoisted: node.rows > src_rows,
+                hoisted: hoists(node.rows, src_rows, mode),
             });
             gather_specs.push(GatherSpec {
                 rows: node.rows,
@@ -422,6 +461,13 @@ pub fn compile(graph: &Graph) -> Plan {
         ops,
         gather_sites,
     }
+}
+
+/// Whether a gather of `rows` rows from `src_rows` points feeds a
+/// hoisted linear: its rows repeat source rows, and the head is wide
+/// enough to pay for the resumed pass.
+fn hoists(rows: usize, src_rows: usize, mode: GatherMode) -> bool {
+    rows > src_rows && edgepc_nn::hoisting_pays(mode.channels())
 }
 
 /// A non-linear op's operand: an arena region or an input slot (a

@@ -235,6 +235,19 @@ impl CompiledPointNetPp {
         self.n_input
     }
 
+    /// Arena floats a forward needs: the largest plan's, since the
+    /// plans run one after another over one executor arena.
+    pub fn arena_len(&self) -> usize {
+        let levels = self.levels.iter().map(|lv| &lv.module);
+        let fps = self.fps.iter().map(|fp| &fp.module);
+        levels
+            .chain(fps)
+            .chain([&self.head])
+            .map(|m| m.plan.arena_len())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// All gather sites across the compiled plans (for per-site
     /// `gathered_bytes` reporting).
     pub fn gather_sites(&self) -> Vec<GatherSite> {
@@ -432,6 +445,17 @@ impl CompiledDgcnn {
         self.head.plan.out_cols()
     }
 
+    /// Arena floats a forward needs: the largest plan's, since the
+    /// plans run one after another over one executor arena.
+    pub fn arena_len(&self) -> usize {
+        let modules = self.modules.iter().map(|m| &m.module);
+        modules
+            .chain([&self.head])
+            .map(|m| m.plan.arena_len())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// All gather sites across the compiled plans.
     pub fn gather_sites(&self) -> Vec<GatherSite> {
         self.modules
@@ -512,12 +536,15 @@ mod tests {
     /// stage-record stream — names, kinds, `fc_k` and op counts — except
     /// the fused grouping traffic, which must shrink, and the MACs of a
     /// hoisted gather-fed `.fc` stage (one of `sites`), which must too.
+    /// The coordinate-only first level (`c = 3`) runs one pass on both
+    /// models (the hoisting rule).
     fn assert_matches_eager(
         what: &str,
         sites: &[GatherSite],
         (fast, records): (Tensor2, Vec<StageRecord>),
         (eager, eager_records): (Tensor2, Vec<StageRecord>),
     ) {
+        assert!(!sites[0].hoisted, "{what}: {} hoisted", sites[0].label);
         assert_eq!(
             fast.as_slice(),
             eager.as_slice(),
@@ -600,6 +627,8 @@ mod tests {
             ] {
                 let mut cls = DgcnnClassifier::new(&DgcnnConfig::tiny(strategy.clone()), 5);
                 let compiled = CompiledDgcnn::classifier(&cls, cloud.len());
+                // Past the coordinates, every EdgeConv is hoisted.
+                assert!(compiled.gather_sites()[1..].iter().all(|s| s.hoisted));
                 assert_matches_eager(
                     "dgcnn_cls",
                     &compiled.gather_sites(),

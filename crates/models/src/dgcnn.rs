@@ -103,28 +103,31 @@ impl EdgeConv {
             None,
             records,
             || {
-                // Parallel edge build over fixed 32-point blocks: each
-                // point's k edge rows live in exactly one block, so the
-                // matrix is bit-identical for any thread count.
+                // Parallel edge build over fixed 32-point blocks (forked
+                // only above the work floor): each point's k edge rows
+                // live in exactly one block, so the matrix is
+                // bit-identical for any thread count.
                 let row_w = 2 * c;
                 let point_elems = k * row_w;
                 let mut buf = vec![0.0f32; n * point_elems];
-                edgepc_par::par_chunks_mut(&mut buf, 32 * point_elems, |ci, block| {
-                    let i0 = ci * 32;
-                    for (il, rows) in block.chunks_mut(point_elems).enumerate() {
-                        let i = i0 + il;
-                        let nbrs = &neighbors[i * k..(i + 1) * k];
-                        let fi_row = feats.row(i);
-                        for (slot, &j) in nbrs.iter().enumerate() {
-                            let row = &mut rows[slot * row_w..(slot + 1) * row_w];
-                            row[..c].copy_from_slice(fi_row);
-                            for (dst, (&fj, &fi)) in
-                                row[c..].iter_mut().zip(feats.row(j).iter().zip(fi_row))
-                            {
-                                *dst = fj - fi;
+                edgepc_par::with_work(n * point_elems, || {
+                    edgepc_par::par_chunks_mut(&mut buf, 32 * point_elems, |ci, block| {
+                        let i0 = ci * 32;
+                        for (il, rows) in block.chunks_mut(point_elems).enumerate() {
+                            let i = i0 + il;
+                            let nbrs = &neighbors[i * k..(i + 1) * k];
+                            let fi_row = feats.row(i);
+                            for (slot, &j) in nbrs.iter().enumerate() {
+                                let row = &mut rows[slot * row_w..(slot + 1) * row_w];
+                                row[..c].copy_from_slice(fi_row);
+                                for (dst, (&fj, &fi)) in
+                                    row[c..].iter_mut().zip(feats.row(j).iter().zip(fi_row))
+                                {
+                                    *dst = fj - fi;
+                                }
                             }
                         }
-                    }
+                    });
                 });
                 let edges = Tensor2::from_vec(buf, n * k, row_w);
                 let ops = OpCounts {

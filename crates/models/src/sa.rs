@@ -144,28 +144,30 @@ impl SetAbstraction {
             None,
             records,
             || {
-                // Parallel gather over fixed 32-group blocks: every
-                // group's rows live in exactly one block, so workers
-                // write disjoint slices and the matrix is bit-identical
-                // for any thread count.
+                // Parallel gather over fixed 32-group blocks (forked only
+                // above the work floor): every group's rows live in
+                // exactly one block, so workers write disjoint slices and
+                // the matrix is bit-identical for any thread count.
                 let row_w = c + 3;
                 let group_elems = k * row_w;
                 let mut buf = vec![0.0f32; n_out * group_elems];
                 let selection = &selection;
-                edgepc_par::par_chunks_mut(&mut buf, 32 * group_elems, |ci, block| {
-                    let g0 = ci * 32;
-                    for (gl, group) in block.chunks_mut(group_elems).enumerate() {
-                        let gi = g0 + gl;
-                        let centroid = points[selection.sample_indices[gi]];
-                        for (slot, &j) in selection.neighbor_indices[gi].iter().enumerate() {
-                            let row = &mut group[slot * row_w..(slot + 1) * row_w];
-                            row[..c].copy_from_slice(feats.row(j));
-                            let rel = points[j] - centroid;
-                            row[c] = rel.x;
-                            row[c + 1] = rel.y;
-                            row[c + 2] = rel.z;
+                edgepc_par::with_work(n_out * group_elems, || {
+                    edgepc_par::par_chunks_mut(&mut buf, 32 * group_elems, |ci, block| {
+                        let g0 = ci * 32;
+                        for (gl, group) in block.chunks_mut(group_elems).enumerate() {
+                            let gi = g0 + gl;
+                            let centroid = points[selection.sample_indices[gi]];
+                            for (slot, &j) in selection.neighbor_indices[gi].iter().enumerate() {
+                                let row = &mut group[slot * row_w..(slot + 1) * row_w];
+                                row[..c].copy_from_slice(feats.row(j));
+                                let rel = points[j] - centroid;
+                                row[c] = rel.x;
+                                row[c + 1] = rel.y;
+                                row[c + 2] = rel.z;
+                            }
                         }
-                    }
+                    });
                 });
                 let grouped = Tensor2::from_vec(buf, n_out * k, row_w);
                 let group_bytes = (n_out * k * (c + 3) * 4) as u64;

@@ -26,10 +26,16 @@
 //! replays the same k-ascending f32 operations in the same order, so the
 //! two-pass result is bit-identical to the one-pass product.
 //!
+//! [`fused_linear_pooled`] adds the grouped max-pool to the epilogue:
+//! each finished tile row is folded into its group's running max, so the
+//! pooled layer never allocates its `m x n` product (a product small
+//! enough for the naive loop passes through a reused per-thread buffer).
+//!
 //! [`nearest_rows`] runs DGCNN's feature-space k-NN on the same tiles:
 //! candidates packed like a weight matrix's panels, a 4x8 tile of
 //! squared distances, each the per-pair scalar loop's exact float
-//! sequence, streamed into a top-k walk that replays that loop's rules.
+//! sequence, computed once per unordered pair and selected per query
+//! with that loop's result.
 
 use crate::Tensor2;
 use std::cell::RefCell;
@@ -58,9 +64,12 @@ pub const EMPTY_SLOT: usize = usize::MAX;
 thread_local! {
     /// Per-thread buffer for transient B-panel packing (used when the
     /// caller did not pre-pack the weights, and for [`nearest_rows`]'
-    /// candidate panels). Reused across calls, so a warm unpacked pass
-    /// allocates nothing.
+    /// candidate panels), and for a small pooled pass's product. Reused
+    /// across calls, so a warm pass allocates nothing.
     static PACK_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread distance tiles of [`nearest_rows`] (see `Tiles`), reused
+    /// across calls like `PACK_BUF`.
+    static DIST_BUF: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The A operand of a fused linear pass: either a dense row-major matrix
@@ -298,6 +307,18 @@ pub fn kernel_uses_blocked_path(m: usize, k: usize, n: usize) -> bool {
     m * k * n >= SMALL_MATMUL_WORK
 }
 
+/// Returns `true` if computing a gather's `c`-column head once per source
+/// row (a hoisted pass, then the tail resumed from it) beats the one-pass
+/// gathered product. The resumed tail starts each register tile from
+/// `MATMUL_MR` loaded rows, where the one-pass tile starts from zeros;
+/// the head's `c` k-steps saved per tile must outnumber those loads.
+/// Measured on one thread, AVX2 host: at `c = 3` one pass is as fast or
+/// faster (paper SA1 pooled 0.87 vs 0.92 ms; a 512-row SA1 9.9 vs 20.2
+/// µs), at `c = 64` the hoisted pair is ~3× faster.
+pub fn hoisting_pays(c: usize) -> bool {
+    c > MATMUL_MR
+}
+
 /// One fused `A * W (+ bias) (then ReLU)` pass into `out` (`m x n`,
 /// row-major, fully overwritten). Dispatches between the naive and
 /// blocked kernels with the same work-size gate `Tensor2::matmul` uses,
@@ -315,19 +336,69 @@ pub fn fused_linear(
     relu: bool,
     out: &mut [f32],
 ) {
+    check_operands(src, m, w, packed, bias);
+    assert_eq!(out.len(), m * w.cols(), "fused_linear output size mismatch");
+    if m * w.rows() * w.cols() < SMALL_MATMUL_WORK {
+        naive_into(src, m, w, bias, relu, out);
+    } else {
+        blocked_into(src, m, w, packed, bias, relu, out);
+    }
+}
+
+/// [`fused_linear`] followed by `max_pool_groups(·, group)`, in one pass:
+/// `out` (`m / group x n`, fully overwritten) receives each group of
+/// `group` consecutive rows' column-wise max, and the `m x n` product is
+/// never stored. Each finished tile row takes the same `+ bias`, then
+/// `max(0.0)`, as in [`fused_linear`], and is folded into its group's
+/// running max in ascending row order with `max_pool_groups`' strict `>`
+/// from `-inf` (first-seen winner, NaN never wins). So the pooled result
+/// is bit-identical to the two-step one, ±0.0 and NaN included.
+///
+/// # Panics
+///
+/// Panics on the [`fused_linear`] contract checks, or if `group` is zero
+/// or does not divide `m`.
+#[allow(clippy::too_many_arguments)]
+pub fn fused_linear_pooled(
+    src: &RowSource<'_>,
+    m: usize,
+    w: &Tensor2,
+    packed: Option<&PackedPanels>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    group: usize,
+    out: &mut [f32],
+) {
+    check_operands(src, m, w, packed, bias);
+    assert!(
+        group > 0 && m.is_multiple_of(group),
+        "pooled rows must tile by the group"
+    );
+    let n = w.cols();
+    assert_eq!(out.len(), m / group * n, "pooled output size mismatch");
+    out.fill(f32::NEG_INFINITY);
+    if m * w.rows() * n < SMALL_MATMUL_WORK {
+        naive_pooled(src, m, w, bias, relu, group, out);
+    } else {
+        blocked_pooled(src, m, w, packed, bias, relu, group, out);
+    }
+}
+
+/// The contract checks every fused entry point runs before any work.
+fn check_operands(
+    src: &RowSource<'_>,
+    m: usize,
+    w: &Tensor2,
+    packed: Option<&PackedPanels>,
+    bias: Option<&[f32]>,
+) {
     let (kk, n) = (w.rows(), w.cols());
     src.validate(m, kk, n);
-    assert_eq!(out.len(), m * n, "fused_linear output size mismatch");
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "fused_linear bias width mismatch");
     }
     if let Some(p) = packed {
         assert!(p.kk == kk && p.n == n, "prepacked panel shape mismatch");
-    }
-    if m * kk * n < SMALL_MATMUL_WORK {
-        naive_into(src, m, w, bias, relu, out);
-    } else {
-        blocked_into(src, m, w, packed, bias, relu, out);
     }
 }
 
@@ -385,6 +456,97 @@ pub(crate) fn naive_into(
     }
 }
 
+/// The small pooled pass: [`naive_into`]'s product, stored in this
+/// thread's `PACK_BUF` (the naive path packs no panels, and below
+/// `SMALL_MATMUL_WORK` the product is small), then its rows folded into
+/// their groups of `out` (pre-filled `-inf`) in ascending order.
+fn naive_pooled(
+    src: &RowSource<'_>,
+    m: usize,
+    w: &Tensor2,
+    bias: Option<&[f32]>,
+    relu: bool,
+    group: usize,
+    out: &mut [f32],
+) {
+    let n = w.cols();
+    let mut rows = take_pack_buf(m * n);
+    naive_into(src, m, w, bias, relu, &mut rows);
+    for (i, row) in rows.chunks_exact(n).enumerate() {
+        max_row(&mut out[i / group * n..(i / group + 1) * n], row);
+    }
+    PACK_BUF.with(|b| *b.borrow_mut() = rows);
+}
+
+/// A finished accumulator row through the epilogue `fused_linear`
+/// applies: `+ bias`, then `max(0.0)` when `relu`.
+#[inline(always)]
+fn activate(
+    acc: &[f32; MATMUL_NR],
+    bias: Option<&[f32; MATMUL_NR]>,
+    relu: bool,
+) -> [f32; MATMUL_NR] {
+    let mut v = *acc;
+    if let Some(b) = bias {
+        for (x, &b) in v.iter_mut().zip(b) {
+            *x += b;
+        }
+    }
+    if relu {
+        for x in v.iter_mut() {
+            *x = x.max(0.0);
+        }
+    }
+    v
+}
+
+/// `max_pool_groups`' step, lane by lane: `x` replaces the running max
+/// only when strictly greater, so the first of equal values (±0.0
+/// included) wins and a NaN never does. Taking the first maximum is
+/// associative, so rows may be folded into a register run first and the
+/// run into memory after, as long as the order of rows is kept.
+#[inline(always)]
+fn max_into(run: &mut [f32; MATMUL_NR], v: &[f32; MATMUL_NR]) {
+    for (r, &x) in run.iter_mut().zip(v) {
+        *r = if x > *r { x } else { *r };
+    }
+}
+
+/// Folds `run` into a pooled row's panel columns `dst`. Only `dst.len()`
+/// lanes are folded, so a ragged last panel's padding lanes never reach
+/// the next row.
+#[inline(always)]
+fn fold_max(dst: &mut [f32], run: &[f32; MATMUL_NR]) {
+    match dst.first_chunk_mut::<MATMUL_NR>() {
+        Some(full) => max_into(full, run),
+        None => max_row(dst, run),
+    }
+}
+
+/// [`max_into`] over a slice: `row` folded into the running maxima `dst`,
+/// lane by lane, up to the shorter of the two.
+#[inline(always)]
+fn max_row(dst: &mut [f32], row: &[f32]) {
+    for (d, &x) in dst.iter_mut().zip(row) {
+        if x > *d {
+            *d = x;
+        }
+    }
+}
+
+/// Up to `MATMUL_NR` values as a full lane array, zero-padded.
+#[inline(always)]
+fn lanes(v: &[f32]) -> [f32; MATMUL_NR] {
+    match v.first_chunk::<MATMUL_NR>() {
+        Some(full) => *full,
+        None => {
+            let mut out = [0.0f32; MATMUL_NR];
+            out[..v.len()].copy_from_slice(v);
+            out
+        }
+    }
+}
+
 /// Cache-blocked kernel: rows are chunked `MATMUL_MC` at a time across
 /// the thread pool with fixed chunk boundaries (bit-identical recombination
 /// at any thread budget), and each chunk walks NR-wide packed B panels
@@ -401,60 +563,158 @@ pub(crate) fn blocked_into(
 ) {
     let (kk, n) = (w.rows(), w.cols());
     assert_eq!(out.len(), m * n, "blocked_into output size mismatch");
-    let n_panels = n.div_ceil(MATMUL_NR);
-    let mut local_pack: Option<Vec<f32>> = None;
-    let panels: &[f32] = match packed {
-        Some(p) => &p.data,
-        None => {
-            let mut buf = take_pack_buf(n_panels * kk * MATMUL_NR);
-            pack_panels(w, &mut buf);
-            &*local_pack.insert(buf)
-        }
-    };
-
-    edgepc_par::par_chunks_mut(out, MATMUL_MC * n, |ci, chunk| {
-        let r0 = ci * MATMUL_MC;
-        let tiles = chunk.chunks_mut(MATMUL_MR * n).enumerate();
-        match src {
-            RowSource::Dense(a) => {
-                for (t, out_rows) in tiles {
-                    let mr = out_rows.len() / n;
-                    let rows = tile_rows(a, r0 + t * MATMUL_MR, mr, kk);
-                    tile_panels(rows, [None; MATMUL_MR], kk, n, panels, out_rows);
-                }
-            }
-            gather => {
-                // Gathered rows are staged once per register tile.
-                let mut staged = [0.0f32; MATMUL_MR * MAX_FUSED_K];
-                for (t, out_rows) in tiles {
-                    let (row0, mr) = (r0 + t * MATMUL_MR, out_rows.len() / n);
-                    for ri in 0..mr {
-                        gather.stage_row(row0 + ri, &mut staged[ri * kk..(ri + 1) * kk]);
+    with_panels(w, packed, |panels| {
+        edgepc_par::with_work(m * kk * n, || {
+            edgepc_par::par_chunks_mut(out, MATMUL_MC * n, |ci, chunk| {
+                let rows = chunk.len() / n;
+                for_each_tile(src, ci * MATMUL_MC, rows, kk, n, |tile, starts, t0, mr| {
+                    let out_rows = &mut chunk[t0 * n..(t0 + mr) * n];
+                    tile_panels(tile, starts, kk, n, panels, out_rows);
+                });
+                if let Some(b) = bias {
+                    for row in chunk.chunks_exact_mut(n) {
+                        for (o, &bv) in row.iter_mut().zip(b) {
+                            *o += bv;
+                        }
                     }
-                    let starts = std::array::from_fn(|ri| {
-                        (ri < mr).then(|| gather.start_row(row0 + ri, n)).flatten()
-                    });
-                    let rows = tile_rows(&staged, 0, mr, kk);
-                    tile_panels(rows, starts, kk, n, panels, out_rows);
                 }
-            }
-        }
-        if let Some(b) = bias {
-            for row in chunk.chunks_exact_mut(n) {
-                for (o, &bv) in row.iter_mut().zip(b) {
-                    *o += bv;
+                if relu {
+                    for v in chunk.iter_mut() {
+                        *v = v.max(0.0);
+                    }
                 }
-            }
-        }
-        if relu {
-            for v in chunk.iter_mut() {
-                *v = v.max(0.0);
-            }
-        }
+            });
+        });
     });
+}
 
-    if let Some(buf) = local_pack {
-        PACK_BUF.with(|b| *b.borrow_mut() = buf);
+/// The blocked kernel with the pool in its epilogue: chunks hold whole
+/// groups (`MATMUL_MC / group` of them, at least one), so each pooled row
+/// is folded by one chunk, in ascending row order, from the register
+/// tile straight into `out` (pre-filled `-inf`).
+#[allow(clippy::too_many_arguments)]
+fn blocked_pooled(
+    src: &RowSource<'_>,
+    m: usize,
+    w: &Tensor2,
+    packed: Option<&PackedPanels>,
+    bias: Option<&[f32]>,
+    relu: bool,
+    group: usize,
+    out: &mut [f32],
+) {
+    let (kk, n) = (w.rows(), w.cols());
+    let groups = (MATMUL_MC / group).max(1);
+    with_panels(w, packed, |panels| {
+        edgepc_par::with_work(m * kk * n, || {
+            edgepc_par::par_chunks_mut(out, groups * n, |ci, pooled| {
+                let r0 = ci * groups * group;
+                let rows = pooled.len() / n * group;
+                let epilogue = Epilogue { bias, relu, group };
+                for_each_tile(src, r0, rows, kk, n, |tile, starts, t0, mr| {
+                    epilogue.tile(tile, starts, t0, mr, kk, n, panels, pooled);
+                });
+            });
+        });
+    });
+}
+
+/// The one staging loop of the blocked kernels: hands `step` each
+/// register tile of chunk rows `r0..r0 + rows` in order, as its A rows,
+/// its rows' accumulator starts, its first row within the chunk (`t0`)
+/// and its height (`mr`). Dense rows are borrowed in place; gathered
+/// rows are staged once per tile. Always inlined, so each caller's
+/// `step` compiles into its own loop.
+#[inline(always)]
+fn for_each_tile(
+    src: &RowSource<'_>,
+    r0: usize,
+    rows: usize,
+    kk: usize,
+    n: usize,
+    mut step: impl FnMut([&[f32]; MATMUL_MR], [Option<&[f32]>; MATMUL_MR], usize, usize),
+) {
+    match src {
+        RowSource::Dense(a) => {
+            for t0 in (0..rows).step_by(MATMUL_MR) {
+                let mr = MATMUL_MR.min(rows - t0);
+                step(tile_rows(a, r0 + t0, mr, kk), [None; MATMUL_MR], t0, mr);
+            }
+        }
+        gather => {
+            let mut staged = [0.0f32; MATMUL_MR * MAX_FUSED_K];
+            for t0 in (0..rows).step_by(MATMUL_MR) {
+                let (row0, mr) = (r0 + t0, MATMUL_MR.min(rows - t0));
+                for ri in 0..mr {
+                    gather.stage_row(row0 + ri, &mut staged[ri * kk..(ri + 1) * kk]);
+                }
+                let starts = std::array::from_fn(|ri| {
+                    (ri < mr).then(|| gather.start_row(row0 + ri, n)).flatten()
+                });
+                step(tile_rows(&staged, 0, mr, kk), starts, t0, mr);
+            }
+        }
+    }
+}
+
+/// What a pooled pass does to each finished tile row: `+ bias`, ReLU,
+/// then fold into the running max of its group of `group` rows.
+struct Epilogue<'a> {
+    bias: Option<&'a [f32]>,
+    relu: bool,
+    group: usize,
+}
+
+impl Epilogue<'_> {
+    /// Walks every packed B panel for the register tile of A `rows`
+    /// (chunk rows `t0..t0 + mr`) and folds each finished row into its
+    /// pooled row of `pooled`, the chunk's `n`-wide running maxima.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn tile(
+        &self,
+        rows: [&[f32]; MATMUL_MR],
+        starts: [Option<&[f32]>; MATMUL_MR],
+        t0: usize,
+        mr: usize,
+        kk: usize,
+        n: usize,
+        panels: &[f32],
+        pooled: &mut [f32],
+    ) {
+        let at: [usize; MATMUL_MR] = std::array::from_fn(|ri| (t0 + ri) / self.group * n);
+        for (p, c0) in (0..n).step_by(MATMUL_NR).enumerate() {
+            let panel = &panels[p * kk * MATMUL_NR..(p + 1) * kk * MATMUL_NR];
+            let acc = micro_kernel(rows, panel, start_tile(starts, c0, n));
+            let width = MATMUL_NR.min(n - c0);
+            let bias = self.bias.map(|b| lanes(&b[c0..c0 + width]));
+            // The tile's rows of one group reduce in registers; each run
+            // is folded into its pooled row once.
+            let mut run = [f32::NEG_INFINITY; MATMUL_NR];
+            for ri in 0..mr {
+                if ri > 0 && at[ri] != at[ri - 1] {
+                    fold_max(&mut pooled[at[ri - 1] + c0..at[ri - 1] + c0 + width], &run);
+                    run = [f32::NEG_INFINITY; MATMUL_NR];
+                }
+                max_into(&mut run, &activate(&acc[ri], bias.as_ref(), self.relu));
+            }
+            fold_max(&mut pooled[at[mr - 1] + c0..at[mr - 1] + c0 + width], &run);
+        }
+    }
+}
+
+/// Runs `f` over the NR-column panels of `w`: the prepacked ones, or
+/// this thread's `PACK_BUF` packed on the fly (and put back after).
+fn with_panels<R>(w: &Tensor2, packed: Option<&PackedPanels>, f: impl FnOnce(&[f32]) -> R) -> R {
+    match packed {
+        Some(p) => f(&p.data),
+        None => {
+            let mut buf = take_pack_buf(w.cols().div_ceil(MATMUL_NR) * w.rows() * MATMUL_NR);
+            pack_panels(w, &mut buf);
+            let r = f(&buf);
+            PACK_BUF.with(|b| *b.borrow_mut() = buf);
+            r
+        }
     }
 }
 
@@ -497,14 +757,7 @@ fn tile_panels(
 ) {
     for (p, c0) in (0..n).step_by(MATMUL_NR).enumerate() {
         let panel = &panels[p * kk * MATMUL_NR..(p + 1) * kk * MATMUL_NR];
-        let mut start = [[0.0f32; MATMUL_NR]; MATMUL_MR];
-        for (tile_row, row) in start.iter_mut().zip(starts) {
-            if let Some(row) = row {
-                let cols = &row[c0..n.min(c0 + MATMUL_NR)];
-                tile_row[..cols.len()].copy_from_slice(cols);
-            }
-        }
-        let acc = micro_kernel(rows, panel, start);
+        let acc = micro_kernel(rows, panel, start_tile(starts, c0, n));
         for (out_row, acc_row) in out_rows.chunks_exact_mut(n).zip(&acc) {
             let dst = &mut out_row[c0..];
             match dst.first_chunk_mut::<MATMUL_NR>() {
@@ -513,6 +766,24 @@ fn tile_panels(
             }
         }
     }
+}
+
+/// The accumulator start of the panel at column `c0`: each row's
+/// `starts` columns `c0..c0 + MATMUL_NR` (clipped at `n`), `+0.0` for
+/// `None` and past the last column.
+#[inline(always)]
+fn start_tile(
+    starts: [Option<&[f32]>; MATMUL_MR],
+    c0: usize,
+    n: usize,
+) -> [[f32; MATMUL_NR]; MATMUL_MR] {
+    let mut start = [[0.0f32; MATMUL_NR]; MATMUL_MR];
+    for (tile_row, row) in start.iter_mut().zip(starts) {
+        if let Some(row) = row {
+            *tile_row = lanes(&row[c0..n.min(c0 + MATMUL_NR)]);
+        }
+    }
+    start
 }
 
 /// The one matmul inner loop: an MR x NR tile of `start + rows * panel`,
@@ -553,13 +824,24 @@ fn micro_kernel(
 /// The bit contract is the per-pair scalar loop's. Each distance is the
 /// channel-ascending sum `d += t * t`, `t = q[ch] - cand[ch]`, from
 /// `+0.0`; `dist_tile` vectorizes only across candidates, so every
-/// distance is bit-identical to the loop's. Candidates then reach each
+/// distance is bit-identical to the loop's. Candidates reach each
 /// query's list in ascending index under the loop's rules: skip `j == i`;
 /// once the list is full, skip `d >= kth`; otherwise insert at
 /// `partition_point(|bd| bd <= d)` and truncate to `k`. So the lists,
 /// ties (lower index first) and NaN/±inf distances included, are the
-/// loop's too. Queries run in fixed 32-row chunks, so the graph does not
-/// depend on the thread count.
+/// loop's too.
+///
+/// Each distance is computed once. Under round-to-nearest `x - y` is
+/// exactly `-(y - x)`, and `t * t` drops the sign, so `d(j, i)` has the
+/// bits of `d(i, j)` (a NaN's payload may differ, but NaN rows take the
+/// replayed walk, which reads only that a value is NaN). The distance
+/// pass, on the calling thread, fills only the tiles whose candidate
+/// panel is at or after the query tile, into this thread's reused
+/// scratch of about n²/2 floats (see `Tiles`). Each query then reads its
+/// row in ascending `j` (see `select_row`); queries run in fixed 32-row
+/// chunks, so the graph does not depend on the thread count. The
+/// selection forks from 256 points (`SELECT_OPS`); the distance pass
+/// does not.
 ///
 /// # Panics
 ///
@@ -578,26 +860,206 @@ pub fn nearest_rows(feats: &Tensor2, k: usize) -> Vec<usize> {
             panels[panel + ch * MATMUL_NR + j % MATMUL_NR] = v;
         }
     }
-
+    // Every entry read is written below, so a same-size buffer is not
+    // refilled; a larger one grows to exactly its size.
+    let len = Tiles::panel_at(n_panels - 1) + n * MATMUL_NR;
+    let mut dist = DIST_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
+    if dist.len() != len {
+        dist.clear();
+        dist.reserve_exact(len);
+        dist.resize(len, 0.0);
+    }
     let f = feats.as_slice();
-    let mut best = vec![(0.0f32, 0usize); n * k];
-    edgepc_par::par_chunks_mut(&mut best, 32 * k, |ci, chunk| {
-        for (t, tile) in chunk.chunks_mut(MATMUL_MR * k).enumerate() {
-            let row0 = ci * 32 + t * MATMUL_MR;
-            let rows = tile_rows(f, row0, tile.len() / k, c);
-            let mut lens = [0usize; MATMUL_MR];
-            for p in 0..n_panels {
-                let acc = dist_tile(rows, &panels[p * c * MATMUL_NR..(p + 1) * c * MATMUL_NR]);
-                let j0 = p * MATMUL_NR;
-                let width = MATMUL_NR.min(n - j0);
-                for (r, (list, len)) in tile.chunks_exact_mut(k).zip(&mut lens).enumerate() {
-                    offer(list, len, &acc[r], width, j0, row0 + r);
-                }
+    for i0 in (0..n).step_by(MATMUL_MR) {
+        let mr = MATMUL_MR.min(n - i0);
+        let rows = tile_rows(f, i0, mr, c);
+        for p in i0 / MATMUL_NR..n_panels {
+            let acc = dist_tile(rows, &panels[p * c * MATMUL_NR..(p + 1) * c * MATMUL_NR]);
+            let at = Tiles::panel_at(p) + i0 * MATMUL_NR;
+            for (dst, acc_row) in dist[at..at + mr * MATMUL_NR]
+                .chunks_exact_mut(MATMUL_NR)
+                .zip(&acc)
+            {
+                dst.copy_from_slice(acc_row);
             }
         }
+    }
+
+    let tiles = Tiles { dist: &dist, n };
+    let mut best = vec![(0.0f32, 0usize); n * k];
+    edgepc_par::with_work(n * n * SELECT_OPS, || {
+        edgepc_par::par_chunks_mut(&mut best, 32 * k, |ci, chunk| {
+            for (r, list) in chunk.chunks_exact_mut(k).enumerate() {
+                select_row(&tiles, ci * 32 + r, list);
+            }
+        });
     });
     PACK_BUF.with(|b| *b.borrow_mut() = panels);
+    DIST_BUF.with(|b| *b.borrow_mut() = dist);
     best.into_iter().map(|(_, j)| j).collect()
+}
+
+/// [`nearest_rows`]' distances, one tile per (query, candidate panel) at
+/// or after the diagonal, panel-major and packed: panel `p` holds the
+/// tiles of queries `0..8p + 8` (about n²/2 floats in all), and
+/// `dist[panel_at(p) + 8i + l]` is `d(i, 8p + l)`. Query `i`'s earlier
+/// distances are read from the other side, `d(j, i)` in its own panel,
+/// so the 8 queries of a panel share those cache lines.
+struct Tiles<'a> {
+    dist: &'a [f32],
+    n: usize,
+}
+
+impl Tiles<'_> {
+    /// Where panel `p` starts: after panels `0..p`, of `8q + 8` tiles of
+    /// 8 floats each (every panel but the last is full).
+    fn panel_at(p: usize) -> usize {
+        MATMUL_NR * MATMUL_NR * p * (p + 1) / 2
+    }
+
+    /// How many tiles a query's row has.
+    fn count(&self) -> usize {
+        self.n.div_ceil(MATMUL_NR)
+    }
+
+    /// The lanes of tile `t` that are candidates of query `i`: those
+    /// before `n`, and not `i` itself.
+    fn valid(&self, i: usize, t: usize) -> u32 {
+        let width = MATMUL_NR.min(self.n - t * MATMUL_NR);
+        let mut valid = (1u32 << width) - 1;
+        if t == i / MATMUL_NR {
+            valid &= !(1 << (i % MATMUL_NR));
+        }
+        valid
+    }
+
+    /// Query `i`'s distances to candidates `8t..8t + 8` (lanes past `n`
+    /// hold distances to the panel's zero padding).
+    #[inline(always)]
+    fn lanes(&self, i: usize, t: usize) -> [f32; MATMUL_NR] {
+        let own = i / MATMUL_NR;
+        if t >= own {
+            let at = Self::panel_at(t) + i * MATMUL_NR;
+            lanes(&self.dist[at..at + MATMUL_NR])
+        } else {
+            // d(i, 8t + l) = d(8t + l, i): column `i % 8` of the 8
+            // candidates' tiles in panel `own`.
+            let at = Self::panel_at(own) + t * MATMUL_NR * MATMUL_NR;
+            let block = &self.dist[at..at + MATMUL_NR * MATMUL_NR];
+            std::array::from_fn(|l| block[l * MATMUL_NR + i % MATMUL_NR])
+        }
+    }
+}
+
+/// The selection's work per candidate distance, in the fork floor's
+/// units (`edgepc_par::FORK_FLOOR`): on one thread it reads a candidate
+/// in 2.7–5 ns (1024 and 256 points, one channel, so the distance pass is
+/// negligible), where the blocked kernel runs a multiply-add in ~0.05 ns.
+const SELECT_OPS: usize = 64;
+
+/// Key-buffer capacity of `select_keys`: `k` kept keys plus room for at
+/// least one more tile of candidates. Larger `k` replays the walk.
+const SELECT_KEYS: usize = 256;
+
+/// Query `i`'s list from its distances, with the scalar loop's result:
+/// the key selection when the row allows it, else the loop's insertion
+/// walk replayed ([`offer`]) in ascending `j`.
+fn select_row(tiles: &Tiles<'_>, i: usize, list: &mut [(f32, usize)]) {
+    if list.len() + MATMUL_NR <= SELECT_KEYS && select_keys(tiles, i, list) {
+        return;
+    }
+    let mut len = 0;
+    for t in 0..tiles.count() {
+        let width = MATMUL_NR.min(tiles.n - t * MATMUL_NR);
+        offer(list, &mut len, &tiles.lanes(i, t), width, t * MATMUL_NR, i);
+    }
+}
+
+/// The selection for a NaN-free row; `false` (list untouched) when the
+/// row holds a NaN other than `d(i, i)`. Its distances are then
+/// non-negative (never `-0.0`: the sums start at `+0.0` and add
+/// squares), so they order like their bits, and the loop's list is
+/// exactly the `k` smallest `(d.to_bits(), j)` keys, sorted: a later `j`
+/// enters only below the k-th distance, and ties keep ascending `j`.
+///
+/// A first pass takes each 8-lane tile's least candidate distance; the
+/// k-th least of those bounds the k-th distance (k different tiles hold
+/// a candidate at most that). The second pass rejects each tile whose
+/// least distance is past the bound in one compare, and collects the
+/// other tiles' lanes under it as keys; a full key buffer is cut to its
+/// `k` least, which tightens the bound.
+fn select_keys(tiles: &Tiles<'_>, i: usize, list: &mut [(f32, usize)]) -> bool {
+    const INF: u32 = 0x7f80_0000;
+    let k = list.len();
+    let n_tiles = tiles.count();
+    // Pass 1: each tile's least candidate, kept for the first
+    // `SELECT_KEYS` tiles, and the NaN check (a NaN's bits are past
+    // +inf's).
+    let mut mins = [u32::MAX; SELECT_KEYS];
+    for t in 0..n_tiles {
+        let bits = tiles.lanes(i, t).map(f32::to_bits);
+        let valid = tiles.valid(i, t);
+        let (mut least, mut nan) = (u32::MAX, 0u32);
+        for (l, &b) in bits.iter().enumerate() {
+            let candidate = valid >> l & 1 == 1;
+            least = if candidate { least.min(b) } else { least };
+            nan |= u32::from(candidate && b > INF);
+        }
+        if nan != 0 {
+            return false;
+        }
+        if let Some(min) = mins.get_mut(t) {
+            *min = least;
+        }
+    }
+    let head = n_tiles.min(SELECT_KEYS);
+    // A tile with no candidate (the last one, holding only `i`) has
+    // least `u32::MAX`, and the bound saturates: it then takes every
+    // candidate.
+    let mut lim = if head >= k {
+        let mut least = mins;
+        least[..head].select_nth_unstable(k - 1).1.saturating_add(1)
+    } else {
+        INF + 1
+    };
+
+    // Pass 2: every candidate under `lim`, a strict bound.
+    let mut keys = [0u64; SELECT_KEYS];
+    let mut len = 0;
+    for t in 0..n_tiles {
+        if mins.get(t).is_some_and(|&least| least >= lim) {
+            continue;
+        }
+        let bits = tiles.lanes(i, t).map(f32::to_bits);
+        let mut open = bits
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (l, &b)| m | u32::from(b < lim) << l);
+        open &= tiles.valid(i, t);
+        while open != 0 {
+            let l = open.trailing_zeros() as usize;
+            open &= open - 1;
+            keys[len] = u64::from(bits[l]) << 32 | (t * MATMUL_NR + l) as u64;
+            len += 1;
+        }
+        if len + MATMUL_NR > SELECT_KEYS {
+            keys[..len].select_nth_unstable(k - 1);
+            len = k;
+            lim = (keys[k - 1] >> 32) as u32;
+        }
+    }
+    let keys = &mut keys[..len];
+    if len > k {
+        keys.select_nth_unstable(k - 1);
+    }
+    keys[..k].sort_unstable();
+    for (slot, &key) in list.iter_mut().zip(&keys[..k]) {
+        *slot = (
+            f32::from_bits((key >> 32) as u32),
+            (key & u64::from(u32::MAX)) as usize,
+        );
+    }
+    true
 }
 
 /// The distance twin of [`micro_kernel`]: an MR x NR tile of squared
@@ -883,7 +1345,10 @@ mod tests {
 
     #[test]
     fn fused_blocked_is_thread_count_independent() {
-        let (m, kk, n) = (256, 48, 32);
+        // Above the fork floor, so 2 and 8 threads really fork, with a
+        // ragged last chunk (1002 = 15 * 64 + 42), tile and panel.
+        let (m, kk, n) = (1002, 130, 33);
+        assert!(m * kk * n >= edgepc_par::FORK_FLOOR);
         let x = random_tensor(m, kk, 0x9009);
         let w = random_tensor(kk, n, 0xa00a);
         let bias: Vec<f32> = (0..n).map(|i| (i as f32) * 0.01).collect();
@@ -1127,6 +1592,124 @@ mod tests {
         }
     }
 
+    /// The pool in the epilogue is exact: [`fused_linear_pooled`], and
+    /// its naive and blocked halves forced past the work gate, equal
+    /// [`fused_linear`] followed by `max_pool_groups` bit for bit. Groups
+    /// of 1, 3, 5, 8, 20 and 32 rows straddle the 4-row tiles and, at
+    /// one group past a chunk's worth, the group-aligned chunks; ragged
+    /// panels (`n` = 1..=17 and 33); dense, SA and edge rows, one-pass
+    /// and resumed; NaN, +0.0 and -0.0 pre-activations (a NaN feature, an
+    /// all-zero row, a -0.0 start times zeros); ReLU on and off; 1/2/8
+    /// threads, with one shape per flavour above the fork floor (release
+    /// only).
+    #[test]
+    fn pooled_epilogue_matches_linear_then_pool() {
+        let ns: Vec<usize> = (1..=17).chain([33]).collect();
+        let mut seen = [0usize; 3]; // NaN, +0.0, -0.0 pre-activations
+        let mut check = |operand: &Operand, start: Option<&[f32]>, m, w: &Tensor2, group| {
+            let src = operand.source_from(start);
+            let (kk, n) = (w.rows(), w.cols());
+            let mut bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.07 - 0.4).collect();
+            bias[0] = -0.0;
+            for (bias, relu) in [(None, false), (Some(bias.as_slice()), false), (None, true)] {
+                let mut flat = vec![f32::NAN; m * n];
+                fused_linear(&src, m, w, None, bias, relu, &mut flat);
+                if bias.is_none() && !relu {
+                    for v in &flat {
+                        seen[0] += usize::from(v.is_nan());
+                        seen[1] += usize::from(v.to_bits() == 0);
+                        seen[2] += usize::from(v.to_bits() == (-0.0f32).to_bits());
+                    }
+                }
+                let pooled = crate::pool::max_pool_groups(&Tensor2::from_vec(flat, m, n), group);
+                let expect = bits(pooled.output.as_slice());
+                let what = format!(
+                    "{:?} m={m} k={kk} n={n} group={group} relu={relu}",
+                    operand.flavour
+                );
+                let budgets: &[usize] = if m * kk * n >= edgepc_par::FORK_FLOOR {
+                    &[1, 2, 8]
+                } else {
+                    &[1]
+                };
+                for &threads in budgets {
+                    let run = |f: &dyn Fn(&mut [f32])| {
+                        let mut got = vec![f32::NAN; m / group * n];
+                        edgepc_par::with_threads(threads, || f(&mut got));
+                        bits(&got)
+                    };
+                    let fused =
+                        run(&|out| fused_linear_pooled(&src, m, w, None, bias, relu, group, out));
+                    assert_eq!(fused, expect, "fused: {what} threads={threads}");
+                    let naive = run(&|out| {
+                        out.fill(f32::NEG_INFINITY);
+                        naive_pooled(&src, m, w, bias, relu, group, out);
+                    });
+                    assert_eq!(naive, expect, "naive: {what}");
+                    let blocked = run(&|out| {
+                        out.fill(f32::NEG_INFINITY);
+                        blocked_pooled(&src, m, w, None, bias, relu, group, out);
+                    });
+                    assert_eq!(blocked, expect, "blocked: {what} threads={threads}");
+                }
+            }
+        };
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for group in [1usize, 3, 5, 8, 20, 32] {
+            let per_chunk = (MATMUL_MC / group).max(1);
+            for count in [1, 2, 3, per_chunk + 1] {
+                shapes.extend(ns.iter().map(|&n| (group, group * count, n)));
+            }
+        }
+        // Above the fork floor, so 2 and 8 threads really fork: release
+        // runs only (`ci.sh` step 6, both builds).
+        if !cfg!(debug_assertions) {
+            shapes.push((20, 20 * 13, 160));
+        }
+        for (group, m, n) in shapes {
+            let c = if n == 160 { 128 } else { 4 };
+            let seed = (m * 1000 + n * 10 + group) as u64;
+            let mut operands = [
+                Operand::dense(m, c + 3, seed),
+                Operand::sa(m, c, seed),
+                Operand::edge(m, c, seed),
+            ];
+            for operand in operands.iter_mut().filter(|o| o.feats.rows() > 1) {
+                operand.feats.set(1, 0, f32::NAN);
+            }
+            for operand in &operands {
+                let kk = match operand.flavour {
+                    Flavour::Edge => 2 * c,
+                    _ => c + 3,
+                };
+                let w = random_tensor(kk, n, seed ^ 0x5eed);
+                check(operand, None, m, &w, group);
+                if matches!(operand.flavour, Flavour::Dense) {
+                    continue;
+                }
+                // Resumed: starts of -0.0 in column 0 (NaN in column 1)
+                // meet a tail whose column 0 weights are all negative, so
+                // a zero tail row keeps the -0.0.
+                let mut tail = random_tensor(kk - c, n, seed ^ 0x7a11);
+                for r in 0..tail.rows() {
+                    tail.set(r, 0, -tail.get(r, 0).abs() - 0.1);
+                }
+                let mut start = random_tensor(operand.feats.rows(), n, seed ^ 0x57a7);
+                for r in 0..start.rows() {
+                    start.set(r, 0, -0.0);
+                    if n > 1 && r % 3 == 0 {
+                        start.set(r, 1, f32::NAN);
+                    }
+                }
+                check(operand, Some(start.as_slice()), m, &tail, group);
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s > 0),
+            "pre-activations seen (NaN, +0.0, -0.0): {seen:?}"
+        );
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1236,12 +1819,21 @@ mod tests {
     #[test]
     fn nearest_rows_match_the_scalar_loop() {
         let max_n = if cfg!(debug_assertions) { 255 } else { 1024 };
-        let mut shapes = vec![(2, 1), (9, 8), (21, 20)];
+        // (17, 3): the last tile holds only query 16 itself.
+        let mut shapes = vec![(2, 1), (9, 8), (17, 3), (21, 20)];
         for n in [21usize, 37, 255, 1000, 1024] {
             shapes.extend([1, 8, 20, n - 1].iter().map(|&k| (n, k)));
         }
         shapes.sort_unstable();
         shapes.dedup();
+        // Release runs select above the fork floor with a ragged last
+        // 32-query chunk (1000 = 31 * 32 + 8), so 2 and 8 threads fork.
+        assert!(
+            cfg!(debug_assertions)
+                || shapes.iter().any(|&(n, _)| {
+                    n <= max_n && n % 32 != 0 && n * n * SELECT_OPS >= edgepc_par::FORK_FLOOR
+                })
+        );
         for &(n, k) in shapes.iter().filter(|s| s.0 <= max_n) {
             for c in [1usize, 3, 16, 64, 128] {
                 for hostile in [false, true] {

@@ -55,8 +55,8 @@ pub mod pool;
 pub mod tensor;
 
 pub use kernel::{
-    fused_linear, kernel_uses_blocked_path, nearest_rows, PackedPanels, RowSource, EMPTY_SLOT,
-    MAX_FUSED_K,
+    fused_linear, fused_linear_pooled, hoisting_pays, kernel_uses_blocked_path, nearest_rows,
+    PackedPanels, RowSource, EMPTY_SLOT, MAX_FUSED_K,
 };
 pub use layer::{Linear, Params, Sequential};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -115,6 +115,29 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// The least work, in elementary f32 operations (a multiply-add, a
+/// squared-difference term, a copied element), worth a fork. Forking
+/// and joining one scoped worker cost 95–300 µs on a 2-vCPU x86-64 VM
+/// (a scope that adds 1.0 to 2 048 floats on each side), and the
+/// blocked kernel runs ~20 G multiply-adds/s on one thread there. Two
+/// workers save half the serial time, so they pay only once that half
+/// exceeds the fork: about 2^22 operations (~0.2 ms serial).
+pub const FORK_FLOOR: usize = 1 << 22;
+
+/// Runs `f` at one worker when `work` (elementary operations, see
+/// [`FORK_FLOOR`]) is below the fork floor, at the current budget
+/// otherwise. Only the worker count changes, never a chunk boundary, so
+/// the result is the same either way. The call sites that know their
+/// work (the blocked kernels, the feature-space k-NN, the eager
+/// grouping) wrap their `par_*` calls in it.
+pub fn with_work<R>(work: usize, f: impl FnOnce() -> R) -> R {
+    if work < FORK_FLOOR {
+        with_threads(1, f)
+    } else {
+        f()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +176,14 @@ mod tests {
         let ambient = with_threads(0, threads);
         with_threads(7, || {
             assert_eq!(with_threads(0, threads), ambient);
+        });
+    }
+
+    #[test]
+    fn small_work_runs_at_one_worker() {
+        with_threads(4, || {
+            assert_eq!(with_work(FORK_FLOOR - 1, threads), 1);
+            assert_eq!(with_work(FORK_FLOOR, threads), 4);
         });
     }
 

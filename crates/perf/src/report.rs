@@ -1,6 +1,6 @@
 //! The canonical `BENCH.json` document: an exact, deterministic record.
 //!
-//! # Schema (version 2)
+//! # Schema (version 3)
 //!
 //! ```json
 //! {
@@ -13,11 +13,15 @@
 //!       "ops": { ... OpCounts ... },
 //!       "modeled_ms": null | N,
 //!       "modeled_mj": null | N,
-//!       "quality": {"audit.search.recall_at_k": 0.67, ...}
+//!       "quality": {"audit.search.recall_at_k": 0.67, ...},
+//!       "arena_bytes": N
 //!     }
 //!   ]
 //! }
 //! ```
+//!
+//! `arena_bytes` (new in version 3) is the executor arena a compiled
+//! forward needs, and only the `model.compiled.*` rows carry it.
 //!
 //! Every value is a function of the code and the seeded inputs alone —
 //! no wall time — so a fresh recording is byte-identical to the committed
@@ -31,7 +35,7 @@ use crate::runner::ScenarioResult;
 /// The `schema` field every BENCH.json document carries.
 pub const SCHEMA_NAME: &str = "edgepc-bench";
 /// The schema version this code emits.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Renders scenario results as a BENCH.json document (schema above).
 pub fn bench_json(results: &[ScenarioResult]) -> String {
@@ -44,9 +48,13 @@ pub fn bench_json(results: &[ScenarioResult]) -> String {
                 .map(|(name, value)| format!("\"{}\":{}", escape(name), fmt_f64(*value)))
                 .collect();
             let opt = |v: Option<f64>| v.map(fmt_f64).unwrap_or_else(|| "null".into());
+            let arena = r
+                .arena_bytes
+                .map(|b| format!(",\"arena_bytes\":{b}"))
+                .unwrap_or_default();
             format!(
                 " {{\"id\":\"{}\",\"points\":{},\"ops\":{},\"modeled_ms\":{},\
-                 \"modeled_mj\":{},\"quality\":{{{}}}}}",
+                 \"modeled_mj\":{},\"quality\":{{{}}}{arena}}}",
                 escape(&r.id),
                 r.points,
                 r.ops.to_json(),
@@ -80,11 +88,12 @@ mod tests {
             modeled_ms: Some(4.5),
             modeled_mj: None,
             quality: vec![("audit.search.recall_at_k".to_string(), 0.9375)],
+            arena_bytes: id.starts_with('b').then_some(4096),
         };
         let doc = bench_json(&[result("a.scenario"), result("b.scenario")]);
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("schema").unwrap().as_str(), Some(SCHEMA_NAME));
-        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(2.0));
+        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(3.0));
         let rows = v.get("scenarios").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 2);
         let s = &rows[0];
@@ -103,6 +112,8 @@ mod tests {
                 .as_f64(),
             Some(0.9375)
         );
+        assert_eq!(s.get("arena_bytes"), None);
+        assert_eq!(rows[1].get("arena_bytes").unwrap().as_f64(), Some(4096.0));
         // A diff of two recordings names the scenario on every changed line.
         let lines: Vec<&str> = doc.lines().collect();
         assert_eq!(lines.len(), 4);

@@ -63,10 +63,18 @@ pub struct ScenarioResult {
     /// Quality-auditor gauges (`audit.*`) the run published, name-sorted —
     /// e.g. recall@k for a window-search scenario.
     pub quality: Vec<(String, f64)>,
+    /// Executor arena bytes of a compiled forward, if the run published
+    /// its [`ARENA_GAUGE`].
+    pub arena_bytes: Option<u64>,
 }
 
+/// The gauge a compiled-model scenario sets to its plans' arena bytes
+/// (the largest plan's arena, which the executor holds).
+pub const ARENA_GAUGE: &str = "ir.arena_bytes";
+
 /// Runs one scenario once under a dedicated trace registry whose
-/// `audit.*` gauges become the result's quality readings.
+/// `audit.*` gauges become the result's quality readings (and whose
+/// [`ARENA_GAUGE`] its arena bytes).
 pub fn run_scenario(scenario: Scenario) -> ScenarioResult {
     let reg = Arc::new(Registry::new());
     let (ops, modeled) = with_registry(reg.clone(), scenario.run);
@@ -83,6 +91,7 @@ pub fn run_scenario(scenario: Scenario) -> ScenarioResult {
         modeled_ms: modeled.map(|m| m.ms),
         modeled_mj: modeled.map(|m| m.mj),
         quality,
+        arena_bytes: reg.gauge(ARENA_GAUGE).map(|v| v as u64),
     }
 }
 
@@ -111,5 +120,6 @@ mod tests {
         assert_eq!(r.modeled_ms, Some(1.5));
         assert_eq!(r.modeled_mj, Some(30.0));
         assert_eq!(r.quality, vec![("audit.unit.value".to_string(), 5.0)]);
+        assert_eq!(r.arena_bytes, None);
     }
 }

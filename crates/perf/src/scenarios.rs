@@ -45,6 +45,12 @@ pub fn enable_default_auditing() {
     edgepc_neighbor::audit::set_search_audit_stride(16);
 }
 
+/// Publishes a compiled forward's arena (`arena_len` floats) as the
+/// scenario's `arena_bytes`.
+fn record_arena(arena_len: usize) {
+    edgepc_trace::current_registry().set_gauge(crate::runner::ARENA_GAUGE, (arena_len * 4) as f64);
+}
+
 /// Disables the online quality auditors.
 pub fn disable_auditing() {
     edgepc_sample::audit::set_sample_audit_stride(0);
@@ -279,8 +285,9 @@ pub fn paper_scenarios() -> Vec<Scenario> {
             let config =
                 PointNetPpConfig::paper(8192, PipelineStrategy::edgepc_layers(4, 1, WINDOW));
             let model = PointNetPpSeg::new(&config, ds.num_classes.max(2));
-            let (_, records) = CompiledPointNetPp::compile(&model, 8192)
-                .run(&ds.test[0].cloud, &mut ExecState::new());
+            let compiled = CompiledPointNetPp::compile(&model, 8192);
+            record_arena(compiled.arena_len());
+            let (_, records) = compiled.run(&ds.test[0].cloud, &mut ExecState::new());
             (sum_ops(&records), priced_forward(&records, true))
         },
     ));
@@ -309,8 +316,9 @@ pub fn paper_scenarios() -> Vec<Scenario> {
         let ds = Workload::W3.dataset(0x0edc ^ 1024);
         let config = DgcnnConfig::paper(PipelineStrategy::edgepc_dgcnn(4, 4 * 20));
         let model = DgcnnClassifier::new(&config, ds.num_classes.max(2));
-        let (_, records) =
-            CompiledDgcnn::classifier(&model, 1024).run(&ds.test[0].cloud, &mut ExecState::new());
+        let compiled = CompiledDgcnn::classifier(&model, 1024);
+        record_arena(compiled.arena_len());
+        let (_, records) = compiled.run(&ds.test[0].cloud, &mut ExecState::new());
         (sum_ops(&records), priced_forward(&records, true))
     }));
 

@@ -347,10 +347,11 @@ fn matmul_allocates_only_its_output() {
 #[test]
 fn executor_runs_a_six_op_plan_without_allocating() {
     // An EdgeConv-shaped graph that lowers to every step kind: an edge
-    // gather of 4 rows per point (more rows than points, so its linear
-    // hoists into Hoist + Resume), a dense Fused linear, MaxPool,
+    // gather of 4 rows per point (more rows than points, and 8 channels,
+    // so its linear hoists into Hoist + a Resume that pools in its
+    // epilogue), a dense Fused linear, a standalone MaxPool of a concat,
     // Concat2 and Broadcast.
-    let (points, c, k) = (16usize, 4usize, 4usize);
+    let (points, c, k) = (16usize, 8usize, 4usize);
     let mut g = Graph::new("six_ops");
     let x = g.input(points, c);
     let edges = g.gather(points * k, points, GatherMode::EdgePair { c, k }, "edge");

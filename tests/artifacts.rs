@@ -7,6 +7,8 @@
 //! offline-CI guarantees). Every committed `results/*.json` must parse,
 //! and each pinned basename must carry its emitter's current `schema`
 //! and `schema_version`, read from the emitter's own constants.
+//! `BENCH.json`'s `model.compiled.*` rows must also carry their
+//! `arena_bytes`.
 //!
 //! The `#[ignore]`d tests hold the artifacts the `ci.sh` smokes write
 //! under `target/` to the same pins; each fails if its file is missing:
@@ -98,6 +100,16 @@ fn artifact_violations(name: &str, src: &str) -> Vec<String> {
             "{name}: schema_version {found:?}, expected {version}"
         ));
     }
+    if name == "BENCH.json" {
+        let rows = doc.get("scenarios").and_then(Value::as_arr).unwrap_or(&[]);
+        for row in rows {
+            let id = row.get("id").and_then(Value::as_str).unwrap_or("");
+            let arena = row.get("arena_bytes").and_then(Value::as_f64);
+            if id.starts_with("model.compiled.") && arena.is_none() {
+                out.push(format!("{name}: {id} carries no arena_bytes"));
+            }
+        }
+    }
     out
 }
 
@@ -161,6 +173,10 @@ fn planted_faults_fail_the_checks() {
         edgepc_perf::SCHEMA_VERSION
     );
     assert_eq!(bench(&unmarked).len(), 1);
+    let compiled = |row: &str| current.replace("[]", &format!("[{row}]"));
+    let with_arena = compiled("{\"id\":\"model.compiled.x\",\"arena_bytes\":4096}");
+    assert!(bench(&with_arena).is_empty(), "{with_arena}");
+    assert_eq!(bench(&compiled("{\"id\":\"model.compiled.x\"}")).len(), 1);
     // Unpinned artifacts need only parse.
     assert!(artifact_violations("fig03.json", "{\"anything\": [1, 2]}").is_empty());
 }

@@ -67,7 +67,8 @@ fn dgcnn_forward_is_thread_count_invariant() {
 fn feature_knn_is_thread_count_invariant() {
     // 1000 queries, so the last 32-query chunk holds 8 (two register
     // tiles) and the last candidate panel is full; every seventh row
-    // repeats another, so distance ties cross chunk boundaries.
+    // repeats another, so distance ties cross chunk boundaries. The
+    // selection forks from 256 points, so 2 and 8 threads split it.
     let (n, c) = (1000, 64);
     let mut state = 0x5eed_u64;
     let mut feats = edgepc_nn::Tensor2::from_vec(
