@@ -21,7 +21,7 @@
 #                          edgepc-workspace: every member crate's tests.
 #                          The root package (edgepc-workspace, tests/) ran
 #                          in step 4, so every test runs once in debug
-#                          (step 6 re-runs the bit pins in release).
+#                          (step 6 runs them all again in release).
 #                          Steps 4 and 5 hold the compiled == eager pins:
 #                          every edgepc-ir lowering of PointNet++ seg and
 #                          DGCNN cls/seg must match the eager forward bit
@@ -38,32 +38,40 @@
 #                            build_targets_the_hosts_vector_width:
 #                          on an AVX2 host it fails unless the tuned
 #                          flags are in effect.
-#   6. bit pins, both builds
-#                          edgepc-nn's five kernel bit pins
+#   6. release suite, both builds
+#                          the whole workspace's tests in release, then
+#                          the exact record. Release is where the
+#                          vectorizer runs, and where a compiler bug
+#                          shows: an AVX-512 loop-vectorizer miscompile
+#                          once made edgepc-geom's
+#                            metrics::tests::coverage_radius_detects_gap
+#                          fail in release only (see .cargo/config.toml),
+#                          which a debug run cannot see. The run holds
+#                          edgepc-nn's six kernel bit pins
 #                            fused_product_bits_are_pinned
 #                            blocked_matches_naive_at_every_tile_edge
 #                            resumed_sums_match_one_pass_at_every_tile_edge
 #                            pooled_epilogue_matches_linear_then_pool
 #                            nearest_rows_match_the_scalar_loop
-#                          (the last two run their largest shapes, above
-#                          the fork floor, in release only),
-#                          tests/par_determinism.rs
-#                          (feature k-NN at 1/2/8 threads included), and
-#                          the exact record:
+#                            gather_max_relu_matches_the_scalar_loop
+#                          (the last three run their largest shapes,
+#                          above the fork floor, in release only) and
+#                          tests/par_determinism.rs (feature k-NN at
+#                          1/2/8 threads included). The exact record:
 #                          bench_all re-records results/BENCH.json and
 #                          diffs it against the committed file. Every
 #                          column (op counts, modeled Xavier ms/mJ,
 #                          audited quality) is deterministic, so any
 #                          difference fails: re-record with bench_all and
 #                          commit the new rows with the change that moved
-#                          them. All of it runs twice, in release (debug
-#                          code is not vectorized): under the tuned flags
-#                          of the root .cargo/config.toml (target-cpu=
-#                          native), and under RUSTFLAGS="-C target-cpu=
-#                          generic" in target/portable. So a kernel edit
-#                          that keeps the bits on one ISA but not on the
-#                          other fails here. Wall time is not gated here
-#                          — the repo benchmark (benchmark/,
+#                          them. All of it runs twice: under the tuned
+#                          flags of the root .cargo/config.toml, and
+#                          under RUSTFLAGS="-C target-cpu=generic" in
+#                          target/portable (there the build guard above
+#                          is skipped: it checks the tuned build). So a
+#                          kernel edit that keeps the bits on one ISA but
+#                          not on the other fails here. Wall time is not
+#                          gated here — the repo benchmark (benchmark/,
 #                          BENCHMARK.json) owns it.
 #   7. benchmark build     builds (never runs) the repo benchmark package
 #                          under benchmark/, which sits outside the
@@ -157,27 +165,23 @@ cargo test -q
 echo "==> workspace tests: cargo test --workspace -q --exclude edgepc-workspace"
 cargo test --workspace -q --exclude edgepc-workspace
 
-# bit_pins DIR: step 6 for the build the environment selects; the
-# record goes to DIR/BENCH.json.
-bit_pins() {
-    cargo test --release -q -p edgepc-nn --lib -- \
-        fused_product_bits_are_pinned \
-        blocked_matches_naive_at_every_tile_edge \
-        resumed_sums_match_one_pass_at_every_tile_edge \
-        pooled_epilogue_matches_linear_then_pool \
-        nearest_rows_match_the_scalar_loop
-    cargo test --release -q --test par_determinism
-    cargo run --release -q -p edgepc-bench --bin bench_all -- --out "$1/BENCH.json"
-    diff results/BENCH.json "$1/BENCH.json"
+# release_suite DIR [TEST ARGS...]: step 6 for the build the environment
+# selects; the record goes to DIR/BENCH.json.
+release_suite() {
+    out=$1
+    shift
+    cargo test --workspace --release -q -- "$@"
+    cargo run --release -q -p edgepc-bench --bin bench_all -- --out "$out/BENCH.json"
+    diff results/BENCH.json "$out/BENCH.json"
 }
 
-echo "==> bit pins + exact record, tuned build (.cargo/config.toml)"
-bit_pins target
+echo "==> release suite + exact record, tuned build (.cargo/config.toml)"
+release_suite target
 
-echo "==> bit pins + exact record, portable build (target-cpu=generic)"
+echo "==> release suite + exact record, portable build (target-cpu=generic)"
 (
     export CARGO_TARGET_DIR=target/portable RUSTFLAGS="-C target-cpu=generic"
-    bit_pins target/portable
+    release_suite target/portable --skip build_targets_the_hosts_vector_width
 )
 
 echo "==> benchmark build: the repo benchmark (benchmark/) still builds"

@@ -145,9 +145,10 @@ fn grouping_traffic() {
     }
 
     // Fused-gather addendum: the same data-movement story on this repo's
-    // CPU path. The IR scheduler folds each grouping gather into the first
-    // fused MLP layer, so the materialized grouping traffic per site drops
-    // to the index + relative-coordinate stream; every site reports its own
+    // CPU path. The IR scheduler folds each SA grouping gather into the
+    // first fused MLP layer, so its traffic drops to the index +
+    // relative-coordinate stream; an EdgeConv's gather-max reads `Q` rows,
+    // more than the edge matrix where `C > 2c`. Every site reports its own
     // eager/fused byte counts (and its own span in the JSON).
     println!("\n-- fused-gather grouping traffic per site (edgepc-ir) --");
     let pnpp = PointNetPpSeg::new(&PointNetPpConfig::tiny(4, PipelineStrategy::baseline()), 4);
@@ -165,10 +166,10 @@ fn grouping_traffic() {
             &format!("{} fused/eager bytes", site.label),
             "site-attributed",
             format!(
-                "{} / {} (-{})",
+                "{} / {} ({:+.1}%)",
                 site.fused_bytes,
                 site.eager_bytes,
-                pct(1.0 - site.fused_bytes as f64 / site.eager_bytes.max(1) as f64)
+                100.0 * (site.fused_bytes as f64 / site.eager_bytes.max(1) as f64 - 1.0)
             ),
         );
     }

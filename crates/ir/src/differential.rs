@@ -1,8 +1,9 @@
 //! Differential compile test: seeded random graphs over the whole op set,
 //! each compiled plan checked bit for bit against a reference built from
 //! the eager ops (materialized gather rows → `Sequential::forward` →
-//! `max_pool_groups` / `hstack`), and each plan's arena layout checked
-//! for a destination that overlaps a live region. Random gathers land on
+//! `max_pool_groups` / `hstack`; for an EdgeConv, `Tensor2::matmul` →
+//! `gather_max_relu`), and each plan's arena layout checked for a
+//! destination that overlaps a live region. Random SA gathers land on
 //! both sides of the hoisting rule (`rows > src_rows`, and `c` past
 //! `edgepc_nn::hoisting_pays`' bound), so one-pass and
 //! `Hoist` + `Resume` lowerings are both held to the reference, and
@@ -12,7 +13,7 @@
 use crate::schedule::{ASrc, Region, Src, Step};
 use crate::{compile, Executor, GatherIn, GatherMode, Graph, InTensor, Inputs, NodeId, Plan};
 use edgepc_nn::pool::max_pool_groups;
-use edgepc_nn::{Sequential, Tensor2, EMPTY_SLOT};
+use edgepc_nn::{gather_max_relu, Sequential, Tensor2, EMPTY_SLOT};
 
 const GRAPHS: u64 = 300;
 
@@ -47,16 +48,17 @@ impl Rng {
     }
 }
 
-/// The runtime feed of one random gather, plus its eager materialization.
+/// The runtime feed of one random gather slot, plus the traffic its
+/// site must report: `(eager_bytes, fused_bytes, hoisted)`.
 struct GatherCase {
-    mode: GatherMode,
-    feats: Tensor2,
+    feats: Vec<f32>,
     idx: Vec<usize>,
     rel: Vec<f32>,
-    rows: Tensor2,
+    site: (u64, u64, bool),
 }
 
-fn sa_group(rng: &mut Rng) -> GatherCase {
+/// An SA gather's feed, its eager materialization and its group size.
+fn sa_group(rng: &mut Rng) -> (GatherCase, GatherMode, Tensor2, usize) {
     let (points, c, k, groups) = (
         rng.range(1, 40),
         rng.range(1, 8),
@@ -81,36 +83,51 @@ fn sa_group(rng: &mut Rng) -> GatherCase {
         rows.row_mut(r)[..c].copy_from_slice(feats.row(j));
         rows.row_mut(r)[c..].copy_from_slice(&d);
     }
-    GatherCase {
-        mode: GatherMode::SaGroup { c, k },
-        feats,
+    let mode = GatherMode::SaGroup { c, k };
+    let hoisted = m > points && edgepc_nn::hoisting_pays(c);
+    let site = (mode.eager_bytes(m), mode.fused_bytes(m), hoisted);
+    let case = GatherCase {
+        feats: feats.into_vec(),
         idx,
         rel,
-        rows,
-    }
+        site,
+    };
+    (case, mode, rows, k)
 }
 
-fn edge_pair(rng: &mut Rng) -> GatherCase {
-    let (points, c, k) = (rng.range(1, 30), rng.range(1, 8), rng.range(1, 6));
-    let feats = rng.tensor(points, c);
-    let m = points * k;
-    let idx: Vec<usize> = (0..m).map(|_| rng.range(0, points - 1)).collect();
-    let mut rows = Tensor2::zeros(m, 2 * c);
-    for (r, &j) in idx.iter().enumerate() {
-        let fi = feats.row(r / k);
-        let row = rows.row_mut(r);
-        row[..c].copy_from_slice(fi);
-        for (d, (&a, &b)) in row[c..].iter_mut().zip(feats.row(j).iter().zip(fi)) {
-            *d = a - b;
-        }
-    }
-    GatherCase {
-        mode: GatherMode::EdgePair { c, k },
-        feats,
+/// A factored EdgeConv over a fresh dense input of `case`: its node, its
+/// eager output (`Tensor2::matmul`, `+ b`, `gather_max_relu`) and its
+/// neighbour feed, in which every third slot is the point itself.
+fn edge_conv(rng: &mut Rng, case: &mut Case) -> (NodeId, Tensor2, GatherCase) {
+    let (points, c, k, n) = (
+        rng.range(1, 30),
+        rng.range(1, 8),
+        rng.range(1, 6),
+        rng.range(1, 24),
+    );
+    let (x, xt) = case.input(rng.tensor(points, c));
+    let (u, v) = (rng.tensor(c, n), rng.tensor(c, n));
+    let b: Vec<f32> = (0..n).map(|_| rng.unit()).collect();
+    let idx: Vec<usize> = (0..points * k)
+        .map(|r| match rng.range(0, 2) {
+            0 => r / k,
+            _ => rng.range(0, points - 1),
+        })
+        .collect();
+    let node = case.g.edge_conv(x, &u, &v, &b, k, "diff.edge");
+    let mut p = xt.matmul(&u);
+    p.add_row_vector(&b);
+    let q = xt.matmul(&v);
+    let mut out = vec![0.0f32; points * n];
+    gather_max_relu(p.as_slice(), q.as_slice(), n, &idx, k, &mut out, None);
+    let edges = (points * k * 4) as u64;
+    let gc = GatherCase {
+        feats: Vec::new(),
         idx,
         rel: Vec::new(),
-        rows,
-    }
+        site: (edges * 2 * c as u64, edges * n as u64, false),
+    };
+    (node, Tensor2::from_vec(out, points, n), gc)
 }
 
 /// A random MLP of depth 1..=4 from `input` channels.
@@ -151,8 +168,8 @@ fn random_case(rng: &mut Rng) -> (Case, Tensor2, Option<GatherCase>) {
         inputs: Vec::new(),
     };
 
-    // Source: a dense input, two concatenated inputs, or a gather (which
-    // only a linear may read).
+    // Source: a dense input, two concatenated inputs, an SA gather
+    // (which only a linear may read), or an EdgeConv.
     let (src, src_eager, gather, group) = match rng.range(0, 3) {
         0 => {
             let rows = rng.range(1, 128);
@@ -165,19 +182,16 @@ fn random_case(rng: &mut Rng) -> (Case, Tensor2, Option<GatherCase>) {
             let (b, tb) = case.input(rng.tensor_upto(rows, 12));
             (case.g.concat2(a, b), ta.hstack(&tb), None, rows)
         }
-        kind => {
-            let gc = if kind == 2 {
-                sa_group(rng)
-            } else {
-                edge_pair(rng)
-            };
-            let (GatherMode::SaGroup { k, .. } | GatherMode::EdgePair { k, .. }) = gc.mode;
-            let src_rows = gc.feats.rows();
-            let node = case
-                .g
-                .gather(gc.rows.rows(), src_rows, gc.mode, "diff.group");
-            let rows = gc.rows.clone();
+        2 => {
+            let (gc, mode, rows, k) = sa_group(rng);
+            let src_rows = gc.feats.len() / mode.channels();
+            let node = case.g.gather(rows.rows(), src_rows, mode, "diff.group");
             (node, rows, Some(gc), k)
+        }
+        _ => {
+            let (node, out, gc) = edge_conv(rng, &mut case);
+            let rows = out.rows();
+            (node, out, Some(gc), rows)
         }
     };
     let mut seq = random_mlp(rng, src_eager.cols());
@@ -237,6 +251,7 @@ fn step_regions(step: &Step) -> (Region, Vec<Region>) {
         }
         Step::Hoist { dst, .. } => (dst, Vec::new()),
         Step::Resume { start, dst, .. } => (dst, vec![start]),
+        Step::GatherMax { p, q, dst, .. } => (dst, vec![p, q]),
         Step::MaxPool { src, dst, .. } | Step::Broadcast { src, dst, .. } => {
             (dst, arena(src).into_iter().collect())
         }
@@ -359,10 +374,11 @@ fn assert_pools_are_aliased(plan: &Plan, what: &str) -> (usize, usize) {
 fn random_graphs_match_the_eager_reference_bitwise() {
     let mut rng = Rng(0x5eed_d1ff_c0de_0001);
     let mut exec = Executor::new();
-    // Gathers compiled as one pass vs. hoisted; pools in a linear's
-    // epilogue vs. standalone.
+    // SA gathers compiled as one pass vs. hoisted; pools in a linear's
+    // epilogue vs. standalone; EdgeConv gather-max steps.
     let (mut one_pass, mut hoisted) = (0, 0);
     let (mut pooled, mut standalone) = (0, 0);
+    let mut gather_maxes = 0;
     for i in 0..GRAPHS {
         let what = format!("graph {i}");
         let (case, eager, gather) = random_case(&mut rng);
@@ -390,7 +406,7 @@ fn random_graphs_match_the_eager_reference_bitwise() {
         let gathers: Vec<GatherIn<'_>> = gather
             .iter()
             .map(|gc| GatherIn {
-                feats: gc.feats.as_slice(),
+                feats: &gc.feats,
                 idx: &gc.idx,
                 rel: &gc.rel,
             })
@@ -403,21 +419,19 @@ fn random_graphs_match_the_eager_reference_bitwise() {
             },
         );
         assert_eq!(exec.output(&plan), eager.as_slice(), "{what}");
+        let steps_gather_max = plan
+            .steps
+            .iter()
+            .filter(|s| matches!(s, Step::GatherMax { .. }))
+            .count();
+        gather_maxes += steps_gather_max;
         if let (Some(site), Some(gc)) = (plan.gather_sites().first(), &gather) {
-            assert_eq!(
-                site.eager_bytes,
-                gc.mode.eager_bytes(gc.rows.rows()),
-                "{what}"
-            );
-            assert!(site.fused_bytes <= site.eager_bytes, "{what}");
-            let repeats = gc.rows.rows() > gc.feats.rows();
-            assert_eq!(
-                site.hoisted,
-                repeats && edgepc_nn::hoisting_pays(gc.mode.channels()),
-                "{what}: hoisting rule"
-            );
+            let got = (site.eager_bytes, site.fused_bytes, site.hoisted);
+            assert_eq!(got, gc.site, "{what}: site traffic and hoisting rule");
             assert_eq!(hoists, usize::from(site.hoisted), "{what}");
-            if site.hoisted {
+            if gc.feats.is_empty() {
+                assert_eq!(steps_gather_max, 1, "{what}");
+            } else if site.hoisted {
                 hoisted += 1;
             } else {
                 one_pass += 1;
@@ -431,5 +445,9 @@ fn random_graphs_match_the_eager_reference_bitwise() {
     assert!(
         pooled >= 10 && standalone >= 10,
         "fuzz must cover both pool lowerings: {pooled} pooled, {standalone} standalone"
+    );
+    assert!(
+        gather_maxes >= 10,
+        "fuzz must cover the gather-max: {gather_maxes}"
     );
 }

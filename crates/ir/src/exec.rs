@@ -2,7 +2,8 @@
 //!
 //! An [`Executor`] owns one `Vec<f32>` arena sized to the plan's
 //! liveness high-water mark. [`Executor::run`] grows the arena at most
-//! once per plan shape (cold path) and then interprets the step list
+//! once per plan shape (cold path), to exactly the largest plan's length
+//! run so far, and then interprets the step list
 //! inside `run_steps`, which allocates nothing: every step reads and
 //! writes disjoint arena regions through safe `split_at_mut`
 //! projections, and the fused linear steps call straight into
@@ -13,8 +14,9 @@
 //! follow the eager matmul/bias/ReLU op order (a hoisted linear's
 //! `Hoist` + `Resume` pair replays it split at column `c`), a pooled
 //! linear and `MaxPool` replay `max_pool_groups` (strict `>`, first-seen
-//! winner), `Concat2` is `hstack`, `Broadcast` the seg-head row
-//! replication.
+//! winner), `GatherMax` calls the eager EdgeConv's own
+//! `edgepc_nn::gather_max_relu`, `Concat2` is `hstack`, `Broadcast` the
+//! seg-head row replication.
 
 use crate::graph::GatherMode;
 use crate::schedule::{ASrc, Plan, Region, Src, Step};
@@ -33,16 +35,17 @@ pub struct InTensor<'a> {
 
 /// Runtime feed for one gather slot: the source feature matrix, the
 /// flattened neighbor indices (one per gathered row;
-/// `edgepc_nn::EMPTY_SLOT` marks zero-padded slots), and — for SA
-/// grouping — the precomputed relative coordinates (`3 * rows` values,
-/// empty for edge-pair gathers).
+/// `edgepc_nn::EMPTY_SLOT` marks zero-padded slots), and the
+/// precomputed relative coordinates (`3 * rows` values). An EdgeConv's
+/// gather-max slot reads `idx` only (`k` neighbours per point), so its
+/// `feats` and `rel` may be empty.
 #[derive(Clone, Copy)]
 pub struct GatherIn<'a> {
     /// Source features, row-major with the mode's `c` columns.
     pub feats: &'a [f32],
     /// Flattened neighbor indices.
     pub idx: &'a [usize],
-    /// Relative coordinates (SA grouping only).
+    /// Relative coordinates.
     pub rel: &'a [f32],
 }
 
@@ -71,10 +74,14 @@ impl Executor {
     }
 
     /// Runs `plan` over `inputs`. The first run for the largest plan
-    /// grows the arena; every later run allocates nothing.
+    /// grows the arena to exactly its length (no amortized slack, so a
+    /// warm executor holds what its largest plan needs); every later run
+    /// allocates nothing.
     pub fn run(&mut self, plan: &Plan, inputs: &Inputs<'_>) {
         validate_inputs(plan, inputs);
         if self.arena.len() < plan.arena_len() {
+            self.arena
+                .reserve_exact(plan.arena_len() - self.arena.len());
             self.arena.resize(plan.arena_len(), 0.0);
         }
         run_steps(&mut self.arena, plan, inputs);
@@ -120,28 +127,20 @@ fn validate_inputs(plan: &Plan, inputs: &Inputs<'_>) {
             spec.rows,
             "ir exec: gather index count mismatch"
         );
-        let c = spec.mode.channels();
+        // A gather-max slot's indices are range-checked by the kernel.
+        let Some(mode) = spec.mode else { continue };
+        let c = mode.channels();
         assert!(c > 0, "ir exec: gather needs at least one feature channel");
         assert_eq!(
             g.feats.len(),
             spec.src_rows * c,
             "ir exec: gather feature matrix must be src_rows x c"
         );
-        match spec.mode {
-            GatherMode::SaGroup { .. } => {
-                assert_eq!(
-                    g.rel.len(),
-                    3 * spec.rows,
-                    "ir exec: gather rel count mismatch"
-                );
-            }
-            GatherMode::EdgePair { k, .. } => {
-                assert!(
-                    k > 0 && spec.rows % k == 0,
-                    "ir exec: edge rows must tile by k"
-                );
-            }
-        }
+        assert_eq!(
+            g.rel.len(),
+            3 * spec.rows,
+            "ir exec: gather rel count mismatch"
+        );
     }
 }
 
@@ -154,21 +153,15 @@ fn gather_source<'a>(
     start: Option<&'a [f32]>,
 ) -> RowSource<'a> {
     let g = &inputs.gathers[slot];
-    match plan.gather_specs[slot].mode {
-        GatherMode::SaGroup { c, .. } => RowSource::SaGroup {
-            feats: g.feats,
-            c,
-            idx: g.idx,
-            rel: g.rel,
-            start,
-        },
-        GatherMode::EdgePair { c, k } => RowSource::EdgePair {
-            feats: g.feats,
-            c,
-            k,
-            idx: g.idx,
-            start,
-        },
+    let Some(GatherMode::SaGroup { c, .. }) = plan.gather_specs[slot].mode else {
+        edgepc_geom::violation("ir exec: a gather-max slot cannot feed a linear")
+    };
+    RowSource::SaGroup {
+        feats: g.feats,
+        c,
+        idx: g.idx,
+        rel: g.rel,
+        start,
     }
 }
 
@@ -200,6 +193,18 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
                 dst,
             } => {
                 step_resume(arena, plan, inputs, slot, (m, w, relu, pool), start, dst);
+            }
+            Step::GatherMax {
+                p,
+                q,
+                slot,
+                k,
+                cols,
+                dst,
+            } => {
+                let (p, q, out) = split2_dst(arena, p, q, dst);
+                let idx = inputs.gathers[slot].idx;
+                edgepc_nn::gather_max_relu(p, q, cols, idx, k, out, None);
             }
             Step::MaxPool {
                 src,
@@ -237,10 +242,12 @@ fn run_steps(arena: &mut [f32], plan: &Plan, inputs: &Inputs<'_>) {
 type Pass = (usize, usize, bool, Option<usize>);
 
 /// Runs plan linear `w` over `m` rows of `src` into `out`, with its bias
-/// and ReLU, pooling groups of `pool` rows in the epilogue when set.
+/// (if any) and ReLU, pooling groups of `pool` rows in the epilogue when
+/// set.
 fn linear_pass(plan: &Plan, src: &RowSource<'_>, (m, w, relu, pool): Pass, out: &mut [f32]) {
     let lin = &plan.linears[w];
-    let (packed, bias) = (lin.packed.as_ref(), Some(lin.b.as_slice()));
+    let bias = (!lin.b.is_empty()).then_some(lin.b.as_slice());
+    let packed = lin.packed.as_ref();
     match pool {
         None => edgepc_nn::fused_linear(src, m, &lin.w, packed, bias, relu, out),
         Some(group) => {

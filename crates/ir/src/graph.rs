@@ -5,9 +5,9 @@
 //! exist), carries static shapes on every node, and owns snapshots of
 //! the layer parameters it references. Ops mirror exactly what the eager
 //! forward paths do — a `Linear` layer with its optional ReLU,
-//! neighborhood gather, channel concat, grouped max-pool, row broadcast —
-//! so a compiled plan can promise bit-identical results to the eager
-//! oracle.
+//! neighborhood gather, EdgeConv's gather-max, channel concat, grouped
+//! max-pool, row broadcast — so a compiled plan can promise
+//! bit-identical results to the eager oracle.
 
 use edgepc_nn::{Sequential, Tensor2};
 
@@ -27,29 +27,18 @@ pub enum GatherMode {
         /// Neighbors per group.
         k: usize,
     },
-    /// DGCNN edge rows `[feats[i] | feats[idx[r]] - feats[i]]`
-    /// (width `2c`, center `i = r / k`).
-    EdgePair {
-        /// Feature channels per point.
-        c: usize,
-        /// Neighbors per center.
-        k: usize,
-    },
 }
 
 impl GatherMode {
     /// Feature channels per source point (`c`).
     pub fn channels(&self) -> usize {
-        let (GatherMode::SaGroup { c, .. } | GatherMode::EdgePair { c, .. }) = *self;
+        let GatherMode::SaGroup { c, .. } = *self;
         c
     }
 
     /// Width of one gathered row.
     pub fn row_width(&self) -> usize {
-        match self {
-            GatherMode::SaGroup { c, .. } => c + 3,
-            GatherMode::EdgePair { c, .. } => 2 * c,
-        }
+        self.channels() + 3
     }
 
     /// Bytes the eager path materializes for `rows` gathered rows
@@ -59,15 +48,12 @@ impl GatherMode {
         (rows * self.row_width() * 4) as u64
     }
 
-    /// Bytes the fused path streams instead: one 4-byte index per row
-    /// plus, for SA grouping, the three precomputed relative
-    /// coordinates. The feature rows themselves are read in place and
-    /// never written to a gathered intermediate.
+    /// Bytes the fused path streams instead: one 4-byte index plus the
+    /// three precomputed relative coordinates per row. The feature rows
+    /// themselves are read in place and never written to a gathered
+    /// intermediate.
     pub fn fused_bytes(&self, rows: usize) -> u64 {
-        match self {
-            GatherMode::SaGroup { .. } => (rows * (4 + 12)) as u64,
-            GatherMode::EdgePair { .. } => (rows * 4) as u64,
-        }
+        (rows * (4 + 12)) as u64
     }
 }
 
@@ -87,6 +73,17 @@ pub(crate) enum Op {
         x: NodeId,
         p: usize,
         relu: bool,
+    },
+    /// DGCNN's factored EdgeConv tail over `p` and `q` (both `n x C`):
+    /// `max(p_i + max_j q_j, 0.0)` over the `k` neighbours gather slot
+    /// `slot` lists per point. `c` is the EdgeConv's input width, kept
+    /// for its site's per-edge pricing.
+    GatherMax {
+        p: NodeId,
+        q: NodeId,
+        slot: usize,
+        k: usize,
+        c: usize,
     },
     MaxPool {
         x: NodeId,
@@ -108,12 +105,12 @@ impl Op {
         match *self {
             Op::Input { .. } | Op::Gather { .. } => Vec::new(),
             Op::Linear { x, .. } | Op::MaxPool { x, .. } | Op::Broadcast { x, .. } => vec![x],
-            Op::Concat2 { a, b } => vec![a, b],
+            Op::Concat2 { a, b } | Op::GatherMax { p: a, q: b, .. } => vec![a, b],
         }
     }
 }
 
-/// A `Linear` layer's parameter snapshot.
+/// A `Linear` layer's parameter snapshot; an empty `b` adds no bias.
 #[derive(Clone, Debug)]
 pub(crate) struct LinearParams {
     pub(crate) w: Tensor2,
@@ -209,22 +206,62 @@ impl Graph {
     }
 
     /// One `Linear` layer `x * w + b`, followed by `max(0.0)` when
-    /// `relu` — a single fused kernel pass in the compiled plan.
+    /// `relu` — a single fused kernel pass in the compiled plan. An empty
+    /// `b` adds no bias (the pass is then exactly `Tensor2::matmul`).
     /// Snapshots `w` and `b`.
     ///
     /// # Panics
     ///
-    /// Panics if `x.cols != w.rows` or `b.len() != w.cols`.
+    /// Panics if `x.cols != w.rows`, or `b` is neither empty nor
+    /// `w.cols` wide.
     pub fn linear(&mut self, x: NodeId, w: &Tensor2, b: &[f32], relu: bool) -> NodeId {
         let (rows, cols) = self.shape(x);
         assert_eq!(cols, w.rows(), "ir linear shape mismatch");
-        assert_eq!(b.len(), w.cols(), "ir linear bias width mismatch");
+        assert!(
+            b.is_empty() || b.len() == w.cols(),
+            "ir linear bias width mismatch"
+        );
         let p = self.linears.len();
         self.linears.push(LinearParams {
             w: w.clone(),
             b: b.to_vec(),
         });
         self.push(Op::Linear { x, p, relu }, rows, w.cols())
+    }
+
+    /// DGCNN's factored EdgeConv over `x` (`n x c`): `P = x · u + b` and
+    /// `Q = x · v` (bias-free, exactly `Tensor2::matmul`) as two linear
+    /// nodes, then per point `max(P_i + max_j Q_j, 0.0)` over `k`
+    /// neighbours — `edgepc_nn::gather_max_relu`. The neighbour list
+    /// (`n * k` indices) is a gather slot, fed like an SA gather's but
+    /// read for its indices only; `site` names it in the plan's per-site
+    /// traffic accounting. Snapshots `u`, `v` and `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or the shapes disagree (`u`, `v`: `c x C`,
+    /// `b`: `C` values).
+    pub fn edge_conv(
+        &mut self,
+        x: NodeId,
+        u: &Tensor2,
+        v: &Tensor2,
+        b: &[f32],
+        k: usize,
+        site: impl Into<String>,
+    ) -> NodeId {
+        let (rows, c) = self.shape(x);
+        assert!(k > 0, "ir edge_conv needs at least one neighbour");
+        assert_eq!(
+            (v.rows(), v.cols()),
+            (u.rows(), u.cols()),
+            "ir edge_conv U/V shape mismatch"
+        );
+        let p = self.linear(x, u, b, false);
+        let q = self.linear(x, v, &[], false);
+        let slot = self.gather_labels.len();
+        self.gather_labels.push(site.into());
+        self.push(Op::GatherMax { p, q, slot, k, c }, rows, u.cols())
     }
 
     /// Grouped max-pool over `group` consecutive rows (the eager

@@ -5,13 +5,15 @@
 //! crate gives them a compiled alternative:
 //!
 //! * [`Graph`] — a tiny shape-checked op graph (`input`, `gather`,
-//!   `linear`, `max_pool`, `concat2`, `broadcast`) that models lower
-//!   their forward paths into, snapshotting layer parameters. Each
-//!   `linear` is a whole `Linear(→ReLU)` layer, so lowering is already
-//!   fusion: one blocked-kernel pass per layer, and a neighborhood
-//!   gather streams straight into the panel staging of the `linear`
-//!   that reads it — the grouped matrix is never materialized, which is
-//!   what drops `gathered_bytes`,
+//!   `linear`, `edge_conv`, `max_pool`, `concat2`, `broadcast`) that
+//!   models lower their forward paths into, snapshotting layer
+//!   parameters. Each `linear` is a whole `Linear(→ReLU)` layer, so
+//!   lowering is already fusion: one blocked-kernel pass per layer, and
+//!   an SA neighborhood gather streams straight into the panel staging
+//!   of the `linear` that reads it — the grouped matrix is never
+//!   materialized, which is what drops `gathered_bytes`. An `edge_conv`
+//!   is DGCNN's factored EdgeConv: two per-point linears and a
+//!   gather-max over their outputs,
 //! * [`compile`] — the scheduler: plans buffer lifetimes over a single
 //!   arena with a first-fit liveness pass, computes the per-point half
 //!   of a `linear` fed by a row-repeating gather once per point where
@@ -281,6 +283,41 @@ mod tests {
             cap,
             "steady-state runs must not grow the arena"
         );
+    }
+
+    /// The arena grows to exactly the largest plan run so far: plans run
+    /// in ascending arena order leave it holding the last one's length,
+    /// with no amortized slack.
+    #[test]
+    fn arena_capacity_is_the_largest_plans_exact_length() {
+        let mut exec = Executor::new();
+        let mut largest = 0;
+        for rows in [3usize, 5, 17, 40, 41, 100] {
+            let mut g = Graph::new("grow");
+            let x = g.input(rows, 3);
+            let y = g.linear(x, &Tensor2::zeros(3, 7), &[0.0; 7], true);
+            g.set_output(y);
+            let plan = compile(&g);
+            assert!(
+                plan.arena_len() > largest,
+                "plans run in ascending arena order"
+            );
+            largest = plan.arena_len();
+            let data = vec![1.0; rows * 3];
+            let xs = [InTensor {
+                data: &data,
+                rows,
+                cols: 3,
+            }];
+            exec.run(
+                &plan,
+                &Inputs {
+                    tensors: &xs,
+                    gathers: &[],
+                },
+            );
+            assert_eq!(exec.arena_capacity(), largest, "rows {rows}");
+        }
     }
 
     /// The liveness planner reuses released regions: a deep chain's

@@ -7,7 +7,13 @@
 //! one consumer, a `linear`, streams the gathered rows straight into
 //! panel staging.
 //!
-//! A gather that emits more rows than its source matrix has
+//! An EdgeConv (`Graph::edge_conv`) is already factored when it reaches
+//! the scheduler: two dense `Fused` steps compute `P = X·U + b` and
+//! `Q = X·V` once per point, and a `GatherMax` step folds each point's
+//! neighbours' `Q` rows into `max(P_i + max_j Q_j, 0.0)`
+//! (`edgepc_nn::gather_max_relu`). No edge row is ever formed.
+//!
+//! An SA gather that emits more rows than its source matrix has
 //! (`rows > src_rows`) repeats each source row's leading `c` columns, so
 //! its `linear` can run as two steps: `Hoist` computes
 //! `P = feats · W[..c]` once per source row into a short-lived arena
@@ -19,7 +25,7 @@
 //! (`edgepc_nn::hoisting_pays(c)`): a resumed register tile starts from
 //! `MATMUL_MR` loaded rows where a one-pass tile starts from zeros, so
 //! the head's `c` saved k-steps must outnumber those loads. The
-//! coordinate-only first levels (`c = 3`) stay one pass.
+//! coordinate-only first level (`c = 3`) stays one pass.
 //!
 //! A `linear` whose only reader is a `max_pool` carries the pool's group
 //! into its `Fused` or `Resume` step: the kernel folds each finished row
@@ -97,6 +103,17 @@ pub(crate) enum Step {
         start: Region,
         dst: Region,
     },
+    /// DGCNN's EdgeConv tail: `max(p_i + max_j q_j, 0.0)` per point
+    /// (`edgepc_nn::gather_max_relu`, `cols` wide) over the `k`
+    /// neighbours gather slot `slot` lists.
+    GatherMax {
+        p: Region,
+        q: Region,
+        slot: usize,
+        k: usize,
+        cols: usize,
+        dst: Region,
+    },
     /// Grouped max-pool (`max_pool_groups` semantics) of an operand no
     /// linear step could pool in its epilogue.
     MaxPool {
@@ -130,10 +147,13 @@ pub(crate) enum Step {
 pub struct GatherSite {
     /// Site label (e.g. `"sa1.group"`).
     pub label: String,
-    /// Bytes the eager grouping buffer materializes per forward.
+    /// Bytes the eager grouping buffer materializes per forward. For an
+    /// EdgeConv this is the paper's per-edge `[x_i, x_j - x_i]` matrix
+    /// (`n·k·2c` floats), the price its eager record keeps.
     pub eager_bytes: u64,
-    /// Bytes the plan actually streams (indices, plus relative
-    /// coordinates for SA grouping).
+    /// Bytes the plan actually streams: indices plus relative
+    /// coordinates for SA grouping, the gathered `Q` rows (`n·k·C`
+    /// floats) for an EdgeConv.
     pub fused_bytes: u64,
     /// Whether the reading linear is hoisted (`rows > src_rows` and a
     /// head wide enough to pay, see the module docs), so
@@ -159,12 +179,14 @@ impl PlanLinear {
     }
 }
 
-/// Expected runtime shape of one gather slot.
+/// Expected runtime shape of one gather slot: `rows` indices into
+/// `src_rows` points, staged as `mode` rows, or (`None`) a gather-max's
+/// neighbour list, read for its indices only.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct GatherSpec {
     pub(crate) rows: usize,
     pub(crate) src_rows: usize,
-    pub(crate) mode: GatherMode,
+    pub(crate) mode: Option<GatherMode>,
 }
 
 /// An executable schedule: fused steps, parameter snapshots (weights
@@ -383,6 +405,14 @@ pub fn compile(graph: &Graph) -> Plan {
                     }
                 }
             }
+            Op::GatherMax { p, q, slot, k, .. } => steps.push(Step::GatherMax {
+                p: arena_of(&realized, p.0),
+                q: arena_of(&realized, q.0),
+                slot,
+                k,
+                cols: node.cols,
+                dst,
+            }),
             Op::MaxPool { x, group } => {
                 let (rows, cols) = graph.shape(x);
                 steps.push(Step::MaxPool {
@@ -425,27 +455,48 @@ pub fn compile(graph: &Graph) -> Plan {
         _ => edgepc_geom::violation("ir compile: output node is not arena-backed"),
     };
 
+    // Slots are numbered in node order, so this lists them in slot order.
     let mut gather_sites = Vec::new();
     let mut gather_specs = Vec::new();
     for node in &graph.nodes {
-        if let Op::Gather {
-            slot,
-            mode,
-            src_rows,
-        } = node.op
-        {
-            gather_sites.push(GatherSite {
-                label: graph.gather_labels[slot].clone(),
-                eager_bytes: mode.eager_bytes(node.rows),
-                fused_bytes: mode.fused_bytes(node.rows),
-                hoisted: hoists(node.rows, src_rows, mode),
-            });
-            gather_specs.push(GatherSpec {
-                rows: node.rows,
-                src_rows,
+        let (site, spec) = match node.op {
+            Op::Gather {
+                slot,
                 mode,
-            });
-        }
+                src_rows,
+            } => (
+                GatherSite {
+                    label: graph.gather_labels[slot].clone(),
+                    eager_bytes: mode.eager_bytes(node.rows),
+                    fused_bytes: mode.fused_bytes(node.rows),
+                    hoisted: hoists(node.rows, src_rows, mode),
+                },
+                GatherSpec {
+                    rows: node.rows,
+                    src_rows,
+                    mode: Some(mode),
+                },
+            ),
+            Op::GatherMax { q, slot, k, c, .. } => {
+                let edges = node.rows * k;
+                (
+                    GatherSite {
+                        label: graph.gather_labels[slot].clone(),
+                        eager_bytes: (edges * 2 * c * 4) as u64,
+                        fused_bytes: (edges * node.cols * 4) as u64,
+                        hoisted: false,
+                    },
+                    GatherSpec {
+                        rows: edges,
+                        src_rows: graph.shape(q).0,
+                        mode: None,
+                    },
+                )
+            }
+            _ => continue,
+        };
+        gather_sites.push(site);
+        gather_specs.push(spec);
     }
 
     let (out_rows, out_cols) = graph.shape(output);
@@ -468,6 +519,14 @@ pub fn compile(graph: &Graph) -> Plan {
 /// enough to pay for the resumed pass.
 fn hoists(rows: usize, src_rows: usize, mode: GatherMode) -> bool {
     rows > src_rows && edgepc_nn::hoisting_pays(mode.channels())
+}
+
+/// A gather-max operand: the arena region of a linear node.
+fn arena_of(realized: &[ASrc], id: usize) -> Region {
+    match realized[id] {
+        ASrc::Arena(r) => r,
+        _ => edgepc_geom::violation("ir compile: a gather-max reads arena regions only"),
+    }
 }
 
 /// A non-linear op's operand: an arena region or an input slot (a

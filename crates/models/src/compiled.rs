@@ -11,15 +11,19 @@
 //! are bit-identical to the eager oracle at any thread budget.
 //!
 //! What this file owns is the tensor work: each `Linear(→ReLU)` layer
-//! runs as a single fused pass, and the grouping gather streams rows
+//! runs as a single fused pass, and the SA grouping gather streams rows
 //! directly into the kernel's panel staging instead of materializing the
 //! `(n*k) x (C+3)` grouped matrix — the `.group` stage stages only
 //! indices and relative coordinates and records the fused gather traffic,
 //! which is the measurable `gathered_bytes` drop the lowering buys. Each
-//! gather declares its source point count (`n_points` for an EdgeConv,
-//! `n_in` for an SA level), so the scheduler can hoist the first layer's
-//! per-point half when the gather repeats source rows; the module's
-//! `.fc` stage then records the plan's smaller, exact MAC count.
+//! SA gather declares its source point count (`n_in`), so the scheduler
+//! can hoist the first layer's per-point half when the gather repeats
+//! source rows; the module's `.fc` stage then records the plan's
+//! smaller, exact MAC count. An EdgeConv lowers to its factored form
+//! (`Graph::edge_conv`): its `.fc` stage records the two per-point
+//! products (`n·c·2C` MACs, inner dimension `c`) and its `.group` stage
+//! the `Q` rows the gather-max reads (`n·k·C` floats), where the eager
+//! records price the paper's per-edge layer.
 
 use edgepc_geom::{required, OpCounts, Point3, PointCloud};
 use edgepc_ir::{
@@ -28,7 +32,7 @@ use edgepc_ir::{
 use edgepc_nn::{Sequential, Tensor2, EMPTY_SLOT};
 use edgepc_sim::StageKind;
 
-use crate::dgcnn::{module_graph, DgcnnBackbone, DgcnnClassifier, DgcnnSeg};
+use crate::dgcnn::{module_graph, DgcnnBackbone, DgcnnClassifier, DgcnnSeg, EDGE_FC_ROUNDS};
 use crate::fp::{upsample, InterpSource};
 use crate::pointnetpp::{xyz_features, PointNetPpSeg};
 use crate::sa::clamped_k;
@@ -349,7 +353,8 @@ impl CompiledPointNetPp {
     }
 }
 
-/// One compiled EdgeConv module.
+/// One compiled EdgeConv module: its factored plan over the module's
+/// input features, fed the neighbour graph as its gather slot.
 struct EcPlan {
     module: ModulePlan,
     search: SearchStrategy,
@@ -376,8 +381,8 @@ impl CompiledDgcnn {
         Self::lower(&model.backbone, &model.head, n_points, true)
     }
 
-    /// Lowers the EdgeConv modules (one fused gather->MLP->pool plan
-    /// each) and the head: module outputs left-folded with `concat2`
+    /// Lowers the EdgeConv modules (one factored `edge_conv` plan each)
+    /// and the head: module outputs left-folded with `concat2`
     /// (mirroring the eager `hstack` chain) and max-pooled over the
     /// cloud; a per-point head additionally sees the pooled feature
     /// broadcast next to each point's own.
@@ -390,17 +395,17 @@ impl CompiledDgcnn {
         let mut modules = Vec::with_capacity(backbone.modules.len());
         for (i, m) in backbone.modules.iter().enumerate() {
             let mut g = Graph::new(format!("dgcnn.{}", m.name));
-            let gat = g.gather(
-                n_points * m.k,
-                n_points,
-                GatherMode::EdgePair {
-                    c: m.in_channels,
-                    k: m.k,
-                },
-                format!("{}.group", m.name),
-            );
+            let x = g.input(n_points, m.in_channels);
+            let out = g.edge_conv(x, &m.u, &m.v, &m.b, m.k, format!("{}.group", m.name));
+            g.set_output(out);
+            let module = ModulePlan {
+                plan: edgepc_ir::compile(&g),
+                name: m.name.clone(),
+                fc_k: m.in_channels,
+                seq_rounds: EDGE_FC_ROUNDS,
+            };
             modules.push(EcPlan {
-                module: ModulePlan::lower(g, gat, &m.mlp, Some(m.k), &m.name),
+                module,
                 search: backbone.strategy.search_at(i),
             });
         }
@@ -494,14 +499,14 @@ impl CompiledDgcnn {
                 &mut records,
             );
 
-            // The flat graph is the gather's index array as it stands.
+            // The flat graph is the gather-max's index array as it stands.
             m.module.group_stage(&mut records, || {});
             let gathers = [GatherIn {
-                feats: feats.as_slice(),
+                feats: &[],
                 idx: &neighbors,
                 rel: &[],
             }];
-            let out = m.module.run(exec, &[], &gathers, &mut records);
+            let out = m.module.run(exec, &[dense(&feats)], &gathers, &mut records);
 
             graph = Some(neighbors);
             feats = out.clone();
@@ -534,15 +539,17 @@ mod tests {
 
     /// The compiled ≡ eager contract: bit-identical logits and the same
     /// stage-record stream — names, kinds, `fc_k` and op counts — except
-    /// the fused grouping traffic, which must shrink, and the MACs of a
-    /// hoisted gather-fed `.fc` stage (one of `sites`), which must too.
-    /// The coordinate-only first level (`c = 3`) runs one pass on both
-    /// models (the hoisting rule).
+    /// where the plan does less work than the eager record prices: a
+    /// `.group` stage records its site's fused bytes where the eager one
+    /// records the site's eager bytes, and a gather-fed module's `.fc`
+    /// stage (one of `sites`) is held to `fc(site, compiled, eager)`.
+    /// The coordinate-only first level (`c = 3`) is never hoisted.
     fn assert_matches_eager(
         what: &str,
         sites: &[GatherSite],
         (fast, records): (Tensor2, Vec<StageRecord>),
         (eager, eager_records): (Tensor2, Vec<StageRecord>),
+        fc: impl Fn(&GatherSite, &StageRecord, &StageRecord),
     ) {
         assert!(!sites[0].hoisted, "{what}: {} hoisted", sites[0].label);
         assert_eq!(
@@ -551,38 +558,25 @@ mod tests {
             "{what}: logits must be bit-identical"
         );
         assert_eq!(records.len(), eager_records.len(), "{what}");
+        let site_of = |module: &str| sites.iter().find(|s| s.label == format!("{module}.group"));
         for (a, b) in records.iter().zip(&eager_records) {
             assert_eq!(a.name, b.name, "{what}");
             assert_eq!(a.kind, b.kind, "{what}: {}", a.name);
-            assert_eq!(a.fc_k, b.fc_k, "{what}: {}", a.name);
-            if a.name.ends_with(".group") {
-                assert!(
-                    a.ops.gathered_bytes < b.ops.gathered_bytes,
-                    "{what}: {}: fused {} !< eager {}",
-                    a.name,
-                    a.ops.gathered_bytes,
-                    b.ops.gathered_bytes
-                );
+            let mut rest = (a.ops, b.ops);
+            if let Some(site) = a.name.strip_suffix(".group").and_then(site_of) {
+                let got = (a.ops.gathered_bytes, b.ops.gathered_bytes);
+                let want = (site.fused_bytes, site.eager_bytes);
+                assert_eq!(got, want, "{what}: {} (compiled, eager) bytes", a.name);
+                rest.0.gathered_bytes = 0;
+                rest.1.gathered_bytes = 0;
+            } else if let Some(site) = a.name.strip_suffix(".fc").and_then(site_of) {
+                fc(site, a, b);
+                rest.0.mac = 0;
+                rest.1.mac = 0;
             } else {
-                let site = a.name.strip_suffix(".fc").and_then(|module| {
-                    sites
-                        .iter()
-                        .find(|s| s.label.strip_suffix(".group") == Some(module))
-                });
-                if site.is_some_and(|s| s.hoisted) {
-                    assert!(
-                        a.ops.mac < b.ops.mac,
-                        "{what}: {}: hoisted {} !< eager {}",
-                        a.name,
-                        a.ops.mac,
-                        b.ops.mac
-                    );
-                } else {
-                    assert_eq!(a.ops.mac, b.ops.mac, "{what}: {}", a.name);
-                }
-                let without_mac = |ops: OpCounts| OpCounts { mac: 0, ..ops };
-                assert_eq!(without_mac(a.ops), without_mac(b.ops), "{what}: {}", a.name);
+                assert_eq!(a.fc_k, b.fc_k, "{what}: {}", a.name);
             }
+            assert_eq!(rest.0, rest.1, "{what}: {}", a.name);
         }
     }
 
@@ -607,42 +601,90 @@ mod tests {
                 let mut model =
                     PointNetPpSeg::new(&PointNetPpConfig::tiny(classes, strategy), classes);
                 let compiled = CompiledPointNetPp::compile(&model, cloud.len());
+                let sites = compiled.gather_sites();
+                assert!(sites.iter().all(|s| s.fused_bytes < s.eager_bytes));
+                // A hoisted SA linear does fewer MACs; a one-pass one the
+                // same.
+                let fc = |site: &GatherSite, a: &StageRecord, b: &StageRecord| {
+                    assert_eq!(a.fc_k, b.fc_k, "{}", a.name);
+                    if site.hoisted {
+                        assert!(a.ops.mac < b.ops.mac, "{}: hoisted", a.name);
+                    } else {
+                        assert_eq!(a.ops.mac, b.ops.mac, "{}", a.name);
+                    }
+                };
                 assert_matches_eager(
                     "pointnetpp",
-                    &compiled.gather_sites(),
+                    &sites,
                     compiled.run(&cloud, &mut state),
                     model.forward(&cloud),
+                    fc,
                 );
             }
+        }
+    }
+
+    /// Each EdgeConv's site is priced as the paper's edge matrix
+    /// (`n·k·2c` floats) on the eager side and as the `Q` rows its
+    /// gather-max reads (`n·k·C`) on the compiled side, and its `.fc`
+    /// stage does the eager record's multiply-adds over `k` (two `c x C`
+    /// products per point, not `k` edge rows of `2c x C`) at inner
+    /// dimension `c`.
+    fn assert_edge_sites(sites: &[GatherSite], config: &DgcnnConfig, n: usize) {
+        let k = config.k;
+        let mut c = 3;
+        assert_eq!(sites.len(), config.ec_widths.len());
+        for (site, &width) in sites.iter().zip(&config.ec_widths) {
+            assert!(!site.hoisted, "{}", site.label);
+            assert_eq!(
+                site.fused_bytes,
+                (n * k * width * 4) as u64,
+                "{}",
+                site.label
+            );
+            assert_eq!(
+                site.eager_bytes,
+                (n * k * 2 * c * 4) as u64,
+                "{}",
+                site.label
+            );
+            c = width;
         }
     }
 
     #[test]
     fn compiled_dgcnn_cls_and_seg_match_eager_bitwise() {
         let mut state = ExecState::new();
+        let fc = |_: &GatherSite, a: &StageRecord, b: &StageRecord| {
+            let k = DgcnnConfig::tiny(PipelineStrategy::baseline()).k as u64;
+            assert_eq!(a.fc_k.map(|c| 2 * c), b.fc_k, "{}", a.name);
+            assert_eq!(a.ops.mac * k, b.ops.mac, "{}", a.name);
+        };
         for (cloud, _) in test_clouds(128, 2) {
             for strategy in [
                 PipelineStrategy::baseline_dgcnn(3),
                 PipelineStrategy::edgepc_dgcnn(3, 32),
             ] {
-                let mut cls = DgcnnClassifier::new(&DgcnnConfig::tiny(strategy.clone()), 5);
+                let config = DgcnnConfig::tiny(strategy);
+                let mut cls = DgcnnClassifier::new(&config, 5);
                 let compiled = CompiledDgcnn::classifier(&cls, cloud.len());
-                // Past the coordinates, every EdgeConv is hoisted.
-                assert!(compiled.gather_sites()[1..].iter().all(|s| s.hoisted));
+                assert_edge_sites(&compiled.gather_sites(), &config, cloud.len());
                 assert_matches_eager(
                     "dgcnn_cls",
                     &compiled.gather_sites(),
                     compiled.run(&cloud, &mut state),
                     cls.forward(&cloud),
+                    fc,
                 );
 
-                let mut seg = DgcnnSeg::new(&DgcnnConfig::tiny(strategy), 4);
+                let mut seg = DgcnnSeg::new(&config, 4);
                 let compiled = CompiledDgcnn::segmenter(&seg, cloud.len());
                 assert_matches_eager(
                     "dgcnn_seg",
                     &compiled.gather_sites(),
                     compiled.run(&cloud, &mut state),
                     seg.forward(&cloud),
+                    fc,
                 );
             }
         }

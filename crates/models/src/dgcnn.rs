@@ -10,27 +10,56 @@
 
 use edgepc_geom::{required, violation, OpCounts, PointCloud};
 use edgepc_neighbor::{BruteKnn, MortonWindowSearcher, NeighborSearcher};
-use edgepc_nn::pool::{global_max_pool, max_pool_groups, PooledGroups};
-use edgepc_nn::{nearest_rows, Params, Sequential, Tensor2};
+use edgepc_nn::pool::{global_max_pool, PooledGroups};
+use edgepc_nn::{gather_max_relu, he_init, nearest_rows, Params, Sequential, Tensor2};
 use edgepc_sim::StageKind;
 
 use crate::strategy::{PipelineStrategy, SearchStrategy, StageRecord};
 
-/// One EdgeConv module: per point, gather `k` neighbors, build edge
-/// features `[f_i, f_j - f_i]`, shared MLP, max over neighbors.
+/// Dependent rounds the device model charges an EdgeConv's `.fc` stage:
+/// one linear and its activation (`observe::seq_rounds` of a one-layer
+/// MLP).
+pub(crate) const EDGE_FC_ROUNDS: u64 = 2;
+
+/// One EdgeConv module, factored: per point `i` with neighbours `N(i)`,
+/// `out_i = relu(x_i·U + b + max_{j∈N(i)} x_j·V)`.
+///
+/// This is the paper's one-layer EdgeConv — a linear `W = [W_a; W_b]`
+/// over each edge row `[x_i, x_j - x_i]`, ReLU, max over the `k` edges —
+/// with `U = W_a - W_b` and `V = W_b`: the same function class and
+/// parameter count (`2c·C + C`). Float addition and ReLU are monotone,
+/// so taking the max of `Q_j = x_j·V` before adding `P_i = x_i·U + b`
+/// loses nothing: per point it costs two `c x C` products instead of
+/// `k` edge rows of `2c x C` (Mesorasi's delayed aggregation, exact
+/// for one layer). The parameters are drawn from the seeded `W` an
+/// unfactored layer would hold.
+///
+/// The eager records keep pricing the paper's per-edge layer — `.group`
+/// an `n·k x 2c` edge matrix, `.fc` `n·k·2c·C` multiply-adds with inner
+/// dimension `2c` — as [`feature_knn`]'s counts price the per-pair search
+/// its kernel replays, so the paper figures price the network the paper
+/// ran. The compiled plan's records carry what it does.
 pub struct EdgeConv {
     pub(crate) k: usize,
-    pub(crate) mlp: Sequential,
+    /// `U` (`c x C`), `V` (`c x C`) and `b` (`C`), with their gradients.
+    pub(crate) u: Tensor2,
+    pub(crate) v: Tensor2,
+    pub(crate) b: Vec<f32>,
+    gu: Tensor2,
+    gv: Tensor2,
+    gb: Vec<f32>,
     pub(crate) in_channels: usize,
     pub(crate) out_channels: usize,
     pub(crate) name: String,
     cache: Option<EcCache>,
 }
 
+/// What backward needs from forward: the input, the output (its ReLU
+/// mask) and, per output value, the neighbour whose `Q` won the max.
 struct EcCache {
-    neighbors: Vec<usize>,
-    pool: PooledGroups,
-    rows: usize,
+    x: Tensor2,
+    out: Tensor2,
+    arg: Vec<usize>,
 }
 
 impl std::fmt::Debug for EdgeConv {
@@ -43,27 +72,42 @@ impl std::fmt::Debug for EdgeConv {
 }
 
 impl EdgeConv {
-    /// Creates an EdgeConv with `k` neighbors and a shared MLP over
-    /// `2 * in_channels`-wide edge rows.
+    /// Creates an EdgeConv with `k` neighbors from `in_channels` to
+    /// `out_channels`, its `(U, V, b)` drawn from the edge-row weights
+    /// `W` = `he_init(2 * in_channels, out_channels, seed)` and a zero
+    /// bias.
     ///
     /// # Panics
     ///
-    /// Panics if `mlp_widths` is empty or `k == 0`.
+    /// Panics if `k`, `in_channels` or `out_channels` is zero.
     pub fn new(
         name: impl Into<String>,
         k: usize,
         in_channels: usize,
-        mlp_widths: &[usize],
+        out_channels: usize,
         seed: u64,
     ) -> Self {
-        assert!(!mlp_widths.is_empty() && k > 0, "invalid EdgeConv config");
-        let mut dims = vec![2 * in_channels];
-        dims.extend_from_slice(mlp_widths);
+        assert!(
+            k > 0 && in_channels > 0 && out_channels > 0,
+            "invalid EdgeConv config"
+        );
+        let (w_a, v) = he_init(2 * in_channels, out_channels, seed).split_rows(in_channels);
+        let u_data = w_a.as_slice().iter().zip(v.as_slice());
+        let u = Tensor2::from_vec(
+            u_data.map(|(a, b)| a - b).collect(),
+            in_channels,
+            out_channels,
+        );
         EdgeConv {
             k,
-            mlp: Sequential::mlp(&dims, seed),
+            u,
+            v,
+            b: vec![0.0; out_channels],
+            gu: Tensor2::zeros(in_channels, out_channels),
+            gv: Tensor2::zeros(in_channels, out_channels),
+            gb: vec![0.0; out_channels],
             in_channels,
-            out_channels: *required(mlp_widths.last(), "non-empty widths"),
+            out_channels,
             name: name.into(),
             cache: None,
         }
@@ -72,11 +116,6 @@ impl EdgeConv {
     /// Output feature width.
     pub fn out_channels(&self) -> usize {
         self.out_channels
-    }
-
-    /// The trainable shared MLP.
-    pub fn mlp_mut(&mut self) -> &mut Sequential {
-        &mut self.mlp
     }
 
     /// Forward pass given a precomputed neighbor graph: flat `n x k`,
@@ -92,88 +131,98 @@ impl EdgeConv {
         records: &mut Vec<StageRecord>,
     ) -> Tensor2 {
         let n = feats.rows();
-        let k = self.k;
-        assert_eq!(feats.cols(), self.in_channels, "unexpected input width");
+        let (k, c, out_c) = (self.k, self.in_channels, self.out_channels);
+        assert_eq!(feats.cols(), c, "unexpected input width");
         assert_eq!(neighbors.len(), n * k, "k neighbors per point");
-        let c = self.in_channels;
 
-        let edges = crate::observe::stage(
+        // Priced as the paper's edge matrix; nothing is grouped.
+        crate::observe::stage(
             format!("{}.group", self.name),
             StageKind::Grouping,
             None,
             records,
             || {
-                // Parallel edge build over fixed 32-point blocks (forked
-                // only above the work floor): each point's k edge rows
-                // live in exactly one block, so the matrix is
-                // bit-identical for any thread count.
-                let row_w = 2 * c;
-                let point_elems = k * row_w;
-                let mut buf = vec![0.0f32; n * point_elems];
-                edgepc_par::with_work(n * point_elems, || {
-                    edgepc_par::par_chunks_mut(&mut buf, 32 * point_elems, |ci, block| {
-                        let i0 = ci * 32;
-                        for (il, rows) in block.chunks_mut(point_elems).enumerate() {
-                            let i = i0 + il;
-                            let nbrs = &neighbors[i * k..(i + 1) * k];
-                            let fi_row = feats.row(i);
-                            for (slot, &j) in nbrs.iter().enumerate() {
-                                let row = &mut rows[slot * row_w..(slot + 1) * row_w];
-                                row[..c].copy_from_slice(fi_row);
-                                for (dst, (&fj, &fi)) in
-                                    row[c..].iter_mut().zip(feats.row(j).iter().zip(fi_row))
-                                {
-                                    *dst = fj - fi;
-                                }
-                            }
-                        }
-                    });
-                });
-                let edges = Tensor2::from_vec(buf, n * k, row_w);
                 let ops = OpCounts {
                     gathered_bytes: (n * k * 2 * c * 4) as u64,
                     seq_rounds: 1,
                     ..OpCounts::ZERO
                 };
-                (edges, ops)
+                ((), ops)
             },
         );
-
-        let transformed = crate::observe::mlp_stage(&self.name, &mut self.mlp, &edges, records);
-        // Dead from here: holding it through pooling raises peak memory.
-        drop(edges);
-
-        let pool = max_pool_groups(&transformed, self.k);
-        let out = pool.output.clone();
+        let (out, arg) = crate::observe::stage(
+            format!("{}.fc", self.name),
+            StageKind::FeatureCompute,
+            Some(2 * c),
+            records,
+            || {
+                let mut p = feats.matmul(&self.u);
+                p.add_row_vector(&self.b);
+                let q = feats.matmul(&self.v);
+                let mut out = vec![0.0f32; n * out_c];
+                let mut arg = vec![0usize; n * out_c];
+                gather_max_relu(
+                    p.as_slice(),
+                    q.as_slice(),
+                    out_c,
+                    neighbors,
+                    k,
+                    &mut out,
+                    Some(&mut arg),
+                );
+                let ops = OpCounts {
+                    mac: (n * k * 2 * c * out_c) as u64,
+                    seq_rounds: EDGE_FC_ROUNDS,
+                    ..OpCounts::ZERO
+                };
+                ((Tensor2::from_vec(out, n, out_c), arg), ops)
+            },
+        );
         self.cache = Some(EcCache {
-            neighbors: neighbors.to_vec(),
-            pool,
-            rows: n,
+            x: feats.clone(),
+            out: out.clone(),
+            arg,
         });
         out
     }
 
-    /// Backward pass; returns the gradient w.r.t. the input features.
+    /// Backward pass: accumulates the `(U, V, b)` gradients and returns
+    /// the gradient w.r.t. the input features. With `dP = g` where the
+    /// output is positive (0 elsewhere) and `dQ` routed to each value's
+    /// winning neighbour: `dU = xᵀ·dP`, `dV = xᵀ·dQ`, `db = Σ dP` and
+    /// `dx = dP·Uᵀ + dQ·Vᵀ`.
     ///
     /// # Panics
     ///
     /// Panics if called before [`EdgeConv::forward`].
     pub fn backward(&mut self, d_out: &Tensor2) -> Tensor2 {
         let cache = required(self.cache.as_ref(), "backward before forward");
-        let d_edges = self.mlp.backward(&cache.pool.backward(d_out));
-        let c = self.in_channels;
-        let mut d_feats = Tensor2::zeros(cache.rows, c);
-        for (i, nbrs) in cache.neighbors.chunks_exact(self.k).enumerate() {
-            for (slot, &j) in nbrs.iter().enumerate() {
-                let g = d_edges.row(i * self.k + slot);
-                for col in 0..c {
-                    // row = [f_i, f_j - f_i]: d_f_i += g0 - g1; d_f_j += g1.
-                    d_feats.set(i, col, d_feats.get(i, col) + g[col] - g[c + col]);
-                    d_feats.set(j, col, d_feats.get(j, col) + g[c + col]);
-                }
-            }
+        let (n, out_c) = (cache.out.rows(), cache.out.cols());
+        let mut dp = d_out.clone();
+        for (g, &o) in dp.as_mut_slice().iter_mut().zip(cache.out.as_slice()) {
+            *g = if o > 0.0 { *g } else { 0.0 };
         }
-        d_feats
+        let mut dq = Tensor2::zeros(n, out_c);
+        for (at, (&g, &j)) in dp.as_slice().iter().zip(&cache.arg).enumerate() {
+            let col = at % out_c;
+            dq.set(j, col, dq.get(j, col) + g);
+        }
+        let xt = cache.x.transpose();
+        self.gu = self.gu.add(&xt.matmul(&dp));
+        self.gv = self.gv.add(&xt.matmul(&dq));
+        for (g, s) in self.gb.iter_mut().zip(dp.sum_rows()) {
+            *g += s;
+        }
+        dp.matmul(&self.u.transpose())
+            .add(&dq.matmul(&self.v.transpose()))
+    }
+}
+
+impl Params for EdgeConv {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        f(self.u.as_mut_slice(), self.gu.as_mut_slice());
+        f(self.v.as_mut_slice(), self.gv.as_mut_slice());
+        f(&mut self.b, &mut self.gb);
     }
 }
 
@@ -182,8 +231,9 @@ impl EdgeConv {
 pub struct DgcnnConfig {
     /// Neighbors per point (`k`).
     pub k: usize,
-    /// One MLP width list per EdgeConv module.
-    pub ec_widths: Vec<Vec<usize>>,
+    /// Output width of each EdgeConv module (one linear each: the
+    /// factored form is exact for one layer).
+    pub ec_widths: Vec<usize>,
     /// Head widths (class count appended automatically).
     pub head_widths: Vec<usize>,
     /// Strategy assignment: `search[i]` drives module `i`'s graph.
@@ -195,7 +245,7 @@ impl DgcnnConfig {
     pub fn paper(strategy: PipelineStrategy) -> Self {
         DgcnnConfig {
             k: 20,
-            ec_widths: vec![vec![64], vec![64], vec![128], vec![256]],
+            ec_widths: vec![64, 64, 128, 256],
             head_widths: vec![256],
             strategy,
         }
@@ -205,7 +255,7 @@ impl DgcnnConfig {
     pub fn tiny(strategy: PipelineStrategy) -> Self {
         DgcnnConfig {
             k: 8,
-            ec_widths: vec![vec![16], vec![16], vec![24]],
+            ec_widths: vec![16, 16, 24],
             head_widths: vec![24],
             strategy,
         }
@@ -228,15 +278,15 @@ impl DgcnnBackbone {
         );
         let mut modules = Vec::with_capacity(config.ec_widths.len());
         let mut c = in_channels;
-        for (i, widths) in config.ec_widths.iter().enumerate() {
+        for (i, &width) in config.ec_widths.iter().enumerate() {
             modules.push(EdgeConv::new(
                 format!("ec{}", i + 1),
                 config.k,
                 c,
-                widths,
+                width,
                 0xec + i as u64,
             ));
-            c = *required(widths.last(), "non-empty widths");
+            c = width;
         }
         DgcnnBackbone {
             modules,
@@ -286,7 +336,7 @@ impl DgcnnBackbone {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         for m in &mut self.modules {
-            m.mlp_mut().visit_params(f);
+            m.visit_params(f);
         }
     }
 
@@ -742,7 +792,7 @@ mod tests {
         let neighbors: Vec<usize> = (0..n)
             .flat_map(|i| (1..=k).map(move |d| (i + d) % n))
             .collect();
-        let mut ec = EdgeConv::new("ec", k, 2, &[4], 5);
+        let mut ec = EdgeConv::new("ec", k, 2, 4, 5);
         let mut records = Vec::new();
         let out = ec.forward(&feats, &neighbors, &mut records);
         let dy = Tensor2::from_vec(
@@ -752,7 +802,7 @@ mod tests {
             out.rows(),
             out.cols(),
         );
-        ec.mlp_mut().zero_grads();
+        ec.zero_grads();
         let analytic = ec.backward(&dy);
 
         let objective = |ec: &mut EdgeConv, f: &Tensor2| -> f32 {
@@ -787,6 +837,147 @@ mod tests {
         }
         assert!(checked > 12, "too many probes skipped");
         assert!(worst < 2e-2, "gradient mismatch {worst}");
+    }
+
+    /// Adds `delta` to the `at`-th parameter value in visit order.
+    fn nudge(ec: &mut EdgeConv, at: usize, delta: f32) {
+        let mut base = 0;
+        ec.visit_params(&mut |p, _| {
+            if (base..base + p.len()).contains(&at) {
+                p[at - base] += delta;
+            }
+            base += p.len();
+        });
+    }
+
+    /// The factored EdgeConv's analytic gradients — `dU`, `dV`, `db` and
+    /// `dx` — against central differences of `sum(out * dy)`, on a graph
+    /// with two duplicate points (points 0 and 1: their `Q` rows tie in
+    /// every channel, so the arg-max picks the first slot's) that are
+    /// each other's and their own neighbours, and with every point its
+    /// own first neighbour. Probes whose step straddles a max or ReLU
+    /// kink are skipped; a parameter step never splits the duplicates.
+    #[test]
+    fn factored_edgeconv_gradcheck_with_ties_and_self_loops() {
+        let (n, k, c, out_c) = (10usize, 3usize, 3usize, 5usize);
+        let mut feats = Tensor2::from_vec(
+            (0..n * c)
+                .map(|i| ((i * 7 % 23) as f32) * 0.11 - 1.2)
+                .collect(),
+            n,
+            c,
+        );
+        let first = feats.row(0).to_vec();
+        feats.row_mut(1).copy_from_slice(&first);
+        let neighbors: Vec<usize> = (0..n)
+            .flat_map(|i| match i {
+                0 | 1 => [i, 1 - i, 2],
+                _ => [i, 0, 1 + (i * 3) % (n - 1)],
+            })
+            .collect();
+        let mut ec = EdgeConv::new("ec", k, c, out_c, 11);
+        // A bias that leaves some outputs on each side of the ReLU.
+        ec.visit_params(&mut |p, _| {
+            if p.len() == out_c {
+                for (i, v) in p.iter_mut().enumerate() {
+                    *v = 0.3 * i as f32 - 0.5;
+                }
+            }
+        });
+        let out = ec.forward(&feats, &neighbors, &mut Vec::new());
+        assert!(out.as_slice().contains(&0.0));
+        assert!(out.as_slice().iter().any(|&v| v > 0.0));
+        let dy = Tensor2::from_vec(
+            (0..n * out_c)
+                .map(|i| ((i % 7) as f32 - 3.0) / 3.0)
+                .collect(),
+            n,
+            out_c,
+        );
+        ec.zero_grads();
+        let dx = ec.backward(&dy);
+        let mut grads = Vec::new();
+        ec.visit_params(&mut |_, g| grads.extend_from_slice(g));
+
+        let objective = |ec: &mut EdgeConv, f: &Tensor2| -> f64 {
+            let y = ec.forward(f, &neighbors, &mut Vec::new());
+            let terms = y.as_slice().iter().zip(dy.as_slice());
+            terms.map(|(a, b)| f64::from(a * b)).sum()
+        };
+        let eps = 1e-2f32;
+        // Central difference, or None across a kink.
+        let central = |plus: f64, center: f64, minus: f64| {
+            let smooth = (plus - 2.0 * center + minus).abs() < 1e-4;
+            smooth.then(|| (plus - minus) / (2.0 * f64::from(eps)))
+        };
+        let (mut worst, mut checked) = (0.0f64, [0usize; 2]);
+        for (at, &g) in grads.iter().enumerate() {
+            nudge(&mut ec, at, eps);
+            let plus = objective(&mut ec, &feats);
+            nudge(&mut ec, at, -2.0 * eps);
+            let minus = objective(&mut ec, &feats);
+            nudge(&mut ec, at, eps);
+            let center = objective(&mut ec, &feats);
+            if let Some(numeric) = central(plus, center, minus) {
+                worst = worst.max((numeric - f64::from(g)).abs());
+                checked[0] += 1;
+            }
+        }
+        for at in 0..n * c {
+            let mut f = feats.clone();
+            f.as_mut_slice()[at] += eps;
+            let plus = objective(&mut ec, &f);
+            f.as_mut_slice()[at] -= 2.0 * eps;
+            let minus = objective(&mut ec, &f);
+            let center = objective(&mut ec, &feats);
+            if let Some(numeric) = central(plus, center, minus) {
+                worst = worst.max((numeric - f64::from(dx.as_slice()[at])).abs());
+                checked[1] += 1;
+            }
+        }
+        let params = 2 * c * out_c + out_c;
+        assert_eq!(grads.len(), params, "(U, V, b) is 2c·C + C values");
+        assert!(
+            checked[0] > params / 2 && checked[1] > n * c / 2,
+            "too many probes skipped: {checked:?}"
+        );
+        assert!(worst < 2e-2, "gradient mismatch {worst}");
+    }
+
+    /// `(U, V, b)` is the seeded edge-row layer `W = [W_a; W_b]`, `b`,
+    /// factored: `U = W_a - W_b`, `V = W_b`, so the untrained module is
+    /// `relu` of the per-edge layer's max, up to rounding.
+    #[test]
+    fn factored_parameters_come_from_the_seeded_edge_layer() {
+        let (c, out_c) = (3usize, 4usize);
+        let ec = EdgeConv::new("ec", 2, c, out_c, 0xec);
+        let w = he_init(2 * c, out_c, 0xec);
+        for r in 0..c {
+            for col in 0..out_c {
+                assert_eq!(ec.v.get(r, col), w.get(c + r, col));
+                assert_eq!(ec.u.get(r, col), w.get(r, col) - w.get(c + r, col));
+            }
+        }
+        let feats = Tensor2::from_vec((0..4 * c).map(|i| i as f32 * 0.3 - 1.0).collect(), 4, c);
+        let neighbors = [1, 2, 0, 3, 3, 0, 2, 1];
+        let got =
+            EdgeConv::new("ec", 2, c, out_c, 0xec).forward(&feats, &neighbors, &mut Vec::new());
+        for i in 0..4 {
+            for col in 0..out_c {
+                let edge = |j: usize| -> f32 {
+                    (0..c)
+                        .map(|r| {
+                            let fi = feats.get(i, r);
+                            fi * w.get(r, col) + (feats.get(j, r) - fi) * w.get(c + r, col)
+                        })
+                        .sum()
+                };
+                let want = edge(neighbors[2 * i])
+                    .max(edge(neighbors[2 * i + 1]))
+                    .max(0.0);
+                assert!((got.get(i, col) - want).abs() < 1e-5, "({i}, {col})");
+            }
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn dgcnn_variants_are_well_formed() {
         };
         let config = DgcnnConfig {
             k: 4,
-            ec_widths: (0..modules).map(|i| vec![6 + 2 * i]).collect(),
+            ec_widths: (0..modules).map(|i| 6 + 2 * i).collect(),
             head_widths: vec![8],
             strategy,
         };

@@ -10,16 +10,15 @@
 //! eager paths produce bit-identical results at any thread budget.
 //!
 //! [`RowSource`] generalizes the A-operand: besides a dense row-major
-//! slice it supports the two gather shapes of the point-cloud models
-//! (PointNet++ SA grouping rows and DGCNN edge-pair rows). Gathered rows
-//! are staged into a stack buffer per register tile and stream straight
+//! slice it supports PointNet++'s SA grouping rows. Gathered rows are
+//! staged into a stack buffer per register tile and stream straight
 //! into the panel micro-kernel — the grouped matrix is never
 //! materialized, which is what makes the `gathered_bytes` op-counter
 //! drop under the compiled plans.
 //!
 //! A gather can also be *resumed*: its leading `c` columns depend on one
-//! source row only (`feats[i]` for an edge pair, `feats[idx[r]]` for an
-//! SA row), so their partial sums can be computed once per source row —
+//! source row only (`feats[idx[r]]`), so their partial sums can be
+//! computed once per source row —
 //! a dense pass `P = feats · W[..c]` — and handed back as the gather's
 //! `start`. The resumed pass then stages only the tail columns and
 //! starts each accumulator from its row of `P` instead of `+0.0`. That
@@ -30,6 +29,11 @@
 //! each finished tile row is folded into its group's running max, so the
 //! pooled layer never allocates its `m x n` product (a product small
 //! enough for the naive loop passes through a reused per-thread buffer).
+//!
+//! [`gather_max_relu`] is DGCNN's factored EdgeConv tail: per point, the
+//! channel-wise max of its neighbours' rows of `Q = X·V`, added to its
+//! own row of `P = X·U + b`, then ReLU. It pools like the epilogue above
+//! (strict `>` from `-inf`, neighbour slots in order).
 //!
 //! [`nearest_rows`] runs DGCNN's feature-space k-NN on the same tiles:
 //! candidates packed like a weight matrix's panels, a 4x8 tile of
@@ -53,7 +57,7 @@ pub(crate) const MATMUL_MC: usize = 64;
 /// Largest reduction width (`k`) a gather-backed [`RowSource`] supports:
 /// gathered rows are staged on the stack, so the bound must be a
 /// compile-time constant. Covers the paper configs with headroom
-/// (PointNet++ SA4 gathers c+3 = 259, DGCNN edge pairs 2c = 256).
+/// (PointNet++ SA4 gathers c+3 = 259).
 pub const MAX_FUSED_K: usize = 512;
 
 /// Sentinel neighbor index marking an unfilled grouping slot (ball query
@@ -99,30 +103,13 @@ pub enum RowSource<'a> {
         /// Hoisted head products, one row per source point.
         start: Option<&'a [f32]>,
     },
-    /// DGCNN EdgeConv rows: row `r` (center `i = r / k`, neighbor
-    /// `j = idx[r]`) is `[feats.row(i) | feats.row(j) - feats.row(i)]`
-    /// (width `2c`). Resumed (`start` set), row `r` is
-    /// `feats.row(j) - feats.row(i)` (width `c`) starting from
-    /// `start.row(i)`.
-    EdgePair {
-        /// Source feature matrix, row-major with `c` columns.
-        feats: &'a [f32],
-        /// Feature channels per point.
-        c: usize,
-        /// Neighbors per center point.
-        k: usize,
-        /// Flattened neighbor index per edge row (`m` values).
-        idx: &'a [usize],
-        /// Hoisted head products, one row per source point.
-        start: Option<&'a [f32]>,
-    },
 }
 
 impl RowSource<'_> {
     /// Materialize row `r` into `dst` (`dst.len()` must equal the row
     /// width): the whole gathered row, or only its tail when the source
-    /// is resumed. Element-for-element the same moves and subtractions
-    /// the eager grouping buffers perform, so staged rows are
+    /// is resumed. Element-for-element the same moves the eager grouping
+    /// buffers perform, so staged rows are
     /// bit-identical to materialized ones. The fused paths call it per
     /// tile.
     fn stage_row(&self, r: usize, dst: &mut [f32]) {
@@ -152,28 +139,6 @@ impl RowSource<'_> {
                 };
                 tail.copy_from_slice(&rel[3 * r..3 * r + 3]);
             }
-            RowSource::EdgePair {
-                feats,
-                c,
-                k,
-                idx,
-                start,
-            } => {
-                let i = r / k;
-                let j = idx[r];
-                let fi = &feats[i * c..(i + 1) * c];
-                let fj = &feats[j * c..(j + 1) * c];
-                let tail = match start {
-                    Some(_) => dst,
-                    None => {
-                        dst[..*c].copy_from_slice(fi);
-                        &mut dst[*c..]
-                    }
-                };
-                for (d, (&a, &b)) in tail.iter_mut().zip(fj.iter().zip(fi)) {
-                    *d = a - b;
-                }
-            }
         }
     }
 
@@ -187,7 +152,6 @@ impl RowSource<'_> {
                 EMPTY_SLOT => return None,
                 j => ((*start)?, j),
             },
-            RowSource::EdgePair { start, k, .. } => ((*start)?, r / k),
         };
         Some(&p[at * n..(at + 1) * n])
     }
@@ -222,33 +186,6 @@ impl RowSource<'_> {
                 );
                 if let Some(p) = start {
                     assert_eq!(p.len(), points * n, "SA group start matrix shape mismatch");
-                }
-            }
-            RowSource::EdgePair {
-                feats,
-                c,
-                k,
-                idx,
-                start,
-            } => {
-                assert!(*c > 0, "edge pair needs at least one feature channel");
-                let width = if start.is_some() { *c } else { 2 * c };
-                assert_eq!(kk, width, "edge-pair row width must be 2c (c resumed)");
-                assert!(kk <= MAX_FUSED_K, "edge-pair row width exceeds MAX_FUSED_K");
-                assert_eq!(idx.len(), m, "edge-pair index count mismatch");
-                assert!(
-                    *k > 0 && m.is_multiple_of(*k),
-                    "edge-pair rows must tile by k"
-                );
-                assert_eq!(feats.len() % c, 0, "edge-pair feature matrix ragged");
-                let points = feats.len() / c;
-                assert!(m / k <= points, "edge-pair center index out of range");
-                assert!(
-                    idx.iter().all(|&j| j < points),
-                    "edge-pair neighbor index out of range"
-                );
-                if let Some(p) = start {
-                    assert_eq!(p.len(), points * n, "edge-pair start matrix shape mismatch");
                 }
             }
         }
@@ -381,6 +318,118 @@ pub fn fused_linear_pooled(
         naive_pooled(src, m, w, bias, relu, group, out);
     } else {
         blocked_pooled(src, m, w, packed, bias, relu, group, out);
+    }
+}
+
+/// Rows per parallel chunk of [`gather_max_relu`].
+const GATHER_MAX_ROWS: usize = 32;
+
+/// DGCNN's factored EdgeConv tail, the step after `P = X·U + b` and
+/// `Q = X·V` (`p`, `q`: row-major, `cols` wide): for each point `i`,
+/// `out_i = max(P_i + max_j Q_j, 0.0)`, channel by channel, over its
+/// neighbours `j = idx[i * k..(i + 1) * k]`. The max scans the slots in
+/// order with `max_pool_groups`' strict `>` from `-inf`, so the first of
+/// equal values (±0.0 included) wins and a NaN never does; a channel no
+/// neighbour beats stays `-inf`, and the ReLU maps it to 0.0.
+///
+/// With `arg` (`out.len()` values) the pass also records, per output
+/// value, the neighbour whose `Q` won (the first slot's when none did)
+/// for the backward pass, and runs on the calling thread. Without it,
+/// the rows are chunked over the thread pool at fixed boundaries above
+/// the fork floor. Either way each value is the same float sequence, so
+/// the eager forward and a compiled plan agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if `cols` or `k` is zero, the operands' shapes disagree, or a
+/// neighbour index is out of range.
+pub fn gather_max_relu(
+    p: &[f32],
+    q: &[f32],
+    cols: usize,
+    idx: &[usize],
+    k: usize,
+    out: &mut [f32],
+    arg: Option<&mut [usize]>,
+) {
+    assert!(
+        cols > 0 && k > 0,
+        "gather-max needs channels and neighbours"
+    );
+    assert_eq!(out.len(), p.len(), "gather-max output size mismatch");
+    assert!(p.len().is_multiple_of(cols), "gather-max P matrix ragged");
+    assert!(q.len().is_multiple_of(cols), "gather-max Q matrix ragged");
+    assert_eq!(
+        idx.len(),
+        p.len() / cols * k,
+        "gather-max needs k neighbours per row"
+    );
+    let points = q.len() / cols;
+    assert!(
+        idx.iter().all(|&j| j < points),
+        "gather-max neighbour index out of range"
+    );
+    let row = |i: usize, out: &mut [f32], arg: Option<&mut [usize]>| {
+        gather_max_row(
+            &p[i * cols..(i + 1) * cols],
+            q,
+            &idx[i * k..(i + 1) * k],
+            out,
+            arg,
+        );
+    };
+    match arg {
+        Some(arg) => {
+            assert_eq!(arg.len(), out.len(), "gather-max arg-max size mismatch");
+            let rows = out.chunks_exact_mut(cols).zip(arg.chunks_exact_mut(cols));
+            for (i, (out, arg)) in rows.enumerate() {
+                row(i, out, Some(arg));
+            }
+        }
+        None => edgepc_par::with_work(idx.len() * cols, || {
+            edgepc_par::par_chunks_mut(out, GATHER_MAX_ROWS * cols, |ci, block| {
+                for (il, out) in block.chunks_exact_mut(cols).enumerate() {
+                    row(ci * GATHER_MAX_ROWS + il, out, None);
+                }
+            });
+        }),
+    }
+}
+
+/// One row of [`gather_max_relu`]: the neighbours' `q` rows folded into
+/// `out` from `-inf` (recording each winner in `arg` when given), then
+/// `p_row` added and the ReLU applied.
+#[inline(always)]
+fn gather_max_row(
+    p_row: &[f32],
+    q: &[f32],
+    nbrs: &[usize],
+    out: &mut [f32],
+    arg: Option<&mut [usize]>,
+) {
+    let cols = out.len();
+    out.fill(f32::NEG_INFINITY);
+    let q_row = |j: usize| &q[j * cols..(j + 1) * cols];
+    match arg {
+        None => {
+            for &j in nbrs {
+                max_row(out, q_row(j));
+            }
+        }
+        Some(arg) => {
+            arg.fill(nbrs[0]);
+            for &j in nbrs {
+                for ((run, a), &x) in out.iter_mut().zip(arg.iter_mut()).zip(q_row(j)) {
+                    if x > *run {
+                        *run = x;
+                        *a = j;
+                    }
+                }
+            }
+        }
+    }
+    for (o, &pv) in out.iter_mut().zip(p_row) {
+        *o = (pv + *o).max(0.0);
     }
 }
 
@@ -528,9 +577,7 @@ fn fold_max(dst: &mut [f32], run: &[f32; MATMUL_NR]) {
 #[inline(always)]
 fn max_row(dst: &mut [f32], row: &[f32]) {
     for (d, &x) in dst.iter_mut().zip(row) {
-        if x > *d {
-            *d = x;
-        }
+        *d = if x > *d { x } else { *d };
     }
 }
 
@@ -1188,20 +1235,6 @@ mod tests {
         g
     }
 
-    fn materialize_edge(feats: &Tensor2, c: usize, k: usize, idx: &[usize]) -> Tensor2 {
-        let m = idx.len();
-        let mut g = Tensor2::zeros(m, 2 * c);
-        for (r, &j) in idx.iter().enumerate() {
-            let i = r / k;
-            for cc in 0..c {
-                let fi = feats.get(i, cc);
-                g.set(r, cc, fi);
-                g.set(r, c + cc, feats.get(j, cc) - fi);
-            }
-        }
-        g
-    }
-
     #[test]
     fn fused_dense_matches_eager_both_paths() {
         // (m, k, n) pairs straddling the naive/blocked dispatch gate.
@@ -1307,43 +1340,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_edge_gather_matches_materialized_pairs() {
-        let (points, c, k) = (60, 11, 6);
-        let feats = random_tensor(points, c, 0x7007);
-        let m = points * k;
-        let mut idx = Vec::new();
-        let mut state = 0x99u64;
-        for i in 0..points {
-            for _ in 0..k {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(13);
-                idx.push((state as usize + i + 1) % points);
-            }
-        }
-        for &(n, seed) in &[(4usize, 0x8008u64), (36, 0x8009)] {
-            let w = random_tensor(2 * c, n, seed);
-            let grouped = materialize_edge(&feats, c, k, &idx);
-            let expect = eager_reference(&grouped, &w, None, true);
-            let mut got = vec![0.0f32; m * n];
-            fused_linear(
-                &RowSource::EdgePair {
-                    feats: feats.as_slice(),
-                    c,
-                    k,
-                    idx: &idx,
-                    start: None,
-                },
-                m,
-                &w,
-                None,
-                None,
-                true,
-                &mut got,
-            );
-            assert_eq!(got, expect, "fused edge gather mismatch n={n}");
-        }
-    }
-
-    #[test]
     fn fused_blocked_is_thread_count_independent() {
         // Above the fork floor, so 2 and 8 threads really fork, with a
         // ragged last chunk (1002 = 15 * 64 + 42), tile and panel.
@@ -1377,7 +1373,6 @@ mod tests {
     enum Flavour {
         Dense,
         Sa,
-        Edge,
     }
 
     /// A-operand data owned by the tile-edge sweep and borrowed as the
@@ -1386,7 +1381,6 @@ mod tests {
         flavour: Flavour,
         feats: Tensor2,
         c: usize,
-        k: usize,
         idx: Vec<usize>,
         rel: Vec<f32>,
     }
@@ -1397,7 +1391,6 @@ mod tests {
                 flavour: Flavour::Dense,
                 feats: random_tensor(m, kk, seed),
                 c: kk,
-                k: 1,
                 idx: Vec::new(),
                 rel: Vec::new(),
             }
@@ -1429,24 +1422,8 @@ mod tests {
                 flavour: Flavour::Sa,
                 feats,
                 c,
-                k: 1,
                 idx,
                 rel,
-            }
-        }
-
-        /// `m` edge rows of width `2c`, `k` neighbors per center.
-        fn edge(m: usize, c: usize, seed: u64) -> Self {
-            let k = if m.is_multiple_of(3) { 3 } else { 1 };
-            let points = m / k + 3;
-            let idx = (0..m).map(|r| (r * 5 + seed as usize) % points).collect();
-            Operand {
-                flavour: Flavour::Edge,
-                feats: random_tensor(points, c, seed),
-                c,
-                k,
-                idx,
-                rel: Vec::new(),
             }
         }
 
@@ -1466,20 +1443,13 @@ mod tests {
                     rel: &self.rel,
                     start,
                 },
-                Flavour::Edge => RowSource::EdgePair {
-                    feats: self.feats.as_slice(),
-                    c: self.c,
-                    k: self.k,
-                    idx: &self.idx,
-                    start,
-                },
             }
         }
     }
 
     /// Every tile edge, bypassing the work-size gate: ragged row tiles
     /// (`m % 4`), ragged panels (`n % 8`), one/several 64-row chunks and
-    /// reduction widths around the tile sizes, for all three row sources,
+    /// reduction widths around the tile sizes, for both row sources,
     /// bitwise against the naive loop at 1/2/8 threads.
     #[test]
     fn blocked_matches_naive_at_every_tile_edge() {
@@ -1488,13 +1458,10 @@ mod tests {
         for &kk in &[1usize, 2, 7, 8, 9, 64, 259] {
             for &m in &ms {
                 let seed = (m * 1000 + kk) as u64;
-                // SA rows need c = kk - 3 >= 1, edge rows an even width.
+                // SA rows need c = kk - 3 >= 1.
                 let mut operands = vec![Operand::dense(m, kk, seed)];
                 if kk > 3 {
                     operands.push(Operand::sa(m, kk - 3, seed));
-                }
-                if kk.is_multiple_of(2) {
-                    operands.push(Operand::edge(m, kk / 2, seed));
                 }
                 for &n in &ns {
                     let w = random_tensor(kk, n, seed ^ n as u64);
@@ -1534,8 +1501,8 @@ mod tests {
     /// the resumed tail pass equals the one-pass gathered product bit for
     /// bit, on both kernel paths (and mixed: head on one, tail on the
     /// other), at every tile edge — ragged row tiles, ragged panels, one
-    /// and several 64-row chunks — for edge rows and for SA rows with
-    /// `EMPTY_SLOT` pads and all-zero non-empty rows, at 1/2/8 threads.
+    /// and several 64-row chunks — for SA rows with `EMPTY_SLOT` pads and
+    /// all-zero non-empty rows, at 1/2/8 threads.
     #[test]
     fn resumed_sums_match_one_pass_at_every_tile_edge() {
         let ms: Vec<usize> = (1..=9).chain(63..=66).chain([130]).collect();
@@ -1543,49 +1510,39 @@ mod tests {
         for &c in &[1usize, 2, 5, 8, 64, 128] {
             for &m in &ms {
                 let seed = (m * 1000 + c) as u64;
-                for operand in [Operand::sa(m, c, seed), Operand::edge(m, c, seed)] {
-                    let kk = match operand.flavour {
-                        Flavour::Edge => 2 * c,
-                        _ => c + 3,
-                    };
-                    let points = operand.feats.rows();
-                    for &n in &ns {
-                        let w = random_tensor(kk, n, seed ^ n as u64);
-                        let (head, tail) = w.split_rows(c);
-                        let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.07 - 0.4).collect();
-                        let mut expect = vec![f32::NAN; m * n];
-                        naive_into(&operand.source(), m, &w, Some(&bias), true, &mut expect);
+                let operand = Operand::sa(m, c, seed);
+                let kk = c + 3;
+                let points = operand.feats.rows();
+                for &n in &ns {
+                    let w = random_tensor(kk, n, seed ^ n as u64);
+                    let (head, tail) = w.split_rows(c);
+                    let bias: Vec<f32> = (0..n).map(|i| i as f32 * 0.07 - 0.4).collect();
+                    let mut expect = vec![f32::NAN; m * n];
+                    naive_into(&operand.source(), m, &w, Some(&bias), true, &mut expect);
 
-                        let feats = RowSource::Dense(operand.feats.as_slice());
-                        let mut naive_p = vec![f32::NAN; points * n];
-                        naive_into(&feats, points, &head, None, false, &mut naive_p);
-                        let mut blocked_p = vec![f32::NAN; points * n];
-                        blocked_into(&feats, points, &head, None, None, false, &mut blocked_p);
-                        assert_eq!(bits(&naive_p), bits(&blocked_p), "head m={m} c={c} n={n}");
+                    let feats = RowSource::Dense(operand.feats.as_slice());
+                    let mut naive_p = vec![f32::NAN; points * n];
+                    naive_into(&feats, points, &head, None, false, &mut naive_p);
+                    let mut blocked_p = vec![f32::NAN; points * n];
+                    blocked_into(&feats, points, &head, None, None, false, &mut blocked_p);
+                    assert_eq!(bits(&naive_p), bits(&blocked_p), "head m={m} c={c} n={n}");
 
-                        let src = operand.source_from(Some(&naive_p));
-                        src.validate(m, kk - c, n);
+                    let src = operand.source_from(Some(&naive_p));
+                    src.validate(m, kk - c, n);
+                    let mut got = vec![f32::NAN; m * n];
+                    naive_into(&src, m, &tail, Some(&bias), true, &mut got);
+                    assert_eq!(bits(&got), bits(&expect), "naive resume: m={m} c={c} n={n}");
+                    let budgets: &[usize] = if m > MATMUL_MC { &[1, 2, 8] } else { &[1] };
+                    for &threads in budgets {
                         let mut got = vec![f32::NAN; m * n];
-                        naive_into(&src, m, &tail, Some(&bias), true, &mut got);
+                        edgepc_par::with_threads(threads, || {
+                            blocked_into(&src, m, &tail, None, Some(&bias), true, &mut got);
+                        });
                         assert_eq!(
                             bits(&got),
                             bits(&expect),
-                            "naive resume: {:?} m={m} c={c} n={n}",
-                            operand.flavour
+                            "blocked resume: m={m} c={c} n={n} threads={threads}"
                         );
-                        let budgets: &[usize] = if m > MATMUL_MC { &[1, 2, 8] } else { &[1] };
-                        for &threads in budgets {
-                            let mut got = vec![f32::NAN; m * n];
-                            edgepc_par::with_threads(threads, || {
-                                blocked_into(&src, m, &tail, None, Some(&bias), true, &mut got);
-                            });
-                            assert_eq!(
-                                bits(&got),
-                                bits(&expect),
-                                "blocked resume: {:?} m={m} c={c} n={n} threads={threads}",
-                                operand.flavour
-                            );
-                        }
                     }
                 }
             }
@@ -1597,7 +1554,7 @@ mod tests {
     /// [`fused_linear`] followed by `max_pool_groups` bit for bit. Groups
     /// of 1, 3, 5, 8, 20 and 32 rows straddle the 4-row tiles and, at
     /// one group past a chunk's worth, the group-aligned chunks; ragged
-    /// panels (`n` = 1..=17 and 33); dense, SA and edge rows, one-pass
+    /// panels (`n` = 1..=17 and 33); dense and SA rows, one-pass
     /// and resumed; NaN, +0.0 and -0.0 pre-activations (a NaN feature, an
     /// all-zero row, a -0.0 start times zeros); ReLU on and off; 1/2/8
     /// threads, with one shape per flavour above the fork floor (release
@@ -1669,19 +1626,12 @@ mod tests {
         for (group, m, n) in shapes {
             let c = if n == 160 { 128 } else { 4 };
             let seed = (m * 1000 + n * 10 + group) as u64;
-            let mut operands = [
-                Operand::dense(m, c + 3, seed),
-                Operand::sa(m, c, seed),
-                Operand::edge(m, c, seed),
-            ];
+            let mut operands = [Operand::dense(m, c + 3, seed), Operand::sa(m, c, seed)];
             for operand in operands.iter_mut().filter(|o| o.feats.rows() > 1) {
                 operand.feats.set(1, 0, f32::NAN);
             }
             for operand in &operands {
-                let kk = match operand.flavour {
-                    Flavour::Edge => 2 * c,
-                    _ => c + 3,
-                };
+                let kk = c + 3;
                 let w = random_tensor(kk, n, seed ^ 0x5eed);
                 check(operand, None, m, &w, group);
                 if matches!(operand.flavour, Flavour::Dense) {
@@ -1708,6 +1658,110 @@ mod tests {
             seen.iter().all(|&s| s > 0),
             "pre-activations seen (NaN, +0.0, -0.0): {seen:?}"
         );
+    }
+
+    /// The gather-max step is exact: [`gather_max_relu`], with and
+    /// without its arg-max record, equals the scalar loop
+    /// `max(P_i + max_j Q_j, 0.0)` (strict `>` from `-inf`, slots in
+    /// order) bit for bit, arg-max included. `Q` holds NaN, ±inf, -0.0
+    /// and ties, `P` NaN, ±inf and -0.0; neighbour lists repeat points
+    /// and hold the point itself. Ragged shapes run at one worker; one
+    /// shape above the fork floor runs at 1/2/8 threads (release only).
+    #[test]
+    fn gather_max_relu_matches_the_scalar_loop() {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let mut shapes: Vec<(usize, usize, usize)> = Vec::new();
+        for rows in [1usize, 2, 5, 31, 33, 70] {
+            for k in [1usize, 2, 5, 20] {
+                shapes.extend([1usize, 3, 8, 17].iter().map(|&cols| (rows, k, cols)));
+            }
+        }
+        if !cfg!(debug_assertions) {
+            shapes.push((1024, 20, 256));
+        }
+        let mut seen = [0usize; 5]; // channel maxima: NaN, +inf, -inf, -0.0, +0.0
+        for (rows, k, cols) in shapes {
+            let seed = (rows * 1000 + k * 40 + cols) as u64;
+            let points = rows + 3;
+            let mut q = random_tensor(points, cols, seed);
+            let mut p = random_tensor(rows, cols, seed ^ 0x9a7);
+            for (at, v) in q.as_mut_slice().iter_mut().enumerate() {
+                if at % 7 == 3 {
+                    *v = specials[at / 7 % specials.len()];
+                }
+            }
+            for (at, v) in p.as_mut_slice().iter_mut().enumerate() {
+                if at % 11 == 5 {
+                    *v = specials[at / 11 % specials.len()];
+                }
+            }
+            // Point 1 duplicates point 0, so their Q rows tie.
+            if points > 1 {
+                let first = q.row(0).to_vec();
+                q.row_mut(1).copy_from_slice(&first);
+            }
+            let idx: Vec<usize> = (0..rows * k)
+                .map(|r| match r % 4 {
+                    0 => r / k,
+                    1 => 1,
+                    2 => 0,
+                    _ => (r * 13 + seed as usize) % points,
+                })
+                .collect();
+
+            let mut expect = vec![0.0f32; rows * cols];
+            let mut expect_arg = vec![0usize; rows * cols];
+            for i in 0..rows {
+                let nbrs = &idx[i * k..(i + 1) * k];
+                for c in 0..cols {
+                    let (mut best, mut best_j) = (f32::NEG_INFINITY, nbrs[0]);
+                    for &j in nbrs {
+                        let v = q.get(j, c);
+                        if v > best {
+                            best = v;
+                            best_j = j;
+                        }
+                    }
+                    expect[i * cols + c] = (p.get(i, c) + best).max(0.0);
+                    expect_arg[i * cols + c] = best_j;
+                    for (s, special) in seen.iter_mut().zip(specials) {
+                        *s += usize::from(best.to_bits() == special.to_bits());
+                    }
+                }
+            }
+            let what = format!("rows={rows} k={k} cols={cols}");
+            let (p, q) = (p.as_slice(), q.as_slice());
+            let mut got = vec![f32::NAN; rows * cols];
+            let mut arg = vec![usize::MAX; rows * cols];
+            gather_max_relu(p, q, cols, &idx, k, &mut got, Some(&mut arg));
+            assert_eq!(bits(&got), bits(&expect), "with arg-max: {what}");
+            assert_eq!(arg, expect_arg, "arg-max: {what}");
+            let budgets: &[usize] = if rows * k * cols >= edgepc_par::FORK_FLOOR {
+                &[1, 2, 8]
+            } else {
+                &[1]
+            };
+            for &threads in budgets {
+                let mut got = vec![f32::NAN; rows * cols];
+                edgepc_par::with_threads(threads, || {
+                    gather_max_relu(p, q, cols, &idx, k, &mut got, None);
+                });
+                assert_eq!(bits(&got), bits(&expect), "{what} threads={threads}");
+            }
+        }
+        // A NaN never wins; -inf is a channel no neighbour beat.
+        assert_eq!(seen[0], 0, "a NaN won");
+        assert!(
+            seen[1..].iter().all(|&s| s > 0),
+            "channel maxima (NaN, +inf, -inf, -0.0, +0.0): {seen:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gather-max neighbour index out of range")]
+    fn out_of_range_gather_max_index_fails_the_contract_check() {
+        let mut out = [0.0f32; 2];
+        gather_max_relu(&[0.0; 2], &[0.0; 2], 1, &[0, 2], 1, &mut out, None);
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

@@ -38,17 +38,23 @@ pub struct Linear {
     cache_x: Option<Tensor2>,
 }
 
+/// An `input x output` weight matrix drawn uniformly from
+/// `±sqrt(2 / input)` (He scaling), deterministic per `seed`: the draw
+/// behind every [`Linear`] layer, and DGCNN's EdgeConv parameters.
+pub fn he_init(input: usize, output: usize, seed: u64) -> Tensor2 {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x11ea);
+    let std = (2.0 / input as f32).sqrt();
+    let data = (0..input * output)
+        .map(|_| rng.gen_range(-std..=std))
+        .collect();
+    Tensor2::from_vec(data, input, output)
+}
+
 impl Linear {
-    /// Creates a layer with He-initialized weights, deterministic per
-    /// `seed`.
+    /// Creates a layer with [`he_init`] weights and zero bias.
     fn new(input: usize, output: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x11ea);
-        let std = (2.0 / input as f32).sqrt();
-        let data = (0..input * output)
-            .map(|_| rng.gen_range(-std..=std))
-            .collect();
         Linear {
-            w: Tensor2::from_vec(data, input, output),
+            w: he_init(input, output, seed),
             b: vec![0.0; output],
             gw: Tensor2::zeros(input, output),
             gb: vec![0.0; output],

@@ -289,21 +289,22 @@ fn fused_linear_allocates_nothing_on_any_path() {
     let packed = PackedPanels::pack(&w);
     let bias = vec![0.25f32; 64];
     let mut out = vec![0.0f32; 64 * 64];
-    // resumed: 64 points x k = 8 edge rows, each resuming from its
-    // point's hoisted head row.
+    // resumed: 64 points x k = 8 SA rows, each resuming from its
+    // neighbor's hoisted head row.
     let (points, c, k) = (64usize, 32usize, 8usize);
     let feats = matrix(points, c, 5);
     let idx: Vec<usize> = (0..points * k).map(|r| (r * 7 + 3) % points).collect();
-    let w_tail = matrix(c, 64, 6);
+    let rel: Vec<f32> = (0..3 * points * k).map(|i| (i % 5) as f32 * 0.25).collect();
+    let w_tail = matrix(3, 64, 6);
     let start = matrix(points, 64, 7);
     let mut out_resumed = vec![0.0f32; points * k * 64];
 
     let mut paths = |probe: bool| {
-        let edge = RowSource::EdgePair {
+        let resumed = RowSource::SaGroup {
             feats: feats.as_slice(),
             c,
-            k,
             idx: &idx,
+            rel: &rel,
             start: Some(start.as_slice()),
         };
         let (small, dense) = (
@@ -321,7 +322,15 @@ fn fused_linear_allocates_nothing_on_any_path() {
         });
         let m = points * k;
         zero_when(probe, "resumed", || {
-            fused_linear(&edge, m, &w_tail, None, Some(&bias), true, &mut out_resumed);
+            fused_linear(
+                &resumed,
+                m,
+                &w_tail,
+                None,
+                Some(&bias),
+                true,
+                &mut out_resumed,
+            );
         });
     };
     solo(|| {
@@ -346,39 +355,46 @@ fn matmul_allocates_only_its_output() {
 
 #[test]
 fn executor_runs_a_six_op_plan_without_allocating() {
-    // An EdgeConv-shaped graph that lowers to every step kind: an edge
-    // gather of 4 rows per point (more rows than points, and 8 channels,
-    // so its linear hoists into Hoist + a Resume that pools in its
-    // epilogue), a dense Fused linear, a standalone MaxPool of a concat,
-    // Concat2 and Broadcast.
+    // A graph that lowers to every step kind: an SA gather of 4 rows per
+    // point (more rows than points, and 8 channels, so its linear hoists
+    // into Hoist + a Resume that pools in its epilogue), an EdgeConv (two
+    // dense Fused linears and a GatherMax), a standalone MaxPool of a
+    // concat, Concat2 and Broadcast.
     let (points, c, k) = (16usize, 8usize, 4usize);
     let mut g = Graph::new("six_ops");
     let x = g.input(points, c);
-    let edges = g.gather(points * k, points, GatherMode::EdgePair { c, k }, "edge");
-    let w_edge = matrix(2 * c, 8, 10);
-    let h = g.linear(edges, &w_edge, &[0.5; 8], true);
+    let rows = g.gather(points * k, points, GatherMode::SaGroup { c, k }, "sa");
+    let h = g.linear(rows, &matrix(c + 3, 8, 10), &[0.5; 8], true);
     let pooled = g.max_pool(h, k);
-    let w_dense = matrix(c, 8, 11);
-    let f = g.linear(x, &w_dense, &[-0.5; 8], true);
-    let both = g.concat2(pooled, f);
+    let (u, v) = (matrix(c, 8, 11), matrix(c, 8, 13));
+    let edge = g.edge_conv(x, &u, &v, &[-0.5; 8], k, "edge");
+    let both = g.concat2(pooled, edge);
     let global = g.max_pool(both, points);
     let wide = g.broadcast(global, points);
     g.set_output(wide);
     let plan = compile(&g);
-    assert!(plan.gather_sites()[0].hoisted, "the edge linear hoists");
+    assert!(plan.gather_sites()[0].hoisted, "the SA linear hoists");
 
     let feats = matrix(points, c, 12);
     let idx: Vec<usize> = (0..points * k).map(|r| (r * 5 + 1) % points).collect();
+    let rel: Vec<f32> = (0..3 * points * k).map(|i| (i % 3) as f32 - 1.0).collect();
     let tensors = [InTensor {
         data: feats.as_slice(),
         rows: points,
         cols: c,
     }];
-    let gathers = [GatherIn {
-        feats: feats.as_slice(),
-        idx: &idx,
-        rel: &[],
-    }];
+    let gathers = [
+        GatherIn {
+            feats: feats.as_slice(),
+            idx: &idx,
+            rel: &rel,
+        },
+        GatherIn {
+            feats: &[],
+            idx: &idx,
+            rel: &[],
+        },
+    ];
     let inputs = Inputs {
         tensors: &tensors,
         gathers: &gathers,

@@ -213,8 +213,8 @@ fn pointnetpp_ledger(config: &PointNetPpConfig) -> Vec<(String, &'static [&'stat
     sa.chain(fp).chain(head).collect()
 }
 
-/// DGCNN: every EdgeConv module searches, groups and runs its MLP; then
-/// the head.
+/// DGCNN: every EdgeConv module searches, groups and runs its linears;
+/// then the head.
 fn dgcnn_ledger(config: &DgcnnConfig) -> Vec<(String, &'static [&'static str])> {
     let ec =
         (1..=config.ec_widths.len()).map(|i| (format!("ec{i}"), &["search", "group", "fc"][..]));

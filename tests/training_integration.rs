@@ -187,7 +187,7 @@ fn training_steps_are_bit_pinned() {
     let (logits, _) = dgcnn.forward(&cls.train[0].cloud);
     h = fold_bits(h, logits.as_slice());
     assert_eq!(
-        h, 0xfb80_594d_82a8_8d19,
+        h, 0xa68c_c91d_1875_2b3c,
         "DGCNN cls training bits moved: {h:#018x}"
     );
 }
